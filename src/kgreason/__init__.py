@@ -37,6 +37,7 @@ from kgreason.harness import (
     evaluate_run,
     generate_queries,
     rank_hard_answer,
+    rank_hard_answers,
     split_answers,
 )
 

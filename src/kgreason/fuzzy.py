@@ -10,9 +10,12 @@ in [0, 1]. Operators:
                                                 relation tensor)
 
 Union is literally the composition above, so the two are bitwise consistent
-by construction. Projection ties resolve to the lowest contributing entity
-id; the same winner feeds the backward pass, and the clamped side of any
-upstream min(., 1) contributes zero gradient.
+by construction. Projection is one kernel for every provider: gather the
+rows of the whole support in one step (vectorized through the CSR offsets
+for a tensor, one row() per head for lazy providers), then max-scatter the
+products; project() states its tie rule. The winning entry of each column
+feeds the backward pass, and the clamped side of any upstream min(., 1)
+contributes zero gradient.
 """
 
 from __future__ import annotations
@@ -24,12 +27,14 @@ import numpy as np
 
 from .dsl import Anchor, Complement, Intersection, Node, Projection, Union, topo_order
 
-# support fraction above which projection switches to the merge strategy
-DENSE_SUPPORT_FRACTION = 0.1
-
 
 class RowProvider(Protocol):
-    """Sparse access to calibrated relation rows."""
+    """Sparse access to calibrated relation rows.
+
+    A provider may also implement gather(heads, relation) -> (cols, vals,
+    lens) with the semantics of gather_rows; projection uses it in place of
+    one row() call per head.
+    """
 
     n_entities: int
 
@@ -180,56 +185,27 @@ def union(vectors: Sequence[np.ndarray], tape: GradientTape | None = None) -> np
     return complement(intersect([complement(v, tape) for v in vectors], tape), tape)
 
 
-def _project_loop(e, support, relation, provider):
-    n = e.shape[0]
-    out = np.zeros(n, dtype=np.float64)
-    win = np.full(n, -1, dtype=np.int64)
-    winx = np.zeros(n, dtype=np.float64)
-    for i in support:
-        idx, vals = provider.row(int(i), relation)
-        if idx.size == 0:
-            continue
-        cand = e[i] * vals
-        better = cand > out[idx]
-        if not better.any():
-            continue
-        sel = idx[better]
-        out[sel] = cand[better]
-        win[sel] = i
-        winx[sel] = vals[better]
-    return out, win, winx
+def gather_rows(provider: RowProvider, heads: np.ndarray, relation: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows (head, relation) for every head, concatenated in the given order.
 
-
-def _project_merge(e, support, relation, provider):
-    n = e.shape[0]
-    out = np.zeros(n, dtype=np.float64)
-    win = np.full(n, -1, dtype=np.int64)
-    winx = np.zeros(n, dtype=np.float64)
-    cols_parts, cand_parts, src_parts, val_parts = [], [], [], []
-    for i in support:
-        idx, vals = provider.row(int(i), relation)
-        if idx.size == 0:
-            continue
-        cols_parts.append(idx)
-        cand_parts.append(e[i] * vals)
-        src_parts.append(np.full(idx.shape[0], i, dtype=np.int64))
-        val_parts.append(vals)
-    if not cols_parts:
-        return out, win, winx
-    cols = np.concatenate(cols_parts)
-    cand = np.concatenate(cand_parts)
-    src = np.concatenate(src_parts)
-    vals = np.concatenate(val_parts)
-    # per column: max candidate, ties to the lowest source id
-    order = np.lexsort((src, -cand, cols))
-    cols_sorted = cols[order]
-    first = np.ones(cols_sorted.shape[0], dtype=bool)
-    first[1:] = cols_sorted[1:] != cols_sorted[:-1]
-    pick = order[first]
-    out[cols[pick]] = cand[pick]
-    win[cols[pick]] = src[pick]
-    winx[cols[pick]] = vals[pick]
-    return out, win, winx
+    Returns (cols, float64 vals, lens) with lens[k] the length of the k-th
+    head's row. Uses the provider's own gather() when it has one and falls
+    back to one row() call per head otherwise.
+    """
+    gather = getattr(provider, "gather", None)
+    if gather is not None:
+        return gather(heads, relation)
+    rows = [provider.row(h, relation) for h in np.asarray(heads).tolist()]
+    if not rows:
+        return np.empty(0, np.int32), np.empty(0, np.float64), np.empty(0, np.int64)
+    lens = np.array([idx.shape[0] for idx, _ in rows], dtype=np.int64)
+    if len(rows) == 1:
+        cols, vals = rows[0]
+    else:
+        cols = np.concatenate([idx for idx, _ in rows])
+        vals = np.concatenate([v for _, v in rows])
+    return cols, np.asarray(vals, dtype=np.float64), lens
 
 
 def project(
@@ -237,42 +213,50 @@ def project(
     relation: int,
     provider: RowProvider,
     tape: GradientTape | None = None,
-    method: str = "auto",
 ) -> np.ndarray:
     """Relational image of a fuzzy set: out_j = max_i e_i * X[i, relation, j].
 
-    Cost scales with |support(e)| times the touched row sizes. The two
-    strategies produce bitwise-identical results; "auto" uses the row-by-row
-    loop for small supports and the sort-based merge above
-    DENSE_SUPPORT_FRACTION of the entity count.
+    One kernel: gather the rows of the whole support (ascending ids) in one
+    step, multiply each by its source membership and max-scatter the
+    candidates. Cost scales with the gathered entries. When a tape records,
+    each column's winner is its earliest gathered entry whose product is
+    positive and equals the maximum; gather order makes that the lowest
+    source id.
     """
+    n = e.shape[0]
     support = np.nonzero(e)[0]
-    if method == "auto":
-        method = "merge" if support.size > DENSE_SUPPORT_FRACTION * e.shape[0] else "loop"
-    if method == "loop":
-        out, win, winx = _project_loop(e, support, relation, provider)
-    elif method == "merge":
-        out, win, winx = _project_merge(e, support, relation, provider)
-    else:
-        raise ValueError(f"unknown projection method {method!r}")
-    np.clip(out, 0.0, 1.0, out=out)
+    cols, vals, lens = gather_rows(provider, support, relation)
+    src = np.repeat(support, lens)
+    cand = e[src] * vals
+    out = np.zeros(n, dtype=np.float64)
+    np.maximum.at(out, cols, cand)
 
     if tape is not None:
-        n = e.shape[0]
+        # taken before the clamp below; every column with out > 0 has a hit
+        hits = np.nonzero(cand == out[cols])[0]
+        first = np.full(n, cand.shape[0], dtype=np.int64)
+        np.minimum.at(first, cols[hits], hits)
+        win_cols = np.nonzero(out > 0.0)[0]
+        win_pos = first[win_cols]
+        win_src = src[win_pos]
+        win_val = vals[win_pos]
 
-        def backward(g, adjoints, rows, e=e, win=win, winx=winx, relation=relation):
-            live = np.nonzero((win >= 0) & (g != 0.0))[0]
-            if live.size == 0:
+        def backward(g, adjoints, rows, e=e, relation=relation):
+            live = g[win_cols] != 0.0
+            if not live.any():
                 return
-            winners = win[live]
-            _np_add_at_accumulate(adjoints, e, winners, g[live] * winx[live])
-            row_grad = g[live] * e[winners]
+            live_cols = win_cols[live]
+            winners = win_src[live]
+            g_live = g[live_cols]
+            _np_add_at_accumulate(adjoints, e, winners, g_live * win_val[live])
+            row_grad = g_live * e[winners]
             for i in np.unique(winners):
                 sel = winners == i
                 acc = rows.setdefault((int(i), relation), np.zeros(n, dtype=np.float64))
-                acc[live[sel]] += row_grad[sel]
+                acc[live_cols[sel]] += row_grad[sel]
 
         tape._record(out, backward)
+    np.minimum(out, 1.0, out=out)   # out >= 0 already: clamp to [0, 1]
     return out
 
 

@@ -310,20 +310,31 @@ def generate_queries(kg: KnowledgeGraph, structure: str, count: int, seed: int,
     return records
 
 
-def rank_hard_answer(a, t: int, all_answers) -> float:
-    """Filtered average rank of answer t among non-answers.
+def rank_hard_answers(a, hard, all_answers) -> np.ndarray:
+    """Filtered average ranks of the hard answers, in the order given.
 
-    rank = 1 + #{non-answers scored above t} + #{tied non-answers} / 2
+    rank = 1 + #{non-answers scored above t} + #{tied non-answers} / 2,
+    counted for all answers at once: one sort of the non-answer values and
+    two searchsorted passes. With `left`/`right` the searchsorted positions
+    among m non-answers this is m + 1 - (left + right) / 2, exact in float64.
     """
     values = a.values if isinstance(a, MembershipVector) else np.asarray(a)
-    if t not in all_answers:
-        raise ValueError(f"entity {t} is not an answer of this query")
-    pool = np.ones(values.shape[0], dtype=bool)
-    pool[np.fromiter(all_answers, dtype=np.int64)] = False
-    at = values[t]
-    greater = int(np.count_nonzero(values[pool] > at))
-    equal = int(np.count_nonzero(values[pool] == at))
-    return 1.0 + greater + equal / 2.0
+    hard = np.fromiter(hard, dtype=np.int64)
+    is_answer = np.zeros(values.shape[0], dtype=bool)
+    is_answer[np.fromiter(all_answers, dtype=np.int64)] = True
+    if not is_answer[hard].all():
+        stray = hard[~is_answer[hard]][0]
+        raise ValueError(f"entity {int(stray)} is not an answer of this query")
+    others = np.sort(values[~is_answer])
+    at = values[hard]
+    left = np.searchsorted(others, at, side="left")
+    right = np.searchsorted(others, at, side="right")
+    return (others.shape[0] + 1.0) - (left + right) / 2.0
+
+
+def rank_hard_answer(a, t: int, all_answers) -> float:
+    """Filtered average rank of one answer t; see rank_hard_answers."""
+    return float(rank_hard_answers(a, (t,), all_answers)[0])
 
 
 @dataclass
@@ -384,7 +395,7 @@ def evaluate_run(tensor, records: list[QueryRecord]) -> EvalReport:
             continue
         vec = evaluate(rec.ast, tensor)
         all_answers = rec.easy | rec.hard
-        ranks = [rank_hard_answer(vec, t, all_answers) for t in sorted(rec.hard)]
+        ranks = rank_hard_answers(vec, sorted(rec.hard), all_answers).tolist()
         tag = rec.structure
         acc_mrr.setdefault(tag, []).append(float(np.mean([1.0 / r for r in ranks])))
         hit_acc = acc_hits.setdefault(tag, {k: [] for k in HITS_LEVELS})

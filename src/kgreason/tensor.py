@@ -16,7 +16,6 @@ loaded tensor compares equal on content but reports nothing as pinned.
 
 from __future__ import annotations
 
-import io
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -71,6 +70,30 @@ class CalibratedTensor:
         if pin_mask is None:
             pin_mask = np.zeros(self.indices.shape[0], dtype=bool)
         self.pin_mask = np.ascontiguousarray(pin_mask, dtype=bool)
+        self._check_structure()
+
+    def _check_structure(self) -> None:
+        """Vectorized CSR invariants; gather() trusts them across rows."""
+        offsets, indices, values, nnz = self.offsets, self.indices, self.values, self.nnz
+        if self.pin_mask.shape[0] != nnz:
+            raise ValueError("pin mask length does not match nnz")
+        if offsets[0] != 0 or offsets[-1] != nnz:
+            raise ValueError(f"offsets must run from 0 to nnz {nnz}, "
+                             f"got {int(offsets[0])}..{int(offsets[-1])}")
+        if np.any(offsets[1:] < offsets[:-1]):
+            raise ValueError("offsets are not monotone")
+        if nnz == 0:
+            return
+        if int(indices.min()) < 0 or int(indices.max()) >= self.n_entities:
+            raise ValueError(f"tail index out of range [0, {self.n_entities})")
+        ascending = indices[1:] > indices[:-1]
+        row_starts = offsets[1:-1].astype(np.int64)
+        row_starts = row_starts[(row_starts > 0) & (row_starts < nnz)]
+        ascending[row_starts - 1] = True    # pairs across a row boundary
+        if not ascending.all():
+            raise ValueError("tail indices are not strictly ascending within a row")
+        if not (values.min() >= 0.0 and values.max() <= 1.0):   # false on NaN
+            raise ValueError("values must be finite and lie in [0, 1]")
 
     @property
     def nnz(self) -> int:
@@ -86,6 +109,26 @@ class CalibratedTensor:
         """(tail indices, float64 values); empty arrays for an absent row."""
         s, e = self._span(h, r)
         return self.indices[s:e], self.values[s:e].astype(np.float64)
+
+    def gather(self, heads: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows (h, r) for every h in heads, concatenated: (cols, float64 vals, lens).
+
+        One vectorized gather through the offsets, no per-row Python call.
+        """
+        heads = np.asarray(heads, dtype=np.int64)
+        if heads.size == 1:     # a slice, without the array set-up below
+            s, e = self._span(int(heads[0]), r)
+            return self.indices[s:e], self.values[s:e].astype(np.float64), np.array([e - s])
+        if not 0 <= r < self.n_relations or (
+                heads.size and not (0 <= heads.min() and heads.max() < self.n_entities)):
+            raise IndexError(f"rows of relation {r} out of range")
+        offsets = self.offsets.view(np.int64)   # lossless: validated 0..nnz
+        rid = heads * self.n_relations + r
+        starts = offsets[rid]
+        lens = offsets[rid + 1] - starts
+        ends = np.cumsum(lens)
+        pos = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lens, lens)
+        return self.indices[pos], self.values[pos].astype(np.float64), lens
 
     def value(self, h: int, r: int, t: int) -> float:
         s, e = self._span(h, r)
@@ -135,17 +178,18 @@ class CalibratedTensor:
     def load(cls, path) -> "CalibratedTensor":
         with open(path, "rb") as fh:
             buf = fh.read()
-        view = io.BytesIO(buf)
+        pos = len(MAGIC)
 
         def take(dtype, count):
+            nonlocal pos
             width = np.dtype(dtype).itemsize * count
-            chunk = view.read(width)
-            if len(chunk) != width:
+            if pos + width > len(buf):
                 raise ValueError(f"{path}: truncated tensor file")
-            return np.frombuffer(chunk, dtype=dtype)
+            chunk = np.frombuffer(buf, dtype=dtype, count=count, offset=pos)
+            pos += width
+            return chunk
 
-        magic = view.read(4)
-        if magic != MAGIC:
+        if buf[:len(MAGIC)] != MAGIC:
             raise ValueError(f"{path}: not a tensor file (bad magic)")
         version = int(take("<u4", 1)[0])
         if version != VERSION:
@@ -155,10 +199,13 @@ class CalibratedTensor:
         offsets = take("<u8", n * m + 1)
         indices = take("<i4", nnz)
         values = take("<f4", nnz)
-        if view.read(1):
+        if pos != len(buf):
             raise ValueError(f"{path}: trailing bytes after tensor payload")
-        return cls(n, m, eps, offsets.astype(np.uint64), indices.astype(np.int32),
-                   values.astype(np.float32))
+        try:
+            return cls(n, m, eps, offsets.astype(np.uint64), indices.astype(np.int32),
+                       values.astype(np.float32))
+        except ValueError as exc:
+            raise ValueError(f"{path}: corrupt tensor: {exc}") from exc
 
 
 def _build_row(provider, h: int, r: int, eps: float):

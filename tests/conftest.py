@@ -89,6 +89,17 @@ def crisp_answers(node, edges, n_entities):
     raise TypeError(f"not a query node: {node!r}")
 
 
+def corrupt_payload(path, tensor, field, pos, value):
+    """Overwrite entry pos of the saved indices or values of tensor at path."""
+    start = 40 + tensor.offsets.nbytes          # header, then the offset table
+    if field == "values":
+        start += 4 * tensor.nnz
+    dtype = "<i4" if field == "indices" else "<f4"
+    raw = bytearray(path.read_bytes())
+    raw[start + 4 * pos:start + 4 * pos + 4] = np.array([value], dtype).tobytes()
+    path.write_bytes(bytes(raw))
+
+
 def kg_edge_map(kg, splits):
     edges = {}
     for h, r, t in kg.edges(splits):

@@ -8,7 +8,7 @@ from kgreason.dsl import read_queries
 from kgreason.kvio import read_kv
 from kgreason.tensor import CalibratedTensor
 
-from conftest import random_kg
+from conftest import corrupt_payload, random_kg
 
 
 @pytest.fixture(autouse=True)
@@ -193,6 +193,18 @@ class TestPipeline:
         code = main(["eval", "--tensor", str(tmp_path / "none.kgt"),
                      "--queries", str(pipeline["test_q"])])
         assert code == 2
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("indices", 99, "out of range"), ("values", np.nan, "finite")])
+    def test_eval_corrupt_tensor(self, pipeline, tmp_path, capsys, field, value, message):
+        tensor = CalibratedTensor.load(pipeline["tensor"])
+        bad = tmp_path / "bad.kgt"
+        tensor.save(bad)
+        corrupt_payload(bad, tensor, field, 0, value)
+        code = main(["eval", "--tensor", str(bad), "--queries", str(pipeline["test_q"])])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and message in err
 
     def test_build_tensor_s12_needs_no_w(self, pipeline, tmp_path):
         out = tmp_path / "s12.kgt"

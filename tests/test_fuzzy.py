@@ -3,17 +3,18 @@ import pytest
 
 from kgreason.dsl import parse
 from kgreason.fuzzy import (
-    DENSE_SUPPORT_FRACTION,
     DenseRows,
     GradientTape,
     MembershipVector,
     complement,
     evaluate,
+    gather_rows,
     intersect,
     one_hot,
     project,
     union,
 )
+from kgreason.tensor import build_tensor
 
 from conftest import crisp_answers, random_ast
 
@@ -106,70 +107,140 @@ class TestOps:
             assert set(np.nonzero(complement(a))[0]) == set(range(12)) - sa
 
 
+def reference_project(e, relation, provider):
+    """Row-by-row strict-greater max-product with the per-column winner.
+
+    The first source (lowest id) to reach a column's maximum keeps it, so
+    ties go to the lowest source id.
+    """
+    n = e.shape[0]
+    out = np.zeros(n)
+    win = np.full(n, -1)
+    winx = np.zeros(n)
+    for i in np.nonzero(e)[0]:
+        idx, vals = provider.row(int(i), relation)
+        cand = e[i] * vals
+        better = cand > out[idx]
+        out[idx[better]] = cand[better]
+        win[idx[better]] = i
+        winx[idx[better]] = vals[better]
+    return out, win, winx
+
+
+def reference_adjoints(e, relation, g, win, winx):
+    """(input adjoint, row adjoints) of reference_project for output adjoint g."""
+    n = e.shape[0]
+    d_e = np.zeros(n)
+    rows = {}
+    for j in range(n):
+        i = win[j]
+        if i < 0 or g[j] == 0.0:
+            continue
+        d_e[i] += g[j] * winx[j]
+        rows.setdefault((int(i), relation), np.zeros(n))[j] += g[j] * e[i]
+    return d_e, rows
+
+
+def tie_heavy(rng, n, m):
+    """Tensor quantized to quarters, so products tie often."""
+    X = sparse_tensor(rng, n, m, density=float(rng.uniform(0.05, 0.9)))
+    return np.where(X > 0, np.ceil(X * 4) / 4, 0.0)
+
+
 class TestProject:
     def naive(self, e, X, r):
         return np.max(e[:, None] * X[:, r, :], axis=0)
 
-    @pytest.mark.parametrize("method", ["loop", "merge"])
-    def test_matches_naive_max_product(self, rng, method):
+    # The ids name the two input-set sizes the single kernel must handle
+    # alike: a few sources (once a row loop) and most of the entities (once
+    # a sorted merge).
+    @pytest.mark.parametrize("support", [0.2, 0.9], ids=["loop", "merge"])
+    def test_matches_naive_max_product(self, rng, support):
         X = sparse_tensor(rng, 12, 3, density=0.5)
         provider = DenseRows(X)
         for _ in range(10):
-            e = np.where(rng.random(12) < 0.6, rng.random(12), 0.0)
+            e = np.where(rng.random(12) < support, rng.random(12), 0.0)
             r = int(rng.integers(3))
-            got = project(e, r, provider, method=method)
+            got = project(e, r, provider)
             assert np.array_equal(got, self.naive(e, X, r))
 
-    def test_loop_and_merge_agree_bitwise(self, rng):
-        for trial in range(30):
-            n = int(rng.integers(3, 30))
-            X = sparse_tensor(rng, n, 2, density=float(rng.uniform(0.05, 0.9)))
-            provider = DenseRows(X)
-            e = np.where(rng.random(n) < rng.uniform(0.1, 1.0), rng.random(n), 0.0)
-            a = project(e, 0, provider, method="loop")
-            b = project(e, 0, provider, method="merge")
-            assert np.array_equal(a, b), f"trial {trial}"
+    @pytest.mark.parametrize("on_tensor", [False, True], ids=["dense", "tensor"])
+    def test_matches_reference_loop_bitwise(self, rng, on_tensor):
+        # P[#1](P[#0](#a)): the inner hop makes e = X[a, 0] with membership 1
+        # at a, so the row adjoint of (a, 0) is exactly the outer hop's
+        # input adjoint.
+        for trial in range(60):
+            n = int(rng.integers(2, 25))
+            X = tie_heavy(rng, n, 2)
+            provider = build_tensor(DenseRows(X), eps=0.0) if on_tensor else DenseRows(X)
+            a = int(rng.integers(n))
+            e = X[a, 0]
+            g = np.where(rng.random(n) < 0.8, rng.uniform(-1, 1, n), 0.0)
+            tape = GradientTape()
+            out = evaluate(parse(f"P[#1](P[#0](#{a}))"), provider, tape)
+            rows = tape.backward(out, seed=g)
+            ref, win, winx = reference_project(e, 1, provider)
+            d_e, ref_rows = reference_adjoints(e, 1, g, win, winx)
+            if d_e.any():
+                ref_rows[(a, 0)] = d_e
+            assert np.array_equal(out.values, ref), f"trial {trial}"
+            assert rows.keys() == ref_rows.keys(), f"trial {trial}"
+            for key in rows:
+                assert np.array_equal(rows[key], ref_rows[key]), f"trial {trial} {key}"
 
     def test_tie_goes_to_lowest_source(self):
         X = np.zeros((3, 1, 3))
         X[1, 0, 2] = 0.5
         X[2, 0, 2] = 0.5
         e = np.array([0.0, 1.0, 1.0])
-        for method in ("loop", "merge"):
-            tape = GradientTape()
-            out = project(e, 0, DenseRows(X), tape, method=method)
-            assert out[2] == 0.5
-            rows = tape.backward(out)
-            assert set(rows) == {(1, 0)}
+        tape = GradientTape()
+        out = project(e, 0, DenseRows(X), tape)
+        assert out[2] == 0.5
+        rows = tape.backward(out)
+        assert set(rows) == {(1, 0)}
 
     def test_empty_input_set(self):
         X = sparse_tensor(np.random.default_rng(1), 5, 1)
         out = project(np.zeros(5), 0, DenseRows(X))
         assert not out.any()
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown projection method"):
-            project(np.zeros(3), 0, DenseRows(np.zeros((3, 1, 3))), method="x")
+    def test_tensor_matches_dense_rows_of_same_values(self, rng):
+        for _ in range(10):
+            n = int(rng.integers(2, 20))
+            X = sparse_tensor(rng, n, 3).astype(np.float32).astype(np.float64)
+            tensor = build_tensor(DenseRows(X), eps=0.0)
+            e = np.where(rng.random(n) < 0.5, rng.random(n), 0.0)
+            for r in range(3):
+                assert np.array_equal(project(e, r, tensor), project(e, r, DenseRows(X)))
 
-    def test_auto_switches_on_support_size(self, rng, monkeypatch):
-        import kgreason.fuzzy as fz
 
-        calls = []
-        real_loop, real_merge = fz._project_loop, fz._project_merge
-        monkeypatch.setattr(fz, "_project_loop",
-                            lambda *a: calls.append("loop") or real_loop(*a))
-        monkeypatch.setattr(fz, "_project_merge",
-                            lambda *a: calls.append("merge") or real_merge(*a))
-        n = 50
-        X = sparse_tensor(rng, n, 1)
-        provider = DenseRows(X)
-        small = np.zeros(n)
-        small[: int(DENSE_SUPPORT_FRACTION * n)] = 0.5
-        fz.project(small, 0, provider)
-        big = np.zeros(n)
-        big[: int(DENSE_SUPPORT_FRACTION * n) + 1] = 0.5
-        fz.project(big, 0, provider)
-        assert calls == ["loop", "merge"]
+class TestGather:
+    def test_tensor_gather_matches_row_fallback(self, rng):
+        X = sparse_tensor(rng, 10, 2, density=0.3)
+        X[3] = 0.0                                  # empty rows
+        tensor = build_tensor(DenseRows(X), eps=0.0)
+
+        class RowsOnly:
+            n_entities = tensor.n_entities
+            row = staticmethod(tensor.row)
+
+        for heads in ([], [3], [0, 3, 4], list(range(10)), [9, 2, 2]):
+            heads = np.array(heads, dtype=np.int64)
+            for r in range(2):
+                got = tensor.gather(heads, r)
+                want = gather_rows(RowsOnly(), heads, r)
+                for a, b in zip(got, want):
+                    assert a.dtype.kind == b.dtype.kind
+                    assert np.array_equal(a, b)
+                assert got[1].dtype == np.float64
+                assert got[2].tolist() == [tensor.row(int(h), r)[0].size for h in heads]
+
+    def test_gather_range_checked(self, rng):
+        tensor = build_tensor(DenseRows(sparse_tensor(rng, 4, 2)), eps=0.0)
+        with pytest.raises(IndexError):
+            tensor.gather(np.array([4]), 0)
+        with pytest.raises(IndexError):
+            tensor.gather(np.array([0]), 2)
 
 
 # hand-checked 4-entity example: two one-hop branches joined by an

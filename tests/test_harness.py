@@ -11,6 +11,7 @@ from kgreason.harness import (
     evaluate_run,
     generate_queries,
     rank_hard_answer,
+    rank_hard_answers,
     split_answers,
 )
 from kgreason.tensor import indicator_tensor
@@ -146,6 +147,27 @@ class TestRankHardAnswer:
     def test_non_answer_rejected(self):
         with pytest.raises(ValueError, match="not an answer"):
             rank_hard_answer(np.array([0.1, 0.2]), 0, {1})
+
+
+    def test_all_answers_match_per_answer_counts(self, rng):
+        for _ in range(50):
+            n = int(rng.integers(1, 30))
+            values = rng.integers(0, 4, n) / 4           # many ties
+            answers = set(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                     replace=False).tolist())
+            hard = sorted(rng.choice(sorted(answers),
+                                     size=int(rng.integers(1, len(answers) + 1)),
+                                     replace=False).tolist())
+            pool = np.array([j not in answers for j in range(n)])
+            want = [1.0 + np.count_nonzero(values[pool] > values[t])
+                    + np.count_nonzero(values[pool] == values[t]) / 2.0 for t in hard]
+            got = rank_hard_answers(values, hard, answers)
+            assert got.tolist() == want
+            assert [rank_hard_answer(values, t, answers) for t in hard] == want
+
+    def test_batch_rejects_non_answer(self):
+        with pytest.raises(ValueError, match="entity 0 is not an answer"):
+            rank_hard_answers(np.array([0.1, 0.2]), [1, 0], {1})
 
 
 class TestEvaluateRun:

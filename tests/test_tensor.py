@@ -11,7 +11,7 @@ from kgreason.tensor import (
     indicator_tensor,
 )
 
-from conftest import random_kg
+from conftest import corrupt_payload, random_kg
 
 
 class PinnedDense(DenseRows):
@@ -30,6 +30,11 @@ def dense(rng, n=8, m=2, density=0.5):
     return np.where(mask, rng.uniform(0.05, 0.95, size=(n, m, n)), 0.0)
 
 
+def csr(offsets, indices, values, n=4, m=1):
+    return CalibratedTensor(n, m, 0.0, np.array(offsets, np.uint64),
+                            np.array(indices, np.int32), np.array(values, np.float32))
+
+
 class TestConstruction:
     def test_offset_length_checked(self):
         with pytest.raises(ValueError, match="offset table"):
@@ -40,6 +45,33 @@ class TestConstruction:
         with pytest.raises(ValueError, match="length mismatch"):
             CalibratedTensor(1, 1, 0.0, np.zeros(2, np.uint64),
                              np.zeros(3, np.int32), np.zeros(2, np.float32))
+
+
+    def test_valid_structure_accepted(self):
+        # indices restart at a row boundary; empty rows in between
+        tensor = csr([0, 2, 2, 3, 4], [1, 3, 0, 0], [0.5, 1.0, 0.0, 0.25])
+        assert tensor.nnz == 4
+
+    @pytest.mark.parametrize("offsets", [[0, 1, 1, 1, 9], [1, 1, 1, 1, 2],
+                                         [0, 2, 1, 2, 2]])
+    def test_offsets_checked(self, offsets):
+        with pytest.raises(ValueError, match="offsets"):
+            csr(offsets, [0, 1], [0.5, 0.5])
+
+    @pytest.mark.parametrize("indices", [[0, 99], [-1, 2]])
+    def test_index_range_checked(self, indices):
+        with pytest.raises(ValueError, match="out of range"):
+            csr([0, 2, 2, 2, 2], indices, [0.5, 0.5])
+
+    @pytest.mark.parametrize("indices", [[2, 1], [1, 1]])
+    def test_indices_ascend_within_row(self, indices):
+        with pytest.raises(ValueError, match="ascending"):
+            csr([0, 0, 2, 2, 2], indices, [0.5, 0.5])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.5, 1.5])
+    def test_values_checked(self, value):
+        with pytest.raises(ValueError, match=r"finite and lie in \[0, 1\]"):
+            csr([0, 1, 2, 2, 2], [0, 1], [0.5, value])
 
 
 class TestBuild:
@@ -212,6 +244,17 @@ class TestSerialization:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(ValueError, match="trailing"):
             CalibratedTensor.load(path)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("indices", 99, "out of range"), ("values", np.nan, "finite")])
+    def test_corrupt_payload_names_file(self, rng, tmp_path, field, value, message):
+        tensor = build_tensor(DenseRows(dense(rng, n=6, m=1)), eps=0.2)
+        path = tmp_path / "t.kgt"
+        tensor.save(path)
+        corrupt_payload(path, tensor, field, tensor.nnz - 1, value)
+        with pytest.raises(ValueError, match=message) as info:
+            CalibratedTensor.load(path)
+        assert str(path) in str(info.value)
 
     def test_magic_constant(self):
         assert MAGIC == b"KGRT"
