@@ -8,9 +8,10 @@ Three stages after scorer training:
               fitted on complex-query training data
   pin         rows override known train/validation tails to exactly 1
 
-Providers built here emit sparse rows for the fuzzy engine and the tensor
-builder. With theta = 0 the adapted provider reproduces the normalized one
-bitwise, which the ablation tests rely on.
+One kernel, calibrated_block, runs all three on a block of rows with one
+GEMM: on blocks of at most 2^15 entries (tensor.BLOCK_ENTRIES, which keeps
+peak memory flat) in the tensor build, on one row in every per-row accessor.
+With theta = 0 the adapted provider reproduces the normalized one bitwise.
 """
 
 from __future__ import annotations
@@ -46,6 +47,12 @@ class NormalizedScorer:
         self.model = model
         self.kg = kg
         self.alpha = float(alpha)
+        # (|V|, |R|) row scales N: distinct train tails, alpha where none
+        n, m = model.n_entities, model.n_relations
+        train = np.asarray(kg.triplets("train"), dtype=np.int64).reshape(-1, 3)
+        keys = np.unique((train[:, 0] * m + train[:, 1]) * n + train[:, 2])
+        counts = np.bincount(keys // n, minlength=n * m).reshape(n, m)
+        self.scales = np.where(counts > 0, counts, self.alpha)
 
     @property
     def n_entities(self) -> int:
@@ -55,16 +62,44 @@ class NormalizedScorer:
     def n_relations(self) -> int:
         return self.model.n_relations
 
-    def scale(self, h: int, r: int) -> float:
-        """N of the row: train tail count when positive, alpha fallback."""
-        m = self.kg.tail_count(h, r)
-        return float(m) if m > 0 else self.alpha
-
     def norm_row(self, h: int, r: int) -> np.ndarray:
-        scores = self.model.score_rows([h], [r])[0]
-        shifted = scores - scores.max()
-        exp = np.exp(shifted)
-        return np.minimum(self.scale(h, r) * exp / exp.sum(), 1.0)
+        """Dense normalized row min(N * softmax(f(h, r, :)), 1)."""
+        return calibrated_block(self, np.array([h * self.n_relations + r]))[0][0]
+
+
+def calibrated_block(scorer: NormalizedScorer, rids: np.ndarray,
+                     theta: np.ndarray | None = None,
+                     pin_keys: np.ndarray | None = None,
+                     eps: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Dense calibrated rows (float64) and pin mask (bool), (len(rids), |V|).
+
+    rids are flat row ids h * |R| + r, non-empty and ascending; pin_keys is
+    a sorted array of rid * |V| + tail. One score_rows GEMM, then per row:
+    shift by the max, exp, sum, N * exp / sum, clamp at 1; times
+    exp(theta[h, r]), clamp at 1; pins set to 1.0; entries <= eps set to 0.
+    """
+    n, m = scorer.scales.shape
+    heads, rels = np.divmod(rids, m)
+    block = scorer.model.score_rows(heads, rels)
+    block -= block.max(axis=1, keepdims=True)
+    np.exp(block, out=block)
+    sums = block.sum(axis=1, keepdims=True)
+    block *= scorer.scales[heads, rels][:, None]
+    block /= sums
+    np.minimum(block, 1.0, out=block)
+    if theta is not None:
+        block *= np.exp(theta[heads, rels])[:, None]
+        np.minimum(block, 1.0, out=block)
+    pinned = np.zeros(block.shape, dtype=bool)
+    if pin_keys is not None:
+        lo, hi = np.searchsorted(pin_keys, (rids[0] * n, (rids[-1] + 1) * n))
+        key_rids, tails = np.divmod(pin_keys[lo:hi], n)
+        pos = np.searchsorted(rids, key_rids)
+        hit = rids[pos] == key_rids
+        pinned[pos[hit], tails[hit]] = True
+        block[pinned] = 1.0
+    block[~(block > eps)] = 0.0
+    return block, pinned
 
 
 @dataclass
@@ -85,11 +120,17 @@ class AdaptationMatrix:
         np.savez(path, version=np.array(1), theta=self.theta)
 
     @classmethod
-    def load(cls, path) -> "AdaptationMatrix":
+    def load(cls, path, shape: tuple[int, int] | None = None) -> "AdaptationMatrix":
+        """Read a checkpoint; theta must be finite and, when given, of `shape`."""
         with np.load(path) as data:
             if "version" not in data or int(data["version"]) != 1:
                 raise ValueError(f"{path}: unsupported adaptation checkpoint version")
-            return cls(data["theta"])
+            theta = data["theta"]
+        if shape is not None and theta.shape != tuple(shape):
+            raise ValueError(f"{path}: theta has shape {theta.shape}, expected {tuple(shape)}")
+        if theta.dtype.kind != "f" or not np.isfinite(theta).all():
+            raise ValueError(f"{path}: theta must hold finite floats")
+        return cls(theta)
 
 
 @dataclass
@@ -108,17 +149,12 @@ class CalibrationConfig:
             raise ValueError("adaptation is capped at 5 epochs")
 
 
-def _sparse_norm_row(scorer: NormalizedScorer, h: int, r: int, eps: float):
-    dense = scorer.norm_row(h, r)
-    idx = np.nonzero(dense > eps)[0].astype(np.int32)
-    return idx, dense[idx]
-
-
 class CalibratedRows:
     """Row provider over the full calibration chain.
 
     theta and pins are optional, giving the three ablation variants. Rows
-    are recomputed per call; the tensor builder materializes them once.
+    are recomputed per call; the tensor builder materializes them once,
+    block by block, through row_block.
     """
 
     def __init__(self, scorer: NormalizedScorer, theta: np.ndarray | None = None,
@@ -130,6 +166,11 @@ class CalibratedRows:
         self.theta = theta
         self.pins = pins
         self.eps = float(eps)
+        # the pins as one sorted array of (h * |R| + r) * |V| + tail
+        n, m = scorer.scales.shape
+        self.pin_keys = None if pins is None else np.sort(np.concatenate(
+            [np.empty(0, np.int64)] + [(h * m + r) * n + np.asarray(tails, dtype=np.int64)
+                                       for (h, r), tails in pins.items()]))
 
     @property
     def n_entities(self) -> int:
@@ -139,48 +180,38 @@ class CalibratedRows:
     def n_relations(self) -> int:
         return self.scorer.n_relations
 
-    def pinned_tails(self, h: int, r: int) -> np.ndarray:
-        if self.pins is None:
-            return np.empty(0, dtype=np.int32)
-        tails = self.pins.get((h, r))
-        if tails is None:
-            return np.empty(0, dtype=np.int32)
-        return np.asarray(tails, dtype=np.int32)
+    def row_block(self, rids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Dense rows and pin mask of ascending flat row ids; see calibrated_block."""
+        return calibrated_block(self.scorer, rids, self.theta, self.pin_keys, self.eps)
 
     def row(self, h: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-        dense = self.scorer.norm_row(h, r)
-        if self.theta is not None:
-            dense = np.minimum(np.exp(self.theta[h, r]) * dense, 1.0)
-        pinned = self.pinned_tails(h, r)
-        if pinned.size:
-            dense[pinned] = 1.0
-        idx = np.nonzero(dense > self.eps)[0].astype(np.int32)
+        dense = self.row_block(np.array([h * self.n_relations + r]))[0][0]
+        idx = dense.nonzero()[0].astype(np.int32)
         return idx, dense[idx]
 
 
 class _AdaptiveRows:
     """Training-time provider: fixed normalized support, live theta.
 
-    The base support is thresholded once on the normalized rows so it stays
-    stable while theta moves; values are recomputed against the current
-    theta on every access.
+    The base support is thresholded once on the normalized rows (one-row
+    calls of the calibration kernel, cached) so it stays stable while theta
+    moves; values are recomputed against the current theta on every access.
     """
 
     def __init__(self, scorer: NormalizedScorer, theta: np.ndarray, eps: float):
-        self.scorer = scorer
         self.theta = theta
-        self.eps = float(eps)
+        self._normalized = CalibratedRows(scorer, eps=eps)
         self._base: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def n_entities(self) -> int:
-        return self.scorer.n_entities
+        return self._normalized.n_entities
 
     def base_row(self, h: int, r: int) -> tuple[np.ndarray, np.ndarray]:
         key = (h, r)
         row = self._base.get(key)
         if row is None:
-            row = _sparse_norm_row(self.scorer, h, r, self.eps)
+            row = self._normalized.row(h, r)
             self._base[key] = row
         return row
 

@@ -173,10 +173,9 @@ def cmd_build_tensor(args) -> int:
     if args.mode != "S12":
         if not args.w:
             raise UsageError(f"mode {args.mode} needs --w")
-        matrix = AdaptationMatrix.load(args.w)
+        matrix = AdaptationMatrix.load(args.w, (kg.n_entities, kg.n_relations))
     provider = ablation_provider(args.mode, scorer, matrix, kg, eps=args.epsilon)
-    tensor = build_tensor(provider, eps=args.epsilon,
-                          memory_cap=args.memory_cap, threads=args.threads)
+    tensor = build_tensor(provider, eps=args.epsilon, memory_cap=args.memory_cap)
     tensor.save(args.out)
     inputs = _graph_inputs(args) + [Path(args.model)]
     if args.w:
@@ -216,7 +215,8 @@ def cmd_gen_queries(args) -> int:
 
 def cmd_eval(args) -> int:
     tensor = CalibratedTensor.load(args.tensor)
-    records = read_queries(args.queries)
+    records = read_queries(args.queries, n_entities=tensor.n_entities,
+                           n_relations=tensor.n_relations)
     report = evaluate_run(tensor, records)
     print(report.table())
     print(report.wide_row())
@@ -231,7 +231,8 @@ def cmd_ablate(args) -> int:
     kg = _load_graph(args)
     model = EmbeddingModel.load(args.model)
     scorer = NormalizedScorer(model, kg, alpha=args.alpha)
-    matrix = AdaptationMatrix.load(args.w) if args.w else None
+    matrix = (AdaptationMatrix.load(args.w, (kg.n_entities, kg.n_relations))
+              if args.w else None)
     records = read_queries(args.queries, kg.entities, kg.relations)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -241,7 +242,7 @@ def cmd_ablate(args) -> int:
             print(f"{mode}: skipped (no --w)")
             continue
         provider = ablation_provider(mode, scorer, matrix, kg, eps=args.epsilon)
-        tensor = build_tensor(provider, eps=args.epsilon, threads=args.threads)
+        tensor = build_tensor(provider, eps=args.epsilon)
         report = evaluate_run(tensor, records)
         write_kv(out_dir / f"{mode}.report", report.to_kv())
         summary[f"{mode}.avg_p"] = f"{report.avg_p:.6f}"
@@ -305,7 +306,6 @@ def _build_parsers() -> dict[str, tuple[argparse.ArgumentParser, callable]]:
         p.add_argument("--mode", default="S1234", choices=ABLATION_MODES)
         p.add_argument("--memory-cap", type=int, default=None,
                        help="abort if the tensor estimate exceeds this many bytes")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", required=True)
 
     def conf_gen(p):
@@ -330,7 +330,6 @@ def _build_parsers() -> dict[str, tuple[argparse.ArgumentParser, callable]]:
         p.add_argument("--queries", required=True)
         p.add_argument("--alpha", type=float, default=0.1)
         p.add_argument("--epsilon", type=float, default=0.0005)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out-dir", required=True)
 
     register("ingest", cmd_ingest, conf_ingest,

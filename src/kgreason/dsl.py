@@ -21,10 +21,11 @@ from .graph import Vocab
 
 
 class QueryParseError(ValueError):
-    """Syntax or vocabulary error in query text; carries the offending position."""
+    """Syntax or vocabulary error in query text; carries the offending position,
+    None for errors outside the query text."""
 
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"at position {pos}: {message}")
+    def __init__(self, message: str, pos: int | None):
+        super().__init__(message if pos is None else f"at position {pos}: {message}")
         self.pos = pos
 
 
@@ -69,11 +70,14 @@ _RAW_ID = re.compile(r"#(\d+)")
 
 
 class _Parser:
-    def __init__(self, text: str, entities: Vocab | None, relations: Vocab | None):
+    def __init__(self, text: str, entities: Vocab | None, relations: Vocab | None,
+                 n_entities: int | None, n_relations: int | None):
         self.text = text
         self.pos = 0
         self.entities = entities
         self.relations = relations
+        self.n_entities = n_entities
+        self.n_relations = n_relations
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -138,7 +142,7 @@ class _Parser:
         if op == "P":
             self.pos += 1
             self._expect("[")
-            rel = self._symbol(self.relations, "relation", None)
+            rel = self._symbol(self.relations, "relation", self.n_relations)
             self._expect("]")
             self._expect("(")
             child = self.query()
@@ -156,16 +160,18 @@ class _Parser:
             if len(args) < 2:
                 raise QueryParseError(f"{op} needs at least 2 operands", self.pos)
             return Intersection(tuple(args)) if op == "I" else Union(tuple(args))
-        return Anchor(self._symbol(self.entities, "entity", None))
+        return Anchor(self._symbol(self.entities, "entity", self.n_entities))
 
 
-def parse(text: str, entities: Vocab | None = None, relations: Vocab | None = None) -> Node:
+def parse(text: str, entities: Vocab | None = None, relations: Vocab | None = None,
+          n_entities: int | None = None, n_relations: int | None = None) -> Node:
     """Parse query text into an AST, resolving names through the vocabularies.
 
-    Without vocabularies only the `#<id>` anchor/relation form is accepted
-    and ids are unchecked.
+    Without vocabularies only the `#<id>` anchor/relation form is accepted.
+    `#<id>` ids are checked against n_entities / n_relations, which default
+    to the vocabulary sizes; without either they are unchecked.
     """
-    parser = _Parser(text, entities, relations)
+    parser = _Parser(text, entities, relations, n_entities, n_relations)
     node = parser.query()
     parser._skip_ws()
     if parser.pos != len(text):
@@ -317,32 +323,43 @@ def write_queries(path, records: list[QueryRecord], entities: Vocab | None = Non
             )
 
 
-def _parse_ids(csv: str, path, lineno: int) -> frozenset[int]:
+def _parse_ids(csv: str) -> frozenset[int]:
     if not csv:
         return frozenset()
     try:
         return frozenset(int(tok) for tok in csv.split(","))
     except ValueError:
-        raise QueryParseError(f"bad id list {csv!r} in {path}:{lineno}", 0) from None
+        raise QueryParseError(f"bad id list {csv!r}", None) from None
 
 
-def read_queries(path, entities: Vocab | None = None,
-                 relations: Vocab | None = None) -> list[QueryRecord]:
+def read_queries(path, entities: Vocab | None = None, relations: Vocab | None = None,
+                 n_entities: int | None = None, n_relations: int | None = None,
+                 ) -> list[QueryRecord]:
+    """Read `<query><TAB><easy-csv><TAB><hard-csv>` lines. Entity, answer and
+    relation ids are checked against n_entities / n_relations, which default
+    to the vocabulary sizes; every error names the file and line."""
+    n_entities = len(entities) if n_entities is None and entities else n_entities
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise QueryParseError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}", 0
-                )
-            ast = parse(fields[0], entities, relations)
-            easy = _parse_ids(fields[1], path, lineno)
-            hard = _parse_ids(fields[2], path, lineno)
-            records.append(QueryRecord(ast, easy, hard))
+            try:
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise QueryParseError(
+                        f"expected 3 tab-separated fields, got {len(fields)}", None)
+                rec = QueryRecord(parse(fields[0], entities, relations, n_entities, n_relations),
+                                  _parse_ids(fields[1]), _parse_ids(fields[2]))
+                if n_entities is not None:
+                    bad = [i for i in rec.easy | rec.hard if not 0 <= i < n_entities]
+                    if bad:
+                        raise QueryParseError(
+                            f"answer id {min(bad)} out of range (size {n_entities})", None)
+            except ValueError as exc:
+                raise QueryParseError(f"{path}:{lineno}: {exc}", None) from None
+            records.append(rec)
     return records
 
 

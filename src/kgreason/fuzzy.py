@@ -93,6 +93,12 @@ class DenseRows:
         idx = np.nonzero(dense)[0].astype(np.int32)
         return idx, dense[idx]
 
+    def row_block(self, rids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Dense rows of flat row ids h * |R| + r, nothing pinned; see build_tensor."""
+        heads, rels = np.divmod(rids, self.n_relations)
+        block = self.X[heads, rels]
+        return block, np.zeros(block.shape, dtype=bool)
+
 
 def one_hot(entity: int, n: int) -> np.ndarray:
     """Anchor vector: a single membership of exactly 1."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -93,10 +93,11 @@ class EmbeddingModel:
             return np.concatenate([e1, e0], axis=-1)
         return self.E
 
-    def score_rows(self, heads: Iterable[int], rels: Iterable[int]) -> np.ndarray:
+    def score_rows(self, heads: Sequence[int] | np.ndarray,
+                   rels: Sequence[int] | np.ndarray) -> np.ndarray:
         """Raw scores over every tail, one row per (head, relation) pair."""
-        heads = np.asarray(list(heads), dtype=np.int64)
-        rels = np.asarray(list(rels), dtype=np.int64)
+        heads = np.asarray(heads, dtype=np.int64)
+        rels = np.asarray(rels, dtype=np.int64)
         return self.queries(heads, rels) @ self.candidates().T
 
     def score_row(self, h: int, r: int) -> np.ndarray:

@@ -12,12 +12,15 @@ File layout, little-endian:
 
 Pin markers are in-memory bookkeeping only; they are not serialized, so a
 loaded tensor compares equal on content but reports nothing as pinned.
+
+build_tensor reads a provider through row_block(rids) -> (dense float64 rows,
+bool pin mask), for head-major blocks of at most BLOCK_ENTRIES entries; for
+the calibrated providers that is one call of calibrate.calibrated_block.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +34,10 @@ VERSION = 1
 
 _INDEX_BYTES = 4
 _VALUE_BYTES = 4
+
+# float64 entries per row block of build_tensor, so rows per block is
+# max(1, BLOCK_ENTRIES // |V|); bounds the build's working memory
+BLOCK_ENTRIES = 1 << 15
 
 
 class MemoryBudgetError(RuntimeError):
@@ -208,33 +215,29 @@ class CalibratedTensor:
             raise ValueError(f"{path}: corrupt tensor: {exc}") from exc
 
 
-def _build_row(provider, h: int, r: int, eps: float):
-    idx, vals = provider.row(h, r)
-    q = np.asarray(vals, dtype=np.float32)
-    pinned_tails = getattr(provider, "pinned_tails", None)
-    if pinned_tails is not None:
-        pins = pinned_tails(h, r)
-        pin_here = np.isin(idx, pins)
-    else:
-        pin_here = np.zeros(idx.shape[0], dtype=bool)
-    keep = (q > np.float32(eps)) | pin_here
-    return idx[keep].astype(np.int32), q[keep], pin_here[keep]
+def _kept_blocks(provider, rows: range, eps: float):
+    """The entries whose float32 value exceeds eps, or that are pinned, per
+    block of the row ids in `rows`: (rids, kept per row, cols, values, pins)."""
+    step = max(1, BLOCK_ENTRIES // max(provider.n_entities, 1))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        rids = np.arange(block.start, block.stop, block.step)
+        dense, pinned = provider.row_block(rids)
+        values = dense.astype(np.float32)
+        keep = (values > np.float32(eps)) | pinned
+        yield (rids, np.count_nonzero(keep, axis=1), keep.nonzero()[1].astype(np.int32),
+               values[keep], pinned[keep])
 
 
 def _probe_epsilon(provider, n: int, m: int, eps: float, cap: int) -> float:
     """Estimate the smallest eps whose tensor fits the cap, by row sampling."""
     total_rows = n * m
-    stride = max(1, total_rows // 256)
-    sampled = 0
-    pool: list[np.ndarray] = []
-    for rid in range(0, total_rows, stride):
-        _, vals, _ = _build_row(provider, rid // m, rid % m, eps)
-        pool.append(vals)
-        sampled += 1
-    values = np.sort(np.concatenate(pool))[::-1] if pool else np.empty(0, np.float32)
+    sample = range(0, total_rows, max(1, total_rows // 256))
+    pool = [vals for *_, vals, _ in _kept_blocks(provider, sample, eps)]
+    values = np.sort(np.concatenate([np.empty(0, np.float32), *pool]))[::-1]
     offset_bytes = (total_rows + 1) * 8
     budget = max(cap - offset_bytes, 0) // (_INDEX_BYTES + _VALUE_BYTES)
-    keep = int(budget * sampled / total_rows)
+    keep = int(budget * len(sample) / total_rows)
     if keep >= values.shape[0]:
         return eps
     if keep <= 0:
@@ -242,11 +245,12 @@ def _probe_epsilon(provider, n: int, m: int, eps: float, cap: int) -> float:
     return float(values[keep])
 
 
-def build_tensor(provider, eps: float | None = None, memory_cap: int | None = None,
-                 threads: int = 1) -> CalibratedTensor:
+def build_tensor(provider, eps: float | None = None,
+                 memory_cap: int | None = None) -> CalibratedTensor:
     """Materialize every (h,r) row of the provider into a sparse tensor.
 
-    Entries whose float32 value is <= eps are dropped unless pinned. Raises
+    The provider supplies n_entities, n_relations and row_block. Entries
+    whose float32 value is <= eps are dropped unless pinned. Raises
     MemoryBudgetError when the running size estimate crosses memory_cap,
     reporting the smallest epsilon a row sample suggests would fit.
     """
@@ -257,43 +261,21 @@ def build_tensor(provider, eps: float | None = None, memory_cap: int | None = No
     n = provider.n_entities
     m = provider.n_relations
     offsets = np.zeros(n * m + 1, dtype=np.uint64)
-    chunks_idx: list[np.ndarray] = []
-    chunks_val: list[np.ndarray] = []
-    chunks_pin: list[np.ndarray] = []
+    chunks = [(np.empty(0, np.int32), np.empty(0, np.float32), np.empty(0, bool))]
     nnz = 0
-
-    def handle(rid: int, row) -> None:
-        nonlocal nnz
-        idx, vals, pins = row
-        nnz += idx.shape[0]
-        offsets[rid + 1] = nnz
-        chunks_idx.append(idx)
-        chunks_val.append(vals)
-        chunks_pin.append(pins)
-        if memory_cap is not None:
-            estimate = nnz * (_INDEX_BYTES + _VALUE_BYTES) + offsets.nbytes
-            if estimate > memory_cap:
-                suggestion = _probe_epsilon(provider, n, m, eps, memory_cap)
-                raise MemoryBudgetError(
-                    f"tensor exceeds memory cap {memory_cap} at eps={eps}; "
-                    f"smallest admissible eps is about {suggestion}",
-                    suggestion,
-                )
-
-    row_ids = range(n * m)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = pool.map(lambda rid: _build_row(provider, rid // m, rid % m, eps),
-                            row_ids, chunksize=64)
-            for rid, row in zip(row_ids, rows):
-                handle(rid, row)
-    else:
-        for rid in row_ids:
-            handle(rid, _build_row(provider, rid // m, rid % m, eps))
-
-    indices = np.concatenate(chunks_idx) if chunks_idx else np.empty(0, np.int32)
-    values = np.concatenate(chunks_val) if chunks_val else np.empty(0, np.float32)
-    pin_mask = np.concatenate(chunks_pin) if chunks_pin else np.empty(0, bool)
+    for rids, counts, cols, vals, pins in _kept_blocks(provider, range(n * m), eps):
+        offsets[rids + 1] = nnz + np.cumsum(counts)
+        nnz += cols.shape[0]
+        chunks.append((cols, vals, pins))
+        estimate = nnz * (_INDEX_BYTES + _VALUE_BYTES) + offsets.nbytes
+        if memory_cap is not None and estimate > memory_cap:
+            suggestion = _probe_epsilon(provider, n, m, eps, memory_cap)
+            raise MemoryBudgetError(
+                f"tensor exceeds memory cap {memory_cap} at eps={eps}; "
+                f"smallest admissible eps is about {suggestion}",
+                suggestion,
+            )
+    indices, values, pin_mask = map(np.concatenate, zip(*chunks))
     tensor = CalibratedTensor(n, m, eps, offsets, indices, values, pin_mask)
     log.info("built tensor: %s", tensor.stats())
     return tensor
@@ -304,17 +286,10 @@ def indicator_tensor(kg: KnowledgeGraph,
                      ) -> CalibratedTensor:
     """Exact 0/1 tensor of the graph's edges; the classical-semantics oracle."""
     n, m = kg.n_entities, kg.n_relations
-    adjacency = kg.adjacency(splits)
+    edges = np.asarray(kg.edges(splits), dtype=np.int64).reshape(-1, 3)
+    keys = np.unique((edges[:, 0] * m + edges[:, 1]) * n + edges[:, 2])
+    rids, tails = np.divmod(keys, n)
     offsets = np.zeros(n * m + 1, dtype=np.uint64)
-    chunks: list[np.ndarray] = []
-    nnz = 0
-    for h in range(n):
-        for r in range(m):
-            tails = adjacency.get((h, r))
-            if tails is not None:
-                nnz += tails.shape[0]
-                chunks.append(tails)
-            offsets[h * m + r + 1] = nnz
-    indices = np.concatenate(chunks) if chunks else np.empty(0, np.int32)
-    values = np.ones(nnz, dtype=np.float32)
-    return CalibratedTensor(n, m, 0.0, offsets, indices.astype(np.int32), values)
+    offsets[1:] = np.cumsum(np.bincount(rids, minlength=n * m))
+    values = np.ones(keys.shape[0], dtype=np.float32)
+    return CalibratedTensor(n, m, 0.0, offsets, tails.astype(np.int32), values)

@@ -19,6 +19,8 @@ from kgreason.calibrate import (
 from kgreason.dsl import Anchor, Projection, QueryRecord, parse
 from kgreason.fuzzy import GradientTape, evaluate
 from kgreason.scorer import EmbeddingModel
+from kgreason import tensor as tensor_module
+from kgreason.tensor import MemoryBudgetError, build_tensor
 
 from conftest import random_kg
 
@@ -45,18 +47,18 @@ class TestNormalizedScorer:
     def test_scale_uses_train_tail_count(self, setup):
         kg, _, scorer = setup
         seen = {(h, r) for h, r, _ in kg.triplets("train")}
-        h, r = next(iter(seen))
-        assert scorer.scale(h, r) == kg.tail_count(h, r) >= 1
-        empty = next((h, r) for h in range(20) for r in range(3)
-                     if (h, r) not in seen)
-        assert scorer.scale(*empty) == scorer.alpha
+        for h in range(20):
+            for r in range(3):
+                expected = kg.tail_count(h, r) if (h, r) in seen else scorer.alpha
+                assert scorer.scales[h, r] == expected
+        assert len(seen) < 60     # some rows fall back to alpha
 
     def test_norm_row_matches_reference(self, setup):
         kg, model, scorer = setup
         for h, r in [(0, 0), (3, 1), (19, 2)]:
             scores = model.score_row(h, r)
             probs = np.exp(scores) / np.exp(scores).sum()
-            expected = np.minimum(scorer.scale(h, r) * probs, 1.0)
+            expected = np.minimum(scorer.scales[h, r] * probs, 1.0)
             np.testing.assert_allclose(scorer.norm_row(h, r), expected,
                                        rtol=0, atol=1e-12)
 
@@ -151,11 +153,11 @@ class TestCalibratedRows:
             idx, vals = rows.row(h, r)
             where = np.searchsorted(idx, t)
             assert idx[where] == t and vals[where] == 1.0
-            assert t in rows.pinned_tails(h, r)
+            assert t in rows.pins[(h, r)]
 
     def test_no_pins_accessor(self, setup):
         _, _, scorer = setup
-        assert CalibratedRows(scorer).pinned_tails(0, 0).size == 0
+        assert CalibratedRows(scorer).pin_keys is None
 
 
 class TestQueryLossAdjoint:
@@ -325,8 +327,173 @@ class TestProviders:
         pairs |= {(h, r) for h, r, _ in kg.triplets("validation")}
         assert set(provider.pins) == pairs
         for h, r, t in kg.triplets("validation"):
-            assert t in provider.pinned_tails(h, r)
+            assert t in provider.pins[(h, r)]
 
     def test_mode_names_exported(self):
         assert ABLATION_MODES == ("S12", "S123", "S1234")
         assert set(ADAPTATION_STRUCTURES) == {"1p", "2i", "3i", "2in", "3in"}
+
+
+# The calibration chain as it ran before the blocked kernel: one GEMV and one
+# Python round trip per (h, r) row. Kept as the reference of the kernel.
+
+def reference_row(scorer, theta, pins, eps, h, r):
+    scores = scorer.model.score_rows([h], [r])[0]
+    exp = np.exp(scores - scores.max())
+    tails = kg_tail_count(scorer.kg, h, r)
+    dense = np.minimum((tails if tails > 0 else scorer.alpha) * exp / exp.sum(), 1.0)
+    if theta is not None:
+        dense = np.minimum(np.exp(theta[h, r]) * dense, 1.0)
+    pinned = np.asarray((pins or {}).get((h, r), ()), dtype=np.int64)
+    dense[pinned] = 1.0
+    idx = np.nonzero(dense > eps)[0]
+    return idx, dense[idx], pinned
+
+
+def kg_tail_count(kg, h, r):
+    return len({t for hh, rr, t in kg.triplets("train") if (hh, rr) == (h, r)})
+
+
+def reference_build(scorer, theta, pins, eps):
+    """Dense float32 tensor and pin mask of the old per-row build."""
+    n, m = scorer.n_entities, scorer.n_relations
+    values = np.zeros((n, m, n), dtype=np.float32)
+    pinned = np.zeros((n, m, n), dtype=bool)
+    for h in range(n):
+        for r in range(m):
+            idx, vals, pin_tails = reference_row(scorer, theta, pins, eps, h, r)
+            q = vals.astype(np.float32)
+            pin_here = np.isin(idx, pin_tails)
+            keep = (q > np.float32(eps)) | pin_here
+            values[h, r, idx[keep]] = q[keep]
+            pinned[h, r, idx[keep]] = pin_here[keep]
+    return values, pinned
+
+
+def densify(tensor):
+    n, m = tensor.n_entities, tensor.n_relations
+    values = np.zeros((n, m, n), dtype=np.float32)
+    pinned = np.zeros((n, m, n), dtype=bool)
+    for h in range(n):
+        for r in range(m):
+            s, e = int(tensor.offsets[h * m + r]), int(tensor.offsets[h * m + r + 1])
+            values[h, r, tensor.indices[s:e]] = tensor.values[s:e]
+            pinned[h, r, tensor.indices[s:e]] = tensor.pin_mask[s:e]
+    return values, pinned
+
+
+def study(seed, n=24, m=3, edges=120, kind="complex-bilinear"):
+    rng = np.random.default_rng(seed)
+    kg = random_kg(rng, n, m, edges)
+    model = EmbeddingModel.create(kind, n, m, 8, rng)
+    model.E *= 10.0     # peaked rows and large scales, so both clamps engage
+    model.R *= 10.0
+    scorer = NormalizedScorer(model, kg)
+    matrix = AdaptationMatrix(rng.normal(0.0, 2.0, size=(n, m)))
+    return kg, scorer, matrix
+
+
+class TestCalibrationKernel:
+    """The blocked kernel against the per-row reference above.
+
+    Blocked GEMM and one-row GEMV may round differently, so the contract for
+    a built tensor is: the same entries except where a value lies within one
+    float32 ulp of eps, values within one float32 ulp, pins exactly equal.
+    One-row calls run the reference's arithmetic and match it bitwise.
+    """
+
+    @pytest.mark.parametrize("block_entries", [1, 50, 1 << 15])
+    @pytest.mark.parametrize("mode", ABLATION_MODES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_built_tensor_matches_reference(self, monkeypatch, mode, seed, block_entries):
+        monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", block_entries)
+        kg, scorer, matrix = study(seed)
+        eps = 0.01
+        provider = ablation_provider(mode, scorer, matrix, kg, eps=eps)
+        got, got_pins = densify(build_tensor(provider, eps=eps))
+        want, want_pins = reference_build(scorer, provider.theta, provider.pins, eps)
+
+        assert np.array_equal(got_pins, want_pins)
+        ulp = np.spacing(np.maximum(got, want))
+        near_eps = np.abs(np.maximum(got, want) - np.float32(eps)) <= np.spacing(np.float32(eps))
+        same_support = (got > 0) == (want > 0)
+        assert (same_support | near_eps).all()
+        both = (got > 0) & (want > 0)
+        assert (np.abs(got - want)[both] <= ulp[both]).all()
+        assert ((got == 1.0) & ~got_pins).any()     # a clamp engaged
+        if mode == "S1234":
+            assert got_pins.any() and (got[got_pins] == 1.0).all()
+
+    @pytest.mark.parametrize("mode", ABLATION_MODES)
+    def test_one_row_calls_match_reference_bitwise(self, mode):
+        kg, scorer, matrix = study(3)
+        provider = ablation_provider(mode, scorer, matrix, kg, eps=0.01)
+        for h in range(scorer.n_entities):
+            for r in range(scorer.n_relations):
+                idx, vals = provider.row(h, r)
+                ref_idx, ref_vals, _ = reference_row(
+                    scorer, provider.theta, provider.pins, 0.01, h, r)
+                assert np.array_equal(idx, ref_idx)
+                assert vals.tobytes() == ref_vals.tobytes()
+
+    def test_norm_row_and_base_row_match_reference_bitwise(self):
+        kg, scorer, _ = study(4)
+        adaptive = _AdaptiveRows(scorer, np.zeros((24, 3)), eps=0.01)
+        for h in range(scorer.n_entities):
+            for r in range(scorer.n_relations):
+                ref_idx, ref_vals, _ = reference_row(scorer, None, None, 0.0, h, r)
+                assert scorer.norm_row(h, r)[ref_idx].tobytes() == ref_vals.tobytes()
+                idx, vals, _ = reference_row(scorer, None, None, 0.01, h, r)
+                base_idx, base_vals = adaptive.base_row(h, r)
+                assert np.array_equal(base_idx, idx)
+                assert base_vals.tobytes() == vals.tobytes()
+
+    def test_block_rows_match_one_row_calls(self):
+        kg, scorer, matrix = study(5)
+        provider = ablation_provider("S1234", scorer, matrix, kg, eps=0.01)
+        rids = np.arange(0, scorer.n_entities * scorer.n_relations, 5)
+        dense, pinned = provider.row_block(rids)
+        for k, rid in enumerate(rids.tolist()):
+            idx, vals = provider.row(*divmod(rid, scorer.n_relations))
+            assert np.array_equal(np.flatnonzero(dense[k]), idx)
+            # GEMM and GEMV round the scores differently, and exp turns that
+            # absolute score error into a relative one; far below float32
+            np.testing.assert_allclose(dense[k, idx], vals, rtol=1e-12, atol=0.0)
+            h, r = divmod(rid, scorer.n_relations)
+            assert set(np.flatnonzero(pinned[k]).tolist()) == set(
+                provider.pins.get((h, r), np.empty(0)).tolist())
+
+    def test_memory_cap_suggests_the_reference_probe(self):
+        kg, scorer, matrix = study(6, n=40, m=4, edges=300)
+        eps = 0.001
+        provider = ablation_provider("S1234", scorer, matrix, kg, eps=eps)
+        # the old probe: every stride-th row through the per-row chain
+        n, m = scorer.n_entities, scorer.n_relations
+        sample = range(0, n * m, max(1, n * m // 256))
+        pool = []
+        for rid in sample:
+            idx, vals, pin_tails = reference_row(scorer, matrix.theta, provider.pins,
+                                                 eps, *divmod(rid, m))
+            q = vals.astype(np.float32)
+            pool.append(q[(q > np.float32(eps)) | np.isin(idx, pin_tails)])
+        values = np.sort(np.concatenate(pool))[::-1]
+        offset_bytes = (n * m + 1) * 8
+        cap = offset_bytes + 8 * (values.shape[0] * 3 // 4)   # a quarter too small
+        expected = float(values[int((cap - offset_bytes) // 8 * len(sample) / (n * m))])
+        assert eps < expected < 1.0
+
+        with pytest.raises(MemoryBudgetError) as err:
+            build_tensor(provider, eps=eps, memory_cap=cap)
+        assert abs(err.value.suggested_eps - expected) <= np.spacing(np.float32(expected))
+
+
+class TestAdaptationCheckpoint:
+    @pytest.mark.parametrize("theta,message", [
+        (np.zeros((21, 3)), "shape"), (np.zeros((19, 3)), "shape"),
+        (np.full((20, 3), np.nan), "finite"), (np.zeros((20, 3), dtype=np.int64), "finite")])
+    def test_load_rejects_bad_theta_and_names_file(self, tmp_path, theta, message):
+        path = tmp_path / "w.npz"
+        np.savez(path, version=np.array(1), theta=theta)
+        with pytest.raises(ValueError, match=message) as err:
+            AdaptationMatrix.load(path, (20, 3))
+        assert str(path) in str(err.value)

@@ -281,3 +281,41 @@ class TestPipeline:
         with np.load(pipeline["model"]) as a, np.load(out) as b:
             assert np.array_equal(a["E"], b["E"])
             assert np.array_equal(a["R"], b["R"])
+
+
+class TestValidatedInputs:
+    """Bad checkpoints and query files exit 1 and name the file (and line)."""
+
+    @pytest.mark.parametrize("theta,message", [
+        (np.zeros((35, 4)), "shape"), (np.zeros((25, 4)), "shape"),
+        (np.full((30, 4), np.nan), "finite")])
+    @pytest.mark.parametrize("command", ["build-tensor", "ablate"])
+    def test_bad_adaptation_checkpoint(self, pipeline, tmp_path, capsys, command,
+                                       theta, message):
+        bad = tmp_path / "bad-w.npz"
+        np.savez(bad, version=np.array(1), theta=theta)
+        args = [command, *pipeline["flags"], "--model", str(pipeline["model"]),
+                "--w", str(bad)]
+        if command == "build-tensor":
+            args += ["--out", str(tmp_path / "x.kgt")]
+        else:
+            args += ["--queries", str(pipeline["test_q"]),
+                     "--out-dir", str(tmp_path / "ablation")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and message in err
+        assert not (tmp_path / "x.kgt").exists()
+
+    @pytest.mark.parametrize("line,message", [
+        ("P[#99](#29)\t\t1", "relation id 99 out of range (size 4)"),
+        ("P[#0](#30)\t\t1", "entity id 30 out of range (size 30)"),
+        ("P[#0](#1)\t2\t153", "answer id 153 out of range (size 30)"),
+        ("P[#0](#1)\t30\t2", "answer id 30 out of range (size 30)")])
+    def test_eval_names_the_bad_query(self, pipeline, tmp_path, capsys, line, message):
+        queries = tmp_path / "bad.queries"
+        queries.write_text(f"P[#0](#1)\t\t2\n{line}\n")
+        code = main(["eval", "--tensor", str(pipeline["tensor"]),
+                     "--queries", str(queries)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{queries}:2: " in err and message in err

@@ -259,6 +259,32 @@ class TestQueryFiles:
         with pytest.raises(QueryParseError, match="bad id list"):
             read_queries(path)
 
+    @pytest.mark.parametrize("line,message", [
+        ("P[#2](#1)\t\t3", "at position 2: relation id 2 out of range (size 2)"),
+        ("P[#0](#5)\t\t3", "entity id 5 out of range (size 5)"),
+        ("P[#0](#1)\t\t3,5", "answer id 5 out of range (size 5)"),
+        ("P[#0](#1)\t-1\t3", "answer id -1 out of range"),
+        ("P[#0](#1)\t3\t3", "overlap"),
+        ("P[#0](#1\t\t3", "at position 8: expected ')'")])
+    def test_errors_name_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "q.txt"
+        path.write_text(f"P[#0](#1)\t\t2\n\n{line}\n")
+        with pytest.raises(QueryParseError) as err:
+            read_queries(path, n_entities=5, n_relations=2)
+        assert str(err.value).startswith(f"{path}:3: ")
+        assert message in str(err.value)
+
+    def test_ids_unchecked_without_sizes(self, tmp_path):
+        path = tmp_path / "q.txt"
+        path.write_text("P[#7](#9)\t\t99\n")
+        assert read_queries(path)[0].hard == frozenset({99})
+
+    def test_vocabulary_bounds_answer_ids(self, tmp_path):
+        path = tmp_path / "q.txt"
+        path.write_text("P[likes](alice)\t\t3\n")
+        with pytest.raises(QueryParseError, match="answer id 3 out of range"):
+            read_queries(path, ENTS, RELS)
+
 
 def test_iter_anchors():
     node = parse("I(P[#0](#3),N(P[#1](#5)))")

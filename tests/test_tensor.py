@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from kgreason import tensor as tensor_module
 from kgreason.fuzzy import DenseRows, evaluate
 from kgreason.dsl import parse
+from kgreason.graph import KnowledgeGraph, Vocab, add_inverse_relations
 from kgreason.tensor import (
     CalibratedTensor,
     MAGIC,
@@ -21,8 +23,11 @@ class PinnedDense(DenseRows):
         super().__init__(X)
         self.pins = pins
 
-    def pinned_tails(self, h, r):
-        return np.asarray(self.pins.get((h, r), ()), dtype=np.int32)
+    def row_block(self, rids):
+        block, pinned = super().row_block(rids)
+        for i, rid in enumerate(rids.tolist()):
+            pinned[i, self.pins.get(divmod(rid, self.n_relations), [])] = True
+        return block, pinned
 
 
 def dense(rng, n=8, m=2, density=0.5):
@@ -115,12 +120,17 @@ class TestBuild:
         with pytest.raises(ValueError, match="eps"):
             build_tensor(DenseRows(dense(rng)), eps=1.0)
 
-    def test_threaded_build_is_identical(self, rng):
-        provider = DenseRows(dense(rng, n=12, m=3))
-        one = build_tensor(provider, eps=0.1, threads=1)
-        four = build_tensor(provider, eps=0.1, threads=4)
-        assert one == four
-        assert np.array_equal(one.pin_mask, four.pin_mask)
+    @pytest.mark.parametrize("block_entries", [1, 7, 20, 1 << 15])
+    def test_block_size_does_not_change_the_tensor(self, rng, monkeypatch, block_entries):
+        X = dense(rng, n=6, m=3)
+        X[2, 1, 4] = 0.001
+        provider = PinnedDense(X, {(2, 1): [4], (5, 2): [0, 3]})
+        whole = build_tensor(provider, eps=0.3)
+        monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", block_entries)
+        blocked = build_tensor(provider, eps=0.3)
+        assert blocked == whole
+        assert np.array_equal(blocked.pin_mask, whole.pin_mask)
+        assert blocked.is_pinned(2, 1, 4) and blocked.is_pinned(5, 2, 3)
 
     def test_pins_survive_filtering(self, rng):
         X = dense(rng, n=6, m=1)
@@ -279,6 +289,27 @@ class TestIndicatorTensor:
         assert train_only.nnz == len(kg.triplets("train"))
         for h, r, t in kg.triplets("test"):
             assert train_only.value(h, r, t) == 0.0
+
+    @pytest.mark.parametrize("splits", [("train",), ("train", "validation", "test")])
+    def test_matches_per_row_assembly(self, rng, splits):
+        # the adjacency walked row by row, as the CSR was assembled before
+        kg = add_inverse_relations(random_kg(rng, 12, 3, 80))
+        n, m = kg.n_entities, kg.n_relations
+        adjacency = kg.adjacency(splits)
+        offsets, indices = [0], []
+        for h in range(n):
+            for r in range(m):
+                indices.extend(adjacency.get((h, r), np.empty(0, np.int32)).tolist())
+                offsets.append(len(indices))
+        tensor = indicator_tensor(kg, splits)
+        assert tensor.offsets.tolist() == offsets
+        assert tensor.indices.tolist() == indices
+        assert (tensor.values == 1.0).all()
+
+    def test_empty_graph(self):
+        kg = KnowledgeGraph(Vocab(["a", "b"]), Vocab(["r"]), {})
+        tensor = indicator_tensor(kg)
+        assert tensor.nnz == 0 and tensor.offsets.tolist() == [0, 0, 0]
 
     def test_usable_as_row_provider(self, rng):
         # a crisp tensor pushed through the fuzzy evaluator answers like FOL
