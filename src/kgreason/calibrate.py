@@ -12,6 +12,15 @@ One kernel, calibrated_block, runs all three on a block of rows with one
 GEMM: on blocks of at most 2^15 entries (tensor.BLOCK_ENTRIES, which keeps
 peak memory flat) in the tensor build, on one row in every per-row accessor.
 With theta = 0 the adapted provider reproduces the normalized one bitwise.
+
+Fitting theta (adapt) has its own kernel. It handles only the anchored
+shapes of ADAPTATION_STRUCTURES: a query there is at most three anchored
+branches P[r](h), each possibly complemented, intersected. adapt turns every
+query into such branches once and then computes each minibatch's losses and
+theta-gradient in one vectorized pass, chunk by chunk, with no tape. The
+tape path (_AdaptiveRows, GradientTape, query_loss_adjoint) stays the general
+gradient API and the kernel's reference: forward memberships are equal to
+it, gradients and theta differ from it only by summation order.
 """
 
 from __future__ import annotations
@@ -21,10 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsl import QueryRecord
-from .fuzzy import GradientTape, evaluate
+from .dsl import Anchor, Complement, Intersection, Node, Projection, QueryRecord, serialize
 from .graph import KnowledgeGraph
-from .scorer import EmbeddingModel
+from .scorer import EmbeddingModel, SettingError, read_checkpoint
+from .tensor import csr_take
 
 log = logging.getLogger(__name__)
 
@@ -32,16 +41,22 @@ LOG_FLOOR = 1e-10
 
 ABLATION_MODES = ("S12", "S123", "S1234")
 
-# query shapes used to fit theta
+# query shapes used to fit theta: at most three anchored branches each
 ADAPTATION_STRUCTURES = ("1p", "2i", "3i", "2in", "3in")
+MAX_BRANCHES = 3
+
+# float64 entries (queries x MAX_BRANCHES x |V|) per chunk of the adaptation
+# kernel, so queries per chunk is max(1, ADAPT_CHUNK_ENTRIES // (3 |V|));
+# bounds its working memory whatever the minibatch size
+ADAPT_CHUNK_ENTRIES = 1 << 13
 
 
 class NormalizedScorer:
     """Scores mapped through a per-row scaled softmax into [0,1]."""
 
     def __init__(self, model: EmbeddingModel, kg: KnowledgeGraph, alpha: float = 0.1):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (np.isfinite(alpha) and alpha > 0):
+            raise SettingError("alpha", "must be a finite positive number")
         if model.n_entities != kg.n_entities or model.n_relations != kg.n_relations:
             raise ValueError("model tables do not match the graph vocabularies")
         self.model = model
@@ -122,10 +137,7 @@ class AdaptationMatrix:
     @classmethod
     def load(cls, path, shape: tuple[int, int] | None = None) -> "AdaptationMatrix":
         """Read a checkpoint; theta must be finite and, when given, of `shape`."""
-        with np.load(path) as data:
-            if "version" not in data or int(data["version"]) != 1:
-                raise ValueError(f"{path}: unsupported adaptation checkpoint version")
-            theta = data["theta"]
+        theta = read_checkpoint(path, "adaptation", ("theta",))["theta"]
         if shape is not None and theta.shape != tuple(shape):
             raise ValueError(f"{path}: theta has shape {theta.shape}, expected {tuple(shape)}")
         if theta.dtype.kind != "f" or not np.isfinite(theta).all():
@@ -135,7 +147,6 @@ class AdaptationMatrix:
 
 @dataclass
 class CalibrationConfig:
-    alpha: float = 0.1
     lr: float = 0.001
     epochs: int = 5
     batch_size: int = 1000
@@ -146,7 +157,18 @@ class CalibrationConfig:
 
     def __post_init__(self):
         if self.epochs > 5:
-            raise ValueError("adaptation is capped at 5 epochs")
+            raise SettingError("epochs", "must be at most 5: adaptation is capped at 5 epochs")
+        if self.epochs < 1:
+            raise SettingError("epochs", "must be at least 1")
+        if self.batch_size < 1:
+            raise SettingError("batch_size", "must be at least 1")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise SettingError("lr", "must be a finite positive number")
+        if not 0 <= self.eps < 1:
+            raise SettingError("eps", "must lie in [0, 1)")
+        if not self.structures or not set(self.structures) <= set(ADAPTATION_STRUCTURES):
+            raise SettingError("structures", "must be a non-empty subset of "
+                               + ", ".join(ADAPTATION_STRUCTURES))
 
 
 class CalibratedRows:
@@ -161,7 +183,7 @@ class CalibratedRows:
                  pins: dict[tuple[int, int], np.ndarray] | None = None,
                  eps: float = 0.0005):
         if not 0 <= eps < 1:
-            raise ValueError("eps must lie in [0, 1)")
+            raise SettingError("eps", "must lie in [0, 1)")
         self.scorer = scorer
         self.theta = theta
         self.pins = pins
@@ -191,11 +213,13 @@ class CalibratedRows:
 
 
 class _AdaptiveRows:
-    """Training-time provider: fixed normalized support, live theta.
+    """Tape-path provider: fixed normalized support, live theta.
 
     The base support is thresholded once on the normalized rows (one-row
     calls of the calibration kernel, cached) so it stays stable while theta
     moves; values are recomputed against the current theta on every access.
+    With GradientTape and theta_grad it gives the theta-gradient of any query
+    shape; adapt's batched kernel computes the same for anchored branches.
     """
 
     def __init__(self, scorer: NormalizedScorer, theta: np.ndarray, eps: float):
@@ -230,37 +254,152 @@ class _AdaptiveRows:
 
 
 def query_loss_adjoint(values: np.ndarray, answers: np.ndarray,
-                       log_floor: float = LOG_FLOOR) -> tuple[float, np.ndarray]:
-    """Calibration loss of one query and its adjoint w.r.t. the answer vector.
+                       log_floor: float = LOG_FLOOR):
+    """Calibration loss and its adjoint w.r.t. the answer vector, per query.
 
     loss = -mean_{i in answers} log a_i - mean_{i not in answers} log(1 - a_i)
-    with both logs floored; the flat side of the floor gets zero gradient.
+    with both logs floored; the flat side of the floor gets zero gradient,
+    and a query without answers (or without non-answers) drops that term.
+    values is one answer vector (n,) with answers its answer ids, or a batch
+    (Q, n) with answers a boolean mask of the same shape. Returns the loss
+    (a float, or one per row) and the adjoint, shaped like values.
     """
-    n = values.shape[0]
-    is_answer = np.zeros(n, dtype=bool)
-    is_answer[answers] = True
-    a = values[is_answer]
-    b = 1.0 - values[~is_answer]
-    seed = np.zeros(n, dtype=np.float64)
-    loss = 0.0
-    if a.size:
-        loss -= float(np.mean(np.log(np.maximum(a, log_floor))))
-        grad = np.where(a > log_floor, -1.0 / (a.size * np.maximum(a, log_floor)), 0.0)
-        seed[is_answer] = grad
-    if b.size:
-        loss -= float(np.mean(np.log(np.maximum(b, log_floor))))
-        grad = np.where(b > log_floor, 1.0 / (b.size * np.maximum(b, log_floor)), 0.0)
-        seed[~is_answer] = grad
-    return loss, seed
+    values = np.asarray(values, dtype=np.float64)
+    is_answer = np.asarray(answers)
+    if is_answer.dtype != bool:
+        is_answer = np.zeros(values.shape, dtype=bool)
+        is_answer[answers] = True
+    n_answers = np.count_nonzero(is_answer, axis=-1)
+    n_others = values.shape[-1] - n_answers
+    # each entry's own side: a_i for answers, 1 - a_i for the rest
+    side = np.where(is_answer, values, 1.0 - values)
+    floored = np.maximum(side, log_floor)
+    logs = np.log(floored)
+    loss = (-np.where(is_answer, logs, 0.0).sum(axis=-1) / np.maximum(n_answers, 1)
+            - np.where(is_answer, 0.0, logs).sum(axis=-1) / np.maximum(n_others, 1))
+    sign = np.where(is_answer, -1.0, 1.0)
+    count = np.where(is_answer, n_answers[..., None], n_others[..., None])
+    seed = np.where(side > log_floor, sign / (count * floored), 0.0)
+    return (float(loss) if values.ndim == 1 else loss), seed
+
+
+def _anchored_branches(node: Node) -> list[tuple[int, int, bool]]:
+    """(head, relation, negated) per branch of P[r](h) or an intersection of
+    two or three such projections, each possibly complemented."""
+    children = node.children if isinstance(node, Intersection) else (node,)
+    branches = []
+    for child in children:
+        negated = isinstance(child, Complement)
+        proj = child.child if negated else child
+        if (len(children) > MAX_BRANCHES or not isinstance(proj, Projection)
+                or not isinstance(proj.child, Anchor)):
+            raise ValueError(f"query {serialize(node)} is not an intersection of at most "
+                             f"{MAX_BRANCHES} anchored projections")
+        branches.append((proj.child.entity, proj.relation, negated))
+    return branches
+
+
+class _BranchTable:
+    """Usable queries as at most three anchored branches, and their base rows.
+
+    pair[q, k] indexes the row of branch k of query q among the unique flat
+    row ids h * |R| + r in `rows`, -1 for a padding slot (a constant-1
+    factor); negated[q, k] marks a complement. The rows' thresholded S12
+    values (the tape path's base rows) and each query's answer ids are kept
+    as CSR.
+    """
+
+    def __init__(self, scorer: NormalizedScorer, records: list[QueryRecord],
+                 eps: float, log_floor: float = LOG_FLOOR):
+        n, m = scorer.n_entities, scorer.n_relations
+        self.n, self.m = n, m
+        self.log_floor = log_floor
+        rid = np.full((len(records), MAX_BRANCHES), -1, dtype=np.int64)
+        self.negated = np.zeros(rid.shape, dtype=bool)
+        for i, rec in enumerate(records):
+            for k, (h, r, negated) in enumerate(_anchored_branches(rec.ast)):
+                if not (0 <= h < n and 0 <= r < m):
+                    raise ValueError(f"query {serialize(rec.ast)} is outside the "
+                                     f"graph ({n} entities, {m} relations)")
+                rid[i, k] = h * m + r
+                self.negated[i, k] = negated
+        self.rows, pair = np.unique(rid[rid >= 0], return_inverse=True)
+        self.pair = np.full(rid.shape, -1, dtype=np.int64)
+        self.pair[rid >= 0] = pair
+        # the tape path's base rows: one-row kernel calls, so that they are
+        # bitwise its rows (a block GEMM rounds the scores differently)
+        normalized = CalibratedRows(scorer, eps=eps)
+        base = [normalized.row(*divmod(row, m)) for row in self.rows.tolist()]
+        self.base_offsets = np.cumsum([0] + [idx.shape[0] for idx, _ in base])
+        self.base_cols = np.concatenate([idx for idx, _ in base])
+        self.base_vals = np.concatenate([vals for _, vals in base])
+        answers = [sorted(rec.easy | rec.hard) for rec in records]
+        self.answer_offsets = np.cumsum([0] + [len(a) for a in answers])
+        self.answer_ids = np.fromiter((i for a in answers for i in a), dtype=np.int64)
+
+    def loss_grad(self, theta: np.ndarray, queries: np.ndarray, grad: np.ndarray) -> float:
+        """Summed loss of `queries` at theta; adds their summed theta-gradient
+        into grad. Works through chunks of at most ADAPT_CHUNK_ENTRIES."""
+        size = max(1, ADAPT_CHUNK_ENTRIES // (MAX_BRANCHES * self.n))
+        total = 0.0
+        for start in range(0, queries.shape[0], size):
+            total += self._chunk(theta, queries[start:start + size], grad)
+        return total
+
+    def _chunk(self, theta: np.ndarray, queries: np.ndarray, grad: np.ndarray) -> float:
+        q, n = queries.shape[0], self.n
+        pair = self.pair[queries]
+        live = pair >= 0
+        hr = np.divmod(self.rows[pair[live]], self.m)
+        # the branches' base rows, dense: (q, MAX_BRANCHES, n)
+        base = np.zeros((q, MAX_BRANCHES, n))
+        pos, lens = csr_take(self.base_offsets, pair[live])
+        slots = np.flatnonzero(live)
+        base.reshape(-1, n)[np.repeat(slots, lens), self.base_cols[pos]] = self.base_vals[pos]
+        scale = np.zeros((q, MAX_BRANCHES))
+        scale[live] = np.exp(theta[hr])
+        scaled = scale[..., None] * base
+        x = np.minimum(scaled, 1.0)
+        negated = self.negated[queries][..., None]
+        t = np.where(negated, 1.0 - x, x)
+        t[~live] = 1.0
+        out = t[:, 0] * t[:, 1] * t[:, 2]
+        np.clip(out, 0.0, 1.0, out=out)
+
+        is_answer = np.zeros((q, n), dtype=bool)
+        pos, lens = csr_take(self.answer_offsets, queries)
+        is_answer[np.repeat(np.arange(q), lens), self.answer_ids[pos]] = True
+        losses, seed = query_loss_adjoint(out, is_answer, self.log_floor)
+
+        # each branch's adjoint: the seed times the other factors, in order
+        adj = np.stack([seed * t[:, 1] * t[:, 2], seed * t[:, 0] * t[:, 2],
+                        seed * t[:, 0] * t[:, 1]], axis=1)
+        adj = np.where(negated, -adj, adj)
+        contrib = (adj * scaled * (scaled < 1.0)).sum(axis=2)
+        np.add.at(grad, hr, contrib[live])
+        return float(losses.sum())
 
 
 def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
           config: CalibrationConfig) -> tuple[AdaptationMatrix, list[float]]:
     """Fit theta on complex-query training data with Adam; returns epoch losses.
 
-    Only records whose structure is in config.structures participate.
+    Only records whose structure is in config.structures participate; each
+    must be an intersection of at most three anchored branches (see
+    _anchored_branches), which every shape of ADAPTATION_STRUCTURES is.
     Answer sets are the records' own (train-graph) answers; non-answers are
     the full complement, no sampling.
+
+    Before the first epoch every query becomes a row of a (Q, 3) branch table
+    and the thresholded S12 base rows of its unique (h, r) are materialized
+    once. Each minibatch then runs one vectorized pass per chunk of at most
+    ADAPT_CHUNK_ENTRIES entries: x = min(exp(theta[h, r]) * base, 1), x or
+    1 - x per branch, their product as the answer vector, the loss and seed of
+    query_loss_adjoint, each branch's adjoint as the seed times the other
+    factors, and theta-grad[h, r] += sum(adjoint * scaled * (scaled < 1)).
+    The memberships equal those of the tape path (GradientTape over
+    _AdaptiveRows); gradients and theta differ from it only by summation
+    order.
     """
     usable = [rec for rec in records if rec.structure in config.structures
               and (rec.easy | rec.hard)]
@@ -268,14 +407,12 @@ def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
         raise ValueError("no training queries of the configured structures")
     n, m = scorer.n_entities, scorer.n_relations
     theta = np.zeros((n, m), dtype=np.float64)
-    provider = _AdaptiveRows(scorer, theta, config.eps)
+    table = _BranchTable(scorer, usable, config.eps, config.log_floor)
     adam_m = np.zeros_like(theta)
     adam_v = np.zeros_like(theta)
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     step = 0
     rng = np.random.default_rng(config.seed)
-    answer_sets = [np.fromiter(sorted(rec.easy | rec.hard), dtype=np.int64)
-                   for rec in usable]
     history: list[float] = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(usable))
@@ -283,16 +420,7 @@ def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
         for start in range(0, len(usable), config.batch_size):
             batch = order[start:start + config.batch_size]
             grad = np.zeros_like(theta)
-            for q in batch:
-                rec = usable[q]
-                tape = GradientTape()
-                vec = evaluate(rec.ast, provider, tape)
-                loss, seed = query_loss_adjoint(
-                    vec.values, answer_sets[q], config.log_floor
-                )
-                total += loss
-                rows = tape.backward(vec, seed)
-                provider.theta_grad(rows, grad)
+            total += table.loss_grad(theta, batch, grad)
             grad /= batch.size
             step += 1
             adam_m = beta1 * adam_m + (1 - beta1) * grad

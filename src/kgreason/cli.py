@@ -8,7 +8,7 @@ each artifact a `<artifact>.manifest` records the command, parameters,
 input hashes, and outputs.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error (bad flags,
-missing files, unknown names).
+out-of-range training settings, missing files, unknown names).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .dsl import read_queries, write_queries
 from .graph import add_inverse_relations, load_kg
 from .harness import STRUCTURE_ORDER, evaluate_run, generate_queries
 from .kvio import read_kv, write_kv
-from .scorer import EmbeddingModel, MODEL_KINDS, TrainConfig, train
+from .scorer import EmbeddingModel, MODEL_KINDS, SettingError, TrainConfig, train
 from .tensor import CalibratedTensor, build_tensor
 
 log = logging.getLogger(__name__)
@@ -44,6 +44,10 @@ log = logging.getLogger(__name__)
 
 class UsageError(Exception):
     """Bad invocation detected after argparse (exit code 2)."""
+
+
+# config fields whose flag is not `--<field>`
+_SETTING_FLAGS = {"batch_size": "--batch", "eps": "--epsilon"}
 
 
 def _sha256(path) -> str:
@@ -82,6 +86,12 @@ def _load_graph(args):
 
 def _graph_inputs(args) -> list[Path]:
     return [Path(p) for p in (args.train, args.valid, args.test) if p]
+
+
+def _load_scorer(args, kg) -> NormalizedScorer:
+    """The --model checkpoint, checked against the graph, and its normalizer."""
+    model = EmbeddingModel.load(args.model, (kg.n_entities, kg.n_relations))
+    return NormalizedScorer(model, kg, alpha=args.alpha)
 
 
 def _npz_path(raw: str) -> Path:
@@ -125,10 +135,10 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train_kgc(args) -> int:
-    kg = _load_graph(args)
     config = TrainConfig(kind=args.model, dim=args.dim, epochs=args.epochs,
                          batch_size=args.batch, lr=args.lr, reg=args.l3,
                          aux_weight=args.l1, seed=args.seed)
+    kg = _load_graph(args)
     model, history = train(kg, config)
     out = _npz_path(args.out)
     model.save(out)
@@ -146,13 +156,11 @@ def cmd_calibrate(args) -> int:
         return 0
     if not args.queries:
         raise UsageError(f"mode {args.mode} needs --queries")
+    config = CalibrationConfig(lr=args.lr, epochs=args.epochs, batch_size=args.batch,
+                               eps=args.epsilon, seed=args.seed)
     kg = _load_graph(args)
-    model = EmbeddingModel.load(args.model)
-    scorer = NormalizedScorer(model, kg, alpha=args.alpha)
+    scorer = _load_scorer(args, kg)
     records = read_queries(args.queries, kg.entities, kg.relations)
-    config = CalibrationConfig(alpha=args.alpha, lr=args.lr, epochs=args.epochs,
-                               batch_size=args.batch, eps=args.epsilon,
-                               seed=args.seed)
     matrix, history = adapt(scorer, records, config)
     out = _npz_path(args.out)
     matrix.save(out)
@@ -167,8 +175,7 @@ def cmd_build_tensor(args) -> int:
     if args.mode not in ABLATION_MODES:
         raise UsageError(f"unknown mode {args.mode!r}")
     kg = _load_graph(args)
-    model = EmbeddingModel.load(args.model)
-    scorer = NormalizedScorer(model, kg, alpha=args.alpha)
+    scorer = _load_scorer(args, kg)
     matrix = None
     if args.mode != "S12":
         if not args.w:
@@ -229,13 +236,11 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     kg = _load_graph(args)
-    model = EmbeddingModel.load(args.model)
-    scorer = NormalizedScorer(model, kg, alpha=args.alpha)
+    scorer = _load_scorer(args, kg)
     matrix = (AdaptationMatrix.load(args.w, (kg.n_entities, kg.n_relations))
               if args.w else None)
     records = read_queries(args.queries, kg.entities, kg.relations)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     summary: dict[str, str] = {}
     for mode in ABLATION_MODES:
         if mode != "S12" and matrix is None:
@@ -244,6 +249,7 @@ def cmd_ablate(args) -> int:
         provider = ablation_provider(mode, scorer, matrix, kg, eps=args.epsilon)
         tensor = build_tensor(provider, eps=args.epsilon)
         report = evaluate_run(tensor, records)
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_kv(out_dir / f"{mode}.report", report.to_kv())
         summary[f"{mode}.avg_p"] = f"{report.avg_p:.6f}"
         summary[f"{mode}.avg_n"] = f"{report.avg_n:.6f}"
@@ -411,6 +417,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code is None else int(exc.code)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except SettingError as exc:
+        flag = _SETTING_FLAGS.get(exc.field, f"--{exc.field}")
+        print(f"error: {flag} {exc.requirement}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc}", file=sys.stderr)

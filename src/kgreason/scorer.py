@@ -12,6 +12,7 @@ needs two roles (real/imaginary, head/tail, forward/inverse).
 from __future__ import annotations
 
 import logging
+import zipfile
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -109,11 +110,43 @@ class EmbeddingModel:
                  dim=np.array(self.dim), E=self.E, R=self.R)
 
     @classmethod
-    def load(cls, path) -> "EmbeddingModel":
-        with np.load(path) as data:
-            if "version" not in data or int(data["version"]) != 1:
-                raise ValueError(f"{path}: unsupported model checkpoint version")
-            return cls(str(data["kind"]), int(data["dim"]), data["E"], data["R"])
+    def load(cls, path, shape: tuple[int, int] | None = None) -> "EmbeddingModel":
+        """Read a checkpoint; when given, shape = (|V|, |R|) of its graph."""
+        data = read_checkpoint(path, "model", ("kind", "dim", "E", "R"))
+        model = cls(str(data["kind"]), int(data["dim"]), data["E"], data["R"])
+        if shape is not None and (model.n_entities, model.n_relations) != tuple(shape):
+            raise ValueError(
+                f"{path}: model tables ({model.n_entities} entities, {model.n_relations} "
+                f"relations) do not match the graph vocabularies ({shape[0]}, {shape[1]})")
+        return model
+
+
+def read_checkpoint(path, what: str, keys: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """The arrays `keys` of a version-1 npz checkpoint; every error names the file."""
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("a single array")
+        with data:
+            arrays = {key: data[key] for key in ("version", *keys) if key in data.files}
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        # numpy takes a file that is not a zip archive for a pickle
+        raise ValueError(f"{path}: not an npz {what} checkpoint") from exc
+    if "version" not in arrays or int(arrays["version"]) != 1:
+        raise ValueError(f"{path}: unsupported {what} checkpoint version")
+    missing = [key for key in keys if key not in arrays]
+    if missing:
+        raise ValueError(f"{path}: {what} checkpoint has no {', '.join(missing)}")
+    return arrays
+
+
+class SettingError(ValueError):
+    """A setting out of range; `field` names its config field or argument."""
+
+    def __init__(self, field: str, requirement: str):
+        super().__init__(f"{field} {requirement}")
+        self.field = field
+        self.requirement = requirement
 
 
 @dataclass
@@ -126,6 +159,16 @@ class TrainConfig:
     reg: float = 1e-3          # weighted-cube regularizer strength
     aux_weight: float = 0.0    # relation-prediction loss strength, 0 disables
     seed: int = 0
+
+    def __post_init__(self):
+        if self.dim < 2 or self.dim % 2:
+            raise SettingError("dim", "must be a positive even number")
+        if self.epochs < 1:
+            raise SettingError("epochs", "must be at least 1")
+        if self.batch_size < 1:
+            raise SettingError("batch_size", "must be at least 1")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise SettingError("lr", "must be a finite positive number")
 
 
 def _softmax_ce(scores: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:

@@ -40,6 +40,15 @@ _VALUE_BYTES = 4
 BLOCK_ENTRIES = 1 << 15
 
 
+def csr_take(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the entries of CSR rows `rows`, concatenated in order,
+    and the length of each row; one vectorized pass, no per-row call."""
+    starts = offsets[rows]
+    lens = offsets[rows + 1] - starts
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lens, lens), lens
+
+
 class MemoryBudgetError(RuntimeError):
     """Tensor build exceeded the configured cap; carries a probed epsilon."""
 
@@ -129,12 +138,8 @@ class CalibratedTensor:
         if not 0 <= r < self.n_relations or (
                 heads.size and not (0 <= heads.min() and heads.max() < self.n_entities)):
             raise IndexError(f"rows of relation {r} out of range")
-        offsets = self.offsets.view(np.int64)   # lossless: validated 0..nnz
-        rid = heads * self.n_relations + r
-        starts = offsets[rid]
-        lens = offsets[rid + 1] - starts
-        ends = np.cumsum(lens)
-        pos = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lens, lens)
+        # the view is lossless: offsets are validated to run from 0 to nnz
+        pos, lens = csr_take(self.offsets.view(np.int64), heads * self.n_relations + r)
         return self.indices[pos], self.values[pos].astype(np.float64), lens
 
     def value(self, h: int, r: int, t: int) -> float:

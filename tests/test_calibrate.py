@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kgreason import calibrate as calibrate_module
 from kgreason.calibrate import (
     ABLATION_MODES,
     ADAPTATION_STRUCTURES,
@@ -18,7 +19,7 @@ from kgreason.calibrate import (
 )
 from kgreason.dsl import Anchor, Projection, QueryRecord, parse
 from kgreason.fuzzy import GradientTape, evaluate
-from kgreason.scorer import EmbeddingModel
+from kgreason.scorer import EmbeddingModel, SettingError
 from kgreason import tensor as tensor_module
 from kgreason.tensor import MemoryBudgetError, build_tensor
 
@@ -37,6 +38,8 @@ class TestNormalizedScorer:
         kg, model, _ = setup
         with pytest.raises(ValueError, match="alpha"):
             NormalizedScorer(model, kg, alpha=0.0)
+        with pytest.raises(SettingError, match="alpha"):
+            NormalizedScorer(model, kg, alpha=float("nan"))
 
     def test_size_mismatch(self, setup, rng):
         kg, _, _ = setup
@@ -99,11 +102,28 @@ class TestAdaptationMatrix:
         with pytest.raises(ValueError, match="version"):
             AdaptationMatrix.load(path)
 
+    def test_missing_theta_names_the_file(self, tmp_path):
+        path = tmp_path / "w.npz"
+        np.savez(path, version=np.array(1), W=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="has no theta") as err:
+            AdaptationMatrix.load(path)
+        assert str(path) in str(err.value)
+
 
 def test_config_epoch_cap():
     CalibrationConfig(epochs=5)
     with pytest.raises(ValueError, match="capped at 5"):
         CalibrationConfig(epochs=6)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("epochs", 0), ("batch_size", 0), ("batch_size", -3), ("lr", 0.0), ("lr", -0.1),
+    ("lr", float("nan")), ("lr", float("inf")), ("eps", 1.0), ("eps", -0.1),
+    ("structures", ()), ("structures", ("1p", "2p")), ("structures", ("2u",))])
+def test_config_rejects_bad_settings(field, value):
+    with pytest.raises(SettingError) as err:
+        CalibrationConfig(**{field: value})
+    assert err.value.field == field
 
 
 class TestCalibratedRows:
@@ -202,6 +222,20 @@ class TestQueryLossAdjoint:
         assert loss == pytest.approx(-np.mean(np.log([0.5, 0.75])))
         assert (seed > 0).all()
 
+    def test_rows_of_a_batch_match_single_queries(self, rng):
+        values = rng.uniform(0.0, 1.0, size=(6, 9))
+        values[0, :3] = [0.0, 1.0, 1e-12]       # both floors
+        is_answer = rng.random((6, 9)) < 0.4
+        is_answer[1] = True                     # no non-answers
+        is_answer[2] = False                    # no answers
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            losses, seeds = query_loss_adjoint(values, is_answer)
+        assert losses.shape == (6,) and seeds.shape == (6, 9)
+        for q in range(6):
+            loss, seed = query_loss_adjoint(values[q], np.flatnonzero(is_answer[q]))
+            assert losses[q] == pytest.approx(loss, rel=1e-15)
+            assert seeds[q].tobytes() == seed.tobytes()
+
 
 class TestAdaptiveRows:
     def test_support_frozen_while_theta_moves(self, setup):
@@ -288,6 +322,13 @@ class TestAdapt:
         config = CalibrationConfig(structures=("2i",), epochs=1)
         with pytest.raises(ValueError, match="no training queries"):
             adapt(scorer, records, config)
+
+    def test_mislabelled_query_rejected(self, setup):
+        _, _, scorer = setup
+        rec = QueryRecord(parse("P[#0](P[#1](#0))"), frozenset(), frozenset({1}),
+                          structure="1p")
+        with pytest.raises(ValueError, match="anchored projections"):
+            adapt(scorer, [rec], CalibrationConfig())
 
     def test_deterministic(self, setup):
         kg, _, scorer = setup
@@ -497,3 +538,182 @@ class TestAdaptationCheckpoint:
         with pytest.raises(ValueError, match=message) as err:
             AdaptationMatrix.load(path, (20, 3))
         assert str(path) in str(err.value)
+
+
+# The adaptation loop as it ran before the batched kernel: one GradientTape
+# forward and backward per query over _AdaptiveRows. Kept as the reference of
+# the kernel.
+
+def reference_batch(provider, records, answer_sets, batch, log_floor=LOG_FLOOR):
+    """Summed loss and summed theta-gradient of the queries in batch."""
+    grad = np.zeros_like(provider.theta)
+    total = 0.0
+    for q in batch:
+        tape = GradientTape()
+        vec = evaluate(records[q].ast, provider, tape)
+        loss, seed = query_loss_adjoint(vec.values, answer_sets[q], log_floor)
+        total += loss
+        provider.theta_grad(tape.backward(vec, seed), grad)
+    return total, grad
+
+
+def reference_adapt(scorer, records, config):
+    usable = [rec for rec in records if rec.structure in config.structures
+              and (rec.easy | rec.hard)]
+    theta = np.zeros((scorer.n_entities, scorer.n_relations))
+    provider = _AdaptiveRows(scorer, theta, config.eps)
+    adam_m = np.zeros_like(theta)
+    adam_v = np.zeros_like(theta)
+    beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
+    step = 0
+    rng = np.random.default_rng(config.seed)
+    answer_sets = [np.fromiter(sorted(rec.easy | rec.hard), dtype=np.int64)
+                   for rec in usable]
+    history = []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(usable))
+        total = 0.0
+        for start in range(0, len(usable), config.batch_size):
+            batch = order[start:start + config.batch_size]
+            loss, grad = reference_batch(provider, usable, answer_sets, batch,
+                                         config.log_floor)
+            total += loss
+            grad /= batch.size
+            step += 1
+            adam_m = beta1 * adam_m + (1 - beta1) * grad
+            adam_v = beta2 * adam_v + (1 - beta2) * grad * grad
+            m_hat = adam_m / (1 - beta1 ** step)
+            v_hat = adam_v / (1 - beta2 ** step)
+            theta -= config.lr * m_hat / (np.sqrt(v_hat) + adam_eps)
+        history.append(total / len(usable))
+    return theta, history
+
+
+SHAPE_TEXT = {
+    "1p": "P[#{r0}](#{h0})",
+    "2i": "I(P[#{r0}](#{h0}),P[#{r1}](#{h1}))",
+    "3i": "I(P[#{r0}](#{h0}),P[#{r1}](#{h1}),P[#{r2}](#{h2}))",
+    "2in": "I(P[#{r0}](#{h0}),N(P[#{r1}](#{h1})))",
+    "3in": "I(P[#{r0}](#{h0}),P[#{r1}](#{h1}),N(P[#{r2}](#{h2})))",
+}
+
+
+def shaped_records(rng, n, m, per_shape, heads=None):
+    """per_shape records of every adaptation shape, plus a 2in whose
+    complement comes first; anchors drawn from `heads` (default: all)."""
+    heads = np.arange(n) if heads is None else np.asarray(heads)
+    texts = [text for text in SHAPE_TEXT.values() for _ in range(per_shape)]
+    texts.append("I(N(P[#{r0}](#{h0})),P[#{r1}](#{h1}))")
+    records = []
+    for text in texts:
+        ids = {f"h{k}": int(rng.choice(heads)) for k in range(3)}
+        ids.update({f"r{k}": int(rng.integers(m)) for k in range(3)})
+        answers = rng.choice(n, size=int(rng.integers(1, 5)), replace=False)
+        records.append(QueryRecord(parse(text.format(**ids)), frozenset(),
+                                   frozenset(answers.tolist())))
+    assert {rec.structure for rec in records} == set(ADAPTATION_STRUCTURES)
+    return records
+
+
+def kernel_batch(scorer, records, theta, eps, batch):
+    answer_sets = [np.fromiter(sorted(rec.easy | rec.hard), dtype=np.int64)
+                   for rec in records]
+    table = calibrate_module._BranchTable(scorer, records, eps)
+    grad = np.zeros_like(theta)
+    loss = table.loss_grad(theta, np.asarray(batch), grad)
+    return loss, grad, answer_sets
+
+
+def assert_close_to_reference(got, want, rtol):
+    """Elementwise within rtol of the reference's largest magnitude: the
+    kernel and the tape sum the same terms in a different order."""
+    scale = np.abs(want).max()
+    assert scale > 0
+    np.testing.assert_allclose(got, want, rtol=0, atol=rtol * scale)
+
+
+class TestAdaptationKernel:
+    """The batched kernel against the per-query tape reference above."""
+
+    @pytest.mark.parametrize("theta_scale", [0.0, 0.5, 3.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batch_matches_reference(self, seed, theta_scale):
+        kg, scorer, _ = study(seed)
+        rng = np.random.default_rng(seed)
+        # few anchors, so many queries of the batch share an (h, r) row
+        records = shaped_records(rng, 24, 3, per_shape=6, heads=[0, 5, 9])
+        n, m = scorer.n_entities, scorer.n_relations
+        theta = rng.normal(0.0, theta_scale, size=(n, m)) + theta_scale
+        batch = rng.permutation(len(records))
+        loss, grad, answer_sets = kernel_batch(scorer, records, theta, 0.01, batch)
+        provider = _AdaptiveRows(scorer, theta, eps=0.01)
+        ref_loss, ref_grad = reference_batch(provider, records, answer_sets, batch)
+
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert_close_to_reference(grad, ref_grad, 1e-12)
+        assert set(zip(*np.nonzero(grad))) == set(zip(*np.nonzero(ref_grad)))
+        pairs = [(h, r) for rec in records for h, r, _ in
+                 calibrate_module._anchored_branches(rec.ast)]
+        assert len(set(pairs)) < len(pairs)          # shared rows
+        if theta_scale == 3.0:                      # a clamp engaged
+            assert any((np.exp(theta[h, r]) * provider.base_row(h, r)[1] >= 1.0).any()
+                       for h, r in pairs)
+
+    def test_forward_memberships_equal_the_tape(self, monkeypatch):
+        kg, scorer, _ = study(7)
+        rng = np.random.default_rng(7)
+        records = shaped_records(rng, 24, 3, per_shape=3)
+        theta = rng.normal(0.0, 1.5, size=(24, 3))
+        table = calibrate_module._BranchTable(scorer, records, 0.01)
+        provider = _AdaptiveRows(scorer, theta, eps=0.01)
+        seen = []
+        real = calibrate_module.query_loss_adjoint
+
+        def spy(values, answers, *rest):
+            seen.append(values.copy())
+            return real(values, answers, *rest)
+
+        monkeypatch.setattr(calibrate_module, "query_loss_adjoint", spy)
+        table.loss_grad(theta, np.arange(len(records)), np.zeros_like(theta))
+        got = np.concatenate(seen)
+        want = np.stack([evaluate(rec.ast, provider).values for rec in records])
+        assert got.tobytes() == want.tobytes()
+
+    def test_query_with_every_entity_as_answer(self):
+        kg, scorer, _ = study(8)
+        everyone = frozenset(range(24))
+        records = [QueryRecord(parse("I(P[#0](#3),N(P[#1](#4)))"), frozenset(), everyone),
+                   QueryRecord(parse("P[#2](#5)"), frozenset({1}), frozenset({2}))]
+        theta = np.full((24, 3), 0.3)
+        with np.errstate(over="raise", invalid="raise"):
+            loss, grad, answer_sets = kernel_batch(scorer, records, theta, 0.01, [0, 1])
+            provider = _AdaptiveRows(scorer, theta, eps=0.01)
+            ref_loss, ref_grad = reference_batch(provider, records, answer_sets, [0, 1])
+        assert np.isfinite(loss) and np.isfinite(grad).all()
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert_close_to_reference(grad, ref_grad, 1e-12)
+
+    @pytest.mark.parametrize("batch_size,log_floor", [
+        (1, LOG_FLOOR), (7, LOG_FLOOR), (7, 0.05), (1000, LOG_FLOOR)])
+    def test_whole_run_matches_reference(self, batch_size, log_floor):
+        kg, scorer, _ = study(9)
+        records = shaped_records(np.random.default_rng(9), 24, 3, per_shape=8)
+        config = CalibrationConfig(lr=0.05, epochs=5, batch_size=batch_size,
+                                   eps=0.01, seed=3, log_floor=log_floor)
+        matrix, history = adapt(scorer, records, config)
+        ref_theta, ref_history = reference_adapt(scorer, records, config)
+        assert np.abs(ref_theta).max() > 0.05
+        np.testing.assert_allclose(matrix.theta, ref_theta, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(history, ref_history, rtol=1e-12)
+
+    def test_theta_independent_of_chunk_budget(self, monkeypatch):
+        kg, scorer, _ = study(10)
+        records = shaped_records(np.random.default_rng(10), 24, 3, per_shape=8)
+        config = CalibrationConfig(lr=0.05, epochs=3, batch_size=len(records),
+                                   eps=0.01, seed=4)
+        monkeypatch.setattr(calibrate_module, "ADAPT_CHUNK_ENTRIES", 1)
+        one_per_chunk, _ = adapt(scorer, records, config)
+        monkeypatch.setattr(calibrate_module, "ADAPT_CHUNK_ENTRIES", 1 << 30)
+        whole_batch, _ = adapt(scorer, records, config)
+        np.testing.assert_allclose(one_per_chunk.theta, whole_batch.theta,
+                                   rtol=0, atol=1e-12)

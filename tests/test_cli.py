@@ -6,6 +6,7 @@ import pytest
 from kgreason.cli import main
 from kgreason.dsl import read_queries
 from kgreason.kvio import read_kv
+from kgreason.scorer import EmbeddingModel
 from kgreason.tensor import CalibratedTensor
 
 from conftest import corrupt_payload, random_kg
@@ -283,6 +284,65 @@ class TestPipeline:
             assert np.array_equal(a["R"], b["R"])
 
 
+def stage_args(command, pipeline, tmp_path, model=None, w=None):
+    """Arguments of calibrate, build-tensor or ablate on the pipeline's
+    files, writing under tmp_path / "out"."""
+    args = [command, *pipeline["flags"], "--model", str(model or pipeline["model"])]
+    out = tmp_path / "out"
+    if command == "calibrate":
+        return args + ["--queries", str(pipeline["train_q"]), "--out", str(out)]
+    args += ["--w", str(w or pipeline["w"])]
+    if command == "build-tensor":
+        return args + ["--out", str(out)]
+    return args + ["--queries", str(pipeline["test_q"]), "--out-dir", str(out)]
+
+
+class TestTrainingSettings:
+    """Out-of-range settings exit 2, name the flag and write nothing."""
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--batch", "-3", "at least 1"), ("--batch", "0", "at least 1"),
+        ("--epochs", "0", "at least 1"), ("--epochs", "6", "capped at 5"),
+        ("--lr", "nan", "finite positive"), ("--lr", "0", "finite positive")])
+    def test_calibrate(self, pipeline, tmp_path, capsys, flag, value, message):
+        args = stage_args("calibrate", pipeline, tmp_path) + [flag, value]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag} " in err and message in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--batch", "-5", "at least 1"), ("--batch", "0", "at least 1"),
+        ("--epochs", "0", "at least 1"), ("--dim", "0", "positive even"),
+        ("--lr", "nan", "finite positive")])
+    def test_train_kgc(self, pipeline, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "model.npz"
+        assert main(["train-kgc", *pipeline["flags"], "--dim", "8", "--epochs", "1",
+                     flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag} " in err and message in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["calibrate", "build-tensor", "ablate"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--alpha", "0", "finite positive"), ("--alpha", "nan", "finite positive"),
+        ("--epsilon", "1.5", "[0, 1)")])
+    def test_calibration_flags(self, pipeline, tmp_path, capsys, command, flag, value,
+                               message):
+        assert main(stage_args(command, pipeline, tmp_path) + [flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag} " in err and message in err
+        assert not list(tmp_path.iterdir())
+
+    def test_config_file_value_named_by_its_flag(self, pipeline, tmp_path, capsys):
+        conf = tmp_path / "calibrate.conf"
+        conf.write_text("batch = -3\n")
+        args = stage_args("calibrate", pipeline, tmp_path) + ["--config", str(conf)]
+        assert main(args) == 2
+        assert "error: --batch must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestValidatedInputs:
     """Bad checkpoints and query files exit 1 and name the file (and line)."""
 
@@ -305,6 +365,25 @@ class TestValidatedInputs:
         err = capsys.readouterr().err
         assert str(bad) in err and message in err
         assert not (tmp_path / "x.kgt").exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "build-tensor", "ablate"])
+    def test_model_of_another_graph(self, pipeline, tmp_path, capsys, command):
+        other = tmp_path / "other-model.npz"
+        EmbeddingModel.create("complex-bilinear", 25, 4, 8,
+                              np.random.default_rng(0)).save(other)
+        assert main(stage_args(command, pipeline, tmp_path, model=other)) == 1
+        err = capsys.readouterr().err
+        assert f"{other}: model tables" in err and "do not match" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["build-tensor", "ablate"])
+    def test_adaptation_checkpoint_without_theta(self, pipeline, tmp_path, capsys,
+                                                 command):
+        bad = tmp_path / "no-theta.npz"
+        np.savez(bad, version=np.array(1), W=np.ones((30, 4)))
+        assert main(stage_args(command, pipeline, tmp_path, w=bad)) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: adaptation checkpoint has no theta" in err
 
     @pytest.mark.parametrize("line,message", [
         ("P[#99](#29)\t\t1", "relation id 99 out of range (size 4)"),

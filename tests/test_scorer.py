@@ -4,6 +4,7 @@ import pytest
 from kgreason.scorer import (
     EmbeddingModel,
     MODEL_KINDS,
+    SettingError,
     TrainConfig,
     _softmax_ce,
     batch_loss,
@@ -81,6 +82,34 @@ class TestEmbeddingModel:
         assert loaded.kind == model.kind and loaded.dim == model.dim
         assert np.array_equal(loaded.E, model.E)
         assert np.array_equal(loaded.R, model.R)
+
+    def test_load_checks_the_graph_shape_and_names_the_file(self, rng, tmp_path):
+        path = tmp_path / "model.npz"
+        tiny_model("diagonal-bilinear", rng, n=6, m=4).save(path)
+        assert EmbeddingModel.load(path, (6, 4)).n_entities == 6
+        for shape in [(7, 4), (6, 3)]:
+            with pytest.raises(ValueError, match="do not match") as err:
+                EmbeddingModel.load(path, shape)
+            assert str(path) in str(err.value)
+
+    def test_load_rejects_incomplete_or_foreign_files(self, tmp_path):
+        partial = tmp_path / "partial.npz"
+        np.savez(partial, version=np.array(1), kind=np.array("diagonal-bilinear"),
+                 dim=np.array(4), E=np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="has no R") as err:
+            EmbeddingModel.load(partial)
+        assert str(partial) in str(err.value)
+        for name, content in [("text.npz", b"not an archive\n"),
+                              ("truncated.npz", b"PK\x03\x04garbage")]:
+            path = tmp_path / name
+            path.write_bytes(content)
+            with pytest.raises(ValueError, match="not an npz model checkpoint") as err:
+                EmbeddingModel.load(path)
+            assert str(path) in str(err.value)
+        single = tmp_path / "single.npy"
+        np.save(single, np.zeros(3))
+        with pytest.raises(ValueError, match="not an npz model checkpoint"):
+            EmbeddingModel.load(single)
 
     def test_load_rejects_other_versions(self, rng, tmp_path):
         path = tmp_path / "model.npz"
@@ -180,6 +209,14 @@ class TestTrain:
         kg = random_kg(rng, 15, 3, 60)
         _, history = train(kg, self.config(epochs=2, aux_weight=0.5))
         assert all(np.isfinite(x) for x in history)
+
+    @pytest.mark.parametrize("field,value", [
+        ("dim", 0), ("dim", -2), ("dim", 3), ("epochs", 0), ("batch_size", 0),
+        ("batch_size", -5), ("lr", 0.0), ("lr", float("nan"))])
+    def test_bad_settings_rejected(self, field, value):
+        with pytest.raises(SettingError) as err:
+            self.config(**{field: value})
+        assert err.value.field == field
 
     def test_runaway_lr_aborts(self, rng):
         kg = random_kg(rng, 10, 2, 40)
