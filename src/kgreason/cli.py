@@ -47,7 +47,7 @@ class UsageError(Exception):
 
 
 # config fields whose flag is not `--<field>`
-_SETTING_FLAGS = {"batch_size": "--batch", "eps": "--epsilon"}
+_SETTING_FLAGS = {"batch_size": "--batch", "eps": "--epsilon", "kind": "--model"}
 
 
 def _sha256(path) -> str:

@@ -1,19 +1,28 @@
 """Link-prediction embedding models with hand-written gradients.
 
-All four model kinds factor the score of (h, r, ?) as a query vector dotted
-against a candidate matrix, so one full-softmax cross-entropy loss, one
-weighted-cube regularizer, and one optional relation-prediction auxiliary
-loss cover every kind. Optimization is Adagrad on dense gradient arrays.
+Every model kind scores a triple as a trilinear form: a signed sum of terms
+coef * sum(h_a * r_b * t_c) over parts of the head, relation and tail rows,
+where part 0 or 1 is the first or second half of an embedding row and None
+the whole row. `KIND_TERMS` is the one place a kind is defined; adding a kind
+means one row there plus its longhand formula in
+`tests/test_scorer.py::reference_score`.
 
-Entity rows of `E` and relation rows of `R` are split in half where a kind
-needs two roles (real/imaginary, head/tail, forward/inverse).
+One contraction, `_contract`, sums a kind's terms into the parts of any one
+role. With the tail as output it gives the query vectors, so scores(h, r, :)
+= queries @ candidates.T; with the relation as output it gives the relation
+queries of the auxiliary loss. A term is linear in each factor, so a factor's
+gradient is the same contraction with that factor as the output and the
+upstream gradient in place of the rows it flows back from. One full-softmax
+cross-entropy loss, one weighted-cube regularizer and one optional
+relation-prediction auxiliary loss thus cover every kind. Optimization is
+Adagrad on dense gradient arrays.
 """
 
 from __future__ import annotations
 
 import logging
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,19 +31,70 @@ from .graph import KnowledgeGraph, Triplet
 
 log = logging.getLogger(__name__)
 
-MODEL_KINDS = (
-    "complex-bilinear",
-    "diagonal-bilinear",
-    "canonical-polyadic",
-    "simple-bilinear",
-)
+# (head part, relation part, tail part, coef) per term
+KIND_TERMS = {
+    "complex-bilinear": ((0, 0, 0, 1.0), (1, 1, 0, -1.0), (0, 1, 1, 1.0), (1, 0, 1, 1.0)),
+    "diagonal-bilinear": ((None, None, None, 1.0),),
+    "canonical-polyadic": ((0, None, 1, 1.0),),
+    "simple-bilinear": ((0, 0, 1, 0.5), (1, 1, 0, 0.5)),
+}
+MODEL_KINDS = tuple(KIND_TERMS)
+HEAD, RELATION, TAIL = range(3)
+_OTHERS = ((RELATION, TAIL), (HEAD, TAIL), (HEAD, RELATION))
+
+# Per kind and role: the parts in first-use order, which is the layout of
+# queries and candidates, and the parts of a stored row, (None,) or (0, 1).
+_ORDER = {kind: tuple(tuple(dict.fromkeys(term[role] for term in terms)) for role in range(3))
+          for kind, terms in KIND_TERMS.items()}
+_ROW = {kind: tuple((None,) if None in parts else (0, 1) for parts in order)
+        for kind, order in _ORDER.items()}
 
 ADAGRAD_EPS = 1e-10
 
 
-def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    k = x.shape[-1] // 2
-    return x[..., :k], x[..., k:]
+def _relation_width(kind: str, dim: int) -> int:
+    """A term spans half an entity row or all of it; R rows hold one or two spans."""
+    return dim // len(_ROW[kind][HEAD]) * len(_ROW[kind][RELATION])
+
+
+def _split(x: np.ndarray, layout: tuple) -> dict:
+    """Views of the parts of rows x laid out as `layout`."""
+    if len(layout) == 1:
+        return {layout[0]: x}
+    width = x.shape[-1] // len(layout)
+    return {part: x[..., i * width:(i + 1) * width] for i, part in enumerate(layout)}
+
+
+def _join(parts: dict, layout: tuple) -> np.ndarray:
+    """Rows laid out as `layout` from their parts; a missing part is zeros."""
+    if len(layout) == 1:
+        return parts[layout[0]]
+    like = next(iter(parts.values()))
+    return np.concatenate([parts[p] if p in parts else np.zeros_like(like) for p in layout],
+                          axis=-1)
+
+
+def _contract(kind: str, rows, out_role: int) -> dict:
+    """The parts of `out_role`: coef times the product of the other two roles'
+    parts, summed over the terms of `kind`. rows[role] maps each part of that
+    role to its array; rows[out_role] is not read."""
+    a, b = _OTHERS[out_role]
+    out: dict = {}
+    for term in KIND_TERMS[kind]:
+        coef, key = term[3], term[out_role]
+        product = rows[a][term[a]] * rows[b][term[b]]
+        if coef == -1.0 and key in out:
+            out[key] = out[key] - product
+            continue
+        if coef != 1.0:
+            product = coef * product
+        out[key] = out[key] + product if key in out else product
+    return out
+
+
+def _contract_rows(kind: str, rows, out_role: int) -> np.ndarray:
+    """`_contract` laid out as a stored row of `out_role` (gradients, relation queries)."""
+    return _join(_contract(kind, rows, out_role), _ROW[kind][out_role])
 
 
 @dataclass
@@ -60,39 +120,24 @@ class EmbeddingModel:
         if dim % 2:
             raise ValueError("embedding dimension must be even")
         scale = 0.5 / np.sqrt(dim)
-        rel_dim = dim // 2 if kind == "canonical-polyadic" else dim
         E = rng.uniform(-scale, scale, size=(n_entities, dim))
-        R = rng.uniform(-scale, scale, size=(n_relations, rel_dim))
+        R = rng.uniform(-scale, scale, size=(n_relations, _relation_width(kind, dim)))
         return cls(kind, dim, E, R)
+
+    def parts(self, role: int, ids) -> dict:
+        """The parts of the stored rows `ids` of the table that holds `role`."""
+        table = self.R if role == RELATION else self.E
+        return _split(table[ids], _ROW[self.kind][role])
 
     def queries(self, heads: np.ndarray, rels: np.ndarray) -> np.ndarray:
         """Query vectors so that scores(h, r, :) = queries @ candidates.T."""
-        h = self.E[heads]
-        r = self.R[rels]
-        if self.kind == "complex-bilinear":
-            h0, h1 = _halves(h)
-            r0, r1 = _halves(r)
-            return np.concatenate([h0 * r0 - h1 * r1, h0 * r1 + h1 * r0], axis=-1)
-        if self.kind == "diagonal-bilinear":
-            return h * r
-        if self.kind == "canonical-polyadic":
-            h0, _ = _halves(h)
-            return h0 * r
-        if self.kind == "simple-bilinear":
-            h0, h1 = _halves(h)
-            r0, r1 = _halves(r)
-            return 0.5 * np.concatenate([h0 * r0, h1 * r1], axis=-1)
-        raise ValueError(f"unknown model kind {self.kind!r}")
+        rows = (self.parts(HEAD, heads), self.parts(RELATION, rels), None)
+        return _join(_contract(self.kind, rows, TAIL), _ORDER[self.kind][TAIL])
 
     def candidates(self) -> np.ndarray:
-        """Per-entity candidate rows matching the query layout."""
-        if self.kind == "canonical-polyadic":
-            _, e1 = _halves(self.E)
-            return e1
-        if self.kind == "simple-bilinear":
-            e0, e1 = _halves(self.E)
-            return np.concatenate([e1, e0], axis=-1)
-        return self.E
+        """E's tail parts in first-use order: E itself when they cover it in order."""
+        order, row = _ORDER[self.kind][TAIL], _ROW[self.kind][TAIL]
+        return self.E if order == row else _join(_split(self.E, row), order)
 
     def score_rows(self, heads: Sequence[int] | np.ndarray,
                    rels: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -111,14 +156,35 @@ class EmbeddingModel:
 
     @classmethod
     def load(cls, path, shape: tuple[int, int] | None = None) -> "EmbeddingModel":
-        """Read a checkpoint; when given, shape = (|V|, |R|) of its graph."""
+        """Read a checkpoint and check its tables against its kind; when given,
+        shape = (|V|, |R|) of its graph."""
         data = read_checkpoint(path, "model", ("kind", "dim", "E", "R"))
-        model = cls(str(data["kind"]), int(data["dim"]), data["E"], data["R"])
+        kind, dim, E, R = str(data["kind"]), data["dim"], data["E"], data["R"]
+        problem = _table_problem(kind, dim, E, R)
+        if problem:
+            raise ValueError(f"{path}: {problem}")
+        model = cls(kind, int(dim), E, R)
         if shape is not None and (model.n_entities, model.n_relations) != tuple(shape):
             raise ValueError(
                 f"{path}: model tables ({model.n_entities} entities, {model.n_relations} "
                 f"relations) do not match the graph vocabularies ({shape[0]}, {shape[1]})")
         return model
+
+
+def _table_problem(kind: str, dim: np.ndarray, E: np.ndarray, R: np.ndarray) -> str | None:
+    """Why stored tables are not a `kind` model of dimension `dim`, or None."""
+    if kind not in MODEL_KINDS:
+        return f"unknown model kind {kind!r}"
+    if dim.ndim or dim.dtype.kind not in "iu" or dim < 2 or dim % 2:
+        return f"model dim {dim} is not a positive even number"
+    for name, table, width in (("E", E, int(dim)), ("R", R, _relation_width(kind, int(dim)))):
+        if table.ndim != 2 or table.dtype.kind != "f":
+            return f"model {name} is not a 2-D float table"
+        if table.shape[1] != width:
+            return f"model {name} has width {table.shape[1]}; {kind} at dim {dim} needs {width}"
+        if not np.isfinite(table).all():
+            return f"model {name} has non-finite values"
+    return None
 
 
 def read_checkpoint(path, what: str, keys: tuple[str, ...]) -> dict[str, np.ndarray]:
@@ -132,7 +198,8 @@ def read_checkpoint(path, what: str, keys: tuple[str, ...]) -> dict[str, np.ndar
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
         # numpy takes a file that is not a zip archive for a pickle
         raise ValueError(f"{path}: not an npz {what} checkpoint") from exc
-    if "version" not in arrays or int(arrays["version"]) != 1:
+    version = arrays.get("version")
+    if version is None or version.ndim or version.dtype.kind not in "iu" or version != 1:
         raise ValueError(f"{path}: unsupported {what} checkpoint version")
     missing = [key for key in keys if key not in arrays]
     if missing:
@@ -161,6 +228,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.kind not in MODEL_KINDS:
+            raise SettingError("kind", f"must be one of {', '.join(MODEL_KINDS)}")
         if self.dim < 2 or self.dim % 2:
             raise SettingError("dim", "must be a positive even number")
         if self.epochs < 1:
@@ -186,74 +255,25 @@ def _softmax_ce(scores: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndar
     return loss, grad
 
 
-def _backward_queries(model: EmbeddingModel, dQ: np.ndarray, heads, rels,
-                      gE: np.ndarray, gR: np.ndarray) -> None:
-    h = model.E[heads]
-    r = model.R[rels]
-    kind = model.kind
-    if kind == "complex-bilinear":
-        h0, h1 = _halves(h)
-        r0, r1 = _halves(r)
-        a0, a1 = _halves(dQ)
-        dh = np.concatenate([a0 * r0 + a1 * r1, -a0 * r1 + a1 * r0], axis=-1)
-        dr = np.concatenate([a0 * h0 + a1 * h1, -a0 * h1 + a1 * h0], axis=-1)
-    elif kind == "diagonal-bilinear":
-        dh = dQ * r
-        dr = dQ * h
-    elif kind == "canonical-polyadic":
-        h0, _ = _halves(h)
-        dh = np.concatenate([dQ * r, np.zeros_like(dQ)], axis=-1)
-        dr = dQ * h0
-    elif kind == "simple-bilinear":
-        h0, h1 = _halves(h)
-        r0, r1 = _halves(r)
-        a0, a1 = _halves(dQ)
-        dh = 0.5 * np.concatenate([a0 * r0, a1 * r1], axis=-1)
-        dr = 0.5 * np.concatenate([a0 * h0, a1 * h1], axis=-1)
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
-    np.add.at(gE, heads, dh)
-    np.add.at(gR, rels, dr)
-
-
-def _backward_candidates(model: EmbeddingModel, dC: np.ndarray, gE: np.ndarray) -> None:
-    k = model.dim // 2
-    if model.kind == "canonical-polyadic":
-        gE[:, k:] += dC
-    elif model.kind == "simple-bilinear":
-        gE[:, k:] += dC[:, :k]
-        gE[:, :k] += dC[:, k:]
-    else:
-        gE += dC
-
-
-def _reg_factors(model: EmbeddingModel, heads, rels, tails):
-    """(array, rows, values) triples the cube regularizer applies to."""
-    k = model.dim // 2
-    if model.kind == "canonical-polyadic":
-        return [
-            (model.E, heads, model.E[heads][:, :k], slice(0, k)),
-            (model.R, rels, model.R[rels], slice(None)),
-            (model.E, tails, model.E[tails][:, k:], slice(k, 2 * k)),
-        ]
-    return [
-        (model.E, heads, model.E[heads], slice(None)),
-        (model.R, rels, model.R[rels], slice(None)),
-        (model.E, tails, model.E[tails], slice(None)),
-    ]
+def _used(kind: str, role: int, x: np.ndarray) -> np.ndarray:
+    """The columns of rows x that the terms of `kind` use for `role`: all or one half."""
+    parts, row = _ORDER[kind][role], _ROW[kind][role]
+    return x if len(parts) == len(row) else _split(x, row)[parts[0]]
 
 
 def _cube_reg(model: EmbeddingModel, heads, rels, tails, weight: float,
               gE: np.ndarray, gR: np.ndarray) -> float:
-    """Cubed-magnitude penalty; complex kind cubes the modulus per component."""
+    """Cubed-magnitude penalty on the columns each factor's terms use; the
+    complex kind cubes the modulus per component."""
     if weight == 0.0:
         return 0.0
     batch = heads.shape[0]
     total = 0.0
-    for array, rows, values, cols in _reg_factors(model, heads, rels, tails):
-        grad_target = gE if array is model.E else gR
+    for role, ids, table, grad in ((HEAD, heads, model.E, gE), (RELATION, rels, model.R, gR),
+                                   (TAIL, tails, model.E, gE)):
+        values = _used(model.kind, role, table[ids])
         if model.kind == "complex-bilinear":
-            v0, v1 = _halves(values)
+            v0, v1 = _split(values, (0, 1)).values()
             mod = np.sqrt(v0 * v0 + v1 * v1)
             total += float(np.sum(mod ** 3))
             coeff = 3.0 * mod * (weight / batch)
@@ -261,76 +281,34 @@ def _cube_reg(model: EmbeddingModel, heads, rels, tails, weight: float,
         else:
             total += float(np.sum(np.abs(values) ** 3))
             dvals = 3.0 * np.abs(values) * values * (weight / batch)
-        if cols == slice(None):
-            np.add.at(grad_target, rows, dvals)
-        else:
-            np.add.at(grad_target[:, cols], rows, dvals)
+        np.add.at(_used(model.kind, role, grad), ids, dvals)
     return weight * total / batch
 
 
-def _relation_queries(model: EmbeddingModel, heads, tails):
-    """Vectors psi so that relation logits = psi @ R.T (R half-width for cp)."""
-    h = model.E[heads]
-    t = model.E[tails]
-    kind = model.kind
-    if kind == "complex-bilinear":
-        h0, h1 = _halves(h)
-        t0, t1 = _halves(t)
-        return np.concatenate([h0 * t0 + h1 * t1, h0 * t1 - h1 * t0], axis=-1)
-    if kind == "diagonal-bilinear":
-        return h * t
-    if kind == "canonical-polyadic":
-        h0, _ = _halves(h)
-        _, t1 = _halves(t)
-        return h0 * t1
-    if kind == "simple-bilinear":
-        h0, h1 = _halves(h)
-        t0, t1 = _halves(t)
-        return 0.5 * np.concatenate([h0 * t1, h1 * t0], axis=-1)
-    raise ValueError(f"unknown model kind {kind!r}")
-
-
-def _backward_relation_queries(model: EmbeddingModel, dPsi, heads, tails, gE) -> None:
-    h = model.E[heads]
-    t = model.E[tails]
-    kind = model.kind
-    if kind == "complex-bilinear":
-        h0, h1 = _halves(h)
-        t0, t1 = _halves(t)
-        a0, a1 = _halves(dPsi)
-        dh = np.concatenate([a0 * t0 + a1 * t1, a0 * t1 - a1 * t0], axis=-1)
-        dt = np.concatenate([a0 * h0 - a1 * h1, a0 * h1 + a1 * h0], axis=-1)
-    elif kind == "diagonal-bilinear":
-        dh = dPsi * t
-        dt = dPsi * h
-    elif kind == "canonical-polyadic":
-        h0, _ = _halves(h)
-        _, t1 = _halves(t)
-        dh = np.concatenate([dPsi * t1, np.zeros_like(dPsi)], axis=-1)
-        dt = np.concatenate([np.zeros_like(dPsi), dPsi * h0], axis=-1)
-    elif kind == "simple-bilinear":
-        h0, h1 = _halves(h)
-        t0, t1 = _halves(t)
-        a0, a1 = _halves(dPsi)
-        dh = 0.5 * np.concatenate([a0 * t1, a1 * t0], axis=-1)
-        dt = 0.5 * np.concatenate([a1 * h1, a0 * h0], axis=-1)
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
-    np.add.at(gE, heads, dh)
-    np.add.at(gE, tails, dt)
+def _relation_queries(model: EmbeddingModel, heads, tails) -> np.ndarray:
+    """Vectors psi so that relation logits = psi @ R.T."""
+    rows = (model.parts(HEAD, heads), None, model.parts(TAIL, tails))
+    return _contract_rows(model.kind, rows, RELATION)
 
 
 def batch_loss(model: EmbeddingModel, heads, rels, tails, reg: float,
                aux_weight: float, gE: np.ndarray, gR: np.ndarray) -> float:
     """Loss for one batch, accumulating gradients into gE/gR."""
+    kind, order = model.kind, _ORDER[model.kind]
     C = model.candidates()
     Q = model.queries(heads, rels)
     scores = Q @ C.T
     loss, dS = _softmax_ce(scores, tails)
-    dQ = dS @ C
+    dQ = _split(dS @ C, order[TAIL])
     dC = dS.T @ Q
-    _backward_queries(model, dQ, heads, rels, gE, gR)
-    _backward_candidates(model, dC, gE)
+    # each factor's gradient: the same contraction with dQ in the tail's place
+    h, r = model.parts(HEAD, heads), model.parts(RELATION, rels)
+    np.add.at(gE, heads, _contract_rows(kind, (None, r, dQ), HEAD))
+    np.add.at(gR, rels, _contract_rows(kind, (h, None, dQ), RELATION))
+    # the candidates are E's tail parts, so dC goes back into those columns
+    gT = _split(gE, _ROW[kind][TAIL])
+    for part, block in _split(dC, order[TAIL]).items():
+        gT[part] += block
     loss += _cube_reg(model, heads, rels, tails, reg, gE, gR)
     if aux_weight > 0.0:
         psi = _relation_queries(model, heads, tails)
@@ -339,7 +317,10 @@ def batch_loss(model: EmbeddingModel, heads, rels, tails, reg: float,
         loss += aux_weight * aux
         dL = dL * aux_weight
         gR += dL.T @ psi
-        _backward_relation_queries(model, dL @ model.R, heads, tails, gE)
+        dPsi = _split(dL @ model.R, _ROW[kind][RELATION])
+        t = model.parts(TAIL, tails)
+        np.add.at(gE, heads, _contract_rows(kind, (None, dPsi, t), HEAD))
+        np.add.at(gE, tails, _contract_rows(kind, (h, dPsi, None), TAIL))
     return loss
 
 

@@ -342,6 +342,15 @@ class TestTrainingSettings:
         assert "error: --batch must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_config_file_model_named_by_its_flag(self, pipeline, tmp_path, capsys):
+        conf = tmp_path / "train.conf"
+        conf.write_text("model = foo\n")
+        out = tmp_path / "model.npz"
+        assert main(["train-kgc", *pipeline["flags"], "--config", str(conf),
+                     "--out", str(out)]) == 2
+        assert "error: --model must be one of complex-bilinear," in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestValidatedInputs:
     """Bad checkpoints and query files exit 1 and name the file (and line)."""
@@ -374,6 +383,22 @@ class TestValidatedInputs:
         assert main(stage_args(command, pipeline, tmp_path, model=other)) == 1
         err = capsys.readouterr().err
         assert f"{other}: model tables" in err and "do not match" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("change,message", [
+        (dict(R=np.full((4, 8), np.nan)), "model R has non-finite values"),
+        (dict(R=np.zeros((4, 6))), "model R has width 6; complex-bilinear at dim 8 needs 8"),
+        (dict(kind=np.array("foo")), "unknown model kind 'foo'"),
+        (dict(dim=np.array(6)), "model E has width 8; complex-bilinear at dim 6 needs 6")])
+    @pytest.mark.parametrize("command", ["calibrate", "build-tensor", "ablate"])
+    def test_bad_model_checkpoint(self, pipeline, tmp_path, capsys, command, change,
+                                  message):
+        with np.load(pipeline["model"]) as data:
+            arrays = dict(data)
+        bad = tmp_path / "bad-model.npz"
+        np.savez(bad, **{**arrays, **change})
+        assert main(stage_args(command, pipeline, tmp_path, model=bad)) == 1
+        assert f"{bad}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["build-tensor", "ablate"])

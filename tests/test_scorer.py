@@ -6,6 +6,7 @@ from kgreason.scorer import (
     MODEL_KINDS,
     SettingError,
     TrainConfig,
+    _relation_queries,
     _softmax_ce,
     batch_loss,
     train,
@@ -74,6 +75,21 @@ class TestEmbeddingModel:
         # batched and single-row matmuls may take different BLAS paths
         np.testing.assert_allclose(model.score_row(2, 1), scores[0], atol=1e-14)
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_relation_queries_match_reference(self, kind, rng):
+        model = tiny_model(kind, rng, n=7, m=5, dim=6)
+        pairs = [(2, 5), (0, 0), (6, 3)]
+        logits = _relation_queries(model, *np.array(pairs).T) @ model.R.T
+        for row, (h, t) in zip(logits, pairs):
+            expected = [reference_score(model, h, r, t) for r in range(5)]
+            np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_candidates_are_e_when_the_tail_parts_cover_it_in_order(self, kind, rng):
+        model = tiny_model(kind, rng)
+        assert (model.candidates() is model.E) == (kind in ("complex-bilinear",
+                                                            "diagonal-bilinear"))
+
     def test_save_load_round_trip(self, rng, tmp_path):
         model = tiny_model("canonical-polyadic", rng)
         path = tmp_path / "model.npz"
@@ -110,6 +126,36 @@ class TestEmbeddingModel:
         np.save(single, np.zeros(3))
         with pytest.raises(ValueError, match="not an npz model checkpoint"):
             EmbeddingModel.load(single)
+
+    @pytest.mark.parametrize("change,message", [
+        (dict(version=np.array([1, 1])), "unsupported model checkpoint version"),
+        (dict(version=np.array("one")), "unsupported model checkpoint version"),
+        (dict(version=np.array(1.5)), "unsupported model checkpoint version"),
+        (dict(kind=np.array("foo")), "unknown model kind 'foo'"),
+        (dict(dim=np.array(7)), "dim 7 is not a positive even number"),
+        (dict(dim=np.array(0)), "dim 0 is not a positive even number"),
+        (dict(dim=np.array(6)), "model E has width 8; complex-bilinear at dim 6 needs 6"),
+        (dict(dim=np.array([8, 8])), "is not a positive even number"),
+        (dict(E=np.zeros(8)), "model E is not a 2-D float table"),
+        (dict(E=np.zeros((6, 8), dtype=np.int64)), "model E is not a 2-D float table"),
+        (dict(R=np.zeros((4, 6))), "model R has width 6; complex-bilinear at dim 8 needs 8"),
+        (dict(E=np.full((6, 8), np.nan)), "model E has non-finite values"),
+        (dict(R=np.full((4, 8), np.inf)), "model R has non-finite values")])
+    def test_load_validates_the_checkpoint(self, rng, tmp_path, change, message):
+        model = tiny_model("complex-bilinear", rng, n=6, m=4, dim=8)
+        arrays = dict(version=np.array(1), kind=np.array(model.kind),
+                      dim=np.array(model.dim), E=model.E, R=model.R)
+        path = tmp_path / "model.npz"
+        np.savez(path, **{**arrays, **change})
+        with pytest.raises(ValueError) as err:
+            EmbeddingModel.load(path)
+        assert str(err.value).startswith(f"{path}: ") and message in str(err.value)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_load_accepts_every_kind(self, kind, rng, tmp_path):
+        path = tmp_path / "model.npz"
+        tiny_model(kind, rng, dim=6).save(path)
+        assert EmbeddingModel.load(path).kind == kind
 
     def test_load_rejects_other_versions(self, rng, tmp_path):
         path = tmp_path / "model.npz"
@@ -212,7 +258,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("field,value", [
         ("dim", 0), ("dim", -2), ("dim", 3), ("epochs", 0), ("batch_size", 0),
-        ("batch_size", -5), ("lr", 0.0), ("lr", float("nan"))])
+        ("batch_size", -5), ("lr", 0.0), ("lr", float("nan")), ("kind", "foo")])
     def test_bad_settings_rejected(self, field, value):
         with pytest.raises(SettingError) as err:
             self.config(**{field: value})
