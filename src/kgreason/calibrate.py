@@ -231,6 +231,10 @@ class _AdaptiveRows:
     def n_entities(self) -> int:
         return self._normalized.n_entities
 
+    @property
+    def n_relations(self) -> int:
+        return self._normalized.n_relations
+
     def base_row(self, h: int, r: int) -> tuple[np.ndarray, np.ndarray]:
         key = (h, r)
         row = self._base.get(key)

@@ -1,4 +1,4 @@
-"""Fuzzy-set query propagation with a hand-rolled reverse-mode tape.
+"""Fuzzy-set query propagation, batched over queries of one shape.
 
 Membership vectors are dense float64 arrays over the entity set, every entry
 in [0, 1]. Operators:
@@ -10,12 +10,31 @@ in [0, 1]. Operators:
                                                 relation tensor)
 
 Union is literally the composition above, so the two are bitwise consistent
-by construction. Projection is one kernel for every provider: gather the
-rows of the whole support in one step (vectorized through the CSR offsets
-for a tensor, one row() per head for lazy providers), then max-scatter the
-products; project() states its tie rule. The winning entry of each column
-feeds the backward pass, and the clamped side of any upstream min(., 1)
-contributes zero gradient.
+by construction.
+
+Queries are evaluated in batches. The shape of a query (query_shape) is its
+DAG with the anchor and relation ids lifted out into a parameter row, so
+queries that differ only in their ids share one shape and are evaluated
+together (evaluate_batches): every node holds a (Q, |V|) membership matrix,
+anchors are one-hot rows, and complement, intersect and union work
+elementwise on the matrices. Projection is one kernel, project_batch: gather
+the rows of every (query, source) pair through the provider, in ranges of
+about GATHER_ENTRIES entries measured by the rows' real lengths, and
+max-scatter each range's products into the flat Q * |V| output.
+evaluate(node, provider) is the batch of one and untaped project() the
+kernel at Q = 1. Memberships are bitwise those of each query evaluated
+alone: max is exact and products keep the children's order. BATCH_ENTRIES
+bounds the membership entries of a batch (Q * |V|), GATHER_ENTRIES the
+gathered entries in flight, so memory stays flat at any |V|.
+
+An anchor entity or relation id outside the provider's range raises
+ValueError naming the id, whichever entry point it comes through.
+
+GradientTape and the taped branches of complement, intersect, project and
+evaluate are the gradient API: they record one query's per-op forward pass so
+adjoints can flow back to tensor rows. project() states its tie rule; the
+winning entry of each column feeds the backward pass, and the clamped side
+of any upstream min(., 1) contributes zero gradient.
 """
 
 from __future__ import annotations
@@ -27,16 +46,25 @@ import numpy as np
 
 from .dsl import Anchor, Complement, Intersection, Node, Projection, Union, topo_order
 
+# float64 membership entries per batch: Q * |V|, so max(1, BATCH_ENTRIES // |V|)
+# queries of one shape
+BATCH_ENTRIES = 1 << 16
+# gathered row entries per max-scatter in project_batch
+GATHER_ENTRIES = 1 << 14
+
 
 class RowProvider(Protocol):
     """Sparse access to calibrated relation rows.
 
-    A provider may also implement gather(heads, relation) -> (cols, vals,
-    lens) with the semantics of gather_rows; projection uses it in place of
-    one row() call per head.
+    A provider may also implement gather(heads, rels) -> (cols, vals, lens)
+    with the semantics of gather_rows; projection uses it in place of one
+    row() call per (head, relation) pair, and gather_chunks(heads, rels,
+    limit) (see gather_chunks) to read a long gather in ranges sized by the
+    rows' real lengths.
     """
 
     n_entities: int
+    n_relations: int
 
     def row(self, head: int, relation: int) -> tuple[np.ndarray, np.ndarray]:
         """(tail indices, values) for one (head, relation) row, indices ascending."""
@@ -191,18 +219,21 @@ def union(vectors: Sequence[np.ndarray], tape: GradientTape | None = None) -> np
     return complement(intersect([complement(v, tape) for v in vectors], tape), tape)
 
 
-def gather_rows(provider: RowProvider, heads: np.ndarray, relation: int
+def gather_rows(provider: RowProvider, heads: np.ndarray, rels
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows (head, relation) for every head, concatenated in the given order.
+    """Rows (heads[k], rels[k]) for every k, concatenated in the given order.
 
-    Returns (cols, float64 vals, lens) with lens[k] the length of the k-th
-    head's row. Uses the provider's own gather() when it has one and falls
-    back to one row() call per head otherwise.
+    rels is one relation per head, or a scalar for all of them. Returns
+    (cols, float64 vals, lens) with lens[k] the length of the k-th row. Uses
+    the provider's own gather() when it has one and falls back to one row()
+    call per pair otherwise.
     """
     gather = getattr(provider, "gather", None)
     if gather is not None:
-        return gather(heads, relation)
-    rows = [provider.row(h, relation) for h in np.asarray(heads).tolist()]
+        return gather(heads, rels)
+    heads = np.asarray(heads)
+    pairs = zip(heads.tolist(), np.broadcast_to(rels, heads.shape).tolist())
+    rows = [provider.row(h, r) for h, r in pairs]
     if not rows:
         return np.empty(0, np.int32), np.empty(0, np.float64), np.empty(0, np.int64)
     lens = np.array([idx.shape[0] for idx, _ in rows], dtype=np.int64)
@@ -214,6 +245,58 @@ def gather_rows(provider: RowProvider, heads: np.ndarray, relation: int
     return cols, np.asarray(vals, dtype=np.float64), lens
 
 
+def _check_ids(ids: np.ndarray, size: int, what: str) -> None:
+    if ids.size and not (0 <= ids.min() and ids.max() < size):
+        bad = ids[(ids < 0) | (ids >= size)][0]
+        raise ValueError(f"{what} {int(bad)} out of range (size {size})")
+
+
+def gather_chunks(provider: RowProvider, heads: np.ndarray, rels: np.ndarray):
+    """gather_rows(provider, heads, rels) in consecutive ranges of pairs of
+    about GATHER_ENTRIES entries: yields (start, stop, (cols, vals, lens)) per
+    range. Uses the provider's own gather_chunks(heads, rels, limit) when it
+    has one, which sizes the ranges by the rows' real lengths; otherwise each
+    range holds max(1, GATHER_ENTRIES // |V|) pairs, as if every row were full.
+    """
+    chunks = getattr(provider, "gather_chunks", None)
+    if chunks is not None:
+        yield from chunks(heads, rels, GATHER_ENTRIES)
+        return
+    step = max(1, GATHER_ENTRIES // max(provider.n_entities, 1))
+    for a in range(0, heads.shape[0], step):
+        b = min(a + step, heads.shape[0])
+        yield a, b, gather_rows(provider, heads[a:b], rels[a:b])
+
+
+def project_batch(E: np.ndarray, rels, provider: RowProvider) -> np.ndarray:
+    """Relational images of a batch of fuzzy sets, one relation per row:
+    out[q, j] = max_i E[q, i] * X[i, rels[q], j].
+
+    The one projection kernel. The rows of the (query, source) pairs of E's
+    support, in row-major order, arrive in ranges of about GATHER_ENTRIES
+    entries (gather_chunks), so the working set stays small whatever |V| and
+    the batch size; each range's products are max-scattered into the flat
+    Q * |V| output, then the output is clamped to [0, 1]. Cost scales with
+    the gathered entries; max is exact, so each row equals its query
+    projected alone.
+    """
+    E = np.asarray(E, dtype=np.float64)
+    rels = np.broadcast_to(np.asarray(rels, dtype=np.int64), E.shape[:1])
+    _check_ids(rels, provider.n_relations, "relation")
+    qs, srcs = np.nonzero(E != 0.0)     # a bool mask: numpy's faster nonzero
+    row_at = qs * E.shape[1]            # flat start of each pair's output row
+    weights = E[qs, srcs]
+    out = np.zeros(E.size, dtype=np.float64)
+    for a, b, (cols, vals, lens) in gather_chunks(provider, srcs, rels[qs]):
+        at = np.repeat(row_at[a:b], lens)
+        at += cols
+        cand = np.repeat(weights[a:b], lens)
+        cand *= vals
+        np.maximum.at(out, at, cand)
+    np.minimum(out, 1.0, out=out)   # out >= 0 already: clamp to [0, 1]
+    return out.reshape(E.shape)
+
+
 def project(
     e: np.ndarray,
     relation: int,
@@ -222,13 +305,15 @@ def project(
 ) -> np.ndarray:
     """Relational image of a fuzzy set: out_j = max_i e_i * X[i, relation, j].
 
-    One kernel: gather the rows of the whole support (ascending ids) in one
-    step, multiply each by its source membership and max-scatter the
-    candidates. Cost scales with the gathered entries. When a tape records,
-    each column's winner is its earliest gathered entry whose product is
+    Untaped, this is project_batch at Q = 1. When a tape records, the rows
+    of the whole support (ascending ids) are gathered in one step and each
+    column's winner is its earliest gathered entry whose product is
     positive and equals the maximum; gather order makes that the lowest
     source id.
     """
+    if tape is None:
+        return project_batch(e[None, :], relation, provider)[0]
+    _check_ids(np.array([relation]), provider.n_relations, "relation")
     n = e.shape[0]
     support = np.nonzero(e)[0]
     cols, vals, lens = gather_rows(provider, support, relation)
@@ -237,31 +322,30 @@ def project(
     out = np.zeros(n, dtype=np.float64)
     np.maximum.at(out, cols, cand)
 
-    if tape is not None:
-        # taken before the clamp below; every column with out > 0 has a hit
-        hits = np.nonzero(cand == out[cols])[0]
-        first = np.full(n, cand.shape[0], dtype=np.int64)
-        np.minimum.at(first, cols[hits], hits)
-        win_cols = np.nonzero(out > 0.0)[0]
-        win_pos = first[win_cols]
-        win_src = src[win_pos]
-        win_val = vals[win_pos]
+    # taken before the clamp below; every column with out > 0 has a hit
+    hits = np.nonzero(cand == out[cols])[0]
+    first = np.full(n, cand.shape[0], dtype=np.int64)
+    np.minimum.at(first, cols[hits], hits)
+    win_cols = np.nonzero(out > 0.0)[0]
+    win_pos = first[win_cols]
+    win_src = src[win_pos]
+    win_val = vals[win_pos]
 
-        def backward(g, adjoints, rows, e=e, relation=relation):
-            live = g[win_cols] != 0.0
-            if not live.any():
-                return
-            live_cols = win_cols[live]
-            winners = win_src[live]
-            g_live = g[live_cols]
-            _np_add_at_accumulate(adjoints, e, winners, g_live * win_val[live])
-            row_grad = g_live * e[winners]
-            for i in np.unique(winners):
-                sel = winners == i
-                acc = rows.setdefault((int(i), relation), np.zeros(n, dtype=np.float64))
-                acc[live_cols[sel]] += row_grad[sel]
+    def backward(g, adjoints, rows, e=e, relation=relation):
+        live = g[win_cols] != 0.0
+        if not live.any():
+            return
+        live_cols = win_cols[live]
+        winners = win_src[live]
+        g_live = g[live_cols]
+        _np_add_at_accumulate(adjoints, e, winners, g_live * win_val[live])
+        row_grad = g_live * e[winners]
+        for i in np.unique(winners):
+            sel = winners == i
+            acc = rows.setdefault((int(i), relation), np.zeros(n, dtype=np.float64))
+            acc[live_cols[sel]] += row_grad[sel]
 
-        tape._record(out, backward)
+    tape._record(out, backward)
     np.minimum(out, 1.0, out=out)   # out >= 0 already: clamp to [0, 1]
     return out
 
@@ -274,16 +358,106 @@ def _np_add_at_accumulate(adjoints, target, indices, deltas):
     np.add.at(g, indices, deltas)
 
 
+def query_shape(node: Node) -> tuple[tuple, list[int]]:
+    """(shape, params) of a query: the DAG without its ids, and the ids.
+
+    The shape lists the nodes children first, a shared subtree (same node
+    object) once, each as ("a", slot), ("p", slot, child), ("n", child),
+    ("i", children) or ("u", children), where a child is the position of an
+    earlier node and slot the position in params of the anchor's entity or
+    the projection's relation id.
+    """
+    steps: list[tuple] = []
+    params: list[int] = []
+    at: dict[int, int] = {}
+
+    def visit(nd) -> int:
+        k = at.get(id(nd))
+        if k is not None:
+            if k < 0:
+                raise ValueError("query graph contains a cycle")
+            return k
+        at[id(nd)] = -1
+        if isinstance(nd, Anchor):
+            step = ("a", len(params))
+            params.append(nd.entity)
+        elif isinstance(nd, Projection):
+            child = visit(nd.child)             # the child's ids come first
+            step = ("p", len(params), child)
+            params.append(nd.relation)
+        elif isinstance(nd, Complement):
+            step = ("n", visit(nd.child))
+        elif isinstance(nd, (Intersection, Union)):
+            step = ("i" if isinstance(nd, Intersection) else "u",
+                    tuple([visit(c) for c in nd.children]))
+        else:
+            raise TypeError(f"not a query node: {nd!r}")
+        at[id(nd)] = len(steps)
+        steps.append(step)
+        return at[id(nd)]
+
+    visit(node)
+    return tuple(steps), params
+
+
+def evaluate_shape(shape: tuple, params: np.ndarray, provider: RowProvider) -> np.ndarray:
+    """(Q, |V|) memberships of the Q queries of one shape, params (Q, k)."""
+    n = provider.n_entities
+    params = np.asarray(params, dtype=np.int64)
+    q = params.shape[0]
+    memo: list[np.ndarray] = []
+    for step in shape:
+        op = step[0]
+        if op == "a":
+            entities = params[:, step[1]]
+            _check_ids(entities, n, "anchor entity")
+            v = np.zeros((q, n), dtype=np.float64)
+            v[np.arange(q), entities] = 1.0
+        elif op == "p":
+            v = project_batch(memo[step[2]], params[:, step[1]], provider)
+        elif op == "n":
+            v = complement(memo[step[1]])
+        elif op == "i":
+            v = intersect([memo[c] for c in step[1]])
+        else:
+            v = union([memo[c] for c in step[1]])
+        memo.append(v)
+    return memo[-1]
+
+
+def evaluate_batches(nodes: Sequence[Node], provider: RowProvider):
+    """Evaluate many queries, grouped by shape: yields (positions, memberships)
+    per batch, the indices into nodes of up to max(1, BATCH_ENTRIES // |V|)
+    queries of one shape and their (Q, |V|) membership matrix. Shapes come
+    in order of first appearance, each shape's queries in the given order."""
+    groups: dict[tuple, tuple[list[int], list[list[int]]]] = {}
+    for k, node in enumerate(nodes):
+        shape, params = query_shape(node)
+        positions, rows = groups.setdefault(shape, ([], []))
+        positions.append(k)
+        rows.append(params)
+    step = max(1, BATCH_ENTRIES // max(provider.n_entities, 1))
+    for shape, (positions, rows) in groups.items():
+        params = np.array(rows, dtype=np.int64)
+        for start in range(0, len(positions), step):
+            yield (np.array(positions[start:start + step]),
+                   evaluate_shape(shape, params[start:start + step], provider))
+
+
 def evaluate(
     node: Node,
     provider: RowProvider,
     tape: GradientTape | None = None,
 ) -> MembershipVector:
-    """Propagate fuzzy sets through the query DAG, children first.
+    """Memberships of one query: the batch of one of evaluate_batches.
 
-    Shared subtrees (same node object) are evaluated once and their
+    With a tape, the per-op gradient path instead: the DAG is propagated
+    children first, shared subtrees (same node object) once, and their
     adjoints accumulate across all consumers.
     """
+    if tape is None:
+        shape, params = query_shape(node)
+        return MembershipVector(evaluate_shape(shape, np.array([params]), provider)[0])
     n = provider.n_entities
     memo: dict[int, np.ndarray] = {}
     for nd in topo_order(node):

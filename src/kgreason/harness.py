@@ -5,12 +5,21 @@ explicit edge set; it is the ground truth both for generated answer sets
 and for cross-checking the fuzzy engine on 0/1 tensors. Ranking follows
 the filtered protocol: a hard answer competes only against non-answers,
 ties resolve to the average rank.
+
+evaluate_run evaluates its queries in batches of one shape
+(fuzzy.evaluate_batches) and ranks each batch with one row-wise sort
+(filtered_ranks); the per-query metrics are reduced per batch, with no loop
+over queries.
+rank_hard_answers is the batch of one of filtered_ranks, as fuzzy.evaluate
+is the batch of one of the evaluator. Reports are bitwise those of
+evaluating and ranking each query alone.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -27,7 +36,8 @@ from .dsl import (
     serialize,
     topo_order,
 )
-from .fuzzy import MembershipVector, evaluate
+from . import fuzzy
+from .fuzzy import MembershipVector
 from .graph import SPLITS, KnowledgeGraph
 
 log = logging.getLogger(__name__)
@@ -310,26 +320,51 @@ def generate_queries(kg: KnowledgeGraph, structure: str, count: int, seed: int,
     return records
 
 
-def rank_hard_answers(a, hard, all_answers) -> np.ndarray:
-    """Filtered average ranks of the hard answers, in the order given.
+def _pairs(sets) -> tuple[np.ndarray, np.ndarray]:
+    """(row, id) of every id of sets[row], rows in order, ids as iterated."""
+    lens = [len(ids) for ids in sets]
+    ids = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=sum(lens))
+    return np.repeat(np.arange(len(lens)), lens), ids
 
-    rank = 1 + #{non-answers scored above t} + #{tied non-answers} / 2,
-    counted for all answers at once: one sort of the non-answer values and
-    two searchsorted passes. With `left`/`right` the searchsorted positions
-    among m non-answers this is m + 1 - (left + right) / 2, exact in float64.
+
+def filtered_ranks(values: np.ndarray, answers, hard) -> np.ndarray:
+    """Filtered average ranks of a batch: for every row q of the (Q, |V|)
+    memberships and every entity t of hard[q], in that order, flat,
+
+        rank = 1 + #{non-answers of q scored above t} + #{tied non-answers} / 2,
+
+    with answers[q] all answers of row q. One sort orders every row's values
+    with its answers moved last (to +inf, above any score); then two
+    searchsorted passes per row with hard answers give each hard answer's
+    `left`/`right` position among the row's m non-answers, and
+    rank = m + 1 - (left + right) / 2, exact in float64.
     """
+    is_answer = np.zeros(values.shape, dtype=bool)
+    is_answer[_pairs(answers)] = True
+    rows, cols = _pairs(hard)
+    stray = ~is_answer[rows, cols]
+    if stray.any():
+        raise ValueError(f"entity {int(cols[stray][0])} is not an answer of this query")
+    others = np.where(is_answer, np.inf, values)
+    others.sort(axis=1)
+    at = values[rows, cols]
+    left, right = np.empty((2, rows.shape[0]), dtype=np.int64)
+    start = 0
+    for q, count in enumerate(np.bincount(rows, minlength=values.shape[0]).tolist()):
+        if count:
+            span = slice(start, start + count)
+            left[span] = np.searchsorted(others[q], at[span], side="left")
+            right[span] = np.searchsorted(others[q], at[span], side="right")
+            start += count
+    m = values.shape[1] - np.count_nonzero(is_answer, axis=1)
+    return (m[rows] + 1.0) - (left + right) / 2.0
+
+
+def rank_hard_answers(a, hard, all_answers) -> np.ndarray:
+    """Filtered average ranks of the hard answers, in the order given: the
+    batch of one of filtered_ranks."""
     values = a.values if isinstance(a, MembershipVector) else np.asarray(a)
-    hard = np.fromiter(hard, dtype=np.int64)
-    is_answer = np.zeros(values.shape[0], dtype=bool)
-    is_answer[np.fromiter(all_answers, dtype=np.int64)] = True
-    if not is_answer[hard].all():
-        stray = hard[~is_answer[hard]][0]
-        raise ValueError(f"entity {int(stray)} is not an answer of this query")
-    others = np.sort(values[~is_answer])
-    at = values[hard]
-    left = np.searchsorted(others, at, side="left")
-    right = np.searchsorted(others, at, side="right")
-    return (others.shape[0] + 1.0) - (left + right) / 2.0
+    return filtered_ranks(values[None, :], [list(all_answers)], [list(hard)])
 
 
 def rank_hard_answer(a, t: int, all_answers) -> float:
@@ -380,34 +415,53 @@ class EvalReport:
         return "\t".join(cells)
 
 
-def evaluate_run(tensor, records: list[QueryRecord]) -> EvalReport:
-    """Evaluate queries against a tensor; metrics averaged per structure.
+def _query_metrics(ranks: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per query, the means over its hard answers of 1 / rank and of
+    rank <= k per HITS_LEVELS: (mrr (Q,), hits (len(HITS_LEVELS), Q)).
 
-    Per query, each hard answer is ranked under the filtered protocol;
-    query metrics are the means over its hard answers, structure metrics
-    the means over its queries. avg_p / avg_n average the positive and
-    negation structure groups.
+    ranks holds each query's lens[q] ranks in turn. Queries with the same
+    count are reduced as the rows of one matrix, which sums each row the way
+    a mean over that query's own ranks does.
     """
-    acc_mrr: dict[str, list[float]] = {}
-    acc_hits: dict[str, dict[int, list[float]]] = {}
-    for rec in records:
-        if not rec.hard:
-            continue
-        vec = evaluate(rec.ast, tensor)
-        all_answers = rec.easy | rec.hard
-        ranks = rank_hard_answers(vec, sorted(rec.hard), all_answers).tolist()
-        tag = rec.structure
-        acc_mrr.setdefault(tag, []).append(float(np.mean([1.0 / r for r in ranks])))
-        hit_acc = acc_hits.setdefault(tag, {k: [] for k in HITS_LEVELS})
-        for k in HITS_LEVELS:
-            hit_acc[k].append(float(np.mean([1.0 if r <= k else 0.0 for r in ranks])))
+    starts = np.cumsum(lens) - lens
+    mrr = np.empty(lens.shape[0])
+    hits = np.empty((len(HITS_LEVELS), lens.shape[0]))
+    levels = np.array(HITS_LEVELS)
+    for k in np.unique(lens).tolist():
+        sel = np.nonzero(lens == k)[0]
+        r = ranks[starts[sel, None] + np.arange(k)]
+        mrr[sel] = np.mean(1.0 / r, axis=1)
+        hits[:, sel] = np.mean(r[:, :, None] <= levels, axis=1).T
+    return mrr, hits
+
+
+def evaluate_run(provider, records: list[QueryRecord]) -> EvalReport:
+    """Evaluate queries against a row provider; metrics averaged per structure.
+
+    The queries are evaluated and ranked batch by batch (fuzzy.evaluate_batches,
+    filtered_ranks): each hard answer is ranked under the filtered protocol,
+    query metrics are the means over its hard answers, structure metrics the
+    means over its queries in record order. avg_p / avg_n average the
+    positive and negation structure groups.
+    """
+    ranked = [rec for rec in records if rec.hard]
+    mrr = np.empty(len(ranked))
+    hits = np.empty((len(HITS_LEVELS), len(ranked)))
+    for positions, values in fuzzy.evaluate_batches([rec.ast for rec in ranked], provider):
+        batch = [ranked[k] for k in positions.tolist()]
+        hard = [sorted(rec.hard) for rec in batch]
+        ranks = filtered_ranks(values, [rec.easy | rec.hard for rec in batch], hard)
+        mrr[positions], hits[:, positions] = _query_metrics(
+            ranks, np.array([len(h) for h in hard]))
+    tags = np.array([rec.structure for rec in ranked], dtype=str)
     report = EvalReport()
     for tag in STRUCTURE_ORDER + ("other",):
-        if tag not in acc_mrr:
+        sel = tags == tag
+        if not sel.any():
             continue
-        report.counts[tag] = len(acc_mrr[tag])
-        report.mrr[tag] = float(np.mean(acc_mrr[tag]))
-        report.hits[tag] = {k: float(np.mean(acc_hits[tag][k])) for k in HITS_LEVELS}
+        report.counts[tag] = int(np.count_nonzero(sel))
+        report.mrr[tag] = float(np.mean(mrr[sel]))
+        report.hits[tag] = {k: float(np.mean(row[sel])) for k, row in zip(HITS_LEVELS, hits)}
     pos = [report.mrr[t] for t in POSITIVE_TAGS if t in report.mrr]
     neg = [report.mrr[t] for t in NEGATION_TAGS if t in report.mrr]
     report.avg_p = float(np.mean(pos)) if pos else 0.0

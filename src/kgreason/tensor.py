@@ -126,20 +126,43 @@ class CalibratedTensor:
         s, e = self._span(h, r)
         return self.indices[s:e], self.values[s:e].astype(np.float64)
 
-    def gather(self, heads: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows (h, r) for every h in heads, concatenated: (cols, float64 vals, lens).
-
-        One vectorized gather through the offsets, no per-row Python call.
-        """
+    def _row_ids(self, heads, rels) -> np.ndarray:
+        """Flat row ids h * |R| + r of the pairs (heads[k], rels[k]); rels may
+        be a scalar. Both ids are range checked first: an out-of-range
+        relation would otherwise address another head's row."""
         heads = np.asarray(heads, dtype=np.int64)
-        if heads.size == 1:     # a slice, without the array set-up below
-            s, e = self._span(int(heads[0]), r)
-            return self.indices[s:e], self.values[s:e].astype(np.float64), np.array([e - s])
-        if not 0 <= r < self.n_relations or (
-                heads.size and not (0 <= heads.min() and heads.max() < self.n_entities)):
-            raise IndexError(f"rows of relation {r} out of range")
+        rels = np.asarray(rels, dtype=np.int64)
+        for ids, size, what in ((heads, self.n_entities, "head"),
+                                (rels, self.n_relations, "relation")):
+            if ids.size and not (0 <= ids.min() and ids.max() < size):
+                raise IndexError(f"{what} id out of range [0, {size})")
+        return np.broadcast_to(heads * self.n_relations + rels, heads.shape)
+
+    def gather_chunks(self, heads: np.ndarray, rels, limit: int):
+        """gather(heads, rels) in consecutive ranges of pairs: yields (start,
+        stop, (cols, vals, lens)) per range. A range ends where the running
+        count of entries crosses a multiple of limit, so it holds its first
+        row and fewer than limit entries after it. The ids are checked once.
+        """
+        offsets = self.offsets.view(np.int64)
+        rids = self._row_ids(heads, rels)
+        ends = np.cumsum(offsets[rids + 1] - offsets[rids])
+        total = int(ends[-1]) if ends.size else 0
+        cuts = np.searchsorted(ends, np.arange(limit, total, limit), side="right")
+        bounds = sorted({0, rids.shape[0], *cuts.tolist()})
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            pos, lens = csr_take(offsets, rids[a:b])
+            yield a, b, (self.indices[pos], self.values[pos].astype(np.float64), lens)
+
+    def gather(self, heads: np.ndarray, rels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows (heads[k], rels[k]) for every k, concatenated: (cols, float64
+        vals, lens). rels is one relation per head, or a scalar for all.
+
+        One vectorized gather of the flat row ids through the offsets
+        (csr_take), no per-row Python call.
+        """
         # the view is lossless: offsets are validated to run from 0 to nnz
-        pos, lens = csr_take(self.offsets.view(np.int64), heads * self.n_relations + r)
+        pos, lens = csr_take(self.offsets.view(np.int64), self._row_ids(heads, rels))
         return self.indices[pos], self.values[pos].astype(np.float64), lens
 
     def value(self, h: int, r: int, t: int) -> float:

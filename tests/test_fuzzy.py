@@ -226,14 +226,33 @@ class TestGather:
 
         for heads in ([], [3], [0, 3, 4], list(range(10)), [9, 2, 2]):
             heads = np.array(heads, dtype=np.int64)
-            for r in range(2):
-                got = tensor.gather(heads, r)
-                want = gather_rows(RowsOnly(), heads, r)
+            # a scalar relation for every head, or one relation per head
+            for rels in (0, 1, rng.integers(2, size=heads.size)):
+                got = tensor.gather(heads, rels)
+                want = gather_rows(RowsOnly(), heads, rels)
                 for a, b in zip(got, want):
                     assert a.dtype.kind == b.dtype.kind
                     assert np.array_equal(a, b)
                 assert got[1].dtype == np.float64
-                assert got[2].tolist() == [tensor.row(int(h), r)[0].size for h in heads]
+                pairs = zip(heads.tolist(), np.broadcast_to(rels, heads.shape).tolist())
+                assert got[2].tolist() == [tensor.row(h, r)[0].size for h, r in pairs]
+
+    def test_tensor_gather_chunks_split_gather_by_entries(self, rng):
+        X = sparse_tensor(rng, 10, 2, density=0.3)
+        X[3] = 0.0                                  # empty rows
+        tensor = build_tensor(DenseRows(X), eps=0.0)
+        heads, rels = rng.integers(10, size=40), rng.integers(2, size=40)
+        whole = tensor.gather(heads, rels)
+        for limit in (1, 3, 7, 1 << 30):
+            ranges = list(tensor.gather_chunks(heads, rels, limit))
+            assert [a for a, _, _ in ranges] == [0] + [b for _, b, _ in ranges[:-1]]
+            assert ranges[-1][1] == heads.size
+            for a, b, (cols, vals, lens) in ranges:
+                assert lens.tolist() == whole[2][a:b].tolist()
+                assert lens[1:].sum() < limit       # its first row, then fewer than limit
+            for parts, want in zip(zip(*[r[2] for r in ranges]), whole):
+                assert np.array_equal(np.concatenate(parts), want)
+        assert list(tensor.gather_chunks(heads[:0], rels[:0], 3)) == []
 
     def test_gather_range_checked(self, rng):
         tensor = build_tensor(DenseRows(sparse_tensor(rng, 4, 2)), eps=0.0)
@@ -241,6 +260,13 @@ class TestGather:
             tensor.gather(np.array([4]), 0)
         with pytest.raises(IndexError):
             tensor.gather(np.array([0]), 2)
+        # per-pair relations: each one is checked, a negative one too
+        with pytest.raises(IndexError):
+            tensor.gather(np.array([0, 1]), np.array([0, 2]))
+        with pytest.raises(IndexError):
+            tensor.gather(np.array([0, 1]), np.array([-1, 0]))
+        with pytest.raises(IndexError):
+            next(tensor.gather_chunks(np.array([0, 1]), np.array([0, 2]), 8))
 
 
 # hand-checked 4-entity example: two one-hop branches joined by an
