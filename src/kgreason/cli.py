@@ -198,9 +198,11 @@ def _parse_structures(raw: str) -> list[str]:
     if raw == "train":
         return list(ADAPTATION_STRUCTURES)
     names = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    for name in names:
+    for i, name in enumerate(names):
         if name not in STRUCTURE_ORDER:
             raise UsageError(f"unknown structure {name!r}")
+        if name in names[:i]:
+            raise UsageError(f"--structures names {name!r} twice")
     if not names:
         raise UsageError("no structures given")
     return names
@@ -208,6 +210,8 @@ def _parse_structures(raw: str) -> list[str]:
 
 def cmd_gen_queries(args) -> int:
     structures = _parse_structures(args.structures)
+    if args.count < 1:
+        raise SettingError("count", "must be at least 1")
     kg = _load_graph(args)
     records = []
     for i, structure in enumerate(structures):

@@ -67,9 +67,17 @@ Node = TUnion[Anchor, Projection, Complement, Intersection, Union]
 
 _IDENT = re.compile(r"[^\s\[\](),]+")
 _RAW_ID = re.compile(r"#(\d+)")
+_SPACE = re.compile(r"\s*")
+_COMMA = re.compile(r"\s*,")
+# an operator letter and its bracket, each after optional space; a
+# projection's relation starts after the space past its `[`
+_OPERATOR = re.compile(r"\s*(?:(P)\s*\[\s*|([NIU])\s*\()")
 
 
 class _Parser:
+    """Recursive descent over the text; every token is a compiled pattern
+    matched at `pos`, so no node copies the rest of the text."""
+
     def __init__(self, text: str, entities: Vocab | None, relations: Vocab | None,
                  n_entities: int | None, n_relations: int | None):
         self.text = text
@@ -80,25 +88,17 @@ class _Parser:
         self.n_relations = n_relations
 
     def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _SPACE.match(self.text, self.pos).end()
 
     def _expect(self, ch: str) -> None:
-        self._skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            found = self.text[self.pos] if self.pos < len(self.text) else "end of input"
-            raise QueryParseError(f"expected {ch!r}, found {found!r}", self.pos)
-        self.pos += 1
-
-    def _peek_op(self) -> str | None:
-        """Two-char lookahead: operator letter followed by its bracket."""
-        m = re.match(r"(P\s*\[)|(N\s*\()|(I\s*\()|(U\s*\()", self.text[self.pos:])
-        if m is None:
-            return None
-        return self.text[self.pos]
+        pos = _SPACE.match(self.text, self.pos).end()
+        if not self.text.startswith(ch, pos):
+            found = self.text[pos] if pos < len(self.text) else "end of input"
+            raise QueryParseError(f"expected {ch!r}, found {found!r}", pos)
+        self.pos = pos + 1
 
     def _symbol(self, vocab: Vocab | None, kind: str, size: int | None) -> int:
-        self._skip_ws()
+        """The entity or relation at pos, which the caller has moved past space."""
         m = _RAW_ID.match(self.text, self.pos)
         if m is not None:
             raw = int(m.group(1))
@@ -121,46 +121,33 @@ class _Parser:
         self.pos = m.end()
         return vocab.id(name)
 
-    def _arguments(self) -> list[Node]:
-        self._expect("(")
-        args = [self.query()]
-        while True:
-            self._skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] == ",":
-                self.pos += 1
-                args.append(self.query())
-            else:
-                break
-        self._expect(")")
-        return args
-
     def query(self) -> Node:
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            raise QueryParseError("unexpected end of input", self.pos)
-        op = self._peek_op()
-        if op == "P":
-            self.pos += 1
-            self._expect("[")
+        m = _OPERATOR.match(self.text, self.pos)
+        if m is None:
+            self._skip_ws()
+            if self.pos >= len(self.text):
+                raise QueryParseError("unexpected end of input", self.pos)
+            return Anchor(self._symbol(self.entities, "entity", self.n_entities))
+        self.pos = m.end()
+        if m.group(1):
             rel = self._symbol(self.relations, "relation", self.n_relations)
             self._expect("]")
             self._expect("(")
             child = self.query()
             self._expect(")")
             return Projection(rel, child)
+        op = m.group(2)
+        args = [self.query()]
         if op == "N":
-            self.pos += 1
-            self._expect("(")
-            child = self.query()
             self._expect(")")
-            return Complement(child)
-        if op in ("I", "U"):
-            self.pos += 1
-            args = self._arguments()
-            if len(args) < 2:
-                raise QueryParseError(f"{op} needs at least 2 operands", self.pos)
-            return Intersection(tuple(args)) if op == "I" else Union(tuple(args))
-        return Anchor(self._symbol(self.entities, "entity", self.n_entities))
+            return Complement(args[0])
+        while (m := _COMMA.match(self.text, self.pos)) is not None:
+            self.pos = m.end()
+            args.append(self.query())
+        self._expect(")")
+        if len(args) < 2:
+            raise QueryParseError(f"{op} needs at least 2 operands", self.pos)
+        return Intersection(tuple(args)) if op == "I" else Union(tuple(args))
 
 
 def parse(text: str, entities: Vocab | None = None, relations: Vocab | None = None,

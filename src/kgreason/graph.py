@@ -1,13 +1,16 @@
 """Knowledge-graph storage: vocabularies, triplet splits, adjacency indexing.
 
-Graphs are read-only after construction. Entity/relation ids are dense
-non-negative integers assigned in first-appearance order (train file first,
-then validation, then test), which keeps runs reproducible.
+Graphs are read-only after construction, so each split scope has one cached
+tail index, (head, relation) -> frozenset of tails; `adjacency` is its
+sorted int32 view. Entity/relation ids are dense non-negative integers
+assigned in first-appearance order (train file first, then validation, then
+test), which keeps runs reproducible.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import defaultdict
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -145,6 +148,8 @@ class KnowledgeGraph:
             len(relations) if base_relation_count is None else base_relation_count
         )
         self.has_inverses = has_inverses
+        self._tails: dict[tuple[str, ...], dict[tuple[int, int], frozenset[int]]] = {}
+        self._incoming: dict[tuple[str, ...], dict[int, list[tuple[int, int]]]] = {}
         self._adjacency: dict[tuple[str, ...], dict[tuple[int, int], np.ndarray]] = {}
 
     @property
@@ -164,23 +169,48 @@ class KnowledgeGraph:
             out.extend(self.splits[name])
         return out
 
-    def adjacency(self, splits: tuple[str, ...] = ("train",)) -> dict[tuple[int, int], np.ndarray]:
-        """(head, relation) -> sorted unique tail array over the split union. Cached."""
+    def tail_index(self, splits: tuple[str, ...] = ("train",)
+                   ) -> dict[tuple[int, int], frozenset[int]]:
+        """(head, relation) -> frozenset of tails over the split union.
+
+        Built once per scope and cached; one entry per (head, relation) with
+        an edge, so it holds O(edges) ids. Keys are in first-edge order.
+        """
         key = tuple(splits)
-        cached = self._adjacency.get(key)
-        if cached is not None:
-            return cached
-        raw: dict[tuple[int, int], list[int]] = {}
-        for name in splits:
+        index = self._tails.get(key)
+        if index is not None:
+            return index
+        raw: dict[tuple[int, int], list[int]] = defaultdict(list)
+        for name in key:
             if name not in self.splits:
                 raise KeyError(f"unknown split {name!r}")
             for h, r, t in self.splits[name]:
-                raw.setdefault((h, r), []).append(t)
-        adj = {
-            hr: np.unique(np.asarray(tails, dtype=np.int32)) for hr, tails in raw.items()
-        }
-        self._adjacency[key] = adj
-        return adj
+                raw[(h, r)].append(t)
+        index = {hr: frozenset(tails) for hr, tails in raw.items()}
+        self._tails[key] = index
+        return index
+
+    def incoming(self, splits: tuple[str, ...] = ("train",)) -> dict[int, list[tuple[int, int]]]:
+        """tail -> (head, relation) of every edge into it over the split union,
+        in edge order. Cached."""
+        key = tuple(splits)
+        index = self._incoming.get(key)
+        if index is None:
+            raw: dict[int, list[tuple[int, int]]] = defaultdict(list)
+            for h, r, t in self.edges(key):
+                raw[t].append((h, r))
+            index = self._incoming[key] = dict(raw)
+        return index
+
+    def adjacency(self, splits: tuple[str, ...] = ("train",)) -> dict[tuple[int, int], np.ndarray]:
+        """tail_index as sorted int32 tail arrays. Cached."""
+        key = tuple(splits)
+        cached = self._adjacency.get(key)
+        if cached is None:
+            cached = {hr: np.array(sorted(tails), dtype=np.int32)
+                      for hr, tails in self.tail_index(key).items()}
+            self._adjacency[key] = cached
+        return cached
 
     def neighbors(self, h: int, r: int, splits: tuple[str, ...] = ("train",)) -> np.ndarray:
         """Exact tail set of (h, r) over the requested split union."""

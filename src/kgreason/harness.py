@@ -2,9 +2,19 @@
 
 The brute-force oracle answers queries with classical set semantics over an
 explicit edge set; it is the ground truth both for generated answer sets
-and for cross-checking the fuzzy engine on 0/1 tensors. Ranking follows
-the filtered protocol: a hard answer competes only against non-answers,
-ties resolve to the average rank.
+and for cross-checking the fuzzy engine on 0/1 tensors. It evaluates the
+query recursively over the graph's cached tail index of one split scope,
+KnowledgeGraph.tail_index: (head, relation) -> frozenset of tails, one
+entry per pair with an edge, so O(edges) memory. A complement inside an
+intersection is a set difference. The query sampler reads the same index
+and the graph's cached incoming-edge lists, so its tables are built once
+per (graph, scope), not once per structure. Numerical contract: for a
+seed the sampler makes a fixed sequence of draws and the answers are exact
+sets, so a query file is reproducible byte for byte (tests pin the sha256
+of a fixed graph's files).
+
+Ranking follows the filtered protocol: a hard answer competes only against
+non-answers, ties resolve to the average rank.
 
 evaluate_run evaluates its queries in batches of one shape
 (fuzzy.evaluate_batches) and ranks each batch with one row-wise sort
@@ -33,8 +43,6 @@ from .dsl import (
     Projection,
     QueryRecord,
     Union,
-    serialize,
-    topo_order,
 )
 from . import fuzzy
 from .fuzzy import MembershipVector
@@ -46,10 +54,12 @@ STRUCTURE_ORDER = POSITIVE_TAGS + NEGATION_TAGS
 
 HITS_LEVELS = (1, 3, 10)
 
+# per generation split: the edges its easy answers use, and the edges it
+# samples from, whose further answers are its hard ones
 _SPLIT_SCOPES = {
-    "train": ("train",),
-    "validation": ("train", "validation"),
-    "test": SPLITS,
+    "train": (("train",), ("train",)),
+    "validation": (("train",), ("train", "validation")),
+    "test": (("train", "validation"), SPLITS),
 }
 
 
@@ -57,47 +67,56 @@ class SamplingBudgetError(RuntimeError):
     """Query sampling ran out of attempts; the graph is too sparse."""
 
 
+_NONE: frozenset[int] = frozenset()
+
+
+def _answers(node: Node, tails: dict[tuple[int, int], frozenset[int]],
+             n_entities: int) -> frozenset[int]:
+    """Classical answers of node over one tail index. A complement inside an
+    intersection is a set difference; only a complement with no positive
+    sibling is taken against the universe, which is why anchors must lie in it."""
+    if isinstance(node, Anchor):
+        if not 0 <= node.entity < n_entities:
+            raise ValueError(f"anchor entity {node.entity} out of range (size {n_entities})")
+        return frozenset((node.entity,))
+    if isinstance(node, Projection):
+        r = node.relation
+        return _NONE.union(*[tails.get((h, r), _NONE)
+                             for h in _answers(node.child, tails, n_entities)])
+    if isinstance(node, Intersection):
+        kept = [_answers(c, tails, n_entities) for c in node.children
+                if not isinstance(c, Complement)]
+        dropped = [_answers(c.child, tails, n_entities) for c in node.children
+                   if isinstance(c, Complement)]
+        if not kept:
+            kept = [frozenset(range(n_entities))]
+        return frozenset.intersection(*kept).difference(*dropped)
+    if isinstance(node, Union):
+        return _NONE.union(*[_answers(c, tails, n_entities) for c in node.children])
+    if isinstance(node, Complement):
+        return frozenset(range(n_entities)) - _answers(node.child, tails, n_entities)
+    raise TypeError(f"not a query node: {node!r}")
+
+
 def brute_force_answers(node: Node, kg: KnowledgeGraph,
                         splits: tuple[str, ...] = SPLITS) -> frozenset[int]:
     """Classical-semantics answers over the union of the given splits."""
-    universe = frozenset(range(kg.n_entities))
-    answers: dict[int, frozenset[int]] = {}
-    for nd in topo_order(node):
-        if isinstance(nd, Anchor):
-            result = frozenset((nd.entity,))
-        elif isinstance(nd, Projection):
-            reached: set[int] = set()
-            for v in answers[id(nd.child)]:
-                reached.update(kg.neighbors(v, nd.relation, splits).tolist())
-            result = frozenset(reached)
-        elif isinstance(nd, Complement):
-            result = universe - answers[id(nd.child)]
-        elif isinstance(nd, Intersection):
-            result = frozenset.intersection(*(answers[id(c)] for c in nd.children))
-        elif isinstance(nd, Union):
-            result = frozenset.union(*(answers[id(c)] for c in nd.children))
-        else:
-            raise TypeError(f"not a query node: {nd!r}")
-        answers[id(nd)] = result
-    return answers[id(node)]
+    return _answers(node, kg.tail_index(splits), kg.n_entities)
 
 
 def split_answers(node: Node, kg: KnowledgeGraph) -> tuple[frozenset[int], frozenset[int]]:
     """(easy, hard): reachable without test edges vs. only with them."""
-    easy = brute_force_answers(node, kg, ("train", "validation"))
-    full = brute_force_answers(node, kg, SPLITS)
-    return easy, full - easy
+    return _scope_answers(node, kg, "test")
 
 
 def _scope_answers(node: Node, kg: KnowledgeGraph, split: str):
-    """easy/hard convention per generation split."""
-    if split == "train":
-        return brute_force_answers(node, kg, ("train",)), frozenset()
-    if split == "validation":
-        easy = brute_force_answers(node, kg, ("train",))
-        full = brute_force_answers(node, kg, ("train", "validation"))
-        return easy, full - easy
-    return split_answers(node, kg)
+    """easy/hard convention per generation split: easy answers over the
+    split's known edges, hard ones over its whole scope less the easy ones."""
+    known, scope = _SPLIT_SCOPES[split]
+    easy = brute_force_answers(node, kg, known)
+    if scope == known:
+        return easy, _NONE
+    return easy, brute_force_answers(node, kg, scope) - easy
 
 
 class _EdgeSampler:
@@ -105,16 +124,12 @@ class _EdgeSampler:
 
     def __init__(self, kg: KnowledgeGraph, splits: tuple[str, ...],
                  rng: np.random.Generator):
-        self.kg = kg
-        self.splits = splits
         self.rng = rng
-        edges = kg.edges(splits)
-        if not edges:
+        self.edges = kg.edges(splits)
+        if not self.edges:
             raise SamplingBudgetError(f"no edges in splits {splits}")
-        self.edges = edges
-        self.incoming: dict[int, list[tuple[int, int]]] = {}
-        for h, r, t in edges:
-            self.incoming.setdefault(t, []).append((h, r))
+        self.incoming = kg.incoming(splits)
+        self.tails = kg.tail_index(splits)
 
     def any_edge(self) -> tuple[int, int, int]:
         return self.edges[int(self.rng.integers(len(self.edges)))]
@@ -143,8 +158,7 @@ class _EdgeSampler:
         """(head, relation) whose tail set misses `avoid`."""
         for _ in range(tries):
             h, r, _ = self.any_edge()
-            tails = self.kg.neighbors(h, r, self.splits)
-            if avoid not in tails:
+            if avoid not in self.tails[(h, r)]:
                 return h, r
         return None
 
@@ -156,10 +170,8 @@ class _EdgeSampler:
             if into is None:
                 continue
             h, r1 = into
-            reached: set[int] = set()
-            for mid in self.kg.neighbors(h, r1, self.splits).tolist():
-                reached.update(self.kg.neighbors(mid, r2, self.splits).tolist())
-            if avoid not in reached:
+            if not any(avoid in self.tails.get((mid, r2), _NONE)
+                       for mid in self.tails[(h, r1)]):
                 return h, r1, r2
         return None
 
@@ -291,9 +303,9 @@ def generate_queries(kg: KnowledgeGraph, structure: str, count: int, seed: int,
     if split not in _SPLIT_SCOPES:
         raise ValueError(f"unknown split {split!r}")
     rng = np.random.default_rng(seed)
-    sampler = _EdgeSampler(kg, _SPLIT_SCOPES[split], rng)
+    sampler = _EdgeSampler(kg, _SPLIT_SCOPES[split][1], rng)
     records: list[QueryRecord] = []
-    seen: set[str] = set()
+    seen: set[Node] = set()
     budget = max(count * 200, 1000)
     attempts = 0
     while len(records) < count:
@@ -306,8 +318,7 @@ def generate_queries(kg: KnowledgeGraph, structure: str, count: int, seed: int,
         node = _instantiate(structure, sampler)
         if node is None:
             continue
-        key = serialize(node)
-        if key in seen:
+        if node in seen:
             continue
         easy, hard = _scope_answers(node, kg, split)
         if split == "train":
@@ -315,7 +326,7 @@ def generate_queries(kg: KnowledgeGraph, structure: str, count: int, seed: int,
                 continue
         elif not hard:
             continue
-        seen.add(key)
+        seen.add(node)
         records.append(QueryRecord(node, easy, hard))
     return records
 

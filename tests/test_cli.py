@@ -248,6 +248,22 @@ class TestPipeline:
         assert code == 2
         assert "unknown structure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_gen_queries_count_below_one(self, pipeline, tmp_path, capsys, count):
+        out = tmp_path / "q.txt"
+        code = main(["gen-queries", *pipeline["flags"], "--structures", "1p",
+                     "--count", count, "--out", str(out)])
+        assert code == 2
+        assert "error: --count must be at least 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_gen_queries_repeated_structure(self, pipeline, tmp_path, capsys):
+        code = main(["gen-queries", *pipeline["flags"], "--structures", "1p,2i,1p",
+                     "--count", "3", "--out", str(tmp_path / "q.txt")])
+        assert code == 2
+        assert "error: --structures names '1p' twice" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_ablate_writes_per_mode_reports(self, pipeline, tmp_path, capsys):
         out_dir = tmp_path / "ablation"
         code = main(["ablate", *pipeline["flags"], "--model",

@@ -97,6 +97,83 @@ class TestParse:
             pytest.fail("expected a parse error")
 
 
+# (text, with the ENTS/RELS vocabularies, message, position), recorded from
+# the character-stepping parser the compiled patterns replaced
+PARSE_ERRORS = [
+    ("", True, "unexpected end of input", 0),
+    ("   ", False, "unexpected end of input", 3),
+    ("P", True, "unknown entity 'P'", 0),
+    ("P", False, "entity name 'P' needs a vocabulary; use #<id> instead", 0),
+    ("P[", True, "expected relation name, found 'end of input'", 2),
+    ("P[likes", True, "expected ']', found 'end of input'", 7),
+    ("P[likes", False, "relation name 'likes' needs a vocabulary; use #<id> instead", 2),
+    ("P[likes]", True, "expected '(', found 'end of input'", 8),
+    ("P[likes](", True, "unexpected end of input", 9),
+    ("P[likes](alice", True, "expected ')', found 'end of input'", 14),
+    ("P[likes](alice))", True, "trailing input ')'", 15),
+    ("P [ likes ] ( alice ) x", True, "trailing input 'x'", 22),
+    ("P [ likes ] ( alice ) x", False,
+     "relation name 'likes' needs a vocabulary; use #<id> instead", 4),
+    ("N(alice", True, "expected ')', found 'end of input'", 7),
+    ("N alice", True, "unknown entity 'N'", 0),
+    ("N(#0,#1)", False, "expected ')', found ','", 4),
+    ("I(alice)", True, "I needs at least 2 operands", 8),
+    ("U(#1)", False, "U needs at least 2 operands", 5),
+    ("I(alice,)", True, "expected entity name, found ')'", 8),
+    ("I(,alice)", True, "expected entity name, found ','", 2),
+    ("I(#0 #1)", False, "expected ')', found '#'", 5),
+    ("U(#0,#1,)", False, "expected entity name, found ')'", 8),
+    ("P[zzz](alice)", True, "unknown relation 'zzz'", 2),
+    ("P[likes](zzz)", True, "unknown entity 'zzz'", 9),
+    ("P[#5](alice)", True, "relation id 5 out of range (size 2)", 2),
+    ("P[likes](#9)", True, "entity id 9 out of range (size 3)", 9),
+    ("P[#5](alice)", False, "entity name 'alice' needs a vocabulary; use #<id> instead", 6),
+    ("#", True, "unknown entity '#'", 0),
+    ("#x", False, "entity name '#x' needs a vocabulary; use #<id> instead", 0),
+    ("P[](alice)", True, "expected relation name, found ']'", 2),
+    ("P(alice)", True, "unknown entity 'P'", 0),
+    ("N[alice]", True, "unknown entity 'N'", 0),
+    ("I[#0,#1]", False, "entity name 'I' needs a vocabulary; use #<id> instead", 0),
+    ("(alice)", True, "expected entity name, found '('", 0),
+    (")", False, "expected entity name, found ')'", 0),
+    ("alice bob", True, "trailing input 'bob'", 6),
+    ("alice,bob", True, "trailing input ',bob'", 5),
+    ("P\n[likes]\t(alice)   )", True, "trailing input ')'", 20),
+    ("I( P[likes](alice) , N( P[knows](bob) ) ", True, "expected ')', found 'end of input'", 40),
+    ("Palice", True, "unknown entity 'Palice'", 0),
+    ("P[likes]]", True, "expected '(', found ']'", 8),
+    ("P[likes](alice,bob)", True, "expected ')', found ','", 14),
+    ("N()", False, "expected entity name, found ')'", 2),
+    ("I()", True, "expected entity name, found ')'", 2),
+    ("P[#1](#3", False, "expected ')', found 'end of input'", 8),
+    ("\xa0P[likes](alice)\u2003x", True, "trailing input 'x'", 17),
+    ("P[#1\u2003](#12abc)", False, "expected ')', found 'a'", 10),
+]
+
+
+@pytest.mark.parametrize("text,vocab,message,pos", PARSE_ERRORS)
+def test_parse_error_message_and_position(text, vocab, message, pos):
+    with pytest.raises(QueryParseError) as err:
+        parse(text, *((ENTS, RELS) if vocab else ()))
+    assert err.value.pos == pos
+    assert str(err.value) == f"at position {pos}: {message}"
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_space_between_tokens_is_ignored(data):
+    """Any run of whitespace between tokens parses to the same AST."""
+    node = data.draw(_asts())
+    text = serialize(node)
+    cuts = [i for i in range(len(text) + 1)
+            if i in (0, len(text)) or not (text[i - 1].isalnum() or text[i - 1] == "#")
+            or not text[i].isalnum()]
+    spaces = st.text(alphabet=" \t\n\xa0\u2003", max_size=2)
+    padded = "".join(data.draw(spaces) + text[a:b]
+                     for a, b in zip(cuts, cuts[1:] + [len(text)])) + data.draw(spaces)
+    assert parse(padded) == node
+
+
 class TestSerialize:
     def test_names_when_safe(self):
         node = p(0, Anchor(1))

@@ -185,6 +185,40 @@ def test_adjacency_is_cached(toy_kg):
     assert toy_kg.adjacency(("train",)) is first
 
 
+def test_tail_index_is_the_split_union(rng):
+    kg = random_kg(rng, 12, 3, 70)
+    for scope in (("train",), ("train", "validation"), ("train", "validation", "test")):
+        want = {}
+        for h, r, t in kg.edges(scope):
+            want.setdefault((h, r), set()).add(t)
+        index = kg.tail_index(scope)
+        assert index == want
+        assert all(isinstance(tails, frozenset) for tails in index.values())
+        assert kg.tail_index(scope) is index
+
+
+def test_incoming_lists_every_edge_in_order(rng):
+    kg = random_kg(rng, 12, 3, 70)
+    scope = ("train", "test")
+    incoming = kg.incoming(scope)
+    assert kg.incoming(scope) is incoming
+    flat = [(h, r, t) for t, pairs in incoming.items() for h, r in pairs]
+    assert sorted(flat) == sorted(kg.edges(scope))
+    for t, pairs in incoming.items():
+        assert pairs == [(h, r) for h, r, t2 in kg.edges(scope) if t2 == t]
+
+
+def test_adjacency_is_the_tail_index_sorted(rng):
+    kg = random_kg(rng, 12, 3, 70)
+    scope = ("train", "validation")
+    adjacency = kg.adjacency(scope)
+    index = kg.tail_index(scope)
+    assert list(adjacency) == list(index)
+    for hr, tails in adjacency.items():
+        assert tails.dtype == np.int32
+        assert tails.tolist() == sorted(index[hr])
+
+
 def test_neighbors_sorted_unique(rng):
     kg = random_kg(rng, 15, 3, 80)
     for (h, r), tails in kg.adjacency(("train", "validation", "test")).items():

@@ -1,12 +1,28 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kgreason.dsl import QueryRecord, classify_structure, parse, serialize
+from kgreason.dsl import (
+    Anchor,
+    Complement,
+    Intersection,
+    Projection,
+    QueryRecord,
+    Union,
+    classify_structure,
+    parse,
+    serialize,
+    write_queries,
+)
 from kgreason.fuzzy import DenseRows, MembershipVector
 from kgreason.harness import (
     HITS_LEVELS,
     STRUCTURE_ORDER,
     SamplingBudgetError,
+    _scope_answers,
     brute_force_answers,
     evaluate_run,
     generate_queries,
@@ -14,9 +30,12 @@ from kgreason.harness import (
     rank_hard_answers,
     split_answers,
 )
+from kgreason import harness
 from kgreason.tensor import indicator_tensor
 
 from conftest import crisp_answers, kg_edge_map, make_kg, random_ast, random_kg
+
+SPLITS = ("train", "validation", "test")
 
 
 class TestBruteForce:
@@ -41,10 +60,95 @@ class TestBruteForce:
             got = brute_force_answers(node, kg, splits)
             assert got == crisp_answers(node, kg_edge_map(kg, splits), n)
 
+    @pytest.mark.parametrize("node,entity", [
+        (Anchor(4), 4),
+        (Intersection((Anchor(4), Complement(Projection(0, Anchor(0))))), 4),
+        (Projection(0, Anchor(-1)), -1)])
+    def test_anchor_outside_the_graph_raises(self, toy_kg, node, entity):
+        with pytest.raises(ValueError, match=f"anchor entity {entity} out of range"):
+            brute_force_answers(node, toy_kg)
+
     def test_split_scoping(self, toy_kg):
         node = parse("P[knows](a)", toy_kg.entities, toy_kg.relations)
         assert brute_force_answers(node, toy_kg, ("train",)) == frozenset()
         assert brute_force_answers(node, toy_kg) == {3}
+
+
+def _queries(n, m):
+    anchors = st.builds(Anchor, st.integers(0, n - 1))
+
+    def extend(children):
+        operands = st.lists(children, min_size=2, max_size=3).map(tuple)
+        return st.one_of(
+            st.builds(Projection, st.integers(0, m - 1), children),
+            st.builds(Complement, children),
+            st.builds(Intersection, operands),
+            st.builds(Union, operands),
+        )
+
+    return st.recursive(anchors, extend, max_leaves=6)
+
+
+# an intersection of complements only, a bare complement, and projections
+# from (head, relation) pairs that have no edge in the example graph
+_EDGE_CASES = [
+    Intersection((Complement(Projection(0, Anchor(0))), Complement(Anchor(1)))),
+    Complement(Projection(1, Anchor(2))),
+    Projection(2, Projection(0, Anchor(2))),
+    Intersection((Projection(2, Anchor(0)), Complement(Projection(2, Anchor(1))))),
+]
+_EDGE_CASE_KG = make_kg(4, 3, {"train": [(0, 0, 1), (1, 1, 2)], "validation": [(0, 0, 2)],
+                               "test": [(2, 0, 3), (1, 0, 0)]})
+
+
+@st.composite
+def _graph_and_query(draw):
+    """A graph of up to 9 entities and 3 relations with random splits, in
+    which most (head, relation) pairs have no edge, and a query over it."""
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(1, 3))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1),
+                                    st.integers(0, n - 1)), unique=True, max_size=30))
+    where = draw(st.lists(st.sampled_from(SPLITS), min_size=len(edges),
+                          max_size=len(edges)))
+    kg = make_kg(n, m, {s: [e for e, w in zip(edges, where) if w == s] for s in SPLITS})
+    return kg, draw(_queries(n, m))
+
+
+class TestOracleAgainstReference:
+    """brute_force_answers and _scope_answers against the recursive set
+    reference conftest.crisp_answers, in every generation scope."""
+
+    @staticmethod
+    def crisp(node, kg, splits):
+        return frozenset(crisp_answers(node, kg_edge_map(kg, splits), kg.n_entities))
+
+    def check(self, kg, node):
+        for scope in (("train",), ("train", "validation"), SPLITS):
+            assert brute_force_answers(node, kg, scope) == self.crisp(node, kg, scope)
+        train = self.crisp(node, kg, ("train",))
+        known = self.crisp(node, kg, ("train", "validation"))
+        full = self.crisp(node, kg, SPLITS)
+        assert _scope_answers(node, kg, "train") == (train, frozenset())
+        assert _scope_answers(node, kg, "validation") == (train, known - train)
+        assert _scope_answers(node, kg, "test") == (known, full - known)
+
+    @given(_graph_and_query())
+    @settings(max_examples=300, deadline=None)
+    def test_random_graphs_and_queries(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("node", _EDGE_CASES)
+    def test_edge_cases(self, node):
+        self.check(_EDGE_CASE_KG, node)
+
+    def test_edge_cases_are_what_they_say(self):
+        all_negated, bare, _, _ = _EDGE_CASES
+        assert all(isinstance(c, Complement) for c in all_negated.children)
+        assert brute_force_answers(all_negated, _EDGE_CASE_KG, ("train",)) == {0, 2, 3}
+        assert brute_force_answers(bare, _EDGE_CASE_KG) == {0, 1, 2, 3}
+        tails = _EDGE_CASE_KG.tail_index(SPLITS)
+        assert (2, 2) not in tails and (1, 2) not in tails
 
 
 class TestSplitAnswers:
@@ -125,6 +229,55 @@ class TestGenerateQueries:
         kg = make_kg(4, 1, {})
         with pytest.raises(SamplingBudgetError, match="no edges"):
             generate_queries(kg, "1p", count=1, seed=0)
+
+    def test_cached_tables_keep_the_budget_errors(self):
+        kg = make_kg(4, 1, {"test": [(2, 0, 3)]})
+        for _ in range(2):
+            assert generate_queries(kg, "1p", count=1, seed=0)
+            with pytest.raises(SamplingBudgetError, match="attempts"):
+                generate_queries(kg, "3i", count=5, seed=0)
+            with pytest.raises(SamplingBudgetError, match="no edges"):
+                generate_queries(kg, "1p", count=1, seed=0, split="train")
+
+    def test_sampler_tables_built_once_per_graph_and_scope(self, monkeypatch):
+        samplers = []
+
+        class Recorded(harness._EdgeSampler):
+            def __init__(self, *args):
+                super().__init__(*args)
+                samplers.append(self)
+
+        monkeypatch.setattr(harness, "_EdgeSampler", Recorded)
+        kg = random_kg(np.random.default_rng(5), 20, 3, 150)
+        for split in ("test", "train"):
+            for structure in STRUCTURE_ORDER:
+                generate_queries(kg, structure, count=2, seed=1, split=split)
+        for scope, group in ((SPLITS, samplers[:14]), (("train",), samplers[14:])):
+            assert all(s.incoming is kg.incoming(scope) for s in group)
+            assert all(s.tails is kg.tail_index(scope) for s in group)
+        assert samplers[0].incoming is not samplers[14].incoming
+
+
+# sha256 of write_queries output for the graph below, 5 queries of every
+# structure per split; recorded from the numpy-per-node oracle the set
+# oracle replaced, so a change to the draws or the answers shows here
+_GOLDEN = {
+    "train": "5544210d0ea02966a78100cd527144fcd8de3c39dbe60a937d653c811e2b343d",
+    "validation": "82edd13f49a09ac15867adf333338bf3467eb090969acc5bb9a8e6dd720962aa",
+    "test": "7e53d73d4b08e1bc7a8701c2813e6e8a0c43ea6acf5224f7c4192afb60565174",
+}
+
+
+@pytest.mark.parametrize("split", sorted(_GOLDEN))
+def test_query_files_match_recorded_digest(tmp_path, split):
+    kg = random_kg(np.random.default_rng(7), 30, 4, 260)
+    records = []
+    for i, structure in enumerate(STRUCTURE_ORDER):
+        records += generate_queries(kg, structure, 5, seed=100 + i, split=split)
+    path = tmp_path / "queries"
+    write_queries(path, records)
+    assert len(records) == 5 * len(STRUCTURE_ORDER)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN[split]
 
 
 class TestRankHardAnswer:
