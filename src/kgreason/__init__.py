@@ -17,7 +17,6 @@ from kgreason.dsl import (
     classify_structure,
     parse,
     serialize,
-    topo_order,
 )
 from kgreason.fuzzy import GradientTape, MembershipVector, complement, evaluate, intersect, project, union
 from kgreason.scorer import EmbeddingModel, TrainConfig, train

@@ -64,9 +64,7 @@ class NormalizedScorer:
         self.alpha = float(alpha)
         # (|V|, |R|) row scales N: distinct train tails, alpha where none
         n, m = model.n_entities, model.n_relations
-        train = np.asarray(kg.triplets("train"), dtype=np.int64).reshape(-1, 3)
-        keys = np.unique((train[:, 0] * m + train[:, 1]) * n + train[:, 2])
-        counts = np.bincount(keys // n, minlength=n * m).reshape(n, m)
+        counts = np.bincount(kg.edge_keys(("train",)) // n, minlength=n * m).reshape(n, m)
         self.scales = np.where(counts > 0, counts, self.alpha)
 
     @property
@@ -123,10 +121,6 @@ class AdaptationMatrix:
 
     theta: np.ndarray
 
-    @property
-    def W(self) -> np.ndarray:
-        return np.exp(self.theta)
-
     @classmethod
     def zeros(cls, n_entities: int, n_relations: int) -> "AdaptationMatrix":
         return cls(np.zeros((n_entities, n_relations), dtype=np.float64))
@@ -174,25 +168,20 @@ class CalibrationConfig:
 class CalibratedRows:
     """Row provider over the full calibration chain.
 
-    theta and pins are optional, giving the three ablation variants. Rows
-    are recomputed per call; the tensor builder materializes them once,
-    block by block, through row_block.
+    theta and pin_keys are optional, giving the three ablation variants;
+    pin_keys is a sorted array of (h * |R| + r) * |V| + tail, as
+    KnowledgeGraph.edge_keys returns. Rows are recomputed per call; the
+    tensor builder materializes them once, block by block, through row_block.
     """
 
     def __init__(self, scorer: NormalizedScorer, theta: np.ndarray | None = None,
-                 pins: dict[tuple[int, int], np.ndarray] | None = None,
-                 eps: float = 0.0005):
+                 pin_keys: np.ndarray | None = None, eps: float = 0.0005):
         if not 0 <= eps < 1:
             raise SettingError("eps", "must lie in [0, 1)")
         self.scorer = scorer
         self.theta = theta
-        self.pins = pins
+        self.pin_keys = pin_keys
         self.eps = float(eps)
-        # the pins as one sorted array of (h * |R| + r) * |V| + tail
-        n, m = scorer.scales.shape
-        self.pin_keys = None if pins is None else np.sort(np.concatenate(
-            [np.empty(0, np.int64)] + [(h * m + r) * n + np.asarray(tails, dtype=np.int64)
-                                       for (h, r), tails in pins.items()]))
 
     @property
     def n_entities(self) -> int:
@@ -440,16 +429,13 @@ def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
     return AdaptationMatrix(theta), history
 
 
-def known_tails(kg: KnowledgeGraph) -> dict[tuple[int, int], np.ndarray]:
-    """(h,r) -> tails seen in train or validation; the pin set."""
-    return kg.adjacency(("train", "validation"))
-
-
 def finalize(scorer: NormalizedScorer, adaptation: AdaptationMatrix | None,
              kg: KnowledgeGraph, eps: float = 0.0005) -> CalibratedRows:
-    """Full calibration: adapted rows with known triplets pinned to 1."""
+    """Full calibration: adapted rows with the train and validation triplets
+    pinned to 1."""
     theta = adaptation.theta if adaptation is not None else None
-    return CalibratedRows(scorer, theta=theta, pins=known_tails(kg), eps=eps)
+    return CalibratedRows(scorer, theta=theta,
+                          pin_keys=kg.edge_keys(("train", "validation")), eps=eps)
 
 
 def ablation_provider(mode: str, scorer: NormalizedScorer,

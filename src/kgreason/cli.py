@@ -359,31 +359,34 @@ def _build_parsers() -> dict[str, tuple[argparse.ArgumentParser, callable]]:
     return commands
 
 
-def _coerce(raw: str, default):
-    if isinstance(default, bool):
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise UsageError(f"bad boolean {raw!r} in config")
-    if isinstance(default, int) and not isinstance(default, bool):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
+# the words a config file may give a store_true flag
+_BOOLEAN_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+                  "0": False, "false": False, "no": False, "off": False}
 
 
 def _namespace_from_config(parser: argparse.ArgumentParser, path: str,
                            ) -> argparse.Namespace:
-    """Pre-seed a namespace so config values lose to explicit flags only."""
+    """Pre-seed a namespace so config values lose to explicit flags only.
+
+    Each value is converted as its flag's would be: with the flag's type, or
+    from a boolean word for a store_true flag. A value that does not convert
+    is a usage error naming the file and the key.
+    """
     values = read_kv(path)
-    defaults = {a.dest: a.default for a in parser._actions}
+    actions = {a.dest: a for a in parser._actions}
     ns = argparse.Namespace()
     for key, raw in values.items():
-        dest = key.replace("-", "_")
-        if dest not in defaults:
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise UsageError(f"{path}: unknown config key {key!r}")
-        setattr(ns, dest, _coerce(raw, defaults[dest]))
+        try:
+            if isinstance(action, argparse._StoreTrueAction):
+                value = _BOOLEAN_WORDS[raw.lower()]
+            else:
+                value = raw if action.type is None else action.type(raw)
+        except (KeyError, ValueError, argparse.ArgumentTypeError):
+            raise UsageError(f"{path}: bad value for {key!r}: {raw!r}") from None
+        setattr(ns, action.dest, value)
     return ns
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Union as TUnion
+from typing import Union as TUnion
 
 from .graph import Vocab
 
@@ -193,35 +193,6 @@ def serialize(node: Node, entities: Vocab | None = None, relations: Vocab | None
     raise TypeError(f"not a query node: {node!r}")
 
 
-def topo_order(node: Node) -> list[Node]:
-    """Children-before-parents ordering of the query DAG, each node once."""
-    order: list[Node] = []
-    seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(node, False)]
-    on_path: set[int] = set()
-    while stack:
-        current, expanded = stack.pop()
-        if expanded:
-            on_path.discard(id(current))
-            order.append(current)
-            continue
-        if id(current) in seen:
-            continue
-        if id(current) in on_path:
-            raise ValueError("query graph contains a cycle")
-        seen.add(id(current))
-        on_path.add(id(current))
-        stack.append((current, True))
-        if isinstance(current, Projection):
-            stack.append((current.child, False))
-        elif isinstance(current, Complement):
-            stack.append((current.child, False))
-        elif isinstance(current, (Intersection, Union)):
-            for child in current.children:
-                stack.append((child, False))
-    return order
-
-
 def _signature(node: Node):
     if isinstance(node, Anchor):
         return "e"
@@ -348,9 +319,3 @@ def read_queries(path, entities: Vocab | None = None, relations: Vocab | None = 
                 raise QueryParseError(f"{path}:{lineno}: {exc}", None) from None
             records.append(rec)
     return records
-
-
-def iter_anchors(node: Node) -> Iterator[int]:
-    for n in topo_order(node):
-        if isinstance(n, Anchor):
-            yield n.entity

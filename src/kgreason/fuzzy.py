@@ -44,7 +44,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .dsl import Anchor, Complement, Intersection, Node, Projection, Union, topo_order
+from .dsl import Anchor, Complement, Intersection, Node, Projection, Union
 
 # float64 membership entries per batch: Q * |V|, so max(1, BATCH_ENTRIES // |V|)
 # queries of one shape
@@ -80,17 +80,9 @@ class MembershipVector:
     def __len__(self) -> int:
         return int(self.values.shape[0])
 
-    def support(self) -> np.ndarray:
-        return np.nonzero(self.values)[0]
-
     def argmax(self) -> int:
         """Highest-membership entity; ties go to the lowest id."""
         return int(np.argmax(self.values))
-
-    def top(self, k: int) -> list[tuple[int, float]]:
-        """k highest (entity, membership) pairs, sorted by -value then id."""
-        order = np.lexsort((np.arange(len(self)), -self.values))[:k]
-        return [(int(i), float(self.values[i])) for i in order]
 
 
 class DenseRows:
@@ -126,15 +118,6 @@ class DenseRows:
         heads, rels = np.divmod(rids, self.n_relations)
         block = self.X[heads, rels]
         return block, np.zeros(block.shape, dtype=bool)
-
-
-def one_hot(entity: int, n: int) -> np.ndarray:
-    """Anchor vector: a single membership of exactly 1."""
-    if not 0 <= entity < n:
-        raise ValueError(f"entity {entity} out of range (size {n})")
-    v = np.zeros(n, dtype=np.float64)
-    v[entity] = 1.0
-    return v
 
 
 class GradientTape:
@@ -451,30 +434,29 @@ def evaluate(
 ) -> MembershipVector:
     """Memberships of one query: the batch of one of evaluate_batches.
 
-    With a tape, the per-op gradient path instead: the DAG is propagated
-    children first, shared subtrees (same node object) once, and their
-    adjoints accumulate across all consumers.
+    With a tape, the per-op gradient path instead: the steps of
+    query_shape(node) are evaluated one vector each, so shared subtrees
+    (same node object) are evaluated once and their adjoints accumulate
+    across all consumers.
     """
+    shape, params = query_shape(node)
     if tape is None:
-        shape, params = query_shape(node)
         return MembershipVector(evaluate_shape(shape, np.array([params]), provider)[0])
     n = provider.n_entities
-    memo: dict[int, np.ndarray] = {}
-    for nd in topo_order(node):
-        if isinstance(nd, Anchor):
+    memo: list[np.ndarray] = []
+    for step in shape:
+        op = step[0]
+        if op == "a":
+            _check_ids(np.array([params[step[1]]]), n, "anchor entity")
             v = np.zeros(n, dtype=np.float64)
-            if not 0 <= nd.entity < n:
-                raise ValueError(f"anchor entity {nd.entity} out of range (size {n})")
-            v[nd.entity] = 1.0
-        elif isinstance(nd, Projection):
-            v = project(memo[id(nd.child)], nd.relation, provider, tape)
-        elif isinstance(nd, Complement):
-            v = complement(memo[id(nd.child)], tape)
-        elif isinstance(nd, Intersection):
-            v = intersect([memo[id(c)] for c in nd.children], tape)
-        elif isinstance(nd, Union):
-            v = union([memo[id(c)] for c in nd.children], tape)
+            v[params[step[1]]] = 1.0
+        elif op == "p":
+            v = project(memo[step[2]], params[step[1]], provider, tape)
+        elif op == "n":
+            v = complement(memo[step[1]], tape)
+        elif op == "i":
+            v = intersect([memo[c] for c in step[1]], tape)
         else:
-            raise TypeError(f"not a query node: {nd!r}")
-        memo[id(nd)] = v
-    return MembershipVector(memo[id(node)])
+            v = union([memo[c] for c in step[1]], tape)
+        memo.append(v)
+    return MembershipVector(memo[-1])

@@ -1,10 +1,12 @@
-"""Knowledge-graph storage: vocabularies, triplet splits, adjacency indexing.
+"""Knowledge-graph storage: vocabularies, triplet splits, edge indexes.
 
-Graphs are read-only after construction, so each split scope has one cached
-tail index, (head, relation) -> frozenset of tails; `adjacency` is its
-sorted int32 view. Entity/relation ids are dense non-negative integers
-assigned in first-appearance order (train file first, then validation, then
-test), which keeps runs reproducible.
+Graphs are read-only after construction, so each split scope has two cached
+indexes: the tail index, (head, relation) -> frozenset of tails, for the set
+oracle and the query sampler, and the edge keys, the sorted unique int64
+(h * |R| + r) * |V| + t, for the row scales, the pins and the indicator
+tensor. Entity/relation ids are dense non-negative integers assigned in
+first-appearance order (train file first, then validation, then test), which
+keeps runs reproducible.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ INVERSE_SUFFIX = "_inverse"
 
 
 class TripletFileError(ValueError):
-    """Malformed triplet file, or unknown symbol under the reuse policy."""
+    """Malformed triplet or vocabulary file."""
 
 
 class Triplet(NamedTuple):
@@ -88,15 +90,12 @@ class Vocab:
         return vocab
 
 
-def load_split(path, entities: Vocab, relations: Vocab, policy: str = "build") -> list[Triplet]:
+def load_split(path, entities: Vocab, relations: Vocab) -> list[Triplet]:
     """Read one `head<TAB>relation<TAB>tail` file into id triplets.
 
-    policy="build" extends the vocabularies with unseen symbols;
-    policy="reuse" raises on symbols missing from them. Duplicate triplets
-    within the file are dropped with a warning.
+    Unseen symbols extend the vocabularies. Duplicate triplets within the
+    file are dropped with a warning.
     """
-    if policy not in ("build", "reuse"):
-        raise ValueError(f"unknown vocab policy {policy!r}")
     triplets: list[Triplet] = []
     seen: set[Triplet] = set()
     duplicates = 0
@@ -111,15 +110,7 @@ def load_split(path, entities: Vocab, relations: Vocab, policy: str = "build") -
                     f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
                 )
             h, r, t = fields
-            if policy == "build":
-                trip = Triplet(entities.add(h), relations.add(r), entities.add(t))
-            else:
-                try:
-                    trip = Triplet(entities.id(h), relations.id(r), entities.id(t))
-                except KeyError as exc:
-                    raise TripletFileError(
-                        f"{path}:{lineno}: unknown symbol {exc.args[0]!r} under reuse policy"
-                    ) from None
+            trip = Triplet(entities.add(h), relations.add(r), entities.add(t))
             if trip in seen:
                 duplicates += 1
                 continue
@@ -138,19 +129,15 @@ class KnowledgeGraph:
         entities: Vocab,
         relations: Vocab,
         splits: dict[str, list[Triplet]],
-        base_relation_count: int | None = None,
         has_inverses: bool = False,
     ):
         self.entities = entities
         self.relations = relations
         self.splits = {name: list(splits.get(name, [])) for name in SPLITS}
-        self.base_relation_count = (
-            len(relations) if base_relation_count is None else base_relation_count
-        )
         self.has_inverses = has_inverses
         self._tails: dict[tuple[str, ...], dict[tuple[int, int], frozenset[int]]] = {}
         self._incoming: dict[tuple[str, ...], dict[int, list[tuple[int, int]]]] = {}
-        self._adjacency: dict[tuple[str, ...], dict[tuple[int, int], np.ndarray]] = {}
+        self._keys: dict[tuple[str, ...], np.ndarray] = {}
 
     @property
     def n_entities(self) -> int:
@@ -166,6 +153,8 @@ class KnowledgeGraph:
     def edges(self, splits: tuple[str, ...] = SPLITS) -> list[Triplet]:
         out: list[Triplet] = []
         for name in splits:
+            if name not in self.splits:
+                raise KeyError(f"unknown split {name!r}")
             out.extend(self.splits[name])
         return out
 
@@ -181,11 +170,8 @@ class KnowledgeGraph:
         if index is not None:
             return index
         raw: dict[tuple[int, int], list[int]] = defaultdict(list)
-        for name in key:
-            if name not in self.splits:
-                raise KeyError(f"unknown split {name!r}")
-            for h, r, t in self.splits[name]:
-                raw[(h, r)].append(t)
+        for h, r, t in self.edges(key):
+            raw[(h, r)].append(t)
         index = {hr: frozenset(tails) for hr, tails in raw.items()}
         self._tails[key] = index
         return index
@@ -202,26 +188,19 @@ class KnowledgeGraph:
             index = self._incoming[key] = dict(raw)
         return index
 
-    def adjacency(self, splits: tuple[str, ...] = ("train",)) -> dict[tuple[int, int], np.ndarray]:
-        """tail_index as sorted int32 tail arrays. Cached."""
+    def edge_keys(self, splits: tuple[str, ...] = ("train",)) -> np.ndarray:
+        """Sorted unique int64 keys (h * |R| + r) * |V| + t of the edges over
+        the split union, read-only. Built once per scope and cached; a key's
+        row id h * |R| + r is key // |V| and its tail key % |V|."""
         key = tuple(splits)
-        cached = self._adjacency.get(key)
-        if cached is None:
-            cached = {hr: np.array(sorted(tails), dtype=np.int32)
-                      for hr, tails in self.tail_index(key).items()}
-            self._adjacency[key] = cached
-        return cached
-
-    def neighbors(self, h: int, r: int, splits: tuple[str, ...] = ("train",)) -> np.ndarray:
-        """Exact tail set of (h, r) over the requested split union."""
-        tails = self.adjacency(splits).get((h, r))
-        if tails is None:
-            return np.empty(0, dtype=np.int32)
-        return tails
-
-    def tail_count(self, h: int, r: int) -> int:
-        """Number of distinct train tails for (h, r)."""
-        return int(len(self.neighbors(h, r, ("train",))))
+        keys = self._keys.get(key)
+        if keys is None:
+            edges = np.asarray(self.edges(key), dtype=np.int64).reshape(-1, 3)
+            n, m = self.n_entities, self.n_relations
+            keys = np.unique((edges[:, 0] * m + edges[:, 1]) * n + edges[:, 2])
+            keys.flags.writeable = False
+            self._keys[key] = keys
+        return keys
 
 
 def load_kg(train_path, validation_path=None, test_path=None) -> KnowledgeGraph:
@@ -230,16 +209,8 @@ def load_kg(train_path, validation_path=None, test_path=None) -> KnowledgeGraph:
     relations = Vocab()
     splits: dict[str, list[Triplet]] = {}
     for name, path in zip(SPLITS, (train_path, validation_path, test_path)):
-        splits[name] = load_split(path, entities, relations, policy="build") if path else []
+        splits[name] = load_split(path, entities, relations) if path else []
     return KnowledgeGraph(entities, relations, splits)
-
-
-def inverse_relation(kg: KnowledgeGraph, r: int) -> int:
-    """Map a relation id to its inverse id in an augmented graph."""
-    if not kg.has_inverses:
-        raise ValueError("graph has no inverse relations")
-    base = kg.base_relation_count
-    return r + base if r < base else r - base
 
 
 def add_inverse_relations(kg: KnowledgeGraph) -> KnowledgeGraph:
@@ -261,6 +232,4 @@ def add_inverse_relations(kg: KnowledgeGraph) -> KnowledgeGraph:
     for name in SPLITS:
         forward = kg.splits[name]
         splits[name] = forward + [Triplet(t, r + base, h) for h, r, t in forward]
-    return KnowledgeGraph(
-        kg.entities, relations, splits, base_relation_count=base, has_inverses=True
-    )
+    return KnowledgeGraph(kg.entities, relations, splits, has_inverses=True)

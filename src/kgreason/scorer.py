@@ -146,10 +146,6 @@ class EmbeddingModel:
         rels = np.asarray(rels, dtype=np.int64)
         return self.queries(heads, rels) @ self.candidates().T
 
-    def score_row(self, h: int, r: int) -> np.ndarray:
-        """f(h, r, t) for every tail t."""
-        return self.score_rows([h], [r])[0]
-
     def save(self, path) -> None:
         np.savez(path, version=np.array(1), kind=np.array(self.kind),
                  dim=np.array(self.dim), E=self.E, R=self.R)

@@ -314,8 +314,7 @@ def indicator_tensor(kg: KnowledgeGraph,
                      ) -> CalibratedTensor:
     """Exact 0/1 tensor of the graph's edges; the classical-semantics oracle."""
     n, m = kg.n_entities, kg.n_relations
-    edges = np.asarray(kg.edges(splits), dtype=np.int64).reshape(-1, 3)
-    keys = np.unique((edges[:, 0] * m + edges[:, 1]) * n + edges[:, 2])
+    keys = kg.edge_keys(splits)
     rids, tails = np.divmod(keys, n)
     offsets = np.zeros(n * m + 1, dtype=np.uint64)
     offsets[1:] = np.cumsum(np.bincount(rids, minlength=n * m))

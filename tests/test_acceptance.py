@@ -23,6 +23,7 @@ from kgreason.calibrate import (
     CalibrationConfig,
     NormalizedScorer,
     _AdaptiveRows,
+    _BranchTable,
     ablation_provider,
     adapt,
     finalize,
@@ -33,6 +34,7 @@ from kgreason.dsl import (
     Complement,
     Intersection,
     Projection,
+    QueryRecord,
     Union,
     classify_structure,
     parse,
@@ -214,13 +216,22 @@ def test_criterion_02_classical_oracle_equivalence(capsys):
 # ---------------------------------------------------------------- criterion 3
 
 
+def _relative_error(analytic: float, fd: float) -> float | None:
+    scale = max(abs(analytic), abs(fd))
+    return None if scale < 1e-9 else abs(analytic - fd) / scale
+
+
 def test_criterion_03_adaptation_gradient(capsys):
     """Analytic d(loss)/d(theta) against central differences.
 
-    Instances are resampled until the evaluation point sits away from the
-    unit clamp and the log floor; the shapes used here project only from
-    anchors, so a projection max can never tie. Answer sets are arbitrary
-    subsets, the loss is defined for any of them.
+    Two analytic gradients are checked on the same instances and
+    coordinates: the tape path's (GradientTape over _AdaptiveRows) and the
+    one adapt uses (_BranchTable.loss_grad), each against central
+    differences of its own loss. Instances are resampled until the
+    evaluation point sits away from the unit clamp and the log floor; the
+    shapes used here project only from anchors, so a projection max can
+    never tie. Answer sets are arbitrary subsets, the loss is defined for
+    any of them.
     """
     t0 = time.perf_counter()
     graphs, scorers = [], []
@@ -234,7 +245,8 @@ def test_criterion_03_adaptation_gradient(capsys):
     rng = np.random.default_rng(3)
     hstep = 1e-5
     instances = attempts = checked = failures = 0
-    worst = 0.0
+    prod_checked = prod_failures = 0
+    worst = prod_worst = 0.0
     while instances < 100 and attempts < 2000:
         attempts += 1
         scorer = scorers[attempts % 4]
@@ -263,30 +275,47 @@ def test_criterion_03_adaptation_gradient(capsys):
 
         analytic = np.zeros_like(theta)
         provider.theta_grad(adjoints, analytic)
+        # the production kernel on the same query, answers and base rows
+        table = _BranchTable(scorer, [QueryRecord(node, frozenset(),
+                                                  frozenset(answers.tolist()))], eps=0.01)
+        query = np.zeros(1, dtype=np.int64)
+        production = np.zeros_like(theta)
+        table.loss_grad(theta, query, production)
+
+        def production_loss():
+            return table.loss_grad(theta, query, np.zeros_like(theta))
+
         for (h, r) in sorted(adjoints):
             theta[h, r] += hstep
             up = query_loss_adjoint(evaluate(node, provider).values, answers)[0]
+            prod_up = production_loss()
             theta[h, r] -= 2 * hstep
             down = query_loss_adjoint(evaluate(node, provider).values, answers)[0]
+            prod_down = production_loss()
             theta[h, r] += hstep
-            fd = (up - down) / (2 * hstep)
-            scale = max(abs(analytic[h, r]), abs(fd))
-            if scale < 1e-9:
-                continue
-            err = abs(analytic[h, r] - fd) / scale
-            checked += 1
-            worst = max(worst, err)
-            if err >= 1e-4:
-                failures += 1
+            err = _relative_error(analytic[h, r], (up - down) / (2 * hstep))
+            if err is not None:
+                checked += 1
+                worst = max(worst, err)
+                failures += err >= 1e-4
+            err = _relative_error(production[h, r], (prod_up - prod_down) / (2 * hstep))
+            if err is not None:
+                prod_checked += 1
+                prod_worst = max(prod_worst, err)
+                prod_failures += err >= 1e-4
         instances += 1
 
     elapsed = time.perf_counter() - t0
-    ok = instances >= 100 and failures == 0 and elapsed < 120.0
+    ok = (instances >= 100 and failures == 0 and prod_checked > 0
+          and prod_failures == 0 and elapsed < 120.0)
     _verdict(capsys, 3, ok,
-             f"{instances} query graphs, {checked} coordinates, worst rel err "
-             f"{worst:.2e} [{elapsed:.1f}s]")
+             f"{instances} query graphs, tape {checked} coordinates, worst rel err "
+             f"{worst:.2e}; adapt kernel {prod_checked} coordinates, worst rel err "
+             f"{prod_worst:.2e} [{elapsed:.1f}s]")
     assert instances >= 100
     assert failures == 0
+    assert prod_checked > 0
+    assert prod_failures == 0
     assert elapsed < 120.0
 
 
@@ -311,7 +340,7 @@ def test_criterion_04_ranking_preservation(capsys):
     rows = inversions = bad_ties = clamped_rows = clamp_ties = 0
     for h in range(200):
         for r in range(5):
-            raw = model.score_row(h, r)
+            raw = model.score_rows([h], [r])[0]
             fhat = scorer.norm_row(h, r)
             order = np.argsort(raw, kind="stable")
             d_raw = np.diff(raw[order])

@@ -21,7 +21,6 @@ from kgreason.dsl import (
     Union,
     classify_structure,
     parse,
-    topo_order,
 )
 from kgreason.fuzzy import (
     DenseRows,
@@ -56,20 +55,24 @@ def per_query_project(e, relation, provider):
 
 
 def per_query_evaluate(node, provider):
+    """Recursive evaluation, each node object once."""
     n = provider.n_entities
     memo = {}
-    for nd in topo_order(node):
+
+    def visit(nd):
+        if id(nd) in memo:
+            return memo[id(nd)]
         if isinstance(nd, Anchor):
             if not 0 <= nd.entity < n:
                 raise ValueError(f"anchor entity {nd.entity} out of range (size {n})")
             v = np.zeros(n)
             v[nd.entity] = 1.0
         elif isinstance(nd, Projection):
-            v = per_query_project(memo[id(nd.child)], nd.relation, provider)
+            v = per_query_project(visit(nd.child), nd.relation, provider)
         elif isinstance(nd, Complement):
-            v = 1.0 - memo[id(nd.child)]
+            v = 1.0 - visit(nd.child)
         else:
-            parts = [memo[id(c)] for c in nd.children]
+            parts = [visit(c) for c in nd.children]
             if isinstance(nd, Union):
                 parts = [1.0 - p for p in parts]
             v = parts[0] * parts[1]
@@ -79,7 +82,9 @@ def per_query_evaluate(node, provider):
             if isinstance(nd, Union):
                 v = 1.0 - v
         memo[id(nd)] = v
-    return memo[id(node)]
+        return v
+
+    return visit(node)
 
 
 def per_query_ranks(values, hard, answers):

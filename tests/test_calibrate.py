@@ -14,7 +14,6 @@ from kgreason.calibrate import (
     ablation_provider,
     adapt,
     finalize,
-    known_tails,
     query_loss_adjoint,
 )
 from kgreason.dsl import Anchor, Projection, QueryRecord, parse
@@ -52,14 +51,15 @@ class TestNormalizedScorer:
         seen = {(h, r) for h, r, _ in kg.triplets("train")}
         for h in range(20):
             for r in range(3):
-                expected = kg.tail_count(h, r) if (h, r) in seen else scorer.alpha
+                expected = (len(kg.tail_index(("train",))[(h, r)]) if (h, r) in seen
+                            else scorer.alpha)
                 assert scorer.scales[h, r] == expected
         assert len(seen) < 60     # some rows fall back to alpha
 
     def test_norm_row_matches_reference(self, setup):
         kg, model, scorer = setup
         for h, r in [(0, 0), (3, 1), (19, 2)]:
-            scores = model.score_row(h, r)
+            scores = model.score_rows([h], [r])[0]
             probs = np.exp(scores) / np.exp(scores).sum()
             expected = np.minimum(scorer.scales[h, r] * probs, 1.0)
             np.testing.assert_allclose(scorer.norm_row(h, r), expected,
@@ -75,7 +75,7 @@ class TestNormalizedScorer:
         # strict score order may only collapse at the clamp, never invert
         kg, model, scorer = setup
         for h in range(0, 20, 3):
-            scores = model.score_row(h, 0)
+            scores = model.score_rows([h], [0])[0]
             row = scorer.norm_row(h, 0)
             order = np.argsort(scores)
             diffs = np.diff(row[order])
@@ -83,12 +83,8 @@ class TestNormalizedScorer:
 
 
 class TestAdaptationMatrix:
-    def test_w_is_exp_theta(self, rng):
-        theta = rng.normal(size=(4, 2))
-        np.testing.assert_array_equal(AdaptationMatrix(theta).W, np.exp(theta))
-
     def test_zeros_gives_unit_scales(self):
-        assert (AdaptationMatrix.zeros(3, 2).W == 1.0).all()
+        assert (np.exp(AdaptationMatrix.zeros(3, 2).theta) == 1.0).all()
 
     def test_save_load_round_trip(self, rng, tmp_path):
         mat = AdaptationMatrix(rng.normal(size=(5, 3)))
@@ -167,13 +163,14 @@ class TestCalibratedRows:
 
     def test_pins_force_known_tails_to_one(self, setup):
         kg, _, scorer = setup
-        rows = CalibratedRows(scorer, pins=known_tails(kg), eps=0.9)
+        rows = CalibratedRows(scorer, pin_keys=kg.edge_keys(("train", "validation")),
+                              eps=0.9)
         # eps 0.9 filters nearly everything, pinned entries must survive
         for h, r, t in kg.triplets("train")[:5]:
             idx, vals = rows.row(h, r)
             where = np.searchsorted(idx, t)
             assert idx[where] == t and vals[where] == 1.0
-            assert t in rows.pins[(h, r)]
+            assert rows.row_block(np.array([h * scorer.n_relations + r]))[1][0, t]
 
     def test_no_pins_accessor(self, setup):
         _, _, scorer = setup
@@ -289,8 +286,8 @@ class TestAdaptiveRows:
 
 
 def one_hop_records(kg):
-    by_pair = kg.adjacency(("train",))
-    return [QueryRecord(Projection(r, Anchor(h)), frozenset(), frozenset(tails.tolist()))
+    by_pair = kg.tail_index(("train",))
+    return [QueryRecord(Projection(r, Anchor(h)), frozenset(), tails)
             for (h, r), tails in sorted(by_pair.items())]
 
 
@@ -346,9 +343,9 @@ class TestProviders:
         s12 = ablation_provider("S12", scorer, None, kg)
         s123 = ablation_provider("S123", scorer, matrix, kg)
         s1234 = ablation_provider("S1234", scorer, matrix, kg)
-        assert s12.theta is None and s12.pins is None
-        assert s123.theta is matrix.theta and s123.pins is None
-        assert s1234.theta is matrix.theta and s1234.pins is not None
+        assert s12.theta is None and s12.pin_keys is None
+        assert s123.theta is matrix.theta and s123.pin_keys is None
+        assert s1234.theta is matrix.theta and s1234.pin_keys is not None
 
     def test_unknown_mode(self, setup):
         kg, _, scorer = setup
@@ -364,11 +361,10 @@ class TestProviders:
     def test_finalize_pins_train_and_validation(self, setup):
         kg, _, scorer = setup
         provider = finalize(scorer, None, kg)
-        pairs = {(h, r) for h, r, _ in kg.triplets("train")}
-        pairs |= {(h, r) for h, r, _ in kg.triplets("validation")}
-        assert set(provider.pins) == pairs
-        for h, r, t in kg.triplets("validation"):
-            assert t in provider.pins[(h, r)]
+        rids, tails = np.divmod(provider.pin_keys, scorer.n_entities)
+        heads, rels = np.divmod(rids, scorer.n_relations)
+        pinned = set(zip(heads.tolist(), rels.tolist(), tails.tolist()))
+        assert pinned == set(kg.triplets("train")) | set(kg.triplets("validation"))
 
     def test_mode_names_exported(self):
         assert ABLATION_MODES == ("S12", "S123", "S1234")
@@ -376,7 +372,15 @@ class TestProviders:
 
 
 # The calibration chain as it ran before the blocked kernel: one GEMV and one
-# Python round trip per (h, r) row. Kept as the reference of the kernel.
+# Python round trip per (h, r) row. Kept as the reference of the kernel; its
+# pins are a (h, r) -> tails dict, see pin_dict.
+
+
+def pin_dict(provider, kg):
+    """The pins a provider should hold: the train and validation tail sets
+    for S1234 (pin_keys given), none otherwise."""
+    return None if provider.pin_keys is None else kg.tail_index(("train", "validation"))
+
 
 def reference_row(scorer, theta, pins, eps, h, r):
     scores = scorer.model.score_rows([h], [r])[0]
@@ -385,7 +389,7 @@ def reference_row(scorer, theta, pins, eps, h, r):
     dense = np.minimum((tails if tails > 0 else scorer.alpha) * exp / exp.sum(), 1.0)
     if theta is not None:
         dense = np.minimum(np.exp(theta[h, r]) * dense, 1.0)
-    pinned = np.asarray((pins or {}).get((h, r), ()), dtype=np.int64)
+    pinned = np.array(sorted((pins or {}).get((h, r), ())), dtype=np.int64)
     dense[pinned] = 1.0
     idx = np.nonzero(dense > eps)[0]
     return idx, dense[idx], pinned
@@ -452,7 +456,8 @@ class TestCalibrationKernel:
         eps = 0.01
         provider = ablation_provider(mode, scorer, matrix, kg, eps=eps)
         got, got_pins = densify(build_tensor(provider, eps=eps))
-        want, want_pins = reference_build(scorer, provider.theta, provider.pins, eps)
+        want, want_pins = reference_build(scorer, provider.theta, pin_dict(provider, kg),
+                                          eps)
 
         assert np.array_equal(got_pins, want_pins)
         ulp = np.spacing(np.maximum(got, want))
@@ -473,7 +478,7 @@ class TestCalibrationKernel:
             for r in range(scorer.n_relations):
                 idx, vals = provider.row(h, r)
                 ref_idx, ref_vals, _ = reference_row(
-                    scorer, provider.theta, provider.pins, 0.01, h, r)
+                    scorer, provider.theta, pin_dict(provider, kg), 0.01, h, r)
                 assert np.array_equal(idx, ref_idx)
                 assert vals.tobytes() == ref_vals.tobytes()
 
@@ -502,7 +507,7 @@ class TestCalibrationKernel:
             np.testing.assert_allclose(dense[k, idx], vals, rtol=1e-12, atol=0.0)
             h, r = divmod(rid, scorer.n_relations)
             assert set(np.flatnonzero(pinned[k]).tolist()) == set(
-                provider.pins.get((h, r), np.empty(0)).tolist())
+                pin_dict(provider, kg).get((h, r), ()))
 
     def test_memory_cap_suggests_the_reference_probe(self):
         kg, scorer, matrix = study(6, n=40, m=4, edges=300)
@@ -513,8 +518,8 @@ class TestCalibrationKernel:
         sample = range(0, n * m, max(1, n * m // 256))
         pool = []
         for rid in sample:
-            idx, vals, pin_tails = reference_row(scorer, matrix.theta, provider.pins,
-                                                 eps, *divmod(rid, m))
+            idx, vals, pin_tails = reference_row(scorer, matrix.theta,
+                                                 pin_dict(provider, kg), eps, *divmod(rid, m))
             q = vals.astype(np.float32)
             pool.append(q[(q > np.float32(eps)) | np.isin(idx, pin_tails)])
         values = np.sort(np.concatenate(pool))[::-1]

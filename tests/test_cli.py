@@ -368,6 +368,56 @@ class TestTrainingSettings:
         assert not out.exists()
 
 
+class TestConfigValues:
+    """Config values are converted with their flag's own type."""
+
+    @pytest.mark.parametrize("command,line", [
+        ("train-kgc", "dim = eight"), ("build-tensor", "epsilon = 0.5x"),
+        ("build-tensor", "memory-cap = 1e8"), ("build-tensor", "no-inverses = maybe")])
+    def test_bad_value_names_the_file_and_key(self, pipeline, tmp_path, capsys,
+                                              command, line):
+        key, raw = (tok.strip() for tok in line.split("="))
+        conf = tmp_path / "bad.conf"
+        conf.write_text(line + "\n")
+        out = tmp_path / "out"
+        if command == "train-kgc":
+            args = ["train-kgc", *pipeline["flags"], "--out", str(out)]
+        else:
+            args = stage_args(command, pipeline, tmp_path)
+        assert main(args + ["--config", str(conf)]) == 2
+        assert f"error: {conf}: bad value for '{key}': '{raw}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cap,code", [(64, 1), (100000000, 0)])
+    def test_memory_cap_from_config_acts_as_the_flag(self, pipeline, tmp_path, capsys,
+                                                     cap, code):
+        conf = tmp_path / "build.conf"
+        conf.write_text(f"memory-cap = {cap}\n")
+        runs = {}
+        for via in ("config", "flag"):
+            (tmp_path / via).mkdir()
+            args = stage_args("build-tensor", pipeline, tmp_path / via)
+            extra = (["--config", str(conf)] if via == "config"
+                     else ["--memory-cap", str(cap)])
+            assert main(args + extra) == code
+            runs[via] = capsys.readouterr()
+        if code:
+            assert "exceeds memory cap 64" in runs["config"].err
+            assert runs["config"].err == runs["flag"].err
+        else:
+            assert ((tmp_path / "config" / "out").read_bytes()
+                    == (tmp_path / "flag" / "out").read_bytes())
+            assert read_kv(tmp_path / "config" / "out.manifest")["param.memory_cap"] == str(cap)
+
+    def test_boolean_words(self, pipeline, tmp_path, capsys):
+        conf = tmp_path / "ingest.conf"
+        conf.write_text("no-inverses = Yes\n")
+        out = tmp_path / "data"
+        assert main(["ingest", *pipeline["flags"], "--config", str(conf),
+                     "--out-dir", str(out)]) == 0
+        assert "relations 2" in capsys.readouterr().out
+
+
 class TestValidatedInputs:
     """Bad checkpoints and query files exit 1 and name the file (and line)."""
 

@@ -14,13 +14,12 @@ from kgreason.dsl import (
     STRUCTURE_TAGS,
     Union,
     classify_structure,
-    iter_anchors,
     parse,
     read_queries,
     serialize,
-    topo_order,
     write_queries,
 )
+from kgreason.fuzzy import query_shape
 from kgreason.graph import Vocab
 
 
@@ -217,25 +216,44 @@ def test_serialize_parse_round_trip(node):
     assert parse(serialize(node)) == node
 
 
+def _node_objects(node, seen):
+    seen[id(node)] = node
+    if isinstance(node, (Projection, Complement)):
+        _node_objects(node.child, seen)
+    elif isinstance(node, (Intersection, Union)):
+        for child in node.children:
+            _node_objects(child, seen)
+    return seen
+
+
 @given(_asts())
-def test_topo_order_children_first(node):
-    order = topo_order(node)
-    position = {id(n): i for i, n in enumerate(order)}
-    assert len(position) == len(order)  # each node once
-    assert order[-1] is node
-    for n in order:
-        if isinstance(n, Projection) or isinstance(n, Complement):
-            assert position[id(n.child)] < position[id(n)]
-        elif isinstance(n, (Intersection, Union)):
-            for c in n.children:
-                assert position[id(c)] < position[id(n)]
+def test_query_shape_children_first(node):
+    steps, params = query_shape(node)
+    assert len(steps) == len(_node_objects(node, {}))  # each node once
+    built = []
+    for k, step in enumerate(steps):
+        op = step[0]
+        # a child is the last field of a "p" or "n" step; "i" and "u" hold a tuple
+        children = () if op == "a" else step[-1] if op in "iu" else (step[-1],)
+        assert all(0 <= c < k for c in children)
+        if op == "a":
+            built.append(Anchor(params[step[1]]))
+        elif op == "p":
+            built.append(Projection(params[step[1]], built[step[2]]))
+        elif op == "n":
+            built.append(Complement(built[step[1]]))
+        else:
+            built.append((Intersection if op == "i" else Union)(
+                tuple(built[c] for c in step[1])))
+    assert built[-1] == node   # the root comes last
 
 
-def test_topo_order_shared_subtree_listed_once():
+def test_query_shape_shared_subtree_listed_once():
     shared = p(0, Anchor(0))
     node = Intersection((shared, p(1, shared)))
-    order = topo_order(node)
-    assert sum(1 for n in order if n is shared) == 1
+    steps, params = query_shape(node)
+    assert steps == (("a", 0), ("p", 1, 0), ("p", 2, 1), ("i", (1, 2)))
+    assert params == [0, 0, 1]
 
 
 class TestClassify:
@@ -362,7 +380,3 @@ class TestQueryFiles:
         with pytest.raises(QueryParseError, match="answer id 3 out of range"):
             read_queries(path, ENTS, RELS)
 
-
-def test_iter_anchors():
-    node = parse("I(P[#0](#3),N(P[#1](#5)))")
-    assert sorted(iter_anchors(node)) == [3, 5]

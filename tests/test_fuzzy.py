@@ -10,7 +10,6 @@ from kgreason.fuzzy import (
     evaluate,
     gather_rows,
     intersect,
-    one_hot,
     project,
     union,
 )
@@ -50,23 +49,6 @@ class TestDenseRows:
 class TestMembershipVector:
     def test_argmax_ties_to_lowest_id(self):
         assert MembershipVector(np.array([0.5, 0.7, 0.7])).argmax() == 1
-
-    def test_top(self):
-        v = MembershipVector(np.array([0.2, 0.9, 0.9, 0.1]))
-        assert v.top(3) == [(1, 0.9), (2, 0.9), (0, 0.2)]
-
-    def test_support(self):
-        v = MembershipVector(np.array([0.0, 0.3, 0.0, 1.0]))
-        assert v.support().tolist() == [1, 3]
-
-
-def test_one_hot():
-    v = one_hot(2, 4)
-    assert v.tolist() == [0.0, 0.0, 1.0, 0.0]
-    with pytest.raises(ValueError):
-        one_hot(4, 4)
-    with pytest.raises(ValueError):
-        one_hot(-1, 4)
 
 
 class TestOps:
@@ -445,7 +427,7 @@ class TestEvaluate:
             for h, r, t in zip(*np.nonzero(X)):
                 edges.setdefault((int(h), int(r)), set()).add(int(t))
             node = random_ast(rng, n, m, depth=3)
-            got = set(evaluate(node, DenseRows(X)).support().tolist())
+            got = set(np.nonzero(evaluate(node, DenseRows(X)).values)[0].tolist())
             assert got == crisp_answers(node, edges, n)
 
 

@@ -10,7 +10,6 @@ from kgreason.graph import (
     TripletFileError,
     Vocab,
     add_inverse_relations,
-    inverse_relation,
     load_kg,
     load_split,
 )
@@ -65,26 +64,9 @@ class TestLoadSplit:
         assert len(triplets) == 2
         assert any("duplicate" in rec.message for rec in caplog.records)
 
-    def test_reuse_policy_rejects_unknown(self, tmp_path):
-        path = write(tmp_path / "t.txt", ["a\tr\tzz"])
-        ent = Vocab(["a", "b"])
-        rel = Vocab(["r"])
-        with pytest.raises(TripletFileError, match="zz"):
-            load_split(path, ent, rel, policy="reuse")
-
-    def test_reuse_policy_accepts_known(self, tmp_path):
-        path = write(tmp_path / "t.txt", ["b\tr\ta"])
-        assert load_split(path, Vocab(["a", "b"]), Vocab(["r"]),
-                          policy="reuse") == [Triplet(1, 0, 0)]
-
     def test_empty_file(self, tmp_path):
         path = write(tmp_path / "t.txt", [])
         assert load_split(path, Vocab(), Vocab()) == []
-
-    def test_unknown_policy(self, tmp_path):
-        path = write(tmp_path / "t.txt", [])
-        with pytest.raises(ValueError):
-            load_split(path, Vocab(), Vocab(), policy="frobnicate")
 
 
 class TestLoadKg:
@@ -103,39 +85,42 @@ class TestLoadKg:
         assert kg.triplets("validation") == [] and kg.triplets("test") == []
 
 
+def decode(kg, keys):
+    """(h, r, t) of each edge key (h * |R| + r) * |V| + t."""
+    rids, tails = np.divmod(keys, kg.n_entities)
+    heads, rels = np.divmod(rids, kg.n_relations)
+    return list(zip(heads.tolist(), rels.tolist(), tails.tolist()))
+
+
 class TestAdjacency:
-    def test_neighbors_and_tail_count(self, toy_kg):
-        assert toy_kg.neighbors(0, 0).tolist() == [1, 2]
-        assert toy_kg.tail_count(0, 0) == 2
-        assert toy_kg.tail_count(0, 1) == 0
-        assert toy_kg.neighbors(0, 1).tolist() == []
+    def test_edge_keys_of_the_toy_graph(self, toy_kg):
+        # |V| = 4, |R| = 2
+        assert toy_kg.edge_keys(("train",)).tolist() == [1, 2, 14, 19, 28]
+        assert decode(toy_kg, toy_kg.edge_keys(("test",))) == [(0, 1, 3)]
 
     def test_split_union(self, toy_kg):
-        assert toy_kg.neighbors(1, 0, ("train",)).tolist() == []
-        assert toy_kg.neighbors(1, 0, ("train", "validation")).tolist() == [3]
+        assert (1, 0, 3) not in decode(toy_kg, toy_kg.edge_keys(("train",)))
+        assert (1, 0, 3) in decode(toy_kg, toy_kg.edge_keys(("train", "validation")))
 
     def test_unknown_split(self, toy_kg):
-        with pytest.raises(KeyError):
-            toy_kg.adjacency(("dev",))
+        with pytest.raises(KeyError, match="dev"):
+            toy_kg.edge_keys(("dev",))
 
     def test_consistency_with_triplets(self, rng):
-        # every stored triplet appears in neighbors and vice versa
+        # every stored triplet has a key and every key a stored triplet
         kg = random_kg(rng, 12, 3, 60)
         for split in ("train", "validation", "test"):
-            listed = set()
-            for h, r, t in kg.triplets(split):
-                assert t in kg.neighbors(h, r, (split,))
-                listed.add((h, r, t))
-            for h in range(kg.n_entities):
-                for r in range(kg.n_relations):
-                    for t in kg.neighbors(h, r, (split,)).tolist():
-                        assert (h, r, t) in listed
+            assert sorted(decode(kg, kg.edge_keys((split,)))) == sorted(kg.triplets(split))
 
     def test_tail_count_matches_neighbors(self, rng):
+        # the row scales' tail counts, keys per row id h * |R| + r, against
+        # the tail sets
         kg = random_kg(rng, 10, 4, 50)
+        counts = np.bincount(kg.edge_keys(("train",)) // 10, minlength=40)
+        index = kg.tail_index(("train",))
         for h in range(10):
             for r in range(4):
-                assert kg.tail_count(h, r) == len(kg.neighbors(h, r, ("train",)))
+                assert counts[h * 4 + r] == len(index.get((h, r), ()))
 
 
 class TestInverses:
@@ -145,7 +130,7 @@ class TestInverses:
         assert kg.relations.name(2) == "likes" + INVERSE_SUFFIX
         assert Triplet(1, 2, 0) in kg.triplets("train")
         assert len(kg.triplets("train")) == 10
-        assert kg.base_relation_count == 2
+        assert kg.has_inverses and not toy_kg.has_inverses
 
     def test_applying_twice_fails(self, toy_kg):
         kg = add_inverse_relations(toy_kg)
@@ -158,31 +143,22 @@ class TestInverses:
         assert out.n_relations == 0 and out.triplets("train") == []
 
     def test_inverse_tail_count_is_head_count(self, rng):
-        kg = add_inverse_relations(random_kg(rng, 10, 3, 60))
-        base = kg.base_relation_count
+        base = 3
+        kg = add_inverse_relations(random_kg(rng, 10, base, 60))
+        index = kg.tail_index(("train",))
         for r in range(base):
+            # forward train edges only; inverse edges live in the same split
+            forward = {(h2, t2) for h2, r2, t2 in kg.triplets("train") if r2 == r}
             for t in range(kg.n_entities):
-                heads = sum(1 for h2, r2, t2 in kg.triplets("train")
-                            if r2 == r and t2 == t and h2 < kg.n_entities)
-                # forward train edges only; inverse edges live in the same split
-                forward = {(h2, t2) for h2, r2, t2 in kg.triplets("train")[:]
-                           if r2 == r}
-                assert kg.tail_count(t, inverse_relation(kg, r)) == len(
-                    {h2 for h2, t2 in forward if t2 == t}
-                )
-                del heads
-
-    def test_inverse_relation_mapping(self, toy_kg):
-        kg = add_inverse_relations(toy_kg)
-        assert inverse_relation(kg, 0) == 2
-        assert inverse_relation(kg, 3) == 1
-        with pytest.raises(ValueError):
-            inverse_relation(toy_kg, 0)
+                assert len(index.get((t, r + base), ())) == len(
+                    {h2 for h2, t2 in forward if t2 == t})
 
 
-def test_adjacency_is_cached(toy_kg):
-    first = toy_kg.adjacency(("train",))
-    assert toy_kg.adjacency(("train",)) is first
+def test_edge_keys_are_cached_per_scope(toy_kg):
+    first = toy_kg.edge_keys(("train",))
+    assert toy_kg.edge_keys(("train",)) is first
+    assert toy_kg.edge_keys(("train", "validation")) is not first
+    assert not first.flags.writeable
 
 
 def test_tail_index_is_the_split_union(rng):
@@ -208,18 +184,28 @@ def test_incoming_lists_every_edge_in_order(rng):
         assert pairs == [(h, r) for h, r, t2 in kg.edges(scope) if t2 == t]
 
 
-def test_adjacency_is_the_tail_index_sorted(rng):
+def test_edge_keys_are_the_tail_index_flattened(rng):
     kg = random_kg(rng, 12, 3, 70)
-    scope = ("train", "validation")
-    adjacency = kg.adjacency(scope)
-    index = kg.tail_index(scope)
-    assert list(adjacency) == list(index)
-    for hr, tails in adjacency.items():
-        assert tails.dtype == np.int32
-        assert tails.tolist() == sorted(index[hr])
+    n, m = kg.n_entities, kg.n_relations
+    for scope in (("train",), ("train", "validation"), ("test", "train")):
+        want = sorted((h * m + r) * n + t
+                      for (h, r), tails in kg.tail_index(scope).items() for t in tails)
+        assert kg.edge_keys(scope).tolist() == want
 
 
-def test_neighbors_sorted_unique(rng):
+def test_edge_keys_sorted_unique_int64(rng):
     kg = random_kg(rng, 15, 3, 80)
-    for (h, r), tails in kg.adjacency(("train", "validation", "test")).items():
-        assert np.all(np.diff(tails) > 0)
+    # an edge listed in two splits still gives one key
+    kg = make_kg(15, 3, {"train": kg.triplets("train"),
+                         "validation": kg.triplets("validation"),
+                         "test": kg.triplets("test") + kg.triplets("train")[:5]})
+    keys = kg.edge_keys(("train", "validation", "test"))
+    assert keys.dtype == np.int64
+    assert np.all(np.diff(keys) > 0)
+    assert keys.shape[0] == len(set(kg.edges()))
+
+
+def test_edge_keys_of_an_empty_scope(toy_kg):
+    keys = make_kg(4, 2, {}).edge_keys(("train", "validation"))
+    assert keys.dtype == np.int64 and keys.shape == (0,)
+    assert toy_kg.edge_keys(()).shape == (0,)

@@ -73,7 +73,7 @@ class TestEmbeddingModel:
                 assert row[t] == pytest.approx(reference_score(model, h, r, t),
                                                abs=1e-12)
         # batched and single-row matmuls may take different BLAS paths
-        np.testing.assert_allclose(model.score_row(2, 1), scores[0], atol=1e-14)
+        np.testing.assert_allclose(model.score_rows([2], [1])[0], scores[0], atol=1e-14)
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_relation_queries_match_reference(self, kind, rng):
