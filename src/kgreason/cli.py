@@ -47,7 +47,8 @@ class UsageError(Exception):
 
 
 # config fields whose flag is not `--<field>`
-_SETTING_FLAGS = {"batch_size": "--batch", "eps": "--epsilon", "kind": "--model"}
+_SETTING_FLAGS = {"batch_size": "--batch", "eps": "--epsilon", "kind": "--model",
+                  "reg": "--l3", "aux_weight": "--l1"}
 
 
 def _sha256(path) -> str:
@@ -149,8 +150,6 @@ def cmd_train_kgc(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    if args.mode not in ABLATION_MODES:
-        raise UsageError(f"unknown mode {args.mode!r}")
     if args.mode == "S12":
         print("mode S12 uses normalization only; no adaptation matrix to fit")
         return 0
@@ -172,8 +171,6 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_build_tensor(args) -> int:
-    if args.mode not in ABLATION_MODES:
-        raise UsageError(f"unknown mode {args.mode!r}")
     kg = _load_graph(args)
     scorer = _load_scorer(args, kg)
     matrix = None
@@ -368,12 +365,13 @@ def _namespace_from_config(parser: argparse.ArgumentParser, path: str,
                            ) -> argparse.Namespace:
     """Pre-seed a namespace so config values lose to explicit flags only.
 
-    Each value is converted as its flag's would be: with the flag's type, or
-    from a boolean word for a store_true flag. A value that does not convert
-    is a usage error naming the file and the key.
+    Each key names a flag other than --help and --config. Each value is
+    converted as its flag's would be: with the flag's type, or from a boolean
+    word for a store_true flag, and must be one of the flag's choices. A
+    value that does not is a usage error naming the file and the key.
     """
     values = read_kv(path)
-    actions = {a.dest: a for a in parser._actions}
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
     ns = argparse.Namespace()
     for key, raw in values.items():
         action = actions.get(key.replace("-", "_"))
@@ -384,6 +382,8 @@ def _namespace_from_config(parser: argparse.ArgumentParser, path: str,
                 value = _BOOLEAN_WORDS[raw.lower()]
             else:
                 value = raw if action.type is None else action.type(raw)
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(raw)
         except (KeyError, ValueError, argparse.ArgumentTypeError):
             raise UsageError(f"{path}: bad value for {key!r}: {raw!r}") from None
         setattr(ns, action.dest, value)

@@ -20,21 +20,22 @@ anchors are one-hot rows, and complement, intersect and union work
 elementwise on the matrices. Projection is one kernel, project_batch: gather
 the rows of every (query, source) pair through the provider, in ranges of
 about GATHER_ENTRIES entries measured by the rows' real lengths, and
-max-scatter each range's products into the flat Q * |V| output.
-evaluate(node, provider) is the batch of one and untaped project() the
-kernel at Q = 1. Memberships are bitwise those of each query evaluated
-alone: max is exact and products keep the children's order. BATCH_ENTRIES
-bounds the membership entries of a batch (Q * |V|), GATHER_ENTRIES the
-gathered entries in flight, so memory stays flat at any |V|.
+max-scatter each range's products into the flat Q * |V| output. evaluate_shape
+is the one walk over a shape; evaluate(node, provider) runs it on one
+query's (|V|,) vector and project() is project_batch of one set.
+Memberships are bitwise those of each query evaluated alone: max is exact
+and products keep the children's order. BATCH_ENTRIES bounds the membership
+entries of a batch (Q * |V|), GATHER_ENTRIES the gathered entries in
+flight, so memory stays flat at any |V|.
 
 An anchor entity or relation id outside the provider's range raises
 ValueError naming the id, whichever entry point it comes through.
 
-GradientTape and the taped branches of complement, intersect, project and
-evaluate are the gradient API: they record one query's per-op forward pass so
-adjoints can flow back to tensor rows. project() states its tie rule; the
-winning entry of each column feeds the backward pass, and the clamped side
-of any upstream min(., 1) contributes zero gradient.
+GradientTape is the gradient API: pass one to evaluate (or to an op) and
+each op records its forward pass, so adjoints can flow back to tensor rows.
+The tape rides on the same kernels; project_batch states its tie rule, the
+winning entry of each output entry feeds the backward pass, and the clamped
+side of any upstream min(., 1) contributes zero gradient.
 """
 
 from __future__ import annotations
@@ -56,11 +57,10 @@ GATHER_ENTRIES = 1 << 14
 class RowProvider(Protocol):
     """Sparse access to calibrated relation rows.
 
-    A provider may also implement gather(heads, rels) -> (cols, vals, lens)
-    with the semantics of gather_rows; projection uses it in place of one
-    row() call per (head, relation) pair, and gather_chunks(heads, rels,
-    limit) (see gather_chunks) to read a long gather in ranges sized by the
-    rows' real lengths.
+    row(h, r) is all that evaluation needs. A provider may also implement
+    gather_chunks(heads, rels, limit), which projection then uses in place
+    of one row() call per (head, relation) pair (see gather_chunks). The
+    tensor build reads row_block(rids) instead (see tensor.build_tensor).
     """
 
     n_entities: int
@@ -202,143 +202,122 @@ def union(vectors: Sequence[np.ndarray], tape: GradientTape | None = None) -> np
     return complement(intersect([complement(v, tape) for v in vectors], tape), tape)
 
 
-def gather_rows(provider: RowProvider, heads: np.ndarray, rels
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows (heads[k], rels[k]) for every k, concatenated in the given order.
-
-    rels is one relation per head, or a scalar for all of them. Returns
-    (cols, float64 vals, lens) with lens[k] the length of the k-th row. Uses
-    the provider's own gather() when it has one and falls back to one row()
-    call per pair otherwise.
-    """
-    gather = getattr(provider, "gather", None)
-    if gather is not None:
-        return gather(heads, rels)
-    heads = np.asarray(heads)
-    pairs = zip(heads.tolist(), np.broadcast_to(rels, heads.shape).tolist())
-    rows = [provider.row(h, r) for h, r in pairs]
-    if not rows:
-        return np.empty(0, np.int32), np.empty(0, np.float64), np.empty(0, np.int64)
-    lens = np.array([idx.shape[0] for idx, _ in rows], dtype=np.int64)
-    if len(rows) == 1:
-        cols, vals = rows[0]
-    else:
-        cols = np.concatenate([idx for idx, _ in rows])
-        vals = np.concatenate([v for _, v in rows])
-    return cols, np.asarray(vals, dtype=np.float64), lens
-
-
 def _check_ids(ids: np.ndarray, size: int, what: str) -> None:
     if ids.size and not (0 <= ids.min() and ids.max() < size):
         bad = ids[(ids < 0) | (ids >= size)][0]
         raise ValueError(f"{what} {int(bad)} out of range (size {size})")
 
 
-def gather_chunks(provider: RowProvider, heads: np.ndarray, rels: np.ndarray):
-    """gather_rows(provider, heads, rels) in consecutive ranges of pairs of
-    about GATHER_ENTRIES entries: yields (start, stop, (cols, vals, lens)) per
-    range. Uses the provider's own gather_chunks(heads, rels, limit) when it
-    has one, which sizes the ranges by the rows' real lengths; otherwise each
-    range holds max(1, GATHER_ENTRIES // |V|) pairs, as if every row were full.
+def gather_chunks(provider: RowProvider, heads: np.ndarray, rels):
+    """Rows (heads[k], rels[k]) for every k, in consecutive ranges of pairs of
+    about GATHER_ENTRIES entries: yields (start, stop, (cols, float64 vals,
+    lens)) per range, its rows concatenated in order and lens the length of
+    each. rels is one relation per head, or a scalar for all of them. Uses
+    the provider's own gather_chunks(heads, rels, limit) when it has one,
+    which sizes the ranges by the rows' real lengths; otherwise each range
+    holds max(1, GATHER_ENTRIES // |V|) pairs, as if every row were full, read
+    by one row() call per pair.
     """
     chunks = getattr(provider, "gather_chunks", None)
     if chunks is not None:
         yield from chunks(heads, rels, GATHER_ENTRIES)
         return
+    heads = np.asarray(heads)
+    rels = np.broadcast_to(rels, heads.shape)
     step = max(1, GATHER_ENTRIES // max(provider.n_entities, 1))
     for a in range(0, heads.shape[0], step):
         b = min(a + step, heads.shape[0])
-        yield a, b, gather_rows(provider, heads[a:b], rels[a:b])
+        rows = [provider.row(h, r) for h, r in zip(heads[a:b].tolist(), rels[a:b].tolist())]
+        yield a, b, (np.concatenate([idx for idx, _ in rows]),
+                     np.concatenate([v for _, v in rows], dtype=np.float64),
+                     np.array([idx.shape[0] for idx, _ in rows], dtype=np.int64))
 
 
-def project_batch(E: np.ndarray, rels, provider: RowProvider) -> np.ndarray:
-    """Relational images of a batch of fuzzy sets, one relation per row:
-    out[q, j] = max_i E[q, i] * X[i, rels[q], j].
+def project_batch(E: np.ndarray, rels, provider: RowProvider,
+                  tape: GradientTape | None = None) -> np.ndarray:
+    """Relational images of fuzzy sets, one relation per set: for a (Q, |V|)
+    batch out[q, j] = max_i E[q, i] * X[i, rels[q], j], for one (|V|,) set
+    out_j = max_i E_i * X[i, rels, j].
 
-    The one projection kernel. The rows of the (query, source) pairs of E's
+    The one projection kernel. The rows of the (set, source) pairs of E's
     support, in row-major order, arrive in ranges of about GATHER_ENTRIES
     entries (gather_chunks), so the working set stays small whatever |V| and
     the batch size; each range's products are max-scattered into the flat
-    Q * |V| output, then the output is clamped to [0, 1]. Cost scales with
-    the gathered entries; max is exact, so each row equals its query
-    projected alone.
+    output, then the output is clamped to [0, 1]. Cost scales with the
+    gathered entries; max is exact, so each row equals its set projected
+    alone.
+
+    When a tape records, each output entry's winner is picked before the
+    clamp: its earliest gathered entry whose product is positive and equals
+    the maximum, which gather order makes the lowest source id. The backward
+    pass sends each entry's adjoint through its winner alone, to E and to
+    the winning row.
     """
     E = np.asarray(E, dtype=np.float64)
-    rels = np.broadcast_to(np.asarray(rels, dtype=np.int64), E.shape[:1])
+    flat = E.reshape(-1, E.shape[-1])   # (Q, |V|); one row for a single set
+    n = flat.shape[1]
+    rels = np.broadcast_to(np.asarray(rels, dtype=np.int64), flat.shape[:1])
     _check_ids(rels, provider.n_relations, "relation")
-    qs, srcs = np.nonzero(E != 0.0)     # a bool mask: numpy's faster nonzero
-    row_at = qs * E.shape[1]            # flat start of each pair's output row
-    weights = E[qs, srcs]
+    qs, srcs = np.nonzero(flat != 0.0)  # a bool mask: numpy's faster nonzero
+    row_at = qs * n                     # flat start of each pair's output row
+    weights = flat[qs, srcs]
     out = np.zeros(E.size, dtype=np.float64)
+    # under a tape: (pair, flat position, product, value) of each gathered entry
+    taped = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), np.empty(0))]
     for a, b, (cols, vals, lens) in gather_chunks(provider, srcs, rels[qs]):
         at = np.repeat(row_at[a:b], lens)
         at += cols
         cand = np.repeat(weights[a:b], lens)
         cand *= vals
         np.maximum.at(out, at, cand)
+        if tape is not None:
+            taped.append((np.repeat(np.arange(a, b), lens), at, cand, vals))
+    result = out.reshape(E.shape)
+
+    if tape is not None:
+        pair, at, cand, vals = map(np.concatenate, zip(*taped))
+        # taken before the clamp below; every entry with out > 0 has a hit
+        hits = np.nonzero(cand == out[at])[0]
+        first = np.full(out.size, cand.size, dtype=np.int64)
+        np.minimum.at(first, at[hits], hits)
+        win_at = np.nonzero(out > 0.0)[0]
+        win_pos = first[win_at]
+        win_pair, win_val = pair[win_pos], vals[win_pos]
+
+        def backward(g, adjoints, rows):
+            g_win = g.reshape(-1)[win_at]
+            live = g_win != 0.0
+            if not live.any():
+                return
+            g_live, pairs = g_win[live], win_pair[live]
+            q, src = qs[pairs], srcs[pairs]
+            d_in = adjoints.get(id(E))
+            if d_in is None:
+                d_in = adjoints[id(E)] = np.zeros_like(E)
+            # E's own index: (query, source) in a batch, (source,) for one set
+            np.add.at(d_in, (q, src)[-E.ndim:], g_live * win_val[live])
+            row_grad = g_live * weights[pairs]
+            cols = win_at[live] - q * n
+            keys, which = np.unique(src * provider.n_relations + rels[q], return_inverse=True)
+            for k, key in enumerate(keys.tolist()):
+                sel = which == k
+                acc = rows.setdefault(divmod(key, provider.n_relations), np.zeros(n))
+                np.add.at(acc, cols[sel], row_grad[sel])
+
+        tape._record(result, backward)
     np.minimum(out, 1.0, out=out)   # out >= 0 already: clamp to [0, 1]
-    return out.reshape(E.shape)
+    return result
 
 
-def project(
-    e: np.ndarray,
-    relation: int,
-    provider: RowProvider,
-    tape: GradientTape | None = None,
-) -> np.ndarray:
-    """Relational image of a fuzzy set: out_j = max_i e_i * X[i, relation, j].
+def project(e: np.ndarray, relation: int, provider: RowProvider,
+            tape: GradientTape | None = None) -> np.ndarray:
+    """Relational image of one fuzzy set: out_j = max_i e_i * X[i, relation, j].
 
-    Untaped, this is project_batch at Q = 1. When a tape records, the rows
-    of the whole support (ascending ids) are gathered in one step and each
-    column's winner is its earliest gathered entry whose product is
-    positive and equals the maximum; gather order makes that the lowest
-    source id.
+    project_batch of a (|V|,) set. It stays a function of its own, which
+    evaluate_shape never calls: perfbench/tracer.py wraps it with a tag that
+    reads a 1-D e.
     """
-    if tape is None:
-        return project_batch(e[None, :], relation, provider)[0]
-    _check_ids(np.array([relation]), provider.n_relations, "relation")
-    n = e.shape[0]
-    support = np.nonzero(e)[0]
-    cols, vals, lens = gather_rows(provider, support, relation)
-    src = np.repeat(support, lens)
-    cand = e[src] * vals
-    out = np.zeros(n, dtype=np.float64)
-    np.maximum.at(out, cols, cand)
-
-    # taken before the clamp below; every column with out > 0 has a hit
-    hits = np.nonzero(cand == out[cols])[0]
-    first = np.full(n, cand.shape[0], dtype=np.int64)
-    np.minimum.at(first, cols[hits], hits)
-    win_cols = np.nonzero(out > 0.0)[0]
-    win_pos = first[win_cols]
-    win_src = src[win_pos]
-    win_val = vals[win_pos]
-
-    def backward(g, adjoints, rows, e=e, relation=relation):
-        live = g[win_cols] != 0.0
-        if not live.any():
-            return
-        live_cols = win_cols[live]
-        winners = win_src[live]
-        g_live = g[live_cols]
-        _np_add_at_accumulate(adjoints, e, winners, g_live * win_val[live])
-        row_grad = g_live * e[winners]
-        for i in np.unique(winners):
-            sel = winners == i
-            acc = rows.setdefault((int(i), relation), np.zeros(n, dtype=np.float64))
-            acc[live_cols[sel]] += row_grad[sel]
-
-    tape._record(out, backward)
-    np.minimum(out, 1.0, out=out)   # out >= 0 already: clamp to [0, 1]
-    return out
-
-
-def _np_add_at_accumulate(adjoints, target, indices, deltas):
-    g = adjoints.get(id(target))
-    if g is None:
-        g = np.zeros_like(target)
-        adjoints[id(target)] = g
-    np.add.at(g, indices, deltas)
+    return project_batch(e, relation, provider, tape)
 
 
 def query_shape(node: Node) -> tuple[tuple, list[int]]:
@@ -383,27 +362,29 @@ def query_shape(node: Node) -> tuple[tuple, list[int]]:
     return tuple(steps), params
 
 
-def evaluate_shape(shape: tuple, params: np.ndarray, provider: RowProvider) -> np.ndarray:
-    """(Q, |V|) memberships of the Q queries of one shape, params (Q, k)."""
+def evaluate_shape(shape: tuple, params: np.ndarray, provider: RowProvider,
+                   tape: GradientTape | None = None) -> np.ndarray:
+    """Memberships of the queries of one shape: params (Q, k) give a (Q, |V|)
+    matrix, params (k,) one query's (|V|,) vector. A tape records every op,
+    so a shared subtree (one step) is evaluated once and its adjoints
+    accumulate across all consumers."""
     n = provider.n_entities
     params = np.asarray(params, dtype=np.int64)
-    q = params.shape[0]
     memo: list[np.ndarray] = []
     for step in shape:
         op = step[0]
         if op == "a":
-            entities = params[:, step[1]]
+            entities = params[..., step[1]]
             _check_ids(entities, n, "anchor entity")
-            v = np.zeros((q, n), dtype=np.float64)
-            v[np.arange(q), entities] = 1.0
+            v = (entities[..., None] == np.arange(n)).astype(np.float64)
         elif op == "p":
-            v = project_batch(memo[step[2]], params[:, step[1]], provider)
+            v = project_batch(memo[step[2]], params[..., step[1]], provider, tape)
         elif op == "n":
-            v = complement(memo[step[1]])
+            v = complement(memo[step[1]], tape)
         elif op == "i":
-            v = intersect([memo[c] for c in step[1]])
+            v = intersect([memo[c] for c in step[1]], tape)
         else:
-            v = union([memo[c] for c in step[1]])
+            v = union([memo[c] for c in step[1]], tape)
         memo.append(v)
     return memo[-1]
 
@@ -427,36 +408,8 @@ def evaluate_batches(nodes: Sequence[Node], provider: RowProvider):
                    evaluate_shape(shape, params[start:start + step], provider))
 
 
-def evaluate(
-    node: Node,
-    provider: RowProvider,
-    tape: GradientTape | None = None,
-) -> MembershipVector:
-    """Memberships of one query: the batch of one of evaluate_batches.
-
-    With a tape, the per-op gradient path instead: the steps of
-    query_shape(node) are evaluated one vector each, so shared subtrees
-    (same node object) are evaluated once and their adjoints accumulate
-    across all consumers.
-    """
-    shape, params = query_shape(node)
-    if tape is None:
-        return MembershipVector(evaluate_shape(shape, np.array([params]), provider)[0])
-    n = provider.n_entities
-    memo: list[np.ndarray] = []
-    for step in shape:
-        op = step[0]
-        if op == "a":
-            _check_ids(np.array([params[step[1]]]), n, "anchor entity")
-            v = np.zeros(n, dtype=np.float64)
-            v[params[step[1]]] = 1.0
-        elif op == "p":
-            v = project(memo[step[2]], params[step[1]], provider, tape)
-        elif op == "n":
-            v = complement(memo[step[1]], tape)
-        elif op == "i":
-            v = intersect([memo[c] for c in step[1]], tape)
-        else:
-            v = union([memo[c] for c in step[1]], tape)
-        memo.append(v)
-    return MembershipVector(memo[-1])
+def evaluate(node: Node, provider: RowProvider,
+             tape: GradientTape | None = None) -> MembershipVector:
+    """Memberships of one query: evaluate_shape of its query_shape, the batch
+    of one of evaluate_batches, recorded on the tape when one is given."""
+    return MembershipVector(evaluate_shape(*query_shape(node), provider, tape))

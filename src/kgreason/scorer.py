@@ -234,6 +234,9 @@ class TrainConfig:
             raise SettingError("batch_size", "must be at least 1")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise SettingError("lr", "must be a finite positive number")
+        for name in ("reg", "aux_weight"):
+            if not (np.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise SettingError(name, "must be a finite non-negative number")
 
 
 def _softmax_ce(scores: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:

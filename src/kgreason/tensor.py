@@ -89,7 +89,7 @@ class CalibratedTensor:
         self._check_structure()
 
     def _check_structure(self) -> None:
-        """Vectorized CSR invariants; gather() trusts them across rows."""
+        """Vectorized CSR invariants; gather_chunks() trusts them across rows."""
         offsets, indices, values, nnz = self.offsets, self.indices, self.values, self.nnz
         if self.pin_mask.shape[0] != nnz:
             raise ValueError("pin mask length does not match nnz")
@@ -139,11 +139,15 @@ class CalibratedTensor:
         return np.broadcast_to(heads * self.n_relations + rels, heads.shape)
 
     def gather_chunks(self, heads: np.ndarray, rels, limit: int):
-        """gather(heads, rels) in consecutive ranges of pairs: yields (start,
-        stop, (cols, vals, lens)) per range. A range ends where the running
-        count of entries crosses a multiple of limit, so it holds its first
-        row and fewer than limit entries after it. The ids are checked once.
+        """Rows (heads[k], rels[k]) for every k, concatenated, in consecutive
+        ranges of pairs: yields (start, stop, (cols, float64 vals, lens)) per
+        range; rels is one relation per head, or a scalar for all. Each range
+        is one vectorized gather through the offsets (csr_take). A range ends
+        where the running count of entries crosses a multiple of limit, so it
+        holds its first row and fewer than limit entries after it. The ids
+        are checked once.
         """
+        # the view is lossless: offsets are validated to run from 0 to nnz
         offsets = self.offsets.view(np.int64)
         rids = self._row_ids(heads, rels)
         ends = np.cumsum(offsets[rids + 1] - offsets[rids])
@@ -153,17 +157,6 @@ class CalibratedTensor:
         for a, b in zip(bounds[:-1], bounds[1:]):
             pos, lens = csr_take(offsets, rids[a:b])
             yield a, b, (self.indices[pos], self.values[pos].astype(np.float64), lens)
-
-    def gather(self, heads: np.ndarray, rels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows (heads[k], rels[k]) for every k, concatenated: (cols, float64
-        vals, lens). rels is one relation per head, or a scalar for all.
-
-        One vectorized gather of the flat row ids through the offsets
-        (csr_take), no per-row Python call.
-        """
-        # the view is lossless: offsets are validated to run from 0 to nnz
-        pos, lens = csr_take(self.offsets.view(np.int64), self._row_ids(heads, rels))
-        return self.indices[pos], self.values[pos].astype(np.float64), lens
 
     def value(self, h: int, r: int, t: int) -> float:
         s, e = self._span(h, r)

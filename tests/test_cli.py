@@ -330,7 +330,8 @@ class TestTrainingSettings:
     @pytest.mark.parametrize("flag,value,message", [
         ("--batch", "-5", "at least 1"), ("--batch", "0", "at least 1"),
         ("--epochs", "0", "at least 1"), ("--dim", "0", "positive even"),
-        ("--lr", "nan", "finite positive")])
+        ("--lr", "nan", "finite positive"), ("--l3", "-5", "finite non-negative"),
+        ("--l3", "nan", "finite non-negative"), ("--l1", "-1", "finite non-negative")])
     def test_train_kgc(self, pipeline, tmp_path, capsys, flag, value, message):
         out = tmp_path / "model.npz"
         assert main(["train-kgc", *pipeline["flags"], "--dim", "8", "--epochs", "1",
@@ -364,7 +365,7 @@ class TestTrainingSettings:
         out = tmp_path / "model.npz"
         assert main(["train-kgc", *pipeline["flags"], "--config", str(conf),
                      "--out", str(out)]) == 2
-        assert "error: --model must be one of complex-bilinear," in capsys.readouterr().err
+        assert f"error: {conf}: bad value for 'model': 'foo'" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -386,6 +387,33 @@ class TestConfigValues:
             args = stage_args(command, pipeline, tmp_path)
         assert main(args + ["--config", str(conf)]) == 2
         assert f"error: {conf}: bad value for '{key}': '{raw}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,line", [
+        ("gen-queries", "split = dev"), ("train-kgc", "model = foo"),
+        ("build-tensor", "mode = S99")])
+    def test_value_outside_the_choices(self, tmp_path, capsys, command, line):
+        # rejected before any input is read: the input files do not exist
+        key, raw = (tok.strip() for tok in line.split("="))
+        conf = tmp_path / "bad.conf"
+        conf.write_text(line + "\n")
+        missing = str(tmp_path / "missing")
+        args = [command, "--train", missing, "--out", str(tmp_path / "out")]
+        if command == "build-tensor":
+            args += ["--model", missing]
+        assert main(args + ["--config", str(conf)]) == 2
+        assert f"error: {conf}: bad value for '{key}': '{raw}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", ["help = 1", "config = other.cfg"])
+    def test_key_must_name_a_setting_flag(self, pipeline, tmp_path, capsys, line):
+        key = line.split("=")[0].strip()
+        conf = tmp_path / "ingest.conf"
+        conf.write_text(line + "\n")
+        out = tmp_path / "data"
+        assert main(["ingest", *pipeline["flags"], "--config", str(conf),
+                     "--out-dir", str(out)]) == 2
+        assert f"error: {conf}: unknown config key '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("cap,code", [(64, 1), (100000000, 0)])

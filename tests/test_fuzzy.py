@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kgreason import fuzzy
 from kgreason.dsl import parse
 from kgreason.fuzzy import (
     DenseRows,
@@ -8,7 +9,6 @@ from kgreason.fuzzy import (
     MembershipVector,
     complement,
     evaluate,
-    gather_rows,
     intersect,
     project,
     union,
@@ -146,13 +146,19 @@ class TestProject:
             got = project(e, r, provider)
             assert np.array_equal(got, self.naive(e, X, r))
 
-    @pytest.mark.parametrize("on_tensor", [False, True], ids=["dense", "tensor"])
-    def test_matches_reference_loop_bitwise(self, rng, on_tensor):
+    # GATHER_ENTRIES 1 gives each row a gather range of its own, |V| one
+    # full row per range; the default gathers every row in one range
+    @pytest.mark.parametrize("on_tensor,entries", [
+        (False, None), (True, None), (False, 1), (True, 1), (False, "n"), (True, "n")],
+        ids=["dense", "tensor", "dense-one", "tensor-one", "dense-n", "tensor-n"])
+    def test_matches_reference_loop_bitwise(self, rng, monkeypatch, on_tensor, entries):
         # P[#1](P[#0](#a)): the inner hop makes e = X[a, 0] with membership 1
         # at a, so the row adjoint of (a, 0) is exactly the outer hop's
         # input adjoint.
         for trial in range(60):
             n = int(rng.integers(2, 25))
+            if entries is not None:
+                monkeypatch.setattr(fuzzy, "GATHER_ENTRIES", n if entries == "n" else entries)
             X = tie_heavy(rng, n, 2)
             provider = build_tensor(DenseRows(X), eps=0.0) if on_tensor else DenseRows(X)
             a = int(rng.integers(n))
@@ -196,35 +202,50 @@ class TestProject:
                 assert np.array_equal(project(e, r, tensor), project(e, r, DenseRows(X)))
 
 
+class RowsOnly:
+    """A provider with row() alone, so gather_chunks reads one row per pair."""
+
+    def __init__(self, tensor):
+        self.n_entities = tensor.n_entities
+        self.row = tensor.row
+
+
+def gathered(provider, heads, rels):
+    """fuzzy.gather_chunks(provider, heads, rels) joined into one (cols,
+    vals, lens)."""
+    ranges = [chunk for _, _, chunk in fuzzy.gather_chunks(provider, heads, rels)]
+    empty = (np.empty(0, np.int32), np.empty(0, np.float64), np.empty(0, np.int64))
+    return tuple(np.concatenate(parts) for parts in zip(empty, *ranges))
+
+
 class TestGather:
     def test_tensor_gather_matches_row_fallback(self, rng):
         X = sparse_tensor(rng, 10, 2, density=0.3)
         X[3] = 0.0                                  # empty rows
         tensor = build_tensor(DenseRows(X), eps=0.0)
 
-        class RowsOnly:
-            n_entities = tensor.n_entities
-            row = staticmethod(tensor.row)
-
         for heads in ([], [3], [0, 3, 4], list(range(10)), [9, 2, 2]):
             heads = np.array(heads, dtype=np.int64)
             # a scalar relation for every head, or one relation per head
             for rels in (0, 1, rng.integers(2, size=heads.size)):
-                got = tensor.gather(heads, rels)
-                want = gather_rows(RowsOnly(), heads, rels)
-                for a, b in zip(got, want):
-                    assert a.dtype.kind == b.dtype.kind
-                    assert np.array_equal(a, b)
-                assert got[1].dtype == np.float64
-                pairs = zip(heads.tolist(), np.broadcast_to(rels, heads.shape).tolist())
-                assert got[2].tolist() == [tensor.row(h, r)[0].size for h, r in pairs]
+                got = list(fuzzy.gather_chunks(tensor, heads, rels))
+                want = list(fuzzy.gather_chunks(RowsOnly(tensor), heads, rels))
+                assert len(got) == len(want) == (1 if heads.size else 0)
+                for (ga, gb, gchunk), (wa, wb, wchunk) in zip(got, want):
+                    assert (ga, gb) == (wa, wb) == (0, heads.size)
+                    for a, b in zip(gchunk, wchunk):
+                        assert a.dtype.kind == b.dtype.kind
+                        assert np.array_equal(a, b)
+                    assert gchunk[1].dtype == wchunk[1].dtype == np.float64
+                    pairs = zip(heads.tolist(), np.broadcast_to(rels, heads.shape).tolist())
+                    assert gchunk[2].tolist() == [tensor.row(h, r)[0].size for h, r in pairs]
 
     def test_tensor_gather_chunks_split_gather_by_entries(self, rng):
         X = sparse_tensor(rng, 10, 2, density=0.3)
         X[3] = 0.0                                  # empty rows
         tensor = build_tensor(DenseRows(X), eps=0.0)
         heads, rels = rng.integers(10, size=40), rng.integers(2, size=40)
-        whole = tensor.gather(heads, rels)
+        whole = gathered(RowsOnly(tensor), heads, rels)
         for limit in (1, 3, 7, 1 << 30):
             ranges = list(tensor.gather_chunks(heads, rels, limit))
             assert [a for a, _, _ in ranges] == [0] + [b for _, b, _ in ranges[:-1]]
@@ -239,14 +260,14 @@ class TestGather:
     def test_gather_range_checked(self, rng):
         tensor = build_tensor(DenseRows(sparse_tensor(rng, 4, 2)), eps=0.0)
         with pytest.raises(IndexError):
-            tensor.gather(np.array([4]), 0)
+            gathered(tensor, np.array([4]), 0)
         with pytest.raises(IndexError):
-            tensor.gather(np.array([0]), 2)
+            gathered(tensor, np.array([0]), 2)
         # per-pair relations: each one is checked, a negative one too
         with pytest.raises(IndexError):
-            tensor.gather(np.array([0, 1]), np.array([0, 2]))
+            gathered(tensor, np.array([0, 1]), np.array([0, 2]))
         with pytest.raises(IndexError):
-            tensor.gather(np.array([0, 1]), np.array([-1, 0]))
+            gathered(tensor, np.array([0, 1]), np.array([-1, 0]))
         with pytest.raises(IndexError):
             next(tensor.gather_chunks(np.array([0, 1]), np.array([0, 2]), 8))
 

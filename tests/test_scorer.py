@@ -258,11 +258,17 @@ class TestTrain:
 
     @pytest.mark.parametrize("field,value", [
         ("dim", 0), ("dim", -2), ("dim", 3), ("epochs", 0), ("batch_size", 0),
-        ("batch_size", -5), ("lr", 0.0), ("lr", float("nan")), ("kind", "foo")])
+        ("batch_size", -5), ("lr", 0.0), ("lr", float("nan")), ("kind", "foo"),
+        ("reg", -5.0), ("reg", float("nan")), ("reg", float("inf")),
+        ("aux_weight", -1.0), ("aux_weight", float("nan"))])
     def test_bad_settings_rejected(self, field, value):
         with pytest.raises(SettingError) as err:
             self.config(**{field: value})
         assert err.value.field == field
+
+    def test_zero_weights_are_valid(self):
+        config = self.config(reg=0.0, aux_weight=0.0)
+        assert (config.reg, config.aux_weight) == (0.0, 0.0)
 
     def test_runaway_lr_aborts(self, rng):
         kg = random_kg(rng, 10, 2, 40)

@@ -7,7 +7,14 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from kgreason import fuzzy
+from kgreason.harness import evaluate_run, generate_queries
+from kgreason.tensor import indicator_tensor
+
+from conftest import random_kg
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -40,3 +47,25 @@ def test_boundary_resolves(module_name, qualname):
     else:
         raw = getattr(module, qualname)
     assert callable(raw)
+
+
+def test_project_and_evaluate_stay_apart_from_the_batched_kernels():
+    # the tracer tags project and evaluate calls by reading one (|V|,) set;
+    # wrapping them must not reach the batched kernels they delegate to
+    assert fuzzy.project is not fuzzy.project_batch
+    assert fuzzy.evaluate is not fuzzy.evaluate_shape
+
+
+def test_evaluate_run_never_calls_project_or_evaluate(monkeypatch):
+    kg = random_kg(np.random.default_rng(5), 20, 3, 120)
+    tensor = indicator_tensor(kg)
+    records = [rec for k, structure in enumerate(("1p", "2i", "ip", "2in", "pin"))
+               for rec in generate_queries(kg, structure, 4, seed=k)]
+    want = evaluate_run(tensor, records).to_kv()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the batched path called a one-set entry point")
+
+    monkeypatch.setattr(fuzzy, "project", refuse)
+    monkeypatch.setattr(fuzzy, "evaluate", refuse)
+    assert evaluate_run(tensor, records).to_kv() == want
