@@ -11,7 +11,8 @@ Three stages after scorer training:
 One kernel, calibrated_block, runs all three on a block of rows with one
 GEMM: on blocks of at most 2^15 entries (tensor.BLOCK_ENTRIES, which keeps
 peak memory flat) in the tensor build, on one row in every per-row accessor.
-With theta = 0 the adapted provider reproduces the normalized one bitwise.
+Its eps threshold is one in-place select, not a mask scatter. With theta = 0
+the adapted provider reproduces the normalized one bitwise.
 
 Fitting theta (adapt) has its own kernel. It handles only the anchored
 shapes of ADAPTATION_STRUCTURES: a query there is at most three anchored
@@ -89,7 +90,8 @@ def calibrated_block(scorer: NormalizedScorer, rids: np.ndarray,
     rids are flat row ids h * |R| + r, non-empty and ascending; pin_keys is
     a sorted array of rid * |V| + tail. One score_rows GEMM, then per row:
     shift by the max, exp, sum, N * exp / sum, clamp at 1; times
-    exp(theta[h, r]), clamp at 1; pins set to 1.0; entries <= eps set to 0.
+    exp(theta[h, r]), clamp at 1; pins set to 1.0; entries <= eps, and NaN,
+    set to 0.0.
     """
     n, m = scorer.scales.shape
     heads, rels = np.divmod(rids, m)
@@ -109,9 +111,12 @@ def calibrated_block(scorer: NormalizedScorer, rids: np.ndarray,
         key_rids, tails = np.divmod(pin_keys[lo:hi], n)
         pos = np.searchsorted(rids, key_rids)
         hit = rids[pos] == key_rids
-        pinned[pos[hit], tails[hit]] = True
-        block[pinned] = 1.0
-    block[~(block > eps)] = 0.0
+        at = pos[hit], tails[hit]
+        pinned[at] = True
+        block[at] = 1.0
+    # entries are >= 0 or NaN; fmax turns a NaN the select keeps into 0.0
+    np.multiply(block, block > eps, out=block)
+    np.fmax(block, 0.0, out=block)
     return block, pinned
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from collections import defaultdict
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -31,6 +32,11 @@ class Triplet(NamedTuple):
     head: int
     relation: int
     tail: int
+
+
+def triplet_array(triplets) -> np.ndarray:
+    """(k, 3) int64 array of k triplets, read as one flat stream of ids."""
+    return np.fromiter(chain.from_iterable(triplets), np.int64, 3 * len(triplets)).reshape(-1, 3)
 
 
 class Vocab:
@@ -195,7 +201,7 @@ class KnowledgeGraph:
         key = tuple(splits)
         keys = self._keys.get(key)
         if keys is None:
-            edges = np.asarray(self.edges(key), dtype=np.int64).reshape(-1, 3)
+            edges = triplet_array(self.edges(key))
             n, m = self.n_entities, self.n_relations
             keys = np.unique((edges[:, 0] * m + edges[:, 1]) * n + edges[:, 2])
             keys.flags.writeable = False

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import KnowledgeGraph, Triplet
+from .graph import KnowledgeGraph, Triplet, triplet_array
 
 log = logging.getLogger(__name__)
 
@@ -333,7 +333,7 @@ def train(kg: KnowledgeGraph, config: TrainConfig,
     data = kg.triplets("train") if triplets is None else triplets
     if not data:
         raise ValueError("no training triplets")
-    arr = np.asarray(data, dtype=np.int64)
+    arr = triplet_array(data)
     accE = np.zeros_like(model.E)
     accR = np.zeros_like(model.R)
     history: list[float] = []

@@ -15,7 +15,9 @@ loaded tensor compares equal on content but reports nothing as pinned.
 
 build_tensor reads a provider through row_block(rids) -> (dense float64 rows,
 bool pin mask), for head-major blocks of at most BLOCK_ENTRIES entries; for
-the calibrated providers that is one call of calibrate.calibrated_block.
+the calibrated providers that is one call of calibrate.calibrated_block. A
+block is compacted in one pass: the flat index of its kept entries gives the
+columns (mod |V|), and one take each gives their values and pins.
 """
 
 from __future__ import annotations
@@ -246,8 +248,9 @@ def _kept_blocks(provider, rows: range, eps: float):
         dense, pinned = provider.row_block(rids)
         values = dense.astype(np.float32)
         keep = (values > np.float32(eps)) | pinned
-        yield (rids, np.count_nonzero(keep, axis=1), keep.nonzero()[1].astype(np.int32),
-               values[keep], pinned[keep])
+        flat = np.flatnonzero(keep)
+        yield (rids, np.count_nonzero(keep, axis=1), (flat % provider.n_entities).astype(np.int32),
+               values.ravel().take(flat), pinned.ravel().take(flat))
 
 
 def _probe_epsilon(provider, n: int, m: int, eps: float, cap: int) -> float:

@@ -13,6 +13,7 @@ from kgreason.calibrate import (
     _AdaptiveRows,
     ablation_provider,
     adapt,
+    calibrated_block,
     finalize,
     query_loss_adjoint,
 )
@@ -531,6 +532,86 @@ class TestCalibrationKernel:
         with pytest.raises(MemoryBudgetError) as err:
             build_tensor(provider, eps=eps, memory_cap=cap)
         assert abs(err.value.suggested_eps - expected) <= np.spacing(np.float32(expected))
+
+
+def reference_calibrated_block(scorer, rids, theta=None, pin_keys=None, eps=0.0):
+    """calibrated_block as first written: pins and the eps threshold applied
+    through boolean-mask scatters over the whole block."""
+    n, m = scorer.scales.shape
+    heads, rels = np.divmod(rids, m)
+    block = scorer.model.score_rows(heads, rels)
+    block -= block.max(axis=1, keepdims=True)
+    np.exp(block, out=block)
+    sums = block.sum(axis=1, keepdims=True)
+    block *= scorer.scales[heads, rels][:, None]
+    block /= sums
+    np.minimum(block, 1.0, out=block)
+    if theta is not None:
+        block *= np.exp(theta[heads, rels])[:, None]
+        np.minimum(block, 1.0, out=block)
+    pinned = np.zeros(block.shape, dtype=bool)
+    if pin_keys is not None:
+        lo, hi = np.searchsorted(pin_keys, (rids[0] * n, (rids[-1] + 1) * n))
+        key_rids, tails = np.divmod(pin_keys[lo:hi], n)
+        pos = np.searchsorted(rids, key_rids)
+        hit = rids[pos] == key_rids
+        pinned[pos[hit], tails[hit]] = True
+        block[pinned] = 1.0
+    block[~(block > eps)] = 0.0
+    return block, pinned
+
+
+class TestThreshold:
+    """calibrated_block's select threshold against the mask scatter it
+    replaced: bitwise equal rows and pins, NaN included."""
+
+    @staticmethod
+    def assert_matches_reference(provider, rids, eps):
+        got = calibrated_block(provider.scorer, rids, provider.theta, provider.pin_keys, eps)
+        want = reference_calibrated_block(provider.scorer, rids, provider.theta,
+                                          provider.pin_keys, eps)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        return got
+
+    @pytest.mark.parametrize("mode", ABLATION_MODES)
+    def test_entries_at_and_one_ulp_around_eps(self, mode):
+        kg, scorer, matrix = study(7)
+        provider = ablation_provider(mode, scorer, matrix, kg)
+        rids = np.arange(scorer.n_entities * scorer.n_relations)
+        raw, pinned = reference_calibrated_block(scorer, rids, provider.theta,
+                                                 provider.pin_keys, eps=0.0)
+        candidates = np.unique(raw[(raw > 0.0) & (raw < 1.0) & ~pinned])
+        for value in candidates[[0, len(candidates) // 3, len(candidates) // 2, -1]]:
+            for eps in (value, np.nextafter(value, 0.0), np.nextafter(value, 1.0)):
+                block, _ = self.assert_matches_reference(provider, rids, float(eps))
+                assert (block[raw == value] == (value if value > eps else 0.0)).all()
+        if mode == "S1234":
+            block, pinned = self.assert_matches_reference(provider, rids, 0.999)
+            assert pinned.any() and (block[pinned] == 1.0).all()
+            assert (block[~pinned] < 1.0).any()
+
+    @pytest.mark.parametrize("mode", ABLATION_MODES)
+    def test_nan_becomes_zero(self, mode):
+        kg, scorer, matrix = study(8)
+        theta = matrix.theta.copy()
+        pin_keys = kg.edge_keys(("train", "validation")) if mode == "S1234" else None
+        h, r = kg.triplets("train")[0][:2]
+        theta[h, r] = np.nan     # the whole adapted (h, r) row turns NaN
+        provider = CalibratedRows(scorer, theta=None if mode == "S12" else theta,
+                                  pin_keys=pin_keys, eps=0.01)
+        if mode == "S12":
+            scorer.model.R[r, 0] = np.nan
+        rids = np.arange(scorer.n_entities * scorer.n_relations)
+        block, pinned = self.assert_matches_reference(provider, rids, 0.01)
+        row = block[h * scorer.n_relations + r]
+        pins = pinned[h * scorer.n_relations + r]
+        assert not np.isnan(block).any()
+        assert (row[~pins] == 0.0).all() and not np.signbit(row).any()
+        assert (row[pins] == 1.0).all() and pins.any() == (mode == "S1234")
+        idx, vals = provider.row(h, r)
+        assert idx.tolist() == np.flatnonzero(pins).tolist() and (vals == 1.0).all()
 
 
 class TestAdaptationCheckpoint:

@@ -1,14 +1,26 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgreason import tensor as tensor_module
+from kgreason.calibrate import (
+    ABLATION_MODES,
+    AdaptationMatrix,
+    NormalizedScorer,
+    ablation_provider,
+)
 from kgreason.fuzzy import DenseRows, evaluate
 from kgreason.dsl import parse
 from kgreason.graph import KnowledgeGraph, Vocab, add_inverse_relations
+from kgreason.scorer import TrainConfig, train
 from kgreason.tensor import (
     CalibratedTensor,
     MAGIC,
     MemoryBudgetError,
+    _kept_blocks,
     build_tensor,
     indicator_tensor,
 )
@@ -318,3 +330,139 @@ class TestIndicatorTensor:
         out = evaluate(parse("P[#0](#1)"), tensor)
         assert set(np.nonzero(out.values)[0].tolist()) == set(
             kg.tail_index(("train",)).get((1, 0), ()))
+
+
+class BlockArrays:
+    """Provider over explicit (|V|, |R|, |V|) value and pin arrays."""
+
+    def __init__(self, X, pins):
+        self.X, self.pins = X, pins
+        self.n_entities, self.n_relations = X.shape[0], X.shape[1]
+
+    def row_block(self, rids):
+        n = self.n_entities
+        return self.X.reshape(-1, n)[rids].copy(), self.pins.reshape(-1, n)[rids].copy()
+
+
+def reference_kept_blocks(provider, rows, eps):
+    """The compaction as first written: keep.nonzero() and two boolean-mask
+    gathers per block; _kept_blocks must give the same arrays bit for bit."""
+    step = max(1, tensor_module.BLOCK_ENTRIES // max(provider.n_entities, 1))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        rids = np.arange(block.start, block.stop, block.step)
+        dense, pinned = provider.row_block(rids)
+        values = dense.astype(np.float32)
+        keep = (values > np.float32(eps)) | pinned
+        yield (rids, np.count_nonzero(keep, axis=1), keep.nonzero()[1].astype(np.int32),
+               values[keep], pinned[keep])
+
+
+def assert_compaction_matches_reference(provider, eps, rows=None):
+    rows = range(provider.n_entities * provider.n_relations) if rows is None else rows
+    got = list(_kept_blocks(provider, rows, eps))
+    want = list(reference_kept_blocks(provider, rows, eps))
+    assert len(got) == len(want)
+    for block, expect in zip(got, want):
+        for a, b in zip(block, expect):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+    return got
+
+
+def eps_edge_values(shape, eps, rng):
+    """Values at float32(eps), one float32 ulp either side of it, 0 and 1."""
+    at = np.float32(eps)
+    choices = np.array([at, np.nextafter(at, np.float32(0)), np.nextafter(at, np.float32(1)),
+                        0.0, 1.0], dtype=np.float64)
+    return choices[rng.integers(len(choices), size=shape)]
+
+
+class TestCompaction:
+    @pytest.mark.parametrize("block_entries", [1, 13, 1 << 15])
+    @pytest.mark.parametrize("n,m", [(9, 3), (1, 4), (40, 2)])
+    def test_random_blocks(self, rng, monkeypatch, block_entries, n, m):
+        monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", block_entries)
+        X = rng.random((n, m, n)) ** 3
+        pins = rng.random((n, m, n)) < 0.1
+        assert_compaction_matches_reference(BlockArrays(X, pins), eps=0.2)
+
+    def test_pins_below_eps_and_values_at_eps(self, rng):
+        eps = 0.3
+        X = eps_edge_values((7, 3, 7), eps, rng)
+        pins = rng.random(X.shape) < 0.3
+        X[pins & (rng.random(X.shape) < 0.5)] = 0.001
+        got = assert_compaction_matches_reference(BlockArrays(X, pins), eps)
+        vals = np.concatenate([b[3] for b in got])
+        kept_pins = np.concatenate([b[4] for b in got])
+        assert (vals[~kept_pins] > np.float32(eps)).all()
+        assert (vals[kept_pins] <= np.float32(eps)).any()
+        assert not (vals == np.float32(eps))[~kept_pins].any()
+
+    def test_empty_and_fully_kept_rows(self, rng):
+        X = rng.uniform(0.5, 1.0, size=(6, 2, 6))
+        X[1, 0] = 0.0
+        X[4, 1] = 0.1
+        pins = np.zeros(X.shape, dtype=bool)
+        got = assert_compaction_matches_reference(BlockArrays(X, pins), eps=0.2)
+        counts = np.concatenate([b[1] for b in got]).reshape(6, 2)
+        assert counts[1, 0] == 0 and counts[4, 1] == 0
+        assert counts[0, 0] == counts[5, 1] == 6
+
+    def test_one_row_block_and_one_entity(self, rng, monkeypatch):
+        X = rng.random((5, 2, 5))
+        pins = rng.random(X.shape) < 0.2
+        monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", 1)
+        got = assert_compaction_matches_reference(BlockArrays(X, pins), eps=0.5)
+        assert all(b[0].shape == (1,) for b in got)
+        monkeypatch.undo()
+        single = BlockArrays(np.array([[[0.7], [0.1], [0.0]]]),
+                             np.array([[[False], [True], [False]]]))
+        got = assert_compaction_matches_reference(single, eps=0.5)
+        assert np.concatenate([b[1] for b in got]).tolist() == [1, 1, 0]
+
+    def test_sampled_rows(self, rng):
+        X = rng.random((30, 3, 30))
+        pins = rng.random(X.shape) < 0.05
+        assert_compaction_matches_reference(BlockArrays(X, pins), 0.4, range(0, 90, 7))
+
+    @given(st.integers(1, 12), st.integers(1, 4), st.integers(1, 64),
+           st.sampled_from([0.0, 0.25, 0.3, 0.999]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_hypothesis_blocks(self, n, m, block_entries, eps, seed):
+        rng = np.random.default_rng(seed)
+        X = np.where(rng.random((n, m, n)) < 0.5, eps_edge_values((n, m, n), eps, rng),
+                     rng.random((n, m, n)))
+        pins = rng.random(X.shape) < 0.2
+        previous = tensor_module.BLOCK_ENTRIES
+        tensor_module.BLOCK_ENTRIES = block_entries
+        try:
+            assert_compaction_matches_reference(BlockArrays(X, pins), eps)
+        finally:
+            tensor_module.BLOCK_ENTRIES = previous
+
+
+# sha256 of CalibratedTensor.save for build_tensor in each ablation mode on
+# the graph, model and theta below; recorded before the one-pass compaction
+# and the select threshold, so a kernel change that moves a byte shows here
+_GOLDEN_TENSORS = {
+    "S12": "b6b804a44122ac16f9fe4bc358d9fb91aa15945071752dabfa4e9c4a884b3d7e",
+    "S123": "73a4313a4cafae82055737b7dbbaadd52036899d5341377688a0c261575ab44b",
+    "S1234": "e8006e9afed55e5ffd58ff63d5ee5e1c4fa377f10541639281db5263aa8f308d",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_chain():
+    kg = random_kg(np.random.default_rng(13), 300, 8, 3000)
+    model, _ = train(kg, TrainConfig(dim=8, epochs=2, batch_size=128, seed=3))
+    theta = np.random.default_rng(17).normal(0.0, 0.5, (kg.n_entities, kg.n_relations))
+    return kg, NormalizedScorer(model, kg), AdaptationMatrix(theta)
+
+
+@pytest.mark.parametrize("mode", ABLATION_MODES)
+def test_tensor_matches_recorded_digest(tmp_path, golden_chain, mode):
+    kg, scorer, adaptation = golden_chain
+    tensor = build_tensor(ablation_provider(mode, scorer, adaptation, kg, eps=0.003))
+    tensor.save(tmp_path / mode)
+    assert hashlib.sha256((tmp_path / mode).read_bytes()).hexdigest() == _GOLDEN_TENSORS[mode]
