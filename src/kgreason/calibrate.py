@@ -16,12 +16,13 @@ the adapted provider reproduces the normalized one bitwise.
 
 Fitting theta (adapt) has its own kernel. It handles only the anchored
 shapes of ADAPTATION_STRUCTURES: a query there is at most three anchored
-branches P[r](h), each possibly complemented, intersected. adapt turns every
-query into such branches once and then computes each minibatch's losses and
-theta-gradient in one vectorized pass, chunk by chunk, with no tape. The
-tape path (_AdaptiveRows, GradientTape, query_loss_adjoint) stays the general
-gradient API and the kernel's reference: forward memberships are equal to
-it, gradients and theta differ from it only by summation order.
+branches P[r](h), each possibly complemented, intersected. adapt reads them
+from every query's lowering (QueryRecord.lowered) once, then computes each
+minibatch's losses and theta-gradient in one vectorized pass, chunk by
+chunk, with no tape. The tape path (_AdaptiveRows, GradientTape,
+query_loss_adjoint) stays the general gradient API and the kernel's
+reference: forward memberships are equal to it, gradients and theta differ
+from it only by summation order.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsl import Anchor, Complement, Intersection, Node, Projection, QueryRecord, serialize
+from .dsl import QueryRecord, serialize
 from .graph import KnowledgeGraph
 from .scorer import EmbeddingModel, SettingError, read_checkpoint
 from .tensor import csr_take
@@ -281,30 +282,15 @@ def query_loss_adjoint(values: np.ndarray, answers: np.ndarray,
     return (float(loss) if values.ndim == 1 else loss), seed
 
 
-def _anchored_branches(node: Node) -> list[tuple[int, int, bool]]:
-    """(head, relation, negated) per branch of P[r](h) or an intersection of
-    two or three such projections, each possibly complemented."""
-    children = node.children if isinstance(node, Intersection) else (node,)
-    branches = []
-    for child in children:
-        negated = isinstance(child, Complement)
-        proj = child.child if negated else child
-        if (len(children) > MAX_BRANCHES or not isinstance(proj, Projection)
-                or not isinstance(proj.child, Anchor)):
-            raise ValueError(f"query {serialize(node)} is not an intersection of at most "
-                             f"{MAX_BRANCHES} anchored projections")
-        branches.append((proj.child.entity, proj.relation, negated))
-    return branches
-
-
 class _BranchTable:
     """Usable queries as at most three anchored branches, and their base rows.
 
+    A branch, read from rec.lowered, is a child of the top intersection step
+    (or the query itself): an anchor's projection, perhaps complemented.
     pair[q, k] indexes the row of branch k of query q among the unique flat
     row ids h * |R| + r in `rows`, -1 for a padding slot (a constant-1
     factor); negated[q, k] marks a complement. The rows' thresholded S12
-    values (the tape path's base rows) and each query's answer ids are kept
-    as CSR.
+    values (the tape path's base rows) and the answer ids are kept as CSR.
     """
 
     def __init__(self, scorer: NormalizedScorer, records: list[QueryRecord],
@@ -315,7 +301,15 @@ class _BranchTable:
         rid = np.full((len(records), MAX_BRANCHES), -1, dtype=np.int64)
         self.negated = np.zeros(rid.shape, dtype=bool)
         for i, rec in enumerate(records):
-            for k, (h, r, negated) in enumerate(_anchored_branches(rec.ast)):
+            steps, params = rec.lowered
+            branches = steps[-1][1] if steps[-1][0] == "i" else (len(steps) - 1,)
+            for k, at in enumerate(branches):
+                negated = steps[at][0] == "n"
+                proj = steps[steps[at][1]] if negated else steps[at]
+                if len(branches) > MAX_BRANCHES or proj[0] != "p" or steps[proj[2]][0] != "a":
+                    raise ValueError(f"query {serialize(rec.ast)} is not an intersection "
+                                     f"of at most {MAX_BRANCHES} anchored projections")
+                h, r = params[steps[proj[2]][1]], params[proj[1]]
                 if not (0 <= h < n and 0 <= r < m):
                     raise ValueError(f"query {serialize(rec.ast)} is outside the "
                                      f"graph ({n} entities, {m} relations)")
@@ -383,8 +377,8 @@ def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
     """Fit theta on complex-query training data with Adam; returns epoch losses.
 
     Only records whose structure is in config.structures participate; each
-    must be an intersection of at most three anchored branches (see
-    _anchored_branches), which every shape of ADAPTATION_STRUCTURES is.
+    must be an intersection of at most three anchored branches, which every
+    shape of ADAPTATION_STRUCTURES is (see _BranchTable).
     Answer sets are the records' own (train-graph) answers; non-answers are
     the full complement, no sampling.
 

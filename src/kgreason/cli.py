@@ -150,11 +150,6 @@ def cmd_train_kgc(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    if args.mode == "S12":
-        print("mode S12 uses normalization only; no adaptation matrix to fit")
-        return 0
-    if not args.queries:
-        raise UsageError(f"mode {args.mode} needs --queries")
     config = CalibrationConfig(lr=args.lr, epochs=args.epochs, batch_size=args.batch,
                                eps=args.epsilon, seed=args.seed)
     kg = _load_graph(args)
@@ -269,7 +264,7 @@ def _build_parsers() -> dict[str, tuple[argparse.ArgumentParser, callable]]:
     commands: dict[str, tuple[argparse.ArgumentParser, callable]] = {}
 
     def register(name, func, configure, description):
-        parser = argparse.ArgumentParser(prog=f"kgreason {name}",
+        parser = argparse.ArgumentParser(prog=f"kgreason {name}", allow_abbrev=False,
                                          description=description)
         _add_common_flags(parser)
         configure(parser)
@@ -295,13 +290,12 @@ def _build_parsers() -> dict[str, tuple[argparse.ArgumentParser, callable]]:
     def conf_calibrate(p):
         _add_graph_flags(p)
         p.add_argument("--model", required=True, help="model checkpoint")
-        p.add_argument("--queries", default=None, help="training query file")
+        p.add_argument("--queries", required=True, help="training query file")
         p.add_argument("--alpha", type=float, default=0.1)
         p.add_argument("--epochs", type=int, default=5)
         p.add_argument("--lr", type=float, default=0.001)
         p.add_argument("--batch", type=int, default=1000)
         p.add_argument("--epsilon", type=float, default=0.0005)
-        p.add_argument("--mode", default="S1234", choices=ABLATION_MODES)
         p.add_argument("--out", default="adaptation.npz")
 
     def conf_build(p):
@@ -404,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     parser, func = commands[name]
     try:
-        prescan = argparse.ArgumentParser(add_help=False)
+        prescan = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
         prescan.add_argument("--config", default=None)
         pre, _ = prescan.parse_known_args(rest)
         namespace = (_namespace_from_config(parser, pre.config)

@@ -1,4 +1,4 @@
-"""First-order query ASTs, their text syntax, and structure classification.
+"""First-order query ASTs, their text syntax, classification and lowering.
 
 Syntax, whitespace-insensitive:
 
@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union as TUnion
 
 from .graph import Vocab
+from .kvio import checked_lines
 
 
 class QueryParseError(ValueError):
@@ -150,6 +152,44 @@ class _Parser:
         return Intersection(tuple(args)) if op == "I" else Union(tuple(args))
 
 
+def query_shape(node: Node) -> tuple[tuple, list[int]]:
+    """(shape, params) of a query: the DAG without its ids, and the ids.
+
+    The shape lists the nodes children first, a shared subtree (same node
+    object) once, each as ("a", slot), ("p", slot, child), ("n", child),
+    ("i", children) or ("u", children), where a child is the position of an
+    earlier node and slot the position in params of the anchor's entity or
+    the projection's relation id.
+    """
+    steps: list[tuple] = []
+    params: list[int] = []
+    at: dict[int, int] = {}
+
+    def visit(nd) -> int:
+        if id(nd) in at:        # a shared subtree: listed once
+            return at[id(nd)]
+        if isinstance(nd, Anchor):
+            step = ("a", len(params))
+            params.append(nd.entity)
+        elif isinstance(nd, Projection):
+            child = visit(nd.child)             # the child's ids come first
+            step = ("p", len(params), child)
+            params.append(nd.relation)
+        elif isinstance(nd, Complement):
+            step = ("n", visit(nd.child))
+        elif isinstance(nd, (Intersection, Union)):
+            step = ("i" if isinstance(nd, Intersection) else "u",
+                    tuple([visit(c) for c in nd.children]))
+        else:
+            raise TypeError(f"not a query node: {nd!r}")
+        at[id(nd)] = len(steps)
+        steps.append(step)
+        return at[id(nd)]
+
+    visit(node)
+    return tuple(steps), params
+
+
 def parse(text: str, entities: Vocab | None = None, relations: Vocab | None = None,
           n_entities: int | None = None, n_relations: int | None = None) -> Node:
     """Parse query text into an AST, resolving names through the vocabularies.
@@ -265,6 +305,11 @@ class QueryRecord:
         if not self.structure:
             object.__setattr__(self, "structure", classify_structure(self.ast))
 
+    @cached_property
+    def lowered(self) -> tuple[tuple, list[int]]:
+        """query_shape(ast), kept after the first access; not a field."""
+        return query_shape(self.ast)
+
 
 def _format_ids(ids: frozenset[int]) -> str:
     return ",".join(str(i) for i in sorted(ids))
@@ -298,11 +343,8 @@ def read_queries(path, entities: Vocab | None = None, relations: Vocab | None = 
     to the vocabulary sizes; every error names the file and line."""
     n_entities = len(entities) if n_entities is None and entities else n_entities
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in checked_lines(path, fh):
             try:
                 fields = line.split("\t")
                 if len(fields) != 3:

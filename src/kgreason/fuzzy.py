@@ -12,7 +12,7 @@ in [0, 1]. Operators:
 Union is literally the composition above, so the two are bitwise consistent
 by construction.
 
-Queries are evaluated in batches. The shape of a query (query_shape) is its
+Queries are evaluated in batches. The shape of a query (dsl.query_shape) is its
 DAG with the anchor and relation ids lifted out into a parameter row, so
 queries that differ only in their ids share one shape and are evaluated
 together (evaluate_batches): every node holds a (Q, |V|) membership matrix,
@@ -45,7 +45,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .dsl import Anchor, Complement, Intersection, Node, Projection, Union
+from .dsl import Node, query_shape
 
 # float64 membership entries per batch: Q * |V|, so max(1, BATCH_ENTRIES // |V|)
 # queries of one shape
@@ -320,48 +320,6 @@ def project(e: np.ndarray, relation: int, provider: RowProvider,
     return project_batch(e, relation, provider, tape)
 
 
-def query_shape(node: Node) -> tuple[tuple, list[int]]:
-    """(shape, params) of a query: the DAG without its ids, and the ids.
-
-    The shape lists the nodes children first, a shared subtree (same node
-    object) once, each as ("a", slot), ("p", slot, child), ("n", child),
-    ("i", children) or ("u", children), where a child is the position of an
-    earlier node and slot the position in params of the anchor's entity or
-    the projection's relation id.
-    """
-    steps: list[tuple] = []
-    params: list[int] = []
-    at: dict[int, int] = {}
-
-    def visit(nd) -> int:
-        k = at.get(id(nd))
-        if k is not None:
-            if k < 0:
-                raise ValueError("query graph contains a cycle")
-            return k
-        at[id(nd)] = -1
-        if isinstance(nd, Anchor):
-            step = ("a", len(params))
-            params.append(nd.entity)
-        elif isinstance(nd, Projection):
-            child = visit(nd.child)             # the child's ids come first
-            step = ("p", len(params), child)
-            params.append(nd.relation)
-        elif isinstance(nd, Complement):
-            step = ("n", visit(nd.child))
-        elif isinstance(nd, (Intersection, Union)):
-            step = ("i" if isinstance(nd, Intersection) else "u",
-                    tuple([visit(c) for c in nd.children]))
-        else:
-            raise TypeError(f"not a query node: {nd!r}")
-        at[id(nd)] = len(steps)
-        steps.append(step)
-        return at[id(nd)]
-
-    visit(node)
-    return tuple(steps), params
-
-
 def evaluate_shape(shape: tuple, params: np.ndarray, provider: RowProvider,
                    tape: GradientTape | None = None) -> np.ndarray:
     """Memberships of the queries of one shape: params (Q, k) give a (Q, |V|)
@@ -389,14 +347,13 @@ def evaluate_shape(shape: tuple, params: np.ndarray, provider: RowProvider,
     return memo[-1]
 
 
-def evaluate_batches(nodes: Sequence[Node], provider: RowProvider):
-    """Evaluate many queries, grouped by shape: yields (positions, memberships)
-    per batch, the indices into nodes of up to max(1, BATCH_ENTRIES // |V|)
-    queries of one shape and their (Q, |V|) membership matrix. Shapes come
-    in order of first appearance, each shape's queries in the given order."""
+def evaluate_batches(lowered: Sequence[tuple[tuple, list[int]]], provider: RowProvider):
+    """Evaluate query_shape's (shape, params) pairs, grouped by shape: yields
+    (positions, memberships) per batch, the indices into lowered of up to
+    max(1, BATCH_ENTRIES // |V|) queries of one shape and their (Q, |V|)
+    membership matrix, shapes in order of first appearance."""
     groups: dict[tuple, tuple[list[int], list[list[int]]]] = {}
-    for k, node in enumerate(nodes):
-        shape, params = query_shape(node)
+    for k, (shape, params) in enumerate(lowered):
         positions, rows = groups.setdefault(shape, ([], []))
         positions.append(k)
         rows.append(params)

@@ -1,12 +1,13 @@
 """Knowledge-graph storage: vocabularies, triplet splits, edge indexes.
 
-Graphs are read-only after construction, so each split scope has two cached
-indexes: the tail index, (head, relation) -> frozenset of tails, for the set
-oracle and the query sampler, and the edge keys, the sorted unique int64
-(h * |R| + r) * |V| + t, for the row scales, the pins and the indicator
-tensor. Entity/relation ids are dense non-negative integers assigned in
-first-appearance order (train file first, then validation, then test), which
-keeps runs reproducible.
+Graphs are read-only after construction, so each split scope has three
+cached indexes: the tail index, (head, relation) -> frozenset of tails, for
+the set oracle and the query sampler; the incoming lists, tail -> (head,
+relation) of its edges, for the sampler; and the edge keys, the sorted
+unique int64 (h * |R| + r) * |V| + t, for the row scales, the pins and the
+indicator tensor. Entity/relation ids are dense non-negative integers
+assigned in first-appearance order (train file first, then validation, then
+test), which keeps runs reproducible.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
+
+from .kvio import checked_lines
 
 log = logging.getLogger(__name__)
 
@@ -81,11 +84,8 @@ class Vocab:
     @classmethod
     def load(cls, path) -> "Vocab":
         vocab = cls()
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            for lineno, line in checked_lines(path, fh):
                 fields = line.split("\t")
                 if len(fields) != 2:
                     raise TripletFileError(f"{path}:{lineno}: expected 'id<TAB>surface'")
@@ -105,11 +105,8 @@ def load_split(path, entities: Vocab, relations: Vocab) -> list[Triplet]:
     triplets: list[Triplet] = []
     seen: set[Triplet] = set()
     duplicates = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in checked_lines(path, fh):
             fields = line.split("\t")
             if len(fields) != 3:
                 raise TripletFileError(

@@ -16,10 +16,10 @@ of a fixed graph's files).
 Ranking follows the filtered protocol: a hard answer competes only against
 non-answers, ties resolve to the average rank.
 
-evaluate_run evaluates its queries in batches of one shape
-(fuzzy.evaluate_batches) and ranks each batch with one row-wise sort
-(filtered_ranks); the per-query metrics are reduced per batch, with no loop
-over queries.
+evaluate_run evaluates its queries, each lowered once (QueryRecord.lowered),
+in batches of one shape (fuzzy.evaluate_batches) and ranks each batch with
+one row-wise sort (filtered_ranks); the per-query metrics are reduced per
+batch, with no loop over queries.
 rank_hard_answers is the batch of one of filtered_ranks, as fuzzy.evaluate
 is the batch of one of the evaluator. Reports are bitwise those of
 evaluating and ranking each query alone.
@@ -458,7 +458,7 @@ def evaluate_run(provider, records: list[QueryRecord]) -> EvalReport:
     ranked = [rec for rec in records if rec.hard]
     mrr = np.empty(len(ranked))
     hits = np.empty((len(HITS_LEVELS), len(ranked)))
-    for positions, values in fuzzy.evaluate_batches([rec.ast for rec in ranked], provider):
+    for positions, values in fuzzy.evaluate_batches([rec.lowered for rec in ranked], provider):
         batch = [ranked[k] for k in positions.tolist()]
         hard = [sorted(rec.hard) for rec in batch]
         ranks = filtered_ranks(values, [rec.easy | rec.hard for rec in batch], hard)

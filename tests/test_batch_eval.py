@@ -21,6 +21,7 @@ from kgreason.dsl import (
     Union,
     classify_structure,
     parse,
+    query_shape,
 )
 from kgreason.fuzzy import (
     DenseRows,
@@ -191,7 +192,7 @@ def mixed_queries(rng, per_structure=4):
 
 def batched(nodes, provider):
     out = np.full((len(nodes), provider.n_entities), np.nan)
-    for positions, values in evaluate_batches(nodes, provider):
+    for positions, values in evaluate_batches([query_shape(n) for n in nodes], provider):
         assert np.isnan(out[positions]).all()
         out[positions] = values
     return out
@@ -254,7 +255,7 @@ class TestMemberships:
         provider = make_provider("dense", np.random.default_rng(15))
         nodes = [parse("I(P[#0](#1),P[#1](#2))"), parse("I(P[#2](#3),P[#0](#4))"),
                  parse("I(P[#0](#1),N(P[#1](#2)))")]
-        batches = [positions.tolist() for positions, _ in evaluate_batches(nodes, provider)]
+        batches = [positions.tolist() for positions, _ in evaluate_batches([query_shape(n) for n in nodes], provider)]
         assert batches == [[0, 1], [2]]
 
     def test_project_batch_rows_are_single_projections(self):
@@ -336,7 +337,7 @@ class TestChunkBoundaries:
         provider = make_provider("tensor", np.random.default_rng(32))
         monkeypatch.setattr(fuzzy, "BATCH_ENTRIES", 3 * N)
         nodes = [parse(f"P[#1](#{k})") for k in range(8)]
-        sizes = [positions.size for positions, _ in evaluate_batches(nodes, provider)]
+        sizes = [positions.size for positions, _ in evaluate_batches([query_shape(n) for n in nodes], provider)]
         assert sizes == [3, 3, 2]
 
 
@@ -358,7 +359,7 @@ class TestRangeChecks:
             evaluate(node, provider, GradientTape())
         good = Projection(0, Anchor(1)) if isinstance(node, Projection) else Anchor(1)
         with pytest.raises(ValueError, match=message):
-            list(evaluate_batches([good, node, good], provider))
+            list(evaluate_batches([query_shape(n) for n in (good, node, good)], provider))
         with pytest.raises(ValueError, match=message):
             evaluate_run(provider, [QueryRecord(node, frozenset(), frozenset({1}))])
 

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgreason import calibrate as calibrate_module
 from kgreason.calibrate import (
@@ -17,7 +21,16 @@ from kgreason.calibrate import (
     finalize,
     query_loss_adjoint,
 )
-from kgreason.dsl import Anchor, Projection, QueryRecord, parse
+from kgreason.dsl import (
+    Anchor,
+    Complement,
+    Intersection,
+    Node,
+    Projection,
+    QueryRecord,
+    parse,
+    serialize,
+)
 from kgreason.fuzzy import GradientTape, evaluate
 from kgreason.scorer import EmbeddingModel, SettingError
 from kgreason import tensor as tensor_module
@@ -718,6 +731,126 @@ def assert_close_to_reference(got, want, rtol):
     np.testing.assert_allclose(got, want, rtol=0, atol=rtol * scale)
 
 
+# The AST walk that turned an adaptation query into its branches before
+# _BranchTable read them from the query's lowering; kept as its reference.
+
+def reference_branches(node: Node) -> list[tuple[int, int, bool]]:
+    """(head, relation, negated) per branch of P[r](h) or an intersection of
+    two or three such projections, each possibly complemented."""
+    children = node.children if isinstance(node, Intersection) else (node,)
+    branches = []
+    for child in children:
+        negated = isinstance(child, Complement)
+        proj = child.child if negated else child
+        if (len(children) > 3 or not isinstance(proj, Projection)
+                or not isinstance(proj.child, Anchor)):
+            raise ValueError(f"query {serialize(node)} is not an intersection of at most "
+                             f"3 anchored projections")
+        branches.append((proj.child.entity, proj.relation, negated))
+    return branches
+
+
+def reference_table(records, n, m):
+    """(rows, pair, negated) as _BranchTable lays them out, from
+    reference_branches."""
+    rid = np.full((len(records), 3), -1, dtype=np.int64)
+    negated = np.zeros(rid.shape, dtype=bool)
+    for i, rec in enumerate(records):
+        for k, (h, r, neg) in enumerate(reference_branches(rec.ast)):
+            if not (0 <= h < n and 0 <= r < m):
+                raise ValueError(f"query {serialize(rec.ast)} is outside the "
+                                 f"graph ({n} entities, {m} relations)")
+            rid[i, k] = h * m + r
+            negated[i, k] = neg
+    rows, inverse = np.unique(rid[rid >= 0], return_inverse=True)
+    pair = np.full(rid.shape, -1, dtype=np.int64)
+    pair[rid >= 0] = inverse
+    return rows, pair, negated
+
+
+@functools.lru_cache(maxsize=None)
+def branch_scorer():
+    return study(11)[1]
+
+
+# complement flags per adaptation structure, complement last
+BRANCH_FLAGS = {"1p": (False,), "2i": (False, False), "3i": (False, False, False),
+                "2in": (False, True), "3in": (False, False, True)}
+
+
+@st.composite
+def adaptation_records(draw, n=24, m=3):
+    """An adaptation query of a drawn structure, its branches in a drawn
+    order (so a complement comes first, in the middle or last)."""
+    structure = draw(st.sampled_from(sorted(BRANCH_FLAGS)))
+    flags = draw(st.permutations(BRANCH_FLAGS[structure]))
+    branches = []
+    for neg in flags:
+        proj = Projection(draw(st.integers(0, m - 1)), Anchor(draw(st.integers(0, n - 1))))
+        branches.append(Complement(proj) if neg else proj)
+    node = branches[0] if structure == "1p" else Intersection(tuple(branches))
+    return QueryRecord(node, frozenset(), frozenset({0}))
+
+
+def assert_table_matches_reference(records):
+    scorer = branch_scorer()
+    table = calibrate_module._BranchTable(scorer, records, 0.01)
+    rows, pair, negated = reference_table(records, scorer.n_entities, scorer.n_relations)
+    np.testing.assert_array_equal(table.rows, rows)
+    np.testing.assert_array_equal(table.pair, pair)
+    np.testing.assert_array_equal(table.negated, negated)
+
+
+class TestBranchExtraction:
+    """_BranchTable's branches, read from each record's lowering, against
+    the AST walk above."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(adaptation_records(), min_size=1, max_size=8))
+    def test_matches_reference(self, records):
+        assert_table_matches_reference(records)
+
+    @pytest.mark.parametrize("text", [
+        "I(N(P[#0](#3)),P[#1](#4))", "I(P[#0](#3),N(P[#2](#5)),P[#1](#4))",
+        "I(P[#0](#3),P[#1](#4),N(P[#2](#5)))", "I(N(P[#0](#3)),P[#1](#4),P[#1](#4))",
+        # not adaptation structures, but anchored branches all the same
+        "N(P[#0](#3))", "I(N(P[#0](#3)),N(P[#1](#4)))"])
+    def test_complement_positions(self, text):
+        assert_table_matches_reference([QueryRecord(parse(text), frozenset(), frozenset({0}))])
+
+    def test_shared_branch_object(self):
+        branch = Projection(1, Anchor(6))
+        rec = QueryRecord(Intersection((branch, Complement(branch))), frozenset(), frozenset({0}))
+        assert_table_matches_reference([rec])
+        assert reference_branches(rec.ast) == [(6, 1, False), (6, 1, True)]
+
+    @pytest.mark.parametrize("node", [
+        Projection(0, Anchor(24)), Projection(3, Anchor(0)),
+        Intersection((Projection(0, Anchor(1)), Complement(Projection(7, Anchor(2)))))],
+        ids=["anchor", "relation", "complemented-relation"])
+    def test_out_of_range_message(self, node):
+        rec = QueryRecord(node, frozenset(), frozenset({0}))
+        message = f"query {serialize(node)} is outside the graph (24 entities, 3 relations)"
+        with pytest.raises(ValueError) as want:
+            reference_table([rec], 24, 3)
+        with pytest.raises(ValueError) as got:
+            calibrate_module._BranchTable(branch_scorer(), [rec], 0.01)
+        assert str(got.value) == str(want.value) == message
+
+    @pytest.mark.parametrize("text", [
+        "P[#0](P[#1](#0))", "#3", "N(#3)", "N(N(P[#0](#3)))", "U(P[#0](#3),P[#1](#4))",
+        "I(P[#0](P[#1](#0)),P[#1](#4))", "I(P[#0](#3),U(P[#0](#3),P[#1](#4)))",
+        "I(P[#0](#1),P[#0](#2),P[#0](#3),P[#0](#4))", "P[#0](I(P[#0](#3),P[#1](#4)))"])
+    def test_mislabelled_record_message(self, text):
+        rec = QueryRecord(parse(text), frozenset(), frozenset({0}), structure="2i")
+        message = f"query {text} is not an intersection of at most 3 anchored projections"
+        with pytest.raises(ValueError) as want:
+            reference_branches(rec.ast)
+        with pytest.raises(ValueError) as got:
+            calibrate_module._BranchTable(branch_scorer(), [rec], 0.01)
+        assert str(got.value) == str(want.value) == message
+
+
 class TestAdaptationKernel:
     """The batched kernel against the per-query tape reference above."""
 
@@ -738,8 +871,7 @@ class TestAdaptationKernel:
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         assert_close_to_reference(grad, ref_grad, 1e-12)
         assert set(zip(*np.nonzero(grad))) == set(zip(*np.nonzero(ref_grad)))
-        pairs = [(h, r) for rec in records for h, r, _ in
-                 calibrate_module._anchored_branches(rec.ast)]
+        pairs = [(h, r) for rec in records for h, r, _ in reference_branches(rec.ast)]
         assert len(set(pairs)) < len(pairs)          # shared rows
         if theta_scale == 3.0:                      # a clamp engaged
             assert any((np.exp(theta[h, r]) * provider.base_row(h, r)[1] >= 1.0).any()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kgreason import dsl
 from kgreason.cli import main
 from kgreason.dsl import read_queries
 from kgreason.kvio import read_kv
@@ -55,6 +56,14 @@ class TestDispatch:
 
     def test_missing_required_flag(self, capsys):
         assert main(["ingest"]) == 2
+
+    def test_flags_are_not_abbreviated(self, tmp_path, capsys):
+        paths = write_dataset(tmp_path)
+        out = tmp_path / "data"
+        assert main(["ingest", "--train", str(paths["train"]), "--out-dir", str(out),
+                     "--no-inv"]) == 2
+        assert "unrecognized arguments: --no-inv" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(["ingest", "--train", str(tmp_path / "nope.tsv"),
@@ -230,11 +239,21 @@ class TestPipeline:
         assert code == 1
         assert "memory cap" in capsys.readouterr().err
 
-    def test_calibrate_s12_is_a_no_op(self, pipeline, capsys):
-        code = main(["calibrate", *pipeline["flags"], "--model",
-                     str(pipeline["model"]), "--mode", "S12"])
-        assert code == 0
-        assert "normalization only" in capsys.readouterr().out
+    def test_calibrate_has_no_mode_flag(self, pipeline, tmp_path, capsys):
+        # every mode fitted the same theta; nor is --mode read as --model
+        args = stage_args("calibrate", pipeline, tmp_path)
+        for argv in (args + ["--mode", "S123"], args[:1] + ["--mode", "S123"] + args[1:]):
+            assert main(argv) == 2
+            assert "unrecognized arguments: --mode S123" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_calibrate_mode_config_key_is_unknown(self, pipeline, tmp_path, capsys):
+        conf = tmp_path / "calibrate.conf"
+        conf.write_text("mode = S12\n")
+        args = stage_args("calibrate", pipeline, tmp_path) + ["--config", str(conf)]
+        assert main(args) == 2
+        assert f"error: {conf}: unknown config key 'mode'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_calibrate_needs_queries(self, pipeline, capsys):
         code = main(["calibrate", *pipeline["flags"], "--model",
@@ -289,6 +308,22 @@ class TestPipeline:
         assert "S123: skipped" in printed and "S1234: skipped" in printed
         summary = read_kv(out_dir / "ablation.summary")
         assert set(summary) == {"S12.avg_p", "S12.avg_n"}
+
+    def test_ablate_lowers_each_query_once(self, pipeline, tmp_path, monkeypatch):
+        # one record without hard answers, which no mode evaluates
+        queries = tmp_path / "ablate.queries"
+        queries.write_text(pipeline["test_q"].read_text() + "P[#0](#1)\t2\t\n")
+        ranked = [rec.ast for rec in read_queries(queries) if rec.hard]
+        assert 0 < len(ranked) < len(read_queries(queries))
+        lowered = []
+        real = dsl.query_shape
+        monkeypatch.setattr(dsl, "query_shape", lambda node: lowered.append(node) or real(node))
+        args = stage_args("ablate", pipeline, tmp_path)
+        args[args.index("--queries") + 1] = str(queries)
+        assert main(args) == 0
+        assert set(read_kv(tmp_path / "out" / "ablation.summary")) == {
+            f"{mode}.{avg}" for mode in ("S12", "S123", "S1234") for avg in ("avg_p", "avg_n")}
+        assert lowered == ranked    # once per ranked record, not once per mode
 
     def test_train_kgc_deterministic(self, pipeline, tmp_path):
         out = tmp_path / "model2.npz"
@@ -517,3 +552,32 @@ class TestValidatedInputs:
         assert code == 1
         err = capsys.readouterr().err
         assert f"{queries}:2: " in err and message in err
+
+    def test_bad_utf8_query_file(self, pipeline, tmp_path, capsys):
+        queries = tmp_path / "bad.queries"
+        queries.write_bytes(b"P[#0](#1)\t\t2\nP[#0](#1)\t\t2\xa9\n")
+        code = main(["eval", "--tensor", str(pipeline["tensor"]),
+                     "--queries", str(queries)])
+        assert code == 1
+        assert f"error: {queries}:2: not valid UTF-8" in capsys.readouterr().err
+
+    def test_bad_utf8_triplet_file(self, pipeline, tmp_path, capsys):
+        lines = pipeline["root"].joinpath("train.tsv").read_bytes().splitlines(keepends=True)
+        bad = tmp_path / "train.tsv"
+        bad.write_bytes(b"".join(lines[:2] + [b"\xa9" + lines[2]] + lines[3:]))
+        out = tmp_path / "q.txt"
+        code = main(["gen-queries", "--train", str(bad), "--structures", "1p",
+                     "--count", "2", "--split", "train", "--out", str(out)])
+        assert code == 1
+        assert f"error: {bad}:3: not valid UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_utf8_config_file(self, pipeline, tmp_path, capsys):
+        conf = tmp_path / "train.conf"
+        conf.write_bytes(b"dim = 6\n# caf\xe9\nepochs = 1\n")
+        out = tmp_path / "model.npz"
+        code = main(["train-kgc", *pipeline["flags"], "--config", str(conf),
+                     "--out", str(out)])
+        assert code == 1
+        assert f"error: {conf}:2: not valid UTF-8" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,11 +18,11 @@ from kgreason.dsl import (
     Union,
     classify_structure,
     parse,
+    query_shape,
     read_queries,
     serialize,
     write_queries,
 )
-from kgreason.fuzzy import query_shape
 from kgreason.graph import Vocab
 
 
@@ -311,6 +314,16 @@ class TestQueryRecord:
         rec = QueryRecord(parse("#0"), frozenset(), frozenset())
         assert rec.structure == "other"
 
+    def test_lowered_once_and_not_a_field(self):
+        rec = QueryRecord(parse("I(P[#0](#1),N(P[#2](#3)))"), frozenset({1}), frozenset({2}))
+        twin = QueryRecord(rec.ast, rec.easy, rec.hard)
+        before = hash(rec)
+        assert rec.lowered == query_shape(rec.ast)
+        assert rec.lowered is rec.lowered
+        # twin is not lowered: equality and hashing ignore the cached lowering
+        assert rec == twin and hash(rec) == hash(twin) == before
+        assert "lowered" not in {f.name for f in dataclasses.fields(rec)}
+
 
 class TestQueryFiles:
     def records(self):
@@ -341,6 +354,17 @@ class TestQueryFiles:
         path = tmp_path / "q.txt"
         path.write_text("P[#0](#1)\t3\t4\n\nP[#0](#2)\t\t5\n")
         assert len(read_queries(path)) == 2
+
+    def test_line_breaks_read_as_before(self, tmp_path):
+        path = tmp_path / "q.txt"
+        path.write_bytes(b"P[#0](#1)\t3\t4\r\nP[#0](#2)\t\t5\rP[#1](#2)\t\t6\n")
+        assert [sorted(rec.hard) for rec in read_queries(path)] == [[4], [5], [6]]
+
+    def test_bad_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "q.txt"
+        path.write_bytes(b"P[#0](#1)\t3\t4\n\nP[#0](#2)\t\t5\xff\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: not valid UTF-8")):
+            read_queries(path)
 
     def test_field_count_checked(self, tmp_path):
         path = tmp_path / "q.txt"

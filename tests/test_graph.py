@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,11 @@ class TestVocab:
         loaded = Vocab.load(tmp_path / "vocab.tsv")
         assert loaded.names() == v.names()
 
+    def test_load_names_a_line_that_is_not_utf8(self, tmp_path):
+        (tmp_path / "bad.tsv").write_bytes(b"0\ta\r\n1\t\xe9\n")
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'bad.tsv'}:2: not valid UTF-8")):
+            Vocab.load(tmp_path / "bad.tsv")
+
     def test_load_rejects_gaps(self, tmp_path):
         (tmp_path / "bad.tsv").write_text("0\ta\n2\tb\n")
         with pytest.raises(TripletFileError, match="dense"):
@@ -67,6 +73,20 @@ class TestLoadSplit:
     def test_empty_file(self, tmp_path):
         path = write(tmp_path / "t.txt", [])
         assert load_split(path, Vocab(), Vocab()) == []
+
+    def test_utf8_and_line_breaks_read_as_before(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"caf\xc3\xa9\tr\tb\r\nb\tr\tc\rc\tr\td\n")
+        ent = Vocab()
+        assert load_split(path, ent, Vocab()) == [Triplet(0, 0, 1), Triplet(1, 0, 2),
+                                                  Triplet(2, 0, 3)]
+        assert ent.names() == ["caf\u00e9", "b", "c", "d"]
+
+    def test_bad_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"a\tr\tb\nb\tr\t\xa9c\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: not valid UTF-8")):
+            load_split(path, Vocab(), Vocab())
 
 
 class TestLoadKg:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from kgreason.kvio import read_kv, write_kv
@@ -32,4 +34,19 @@ def test_malformed_line_reports_position(tmp_path):
     path = tmp_path / "c.conf"
     path.write_text("fine = 1\nnot a pair\n")
     with pytest.raises(ValueError, match=":2"):
+        read_kv(path)
+
+
+def test_utf8_and_line_breaks_read_as_before(tmp_path):
+    path = tmp_path / "c.conf"
+    path.write_bytes(b"a = caf\xc3\xa9\r\nb = 2\rc = 3\x0cd = 4\n")
+    assert read_kv(path) == {"a": "caf\u00e9", "b": "2", "c": "3", "d": "4"}
+
+
+@pytest.mark.parametrize("raw", [b"\xa9", b"\xc3(", b"\xed\xa0\x80"],
+                         ids=["stray", "truncated", "surrogate"])
+def test_bad_utf8_names_file_and_line(tmp_path, raw):
+    path = tmp_path / "c.conf"
+    path.write_bytes(b"a = 1\r\nb = " + raw + b"\nc = 3\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: not valid UTF-8")):
         read_kv(path)
