@@ -16,6 +16,14 @@ upstream gradient in place of the rows it flows back from. One full-softmax
 cross-entropy loss, one weighted-cube regularizer and one optional
 relation-prediction auxiliary loss thus cover every kind. Optimization is
 Adagrad on dense gradient arrays.
+
+A batch allocates no temporaries it can avoid: the softmax cross-entropy
+overwrites its (B, |V|) scores with their gradient, every gradient row goes
+into gE/gR through one flat `scatter_add` (numpy's ufunc.at is fast only on
+1-D operands), and `train` reuses one pair of gradient buffers, zeroed per
+batch, and steps Adagrad in place. Each runs the same floating-point
+operations in the same order as the plain out-of-place formula, so a trained
+model is bitwise what that formula gives.
 """
 
 from __future__ import annotations
@@ -240,24 +248,43 @@ class TrainConfig:
 
 
 def _softmax_ce(scores: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and d(loss)/d(scores) for row-wise softmax."""
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    denom = exp.sum(axis=1, keepdims=True)
-    probs = exp / denom
+    """Mean cross-entropy and d(loss)/d(scores) for row-wise softmax.
+
+    Overwrites `scores` with the gradient and returns it: the steps of the
+    out-of-place formula (shift by the row max, exp, normalize, subtract 1 at
+    the targets, divide by B) run in place, in the same order."""
     batch = scores.shape[0]
-    picked = shifted[np.arange(batch), targets]
+    rows = np.arange(batch)
+    scores -= scores.max(axis=1, keepdims=True)
+    picked = scores[rows, targets]
+    np.exp(scores, out=scores)
+    denom = scores.sum(axis=1, keepdims=True)
     loss = float(np.mean(np.log(denom[:, 0]) - picked))
-    grad = probs
-    grad[np.arange(batch), targets] -= 1.0
-    grad /= batch
-    return loss, grad
+    scores /= denom
+    scores[rows, targets] -= 1.0
+    scores /= batch
+    return loss, scores
 
 
-def _used(kind: str, role: int, x: np.ndarray) -> np.ndarray:
-    """The columns of rows x that the terms of `kind` use for `role`: all or one half."""
+def scatter_add(table: np.ndarray, ids: np.ndarray, rows: np.ndarray, col0=0) -> None:
+    """table[ids[i], col0 + j] += rows[i, j], one row i after another, repeated
+    ids included: bitwise np.add.at(table[:, col0:col0 + w], ids, rows).
+
+    The scatter runs on the flattened table (which must be C-contiguous),
+    since ufunc.at has a fast path only for 1-D operands. col0 is one column
+    for every row, or an array of one per row."""
+    first = np.asarray(ids, dtype=np.intp) * table.shape[1] + col0
+    flat = (first[:, None] + np.arange(rows.shape[1])).ravel()
+    np.add.at(table.reshape(-1, copy=False), flat, rows.ravel())
+
+
+def _used(kind: str, role: int, width: int) -> tuple[int, int]:
+    """The columns of a stored `role` row of `width` that the terms of `kind`
+    use, all or one half, as (first column, count)."""
     parts, row = _ORDER[kind][role], _ROW[kind][role]
-    return x if len(parts) == len(row) else _split(x, row)[parts[0]]
+    if len(parts) == len(row):
+        return 0, width
+    return row.index(parts[0]) * (width // 2), width // 2
 
 
 def _cube_reg(model: EmbeddingModel, heads, rels, tails, weight: float,
@@ -270,7 +297,8 @@ def _cube_reg(model: EmbeddingModel, heads, rels, tails, weight: float,
     total = 0.0
     for role, ids, table, grad in ((HEAD, heads, model.E, gE), (RELATION, rels, model.R, gR),
                                    (TAIL, tails, model.E, gE)):
-        values = _used(model.kind, role, table[ids])
+        col0, width = _used(model.kind, role, table.shape[1])
+        values = table[ids][:, col0:col0 + width]
         if model.kind == "complex-bilinear":
             v0, v1 = _split(values, (0, 1)).values()
             mod = np.sqrt(v0 * v0 + v1 * v1)
@@ -280,7 +308,7 @@ def _cube_reg(model: EmbeddingModel, heads, rels, tails, weight: float,
         else:
             total += float(np.sum(np.abs(values) ** 3))
             dvals = 3.0 * np.abs(values) * values * (weight / batch)
-        np.add.at(_used(model.kind, role, grad), ids, dvals)
+        scatter_add(grad, ids, dvals, col0)
     return weight * total / batch
 
 
@@ -302,8 +330,8 @@ def batch_loss(model: EmbeddingModel, heads, rels, tails, reg: float,
     dC = dS.T @ Q
     # each factor's gradient: the same contraction with dQ in the tail's place
     h, r = model.parts(HEAD, heads), model.parts(RELATION, rels)
-    np.add.at(gE, heads, _contract_rows(kind, (None, r, dQ), HEAD))
-    np.add.at(gR, rels, _contract_rows(kind, (h, None, dQ), RELATION))
+    scatter_add(gE, heads, _contract_rows(kind, (None, r, dQ), HEAD))
+    scatter_add(gR, rels, _contract_rows(kind, (h, None, dQ), RELATION))
     # the candidates are E's tail parts, so dC goes back into those columns
     gT = _split(gE, _ROW[kind][TAIL])
     for part, block in _split(dC, order[TAIL]).items():
@@ -314,12 +342,12 @@ def batch_loss(model: EmbeddingModel, heads, rels, tails, reg: float,
         logits = psi @ model.R.T
         aux, dL = _softmax_ce(logits, rels)
         loss += aux_weight * aux
-        dL = dL * aux_weight
+        dL *= aux_weight
         gR += dL.T @ psi
         dPsi = _split(dL @ model.R, _ROW[kind][RELATION])
         t = model.parts(TAIL, tails)
-        np.add.at(gE, heads, _contract_rows(kind, (None, dPsi, t), HEAD))
-        np.add.at(gE, tails, _contract_rows(kind, (h, dPsi, None), TAIL))
+        scatter_add(gE, heads, _contract_rows(kind, (None, dPsi, t), HEAD))
+        scatter_add(gE, tails, _contract_rows(kind, (h, dPsi, None), TAIL))
     return loss
 
 
@@ -334,8 +362,10 @@ def train(kg: KnowledgeGraph, config: TrainConfig,
     if not data:
         raise ValueError("no training triplets")
     arr = triplet_array(data)
-    accE = np.zeros_like(model.E)
-    accR = np.zeros_like(model.R)
+    # one gradient pair zeroed per batch, one scratch pair for the Adagrad step
+    gE, gR = np.zeros_like(model.E), np.zeros_like(model.R)
+    accE, accR = np.zeros_like(model.E), np.zeros_like(model.R)
+    bufE, bufR = np.empty_like(model.E), np.empty_like(model.R)
     history: list[float] = []
     for epoch in range(config.epochs):
         order = rng.permutation(arr.shape[0])
@@ -344,22 +374,32 @@ def train(kg: KnowledgeGraph, config: TrainConfig,
         for start in range(0, arr.shape[0], config.batch_size):
             batch = arr[order[start:start + config.batch_size]]
             heads, rels, tails = batch[:, 0], batch[:, 1], batch[:, 2]
-            gE = np.zeros_like(model.E)
-            gR = np.zeros_like(model.R)
-            epoch_loss += batch_loss(
-                model, heads, rels, tails, config.reg, config.aux_weight, gE, gR
-            )
+            gE.fill(0.0)
+            gR.fill(0.0)
+            try:
+                epoch_loss += batch_loss(
+                    model, heads, rels, tails, config.reg, config.aux_weight, gE, gR
+                )
+                for param, grad, acc, buf in ((model.E, gE, accE, bufE),
+                                              (model.R, gR, accR, bufR)):
+                    # acc += grad**2; param -= lr * grad / (sqrt(acc) + eps)
+                    acc += np.multiply(grad, grad, out=buf)
+                    np.sqrt(acc, out=buf)
+                    buf += ADAGRAD_EPS
+                    grad *= config.lr
+                    grad /= buf
+                    param -= grad
+            except FloatingPointError as exc:   # np.seterr(over="raise") and the like
+                raise _diverged(epoch, config) from exc
             batches += 1
-            accE += gE * gE
-            accR += gR * gR
-            model.E -= config.lr * gE / (np.sqrt(accE) + ADAGRAD_EPS)
-            model.R -= config.lr * gR / (np.sqrt(accR) + ADAGRAD_EPS)
         mean_loss = epoch_loss / max(batches, 1)
         if not np.isfinite(mean_loss):
-            raise FloatingPointError(
-                f"non-finite training loss at epoch {epoch} "
-                f"(kind={config.kind}, lr={config.lr}, reg={config.reg})"
-            )
+            raise _diverged(epoch, config)
         history.append(mean_loss)
         log.debug("epoch %d: loss %.6f", epoch, history[-1])
     return model, history
+
+
+def _diverged(epoch: int, config: TrainConfig) -> FloatingPointError:
+    return FloatingPointError(f"non-finite training loss at epoch {epoch} "
+                              f"(kind={config.kind}, lr={config.lr}, reg={config.reg})")

@@ -375,6 +375,16 @@ class TestTrainingSettings:
         assert f"error: {flag} " in err and message in err
         assert not list(tmp_path.iterdir())
 
+    def test_train_kgc_divergence_names_epoch_and_settings(self, pipeline, tmp_path, capsys):
+        # the CLI makes numpy raise on overflow, inside the first batch
+        out = tmp_path / "model.npz"
+        assert main(["train-kgc", *pipeline["flags"], "--dim", "8", "--epochs", "2",
+                     "--lr", "1e160", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: non-finite training loss at epoch 0 "
+                       "(kind=complex-bilinear, lr=1e+160, reg=0.001)\n")
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command", ["calibrate", "build-tensor", "ablate"])
     @pytest.mark.parametrize("flag,value,message", [
         ("--alpha", "0", "finite positive"), ("--alpha", "nan", "finite positive"),

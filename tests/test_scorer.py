@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgreason.scorer import (
     EmbeddingModel,
@@ -9,6 +13,7 @@ from kgreason.scorer import (
     _relation_queries,
     _softmax_ce,
     batch_loss,
+    scatter_add,
     train,
 )
 
@@ -180,6 +185,81 @@ class TestSoftmaxCe:
         loss, grad = _softmax_ce(scores, np.array([0, 1]))
         assert np.isfinite(loss) and np.isfinite(grad).all()
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 40), st.floats(0.1, 50.0),
+           st.integers(0, 2**32 - 1))
+    def test_in_place_and_bitwise_the_out_of_place_formula(self, batch, width, spread, seed):
+        rng = np.random.default_rng(seed)
+        scores = rng.normal(size=(batch, width)) * spread
+        targets = rng.integers(width, size=batch)
+        want_loss, want_grad = reference_softmax_ce(scores, targets)
+        loss, grad = _softmax_ce(scores, targets)
+        assert grad is scores
+        assert loss == want_loss
+        assert grad.tobytes() == want_grad.tobytes()
+
+
+def reference_softmax_ce(scores, targets):
+    """The out-of-place softmax cross-entropy _softmax_ce replaced; leaves
+    scores as they are."""
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    denom = exp.sum(axis=1, keepdims=True)
+    probs = exp / denom
+    batch = scores.shape[0]
+    picked = shifted[np.arange(batch), targets]
+    loss = float(np.mean(np.log(denom[:, 0]) - picked))
+    grad = probs
+    grad[np.arange(batch), targets] -= 1.0
+    grad /= batch
+    return loss, grad
+
+
+_accumulators = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 3e17])
+
+
+class TestScatterAdd:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 40), st.integers(0, 2),
+           st.booleans(), _accumulators, st.integers(0, 2**32 - 1))
+    def test_bitwise_np_add_at(self, n_rows, width, k, distinct, half, fill, seed):
+        # distinct 0 draws every id from one row, so most ids repeat
+        rng = np.random.default_rng(seed)
+        table = np.full((n_rows, 2 * width), fill)
+        table.ravel()[rng.random(table.size) < 0.3] = rng.normal(size=1)[0]
+        ids = rng.integers(max(1, min(n_rows, distinct * n_rows)), size=k)
+        col0, w = (width, width) if half else (0, 2 * width)
+        rows = rng.normal(size=(k, w)) * 10.0 ** rng.integers(-150, 150, size=(k, w))
+        rows[rng.random((k, w)) < 0.2] = -0.0
+        want = table.copy()
+        np.add.at(want[:, col0:col0 + w], ids, rows)
+        scatter_add(table, ids, rows, col0)
+        assert table.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 40), _accumulators,
+           st.integers(0, 2**32 - 1))
+    def test_one_column_per_row_is_bitwise_np_add_at(self, n, m, k, fill, seed):
+        rng = np.random.default_rng(seed)
+        grad = np.full((n, m), fill)
+        h, r = rng.integers(n, size=k), rng.integers(m, size=k)
+        vals = rng.normal(size=k)
+        vals[rng.random(k) < 0.2] = -0.0
+        want = grad.copy()
+        np.add.at(want, (h, r), vals)
+        scatter_add(grad, h, vals[:, None], r)
+        assert grad.tobytes() == want.tobytes()
+
+    def test_empty_ids_change_nothing(self):
+        table = np.arange(6.0).reshape(2, 3)
+        scatter_add(table, np.empty(0, np.int64), np.empty((0, 2)), 1)
+        assert table.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+
+    def test_a_non_contiguous_table_is_rejected(self):
+        table = np.zeros((3, 4))[:, :2]
+        with pytest.raises(ValueError):
+            scatter_add(table, np.array([0]), np.ones((1, 2)))
+
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 @pytest.mark.parametrize("reg,aux", [(0.0, 0.0), (0.05, 0.0), (0.02, 0.3)])
@@ -276,8 +356,47 @@ class TestTrain:
             with pytest.raises(FloatingPointError, match="non-finite"):
                 train(kg, self.config(lr=1e160, epochs=3))
 
+    def test_runaway_lr_names_its_epoch_when_numpy_raises(self, rng):
+        kg = random_kg(rng, 10, 2, 40)
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(FloatingPointError) as err:
+                train(kg, self.config(lr=1e160, epochs=3))
+        assert str(err.value) == ("non-finite training loss at epoch 0 "
+                                  "(kind=diagonal-bilinear, lr=1e+160, reg=0.001)")
+        assert isinstance(err.value.__cause__, FloatingPointError)
+
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_all_kinds_train(self, rng, kind):
         kg = random_kg(rng, 12, 2, 60)
         model, history = train(kg, self.config(kind=kind, epochs=2))
         assert model.kind == kind and len(history) == 2
+
+
+# sha256 of E.tobytes() + R.tobytes() after train on the graph below, per kind
+# and aux_weight; recorded before the in-place softmax cross-entropy, the flat
+# gradient scatter and the reused Adagrad buffers, so a training kernel change
+# that moves a bit of the model shows here
+_GOLDEN_MODELS = {
+    ("complex-bilinear", 0.0): "bcb36362970f4fe76355ca5504d4e366c45ccf070ea59d4fb526d1791e113098",
+    ("complex-bilinear", 0.1): "30dbf4ff0c722234c400b67a56236d7711dbfa781711467b65f348a97438c7d7",
+    ("diagonal-bilinear", 0.0): "0aad21bf9c282738a94e4955039b8f433997b5eaf4370b7cd518da6784dc502f",
+    ("diagonal-bilinear", 0.1): "bf44fac6e33bb9b9050fbe6ca24dfc5cd6c8f692f2f7fd88b87d710ae76cf99b",
+    ("canonical-polyadic", 0.0): "e66f3dc18a3b8325520db8988dd72077d74d4523d4e8ccb4f560017c6f56ab7c",
+    ("canonical-polyadic", 0.1): "7c396e374c99562a09ce75c765ad8a063ad331fc211e18202e485842ea7b0b05",
+    ("simple-bilinear", 0.0): "d01d791f2e4d160e35a322dd230d285bac84ea13e718b8d9c009a9048abdb25d",
+    ("simple-bilinear", 0.1): "7b717002ffbb37feb32b56c439f7dda6a9a0f95f93b83a528419cdc2de92c843",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_graph():
+    # 480 training triplets over 60 entities: batches of 64 repeat ids and the last is partial
+    return random_kg(np.random.default_rng(13), 60, 4, 600)
+
+
+@pytest.mark.parametrize("kind,aux_weight", sorted(_GOLDEN_MODELS))
+def test_model_matches_recorded_digest(golden_graph, kind, aux_weight):
+    model, _ = train(golden_graph, TrainConfig(kind=kind, dim=8, epochs=2, batch_size=64,
+                                               aux_weight=aux_weight, seed=3))
+    digest = hashlib.sha256(model.E.tobytes() + model.R.tobytes()).hexdigest()
+    assert digest == _GOLDEN_MODELS[kind, aux_weight]
