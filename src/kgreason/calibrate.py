@@ -34,7 +34,7 @@ import numpy as np
 
 from .dsl import QueryRecord, serialize
 from .graph import KnowledgeGraph
-from .scorer import EmbeddingModel, SettingError, read_checkpoint, scatter_add
+from .scorer import EmbeddingModel, SettingError, read_checkpoint
 from .tensor import csr_take
 
 log = logging.getLogger(__name__)
@@ -342,14 +342,14 @@ class _BranchTable:
         q, n = queries.shape[0], self.n
         pair = self.pair[queries]
         live = pair >= 0
-        h, r = np.divmod(self.rows[pair[live]], self.m)
+        hr = np.divmod(self.rows[pair[live]], self.m)
         # the branches' base rows, dense: (q, MAX_BRANCHES, n)
         base = np.zeros((q, MAX_BRANCHES, n))
         pos, lens = csr_take(self.base_offsets, pair[live])
         slots = np.flatnonzero(live)
         base.reshape(-1, n)[np.repeat(slots, lens), self.base_cols[pos]] = self.base_vals[pos]
         scale = np.zeros((q, MAX_BRANCHES))
-        scale[live] = np.exp(theta[h, r])
+        scale[live] = np.exp(theta[hr])
         scaled = scale[..., None] * base
         x = np.minimum(scaled, 1.0)
         negated = self.negated[queries][..., None]
@@ -368,7 +368,7 @@ class _BranchTable:
                         seed * t[:, 0] * t[:, 1]], axis=1)
         adj = np.where(negated, -adj, adj)
         contrib = (adj * scaled * (scaled < 1.0)).sum(axis=2)
-        scatter_add(grad, h, contrib[live][:, None], r)
+        np.add.at(grad, hr, contrib[live])
         return float(losses.sum())
 
 

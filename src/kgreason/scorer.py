@@ -266,16 +266,18 @@ def _softmax_ce(scores: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndar
     return loss, scores
 
 
-def scatter_add(table: np.ndarray, ids: np.ndarray, rows: np.ndarray, col0=0) -> None:
+def scatter_add(table: np.ndarray, ids: np.ndarray, rows: np.ndarray, col0: int = 0) -> None:
     """table[ids[i], col0 + j] += rows[i, j], one row i after another, repeated
     ids included: bitwise np.add.at(table[:, col0:col0 + w], ids, rows).
 
-    The scatter runs on the flattened table (which must be C-contiguous),
-    since ufunc.at has a fast path only for 1-D operands. col0 is one column
-    for every row, or an array of one per row."""
+    The scatter runs on the flattened table, since ufunc.at has a fast path
+    only for 1-D operands; the table must be C-contiguous, so that flattening
+    it is a view and not a copy the additions would be lost in."""
+    if not table.flags.c_contiguous:
+        raise ValueError("scatter_add needs a C-contiguous table")
     first = np.asarray(ids, dtype=np.intp) * table.shape[1] + col0
     flat = (first[:, None] + np.arange(rows.shape[1])).ravel()
-    np.add.at(table.reshape(-1, copy=False), flat, rows.ravel())
+    np.add.at(table.reshape(-1), flat, rows.ravel())
 
 
 def _used(kind: str, role: int, width: int) -> tuple[int, int]:

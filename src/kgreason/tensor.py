@@ -249,10 +249,7 @@ def _kept_blocks(provider, rows: range, eps: float):
         values = dense.astype(np.float32)
         keep = (values > np.float32(eps)) | pinned
         flat = np.flatnonzero(keep)
-        counts = np.count_nonzero(keep, axis=1)
-        # a block is at most max(BLOCK_ENTRIES, |V|) entries, so int32 holds its flat index
-        row_starts = np.arange(0, values.size, provider.n_entities, dtype=np.int32)
-        yield (rids, counts, flat.astype(np.int32) - np.repeat(row_starts, counts),
+        yield (rids, np.count_nonzero(keep, axis=1), (flat % provider.n_entities).astype(np.int32),
                values.ravel().take(flat), pinned.ravel().take(flat))
 
 

@@ -236,20 +236,6 @@ class TestScatterAdd:
         scatter_add(table, ids, rows, col0)
         assert table.tobytes() == want.tobytes()
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 40), _accumulators,
-           st.integers(0, 2**32 - 1))
-    def test_one_column_per_row_is_bitwise_np_add_at(self, n, m, k, fill, seed):
-        rng = np.random.default_rng(seed)
-        grad = np.full((n, m), fill)
-        h, r = rng.integers(n, size=k), rng.integers(m, size=k)
-        vals = rng.normal(size=k)
-        vals[rng.random(k) < 0.2] = -0.0
-        want = grad.copy()
-        np.add.at(want, (h, r), vals)
-        scatter_add(grad, h, vals[:, None], r)
-        assert grad.tobytes() == want.tobytes()
-
     def test_empty_ids_change_nothing(self):
         table = np.arange(6.0).reshape(2, 3)
         scatter_add(table, np.empty(0, np.int64), np.empty((0, 2)), 1)
@@ -257,7 +243,7 @@ class TestScatterAdd:
 
     def test_a_non_contiguous_table_is_rejected(self):
         table = np.zeros((3, 4))[:, :2]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="C-contiguous"):
             scatter_add(table, np.array([0]), np.ones((1, 2)))
 
 
