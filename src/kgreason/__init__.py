@@ -27,7 +27,6 @@ from kgreason.calibrate import (
     NormalizedScorer,
     ablation_provider,
     adapt,
-    finalize,
 )
 from kgreason.tensor import CalibratedTensor, SparsityReport, build_tensor
 from kgreason.harness import (

@@ -18,11 +18,12 @@ Fitting theta (adapt) has its own kernel. It handles only the anchored
 shapes of ADAPTATION_STRUCTURES: a query there is at most three anchored
 branches P[r](h), each possibly complemented, intersected. adapt reads them
 from every query's lowering (QueryRecord.lowered) once, then computes each
-minibatch's losses and theta-gradient in one vectorized pass, chunk by
-chunk, with no tape. The tape path (_AdaptiveRows, GradientTape,
-query_loss_adjoint) stays the general gradient API and the kernel's
-reference: forward memberships are equal to it, gradients and theta differ
-from it only by summation order.
+minibatch's losses and theta-gradient in one vectorized pass, with no tape,
+in chunks of block_rows(MAX_BRANCHES * |V|) queries, which bound its
+working set by tensor.BLOCK_ENTRIES and change no bit of theta. The tape
+path (_AdaptiveRows, GradientTape, query_loss_adjoint) stays the general
+gradient API and the kernel's reference: forward memberships are equal to
+it, gradients and theta differ from it only by summation order.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from .dsl import QueryRecord, serialize
 from .graph import KnowledgeGraph
 from .scorer import EmbeddingModel, SettingError, read_checkpoint
-from .tensor import csr_take
+from .tensor import block_rows, csr_take
 
 log = logging.getLogger(__name__)
 
@@ -46,11 +47,6 @@ ABLATION_MODES = ("S12", "S123", "S1234")
 # query shapes used to fit theta: at most three anchored branches each
 ADAPTATION_STRUCTURES = ("1p", "2i", "3i", "2in", "3in")
 MAX_BRANCHES = 3
-
-# float64 entries (queries x MAX_BRANCHES x |V|) per chunk of the adaptation
-# kernel, so queries per chunk is max(1, ADAPT_CHUNK_ENTRIES // (3 |V|));
-# bounds its working memory whatever the minibatch size
-ADAPT_CHUNK_ENTRIES = 1 << 13
 
 
 class NormalizedScorer:
@@ -331,8 +327,9 @@ class _BranchTable:
 
     def loss_grad(self, theta: np.ndarray, queries: np.ndarray, grad: np.ndarray) -> float:
         """Summed loss of `queries` at theta; adds their summed theta-gradient
-        into grad. Works through chunks of at most ADAPT_CHUNK_ENTRIES."""
-        size = max(1, ADAPT_CHUNK_ENTRIES // (MAX_BRANCHES * self.n))
+        into grad. Works through chunks of block_rows(MAX_BRANCHES * |V|)
+        queries, which bounds the working memory whatever the minibatch size."""
+        size = block_rows(MAX_BRANCHES * self.n)
         total = 0.0
         for start in range(0, queries.shape[0], size):
             total += self._chunk(theta, queries[start:start + size], grad)
@@ -384,11 +381,12 @@ def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
 
     Before the first epoch every query becomes a row of a (Q, 3) branch table
     and the thresholded S12 base rows of its unique (h, r) are materialized
-    once. Each minibatch then runs one vectorized pass per chunk of at most
-    ADAPT_CHUNK_ENTRIES entries: x = min(exp(theta[h, r]) * base, 1), x or
-    1 - x per branch, their product as the answer vector, the loss and seed of
-    query_loss_adjoint, each branch's adjoint as the seed times the other
-    factors, and theta-grad[h, r] += sum(adjoint * scaled * (scaled < 1)).
+    once. Each minibatch then runs one vectorized pass per chunk of
+    block_rows(MAX_BRANCHES * |V|) queries: x = min(exp(theta[h, r]) * base,
+    1), x or 1 - x per branch, their product as the answer vector, the loss
+    and seed of query_loss_adjoint, each branch's adjoint as the seed times
+    the other factors, and theta-grad[h, r] += sum(adjoint * scaled *
+    (scaled < 1)).
     The memberships equal those of the tape path (GradientTape over
     _AdaptiveRows); gradients and theta differ from it only by summation
     order.
@@ -428,27 +426,17 @@ def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
     return AdaptationMatrix(theta), history
 
 
-def finalize(scorer: NormalizedScorer, adaptation: AdaptationMatrix | None,
-             kg: KnowledgeGraph, eps: float = 0.0005) -> CalibratedRows:
-    """Full calibration: adapted rows with the train and validation triplets
-    pinned to 1."""
-    theta = adaptation.theta if adaptation is not None else None
-    return CalibratedRows(scorer, theta=theta,
-                          pin_keys=kg.edge_keys(("train", "validation")), eps=eps)
-
-
 def ablation_provider(mode: str, scorer: NormalizedScorer,
                       adaptation: AdaptationMatrix | None,
                       kg: KnowledgeGraph, eps: float = 0.0005) -> CalibratedRows:
-    """S12 = normalize only; S123 = + adaptation; S1234 = + pinning."""
+    """S12 = normalize only; S123 = + adaptation; S1234 = + pinning, the full
+    calibration: adapted rows with the train and validation triplets pinned
+    to 1."""
+    if mode not in ABLATION_MODES:
+        raise ValueError(f"unknown ablation mode {mode!r}")
     if mode == "S12":
         return CalibratedRows(scorer, eps=eps)
-    if mode == "S123":
-        if adaptation is None:
-            raise ValueError("mode S123 needs an adaptation matrix")
-        return CalibratedRows(scorer, theta=adaptation.theta, eps=eps)
-    if mode == "S1234":
-        if adaptation is None:
-            raise ValueError("mode S1234 needs an adaptation matrix")
-        return finalize(scorer, adaptation, kg, eps)
-    raise ValueError(f"unknown ablation mode {mode!r}")
+    if adaptation is None:
+        raise ValueError(f"mode {mode} needs an adaptation matrix")
+    pin_keys = kg.edge_keys(("train", "validation")) if mode == "S1234" else None
+    return CalibratedRows(scorer, theta=adaptation.theta, pin_keys=pin_keys, eps=eps)

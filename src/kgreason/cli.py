@@ -251,6 +251,7 @@ def cmd_ablate(args) -> int:
         summary[f"{mode}.avg_n"] = f"{report.avg_n:.6f}"
         print(f"{mode}: avg_p {report.avg_p:.4f}  avg_n {report.avg_n:.4f}  "
               f"(nnz {tensor.nnz})")
+        del tensor      # released before the next mode's build
     write_kv(out_dir / "ablation.summary", summary)
     inputs = _graph_inputs(args) + [Path(args.model), Path(args.queries)]
     if args.w:

@@ -19,14 +19,14 @@ together (evaluate_batches): every node holds a (Q, |V|) membership matrix,
 anchors are one-hot rows, and complement, intersect and union work
 elementwise on the matrices. Projection is one kernel, project_batch: gather
 the rows of every (query, source) pair through the provider, in ranges of
-about GATHER_ENTRIES entries measured by the rows' real lengths, and
+about tensor.block_rows(2) entries measured by the rows' real lengths, and
 max-scatter each range's products into the flat Q * |V| output. evaluate_shape
 is the one walk over a shape; evaluate(node, provider) runs it on one
 query's (|V|,) vector and project() is project_batch of one set.
 Memberships are bitwise those of each query evaluated alone: max is exact
-and products keep the children's order. BATCH_ENTRIES bounds the membership
-entries of a batch (Q * |V|), GATHER_ENTRIES the gathered entries in
-flight, so memory stays flat at any |V|.
+and products keep the children's order. tensor.BLOCK_ENTRIES bounds both the
+membership entries of a batch (Q * |V|) and the gathered entries in flight,
+so memory stays flat at any |V|; it changes no output.
 
 An anchor entity or relation id outside the provider's range raises
 ValueError naming the id, whichever entry point it comes through.
@@ -46,12 +46,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .dsl import Node, query_shape
-
-# float64 membership entries per batch: Q * |V|, so max(1, BATCH_ENTRIES // |V|)
-# queries of one shape
-BATCH_ENTRIES = 1 << 16
-# gathered row entries per max-scatter in project_batch
-GATHER_ENTRIES = 1 << 14
+from .tensor import block_rows
 
 
 class RowProvider(Protocol):
@@ -209,22 +204,24 @@ def _check_ids(ids: np.ndarray, size: int, what: str) -> None:
 
 
 def gather_chunks(provider: RowProvider, heads: np.ndarray, rels):
-    """Rows (heads[k], rels[k]) for every k, in consecutive ranges of pairs of
-    about GATHER_ENTRIES entries: yields (start, stop, (cols, float64 vals,
-    lens)) per range, its rows concatenated in order and lens the length of
-    each. rels is one relation per head, or a scalar for all of them. Uses
-    the provider's own gather_chunks(heads, rels, limit) when it has one,
-    which sizes the ranges by the rows' real lengths; otherwise each range
-    holds max(1, GATHER_ENTRIES // |V|) pairs, as if every row were full, read
-    by one row() call per pair.
+    """Rows (heads[k], rels[k]) for every k, in consecutive ranges of pairs:
+    yields (start, stop, (cols, float64 vals, lens)) per range, its rows
+    concatenated in order and lens the length of each. rels is one relation
+    per head, or a scalar for all of them. A gathered entry takes two
+    float64-sized slots of the working set, its product and its flat output
+    position, so a range holds about block_rows(2) entries. Uses the
+    provider's own gather_chunks(heads, rels, limit) when it has one, which
+    sizes the ranges by the rows' real lengths; otherwise each range holds
+    block_rows(2 * |V|) pairs, as if every row were full, read by one row()
+    call per pair.
     """
     chunks = getattr(provider, "gather_chunks", None)
     if chunks is not None:
-        yield from chunks(heads, rels, GATHER_ENTRIES)
+        yield from chunks(heads, rels, block_rows(2))
         return
     heads = np.asarray(heads)
     rels = np.broadcast_to(rels, heads.shape)
-    step = max(1, GATHER_ENTRIES // max(provider.n_entities, 1))
+    step = block_rows(2 * provider.n_entities)
     for a in range(0, heads.shape[0], step):
         b = min(a + step, heads.shape[0])
         rows = [provider.row(h, r) for h, r in zip(heads[a:b].tolist(), rels[a:b].tolist())]
@@ -240,12 +237,12 @@ def project_batch(E: np.ndarray, rels, provider: RowProvider,
     out_j = max_i E_i * X[i, rels, j].
 
     The one projection kernel. The rows of the (set, source) pairs of E's
-    support, in row-major order, arrive in ranges of about GATHER_ENTRIES
-    entries (gather_chunks), so the working set stays small whatever |V| and
-    the batch size; each range's products are max-scattered into the flat
-    output, then the output is clamped to [0, 1]. Cost scales with the
-    gathered entries; max is exact, so each row equals its set projected
-    alone.
+    support, in row-major order, arrive in ranges of about
+    tensor.block_rows(2) entries (gather_chunks), so the working set stays
+    small whatever |V| and the batch size; each range's products are
+    max-scattered into the flat output, then the output is clamped to
+    [0, 1]. Cost scales with the gathered entries; max is exact, so each row
+    equals its set projected alone.
 
     When a tape records, each output entry's winner is picked before the
     clamp: its earliest gathered entry whose product is positive and equals
@@ -350,14 +347,14 @@ def evaluate_shape(shape: tuple, params: np.ndarray, provider: RowProvider,
 def evaluate_batches(lowered: Sequence[tuple[tuple, list[int]]], provider: RowProvider):
     """Evaluate query_shape's (shape, params) pairs, grouped by shape: yields
     (positions, memberships) per batch, the indices into lowered of up to
-    max(1, BATCH_ENTRIES // |V|) queries of one shape and their (Q, |V|)
-    membership matrix, shapes in order of first appearance."""
+    block_rows(|V|) queries of one shape and their (Q, |V|) membership
+    matrix, shapes in order of first appearance."""
     groups: dict[tuple, tuple[list[int], list[list[int]]]] = {}
     for k, (shape, params) in enumerate(lowered):
         positions, rows = groups.setdefault(shape, ([], []))
         positions.append(k)
         rows.append(params)
-    step = max(1, BATCH_ENTRIES // max(provider.n_entities, 1))
+    step = block_rows(provider.n_entities)
     for shape, (positions, rows) in groups.items():
         params = np.array(rows, dtype=np.int64)
         for start in range(0, len(positions), step):

@@ -12,6 +12,8 @@ File layout, little-endian:
 
 Pin markers are in-memory bookkeeping only; they are not serialized, so a
 loaded tensor compares equal on content but reports nothing as pinned.
+load reads the file once and keeps read-only views of its buffer as the
+tensor's arrays, so its peak is about one file, not two.
 
 build_tensor reads a provider through row_block(rids) -> (dense float64 rows,
 bool pin mask), for head-major blocks of at most BLOCK_ENTRIES entries; for
@@ -37,9 +39,17 @@ VERSION = 1
 _INDEX_BYTES = 4
 _VALUE_BYTES = 4
 
-# float64 entries per row block of build_tensor, so rows per block is
-# max(1, BLOCK_ENTRIES // |V|); bounds the build's working memory
+# the package's one working-set bound, in float64 entries per block of every
+# chunked kernel: the build's row blocks, the evaluator's query batches,
+# projection's gather ranges and adaptation's query chunks (block_rows). Its
+# value fixes the build's GEMM block shape, and so the bytes of the tensor.
 BLOCK_ENTRIES = 1 << 15
+
+
+def block_rows(width: int) -> int:
+    """Rows of `width` entries per block: max(1, BLOCK_ENTRIES // width),
+    with BLOCK_ENTRIES read at call time, so one setting sizes every loop."""
+    return max(1, BLOCK_ENTRIES // max(width, 1))
 
 
 def csr_take(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,8 +242,7 @@ class CalibratedTensor:
         if pos != len(buf):
             raise ValueError(f"{path}: trailing bytes after tensor payload")
         try:
-            return cls(n, m, eps, offsets.astype(np.uint64), indices.astype(np.int32),
-                       values.astype(np.float32))
+            return cls(n, m, eps, offsets, indices, values)
         except ValueError as exc:
             raise ValueError(f"{path}: corrupt tensor: {exc}") from exc
 
@@ -241,7 +250,7 @@ class CalibratedTensor:
 def _kept_blocks(provider, rows: range, eps: float):
     """The entries whose float32 value exceeds eps, or that are pinned, per
     block of the row ids in `rows`: (rids, kept per row, cols, values, pins)."""
-    step = max(1, BLOCK_ENTRIES // max(provider.n_entities, 1))
+    step = block_rows(provider.n_entities)
     for start in range(0, len(rows), step):
         block = rows[start:start + step]
         rids = np.arange(block.start, block.stop, block.step)

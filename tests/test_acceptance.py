@@ -26,7 +26,6 @@ from kgreason.calibrate import (
     _BranchTable,
     ablation_provider,
     adapt,
-    finalize,
     query_loss_adjoint,
 )
 from kgreason.dsl import (
@@ -541,7 +540,7 @@ def test_criterion_08_pinning(synthetic_study, capsys):
     """Every known triplet reads back exactly one; no held-out triplet is
     pinned."""
     s0 = synthetic_study[0]
-    provider = finalize(s0.scorer, s0.matrix, s0.kg, eps=STUDY_EPS)
+    provider = ablation_provider("S1234", s0.scorer, s0.matrix, s0.kg, eps=STUDY_EPS)
     tensor = build_tensor(provider, eps=STUDY_EPS)
     known = list(s0.kg.edges(("train", "validation")))
     not_one = sum(1 for h, r, t in known if tensor.value(h, r, t) != 1.0)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from kgreason import fuzzy
+from kgreason import tensor as tensor_module
 from kgreason.calibrate import CalibratedRows, NormalizedScorer
 from kgreason.dsl import (
     Anchor,
@@ -314,8 +315,7 @@ class TestChunkBoundaries:
         records = records_for(nodes, rng)
         results = []
         for entries in (1, 3 * N + 5, 1 << 40):       # 1, 3 and all queries or pairs
-            monkeypatch.setattr(fuzzy, "BATCH_ENTRIES", entries)
-            monkeypatch.setattr(fuzzy, "GATHER_ENTRIES", entries)
+            monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", entries)
             report = evaluate_run(provider, records)
             results.append((batched(nodes, provider).tobytes(), report.to_kv(),
                             report_fields(report)))
@@ -324,8 +324,9 @@ class TestChunkBoundaries:
         assert results[0][0] == want.tobytes()
 
     def test_tensor_gathers_follow_row_lengths(self, monkeypatch):
-        # GATHER_ENTRIES = |V|: a range holds one full row, but many sparse ones
-        monkeypatch.setattr(fuzzy, "GATHER_ENTRIES", N)
+        # BLOCK_ENTRIES = 2|V| cuts tensor ranges at |V| gathered entries (two
+        # slots each): a range holds one full row, but many sparse ones
+        monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", 2 * N)
         heads, rels = np.repeat(np.arange(N), M), np.tile(np.arange(M), N)
         tensor = make_provider("tensor", np.random.default_rng(33))
         ranges = list(fuzzy.gather_chunks(tensor, heads, rels))
@@ -335,7 +336,7 @@ class TestChunkBoundaries:
 
     def test_batches_respect_the_bound(self, monkeypatch):
         provider = make_provider("tensor", np.random.default_rng(32))
-        monkeypatch.setattr(fuzzy, "BATCH_ENTRIES", 3 * N)
+        monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", 3 * N)
         nodes = [parse(f"P[#1](#{k})") for k in range(8)]
         sizes = [positions.size for positions, _ in evaluate_batches([query_shape(n) for n in nodes], provider)]
         assert sizes == [3, 3, 2]

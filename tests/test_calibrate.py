@@ -18,7 +18,6 @@ from kgreason.calibrate import (
     ablation_provider,
     adapt,
     calibrated_block,
-    finalize,
     query_loss_adjoint,
 )
 from kgreason.dsl import (
@@ -372,9 +371,10 @@ class TestProviders:
             with pytest.raises(ValueError, match="adaptation matrix"):
                 ablation_provider(mode, scorer, None, kg)
 
-    def test_finalize_pins_train_and_validation(self, setup):
+    def test_s1234_pins_train_and_validation(self, setup):
         kg, _, scorer = setup
-        provider = finalize(scorer, None, kg)
+        matrix = AdaptationMatrix.zeros(scorer.n_entities, scorer.n_relations)
+        provider = ablation_provider("S1234", scorer, matrix, kg)
         rids, tails = np.divmod(provider.pin_keys, scorer.n_entities)
         heads, rels = np.divmod(rids, scorer.n_relations)
         pinned = set(zip(heads.tolist(), rels.tolist(), tails.tolist()))
@@ -929,9 +929,8 @@ class TestAdaptationKernel:
         records = shaped_records(np.random.default_rng(10), 24, 3, per_shape=8)
         config = CalibrationConfig(lr=0.05, epochs=3, batch_size=len(records),
                                    eps=0.01, seed=4)
-        monkeypatch.setattr(calibrate_module, "ADAPT_CHUNK_ENTRIES", 1)
+        monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", 1)
         one_per_chunk, _ = adapt(scorer, records, config)
-        monkeypatch.setattr(calibrate_module, "ADAPT_CHUNK_ENTRIES", 1 << 30)
+        monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", 1 << 30)
         whole_batch, _ = adapt(scorer, records, config)
-        np.testing.assert_allclose(one_per_chunk.theta, whole_batch.theta,
-                                   rtol=0, atol=1e-12)
+        assert one_per_chunk.theta.tobytes() == whole_batch.theta.tobytes()

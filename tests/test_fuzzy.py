@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kgreason import fuzzy
+from kgreason import tensor as tensor_module
 from kgreason.dsl import parse
 from kgreason.fuzzy import (
     DenseRows,
@@ -146,8 +147,9 @@ class TestProject:
             got = project(e, r, provider)
             assert np.array_equal(got, self.naive(e, X, r))
 
-    # GATHER_ENTRIES 1 gives each row a gather range of its own, |V| one
-    # full row per range; the default gathers every row in one range
+    # tensor.BLOCK_ENTRIES 1 gives each row a gather range of its own, |V|
+    # half a row's worth of entries per range (a full row stays whole); the
+    # default gathers every row in one range
     @pytest.mark.parametrize("on_tensor,entries", [
         (False, None), (True, None), (False, 1), (True, 1), (False, "n"), (True, "n")],
         ids=["dense", "tensor", "dense-one", "tensor-one", "dense-n", "tensor-n"])
@@ -158,7 +160,8 @@ class TestProject:
         for trial in range(60):
             n = int(rng.integers(2, 25))
             if entries is not None:
-                monkeypatch.setattr(fuzzy, "GATHER_ENTRIES", n if entries == "n" else entries)
+                monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES",
+                                    n if entries == "n" else entries)
             X = tie_heavy(rng, n, 2)
             provider = build_tensor(DenseRows(X), eps=0.0) if on_tensor else DenseRows(X)
             a = int(rng.integers(n))

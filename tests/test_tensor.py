@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +228,25 @@ class TestSerialization:
         loaded = CalibratedTensor.load(path)
         assert loaded == tensor
         assert tensor.is_pinned(1, 0, 2) and not loaded.is_pinned(1, 0, 2)
+
+    def test_load_keeps_views_of_the_file(self, rng, tmp_path):
+        # full rows: nnz 2^19, a 4.2 MB file whose arrays are views of the
+        # one read buffer; a copy of every section would peak above 2x
+        n, m = 256, 8
+        tensor = CalibratedTensor(n, m, 0.0, np.arange(0, n * n * m + 1, n),
+                                  np.tile(np.arange(n, dtype=np.int32), n * m),
+                                  rng.random(n * n * m, dtype=np.float32))
+        path = tmp_path / "t.kgt"
+        tensor.save(path)
+        tracemalloc.start()
+        try:
+            loaded = CalibratedTensor.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == tensor
+        assert not loaded.values.flags.writeable
+        assert peak <= 1.6 * path.stat().st_size
 
     def test_empty_round_trip(self, tmp_path):
         tensor = build_tensor(DenseRows(np.zeros((2, 1, 2))), eps=0.0)
