@@ -146,7 +146,6 @@ class CalibrationConfig:
     lr: float = 0.001
     epochs: int = 5
     batch_size: int = 1000
-    structures: tuple[str, ...] = ADAPTATION_STRUCTURES
     log_floor: float = LOG_FLOOR
     eps: float = 0.0005     # support threshold for rows during adaptation
     seed: int = 0
@@ -162,9 +161,6 @@ class CalibrationConfig:
             raise SettingError("lr", "must be a finite positive number")
         if not 0 <= self.eps < 1:
             raise SettingError("eps", "must lie in [0, 1)")
-        if not self.structures or not set(self.structures) <= set(ADAPTATION_STRUCTURES):
-            raise SettingError("structures", "must be a non-empty subset of "
-                               + ", ".join(ADAPTATION_STRUCTURES))
 
 
 class CalibratedRows:
@@ -373,7 +369,7 @@ def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
           config: CalibrationConfig) -> tuple[AdaptationMatrix, list[float]]:
     """Fit theta on complex-query training data with Adam; returns epoch losses.
 
-    Only records whose structure is in config.structures participate; each
+    Only records whose structure is in ADAPTATION_STRUCTURES participate; each
     must be an intersection of at most three anchored branches, which every
     shape of ADAPTATION_STRUCTURES is (see _BranchTable).
     Answer sets are the records' own (train-graph) answers; non-answers are
@@ -391,10 +387,10 @@ def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
     _AdaptiveRows); gradients and theta differ from it only by summation
     order.
     """
-    usable = [rec for rec in records if rec.structure in config.structures
+    usable = [rec for rec in records if rec.structure in ADAPTATION_STRUCTURES
               and (rec.easy | rec.hard)]
     if not usable:
-        raise ValueError("no training queries of the configured structures")
+        raise ValueError("no training queries of the adaptation structures")
     n, m = scorer.n_entities, scorer.n_relations
     theta = np.zeros((n, m), dtype=np.float64)
     table = _BranchTable(scorer, usable, config.eps, config.log_floor)

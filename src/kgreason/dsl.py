@@ -9,6 +9,12 @@ Syntax, whitespace-insensitive:
 IDENT is any run of characters excluding whitespace and `[](),`. The `#123`
 form addresses an entity or relation by raw integer id, which keeps queries
 writable for vocabularies whose surface forms contain the delimiters.
+
+Each of the fourteen query structures of Query2box and BetaE is defined
+once, as a template AST with every id 0 (STRUCTURE_TEMPLATES): it drives
+classification, the positive/negation groups (a negation structure is one
+whose lowered shape has a complement) and the query sampler, which walks
+the template (harness._instantiate).
 """
 
 from __future__ import annotations
@@ -247,10 +253,13 @@ def _signature(node: Node):
     raise TypeError(f"not a query node: {node!r}")
 
 
-def _templates() -> dict:
+def _templates() -> dict[str, Node]:
+    """The fourteen structures of Query2box and BetaE, each one template with
+    every id 0: classification and the structure groups read them here, and
+    the query sampler (harness) instantiates them."""
     a, b, c = Anchor(0), Anchor(0), Anchor(0)
     p1 = lambda x: Projection(0, x)  # noqa: E731
-    samples = {
+    return {
         "1p": p1(a),
         "2p": p1(p1(a)),
         "3p": p1(p1(p1(a))),
@@ -266,19 +275,17 @@ def _templates() -> dict:
         "pin": Intersection((p1(p1(a)), Complement(p1(b)))),
         "pni": Intersection((Complement(p1(p1(a))), p1(b))),
     }
-    table = {}
-    for tag, sample in samples.items():
-        sig = _signature(sample)
-        assert sig not in table, f"ambiguous structures {table.get(sig)} / {tag}"
-        table[sig] = tag
-    return table
 
 
-_STRUCTURES = _templates()
+STRUCTURE_TEMPLATES = _templates()
 
-STRUCTURE_TAGS = tuple(_STRUCTURES.values()) + ("other",)
-NEGATION_TAGS = ("2in", "3in", "inp", "pin", "pni")
-POSITIVE_TAGS = tuple(t for t in _STRUCTURES.values() if t not in NEGATION_TAGS)
+_STRUCTURES = {_signature(t): tag for tag, t in STRUCTURE_TEMPLATES.items()}
+assert len(_STRUCTURES) == len(STRUCTURE_TEMPLATES), "ambiguous structures"
+
+STRUCTURE_TAGS = tuple(STRUCTURE_TEMPLATES) + ("other",)
+NEGATION_TAGS = tuple(tag for tag, t in STRUCTURE_TEMPLATES.items()
+                      if any(step[0] == "n" for step in query_shape(t)[0]))
+POSITIVE_TAGS = tuple(t for t in STRUCTURE_TEMPLATES if t not in NEGATION_TAGS)
 
 
 def classify_structure(node: Node) -> str:

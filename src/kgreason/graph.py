@@ -89,10 +89,14 @@ class Vocab:
                 fields = line.split("\t")
                 if len(fields) != 2:
                     raise TripletFileError(f"{path}:{lineno}: expected 'id<TAB>surface'")
-                i, name = int(fields[0]), fields[1]
+                try:
+                    i = int(fields[0])
+                except ValueError:
+                    raise TripletFileError(
+                        f"{path}:{lineno}: id {fields[0]!r} is not an integer") from None
                 if i != len(vocab._names):
                     raise TripletFileError(f"{path}:{lineno}: ids must be dense and in order")
-                vocab.add(name)
+                vocab.add(fields[1])
         return vocab
 
 

@@ -8,10 +8,12 @@ KnowledgeGraph.tail_index: (head, relation) -> frozenset of tails, one
 entry per pair with an edge, so O(edges) memory. A complement inside an
 intersection is a set difference. The query sampler reads the same index
 and the graph's cached incoming-edge lists, so its tables are built once
-per (graph, scope), not once per structure. Numerical contract: for a
-seed the sampler makes a fixed sequence of draws and the answers are exact
-sets, so a query file is reproducible byte for byte (tests pin the sha256
-of a fixed graph's files).
+per (graph, scope), not once per structure. It knows no structure by name:
+it instantiates a structure's template, dsl.STRUCTURE_TEMPLATES, by one
+recursive walk (_instantiate) from the root toward a target entity.
+Numerical contract: for a seed the sampler makes a fixed sequence of draws
+and the answers are exact sets, so a query file is reproducible byte for
+byte (tests pin the sha256 of the files of a dense and a sparse graph).
 
 Ranking follows the filtered protocol: a hard answer competes only against
 non-answers, ties resolve to the average rank.
@@ -42,6 +44,7 @@ from .dsl import (
     POSITIVE_TAGS,
     Projection,
     QueryRecord,
+    STRUCTURE_TEMPLATES,
     Union,
 )
 from . import fuzzy
@@ -130,15 +133,10 @@ class _EdgeSampler:
             raise SamplingBudgetError(f"no edges in splits {splits}")
         self.incoming = kg.incoming(splits)
         self.tails = kg.tail_index(splits)
+        self.n_entities = kg.n_entities
 
     def any_edge(self) -> tuple[int, int, int]:
         return self.edges[int(self.rng.integers(len(self.edges)))]
-
-    def edge_into(self, t: int) -> tuple[int, int] | None:
-        options = self.incoming.get(t)
-        if not options:
-            return None
-        return options[int(self.rng.integers(len(options)))]
 
     def edges_into(self, t: int, count: int, tries: int = 24) -> list[tuple[int, int]] | None:
         """count distinct (head, relation) pairs pointing at t, or None."""
@@ -154,141 +152,72 @@ class _EdgeSampler:
                     return picked
         return None
 
-    def negated_branch(self, avoid: int, tries: int = 24) -> tuple[int, int] | None:
-        """(head, relation) whose tail set misses `avoid`."""
-        for _ in range(tries):
-            h, r, _ = self.any_edge()
-            if avoid not in self.tails[(h, r)]:
-                return h, r
-        return None
 
-    def negated_path(self, avoid: int, tries: int = 24):
-        """Two-hop (h, r1, r2) whose composed answers miss `avoid`."""
-        for _ in range(tries):
-            v, r2, _ = self.any_edge()
-            into = self.edge_into(v)
-            if into is None:
-                continue
-            h, r1 = into
-            if not any(avoid in self.tails.get((mid, r2), _NONE)
-                       for mid in self.tails[(h, r1)]):
-                return h, r1, r2
-        return None
+def _instantiate(template: Node, s: _EdgeSampler, target: int | None = None) -> Node | None:
+    """template with drawn ids, built so that target is among its answers;
+    None at the first failed draw. At the root (target None) any answer will do.
 
-
-def _instantiate(structure: str, sampler: _EdgeSampler) -> Node | None:
-    """One random template instantiation anchored on an existing edge path."""
-    s = sampler
-    p = Projection
-    if structure == "1p":
-        h, r, _ = s.any_edge()
-        return p(r, Anchor(h))
-    if structure in ("2p", "3p"):
-        hops = 2 if structure == "2p" else 3
-        v, r_last, _ = s.any_edge()
-        rels = [r_last]
-        for _ in range(hops - 1):
-            into = s.edge_into(v)
-            if into is None:
+    A projection draws any_edge() at the root and edges_into(target, 1) below
+    it, then walks its child toward the edge's head. An intersection draws
+    edges_into(x, k) for its k positive branches, all projections, where x is
+    the target, or at the root the tail of one any_edge(), which is the branch
+    itself when k = 1; it walks each such branch, then redraws each
+    complemented branch until its answers miss x. A union walks its first
+    branch toward the target and redraws each later one until it differs from
+    those before. A redraw walks its branch from the root, at most 24 times.
+    """
+    if isinstance(template, Anchor):
+        return Anchor(target)
+    if isinstance(template, Projection):
+        if target is None:
+            h, r, _ = s.any_edge()
+        else:
+            edges = s.edges_into(target, 1)
+            if edges is None:
                 return None
-            v, r_prev = into
-            rels.append(r_prev)
-        node: Node = Anchor(v)
-        for r in reversed(rels):
-            node = p(r, node)
-        return node
-    if structure in ("2i", "3i"):
-        k = 2 if structure == "2i" else 3
-        _, _, x = s.any_edge()
-        branches = s.edges_into(x, k)
-        if branches is None:
-            return None
-        return Intersection(tuple(p(r, Anchor(h)) for h, r in branches))
-    if structure == "pi":
-        _, _, x = s.any_edge()
-        branches = s.edges_into(x, 2)
-        if branches is None:
-            return None
-        (v, r2), (h2, r3) = branches
-        into = s.edge_into(v)
-        if into is None:
-            return None
-        h1, r1 = into
-        return Intersection((p(r2, p(r1, Anchor(h1))), p(r3, Anchor(h2))))
-    if structure == "ip":
-        v, r3, _ = s.any_edge()
-        branches = s.edges_into(v, 2)
-        if branches is None:
-            return None
-        (h1, r1), (h2, r2) = branches
-        return p(r3, Intersection((p(r1, Anchor(h1)), p(r2, Anchor(h2)))))
-    if structure == "2u":
-        h1, r1, _ = s.any_edge()
-        for _ in range(24):
-            h2, r2, _ = s.any_edge()
-            if (h2, r2) != (h1, r1):
-                return Union((p(r1, Anchor(h1)), p(r2, Anchor(h2))))
+            (h, r), = edges
+        child = _instantiate(template.child, s, h)
+        return None if child is None else Projection(r, child)
+    if isinstance(template, Union):
+        branches: list[Node] = []
+        for child in template.children:
+            node = (_redraw(child, s, lambda drawn: drawn not in branches) if branches
+                    else _instantiate(child, s, target))
+            if node is None:
+                return None
+            branches.append(node)
+        return Union(tuple(branches))
+    positive = [c for c in template.children if not isinstance(c, Complement)]
+    if target is None:
+        h, r, target = s.any_edge()
+        edges = [(h, r)] if len(positive) == 1 else s.edges_into(target, len(positive))
+    else:
+        edges = s.edges_into(target, len(positive))
+    if edges is None:
         return None
-    if structure == "up":
-        v, r3, _ = s.any_edge()
-        into = s.edge_into(v)
-        if into is None:
+    built = []
+    for branch, (h, r) in zip(positive, edges):
+        child = _instantiate(branch.child, s, h)
+        if child is None:
             return None
-        h1, r1 = into
-        for _ in range(24):
-            h2, r2, _ = s.any_edge()
-            if (h2, r2) != (h1, r1):
-                return p(r3, Union((p(r1, Anchor(h1)), p(r2, Anchor(h2)))))
-        return None
-    if structure == "2in":
-        h1, r1, x = s.any_edge()
-        neg = s.negated_branch(x)
-        if neg is None:
-            return None
-        h2, r2 = neg
-        return Intersection((p(r1, Anchor(h1)), Complement(p(r2, Anchor(h2)))))
-    if structure == "3in":
-        _, _, x = s.any_edge()
-        branches = s.edges_into(x, 2)
-        if branches is None:
-            return None
-        (h1, r1), (h2, r2) = branches
-        neg = s.negated_branch(x)
-        if neg is None:
-            return None
-        h3, r3 = neg
-        return Intersection((p(r1, Anchor(h1)), p(r2, Anchor(h2)),
-                             Complement(p(r3, Anchor(h3)))))
-    if structure == "inp":
-        v, r3, _ = s.any_edge()
-        into = s.edge_into(v)
-        if into is None:
-            return None
-        h1, r1 = into
-        neg = s.negated_branch(v)
-        if neg is None:
-            return None
-        h2, r2 = neg
-        return p(r3, Intersection((p(r1, Anchor(h1)), Complement(p(r2, Anchor(h2))))))
-    if structure == "pin":
-        v, r2, x = s.any_edge()
-        into = s.edge_into(v)
-        if into is None:
-            return None
-        h1, r1 = into
-        neg = s.negated_branch(x)
-        if neg is None:
-            return None
-        h2, r3 = neg
-        return Intersection((p(r2, p(r1, Anchor(h1))), Complement(p(r3, Anchor(h2)))))
-    if structure == "pni":
-        h2, r3, x = s.any_edge()
-        path = s.negated_path(x)
-        if path is None:
-            return None
-        h1, r1, r2 = path
-        return Intersection((Complement(p(r2, p(r1, Anchor(h1)))), p(r3, Anchor(h2))))
-    raise ValueError(f"unknown structure {structure!r}")
+        built.append(Projection(r, child))
+    for i, branch in enumerate(template.children):
+        if isinstance(branch, Complement):
+            node = _redraw(branch.child, s,
+                           lambda drawn: target not in _answers(drawn, s.tails, s.n_entities))
+            if node is None:
+                return None
+            built.insert(i, Complement(node))
+    return Intersection(tuple(built))
+
+
+def _redraw(template: Node, s: _EdgeSampler, accept, tries: int = 24) -> Node | None:
+    """template instantiated from the root until accept(node), or None."""
+    for _ in range(tries):
+        node = _instantiate(template, s)
+        if node is not None and accept(node):
+            return node
+    return None
 
 
 def generate_queries(kg: KnowledgeGraph, structure: str, count: int, seed: int,
@@ -298,7 +227,8 @@ def generate_queries(kg: KnowledgeGraph, structure: str, count: int, seed: int,
     Test/validation queries must own at least one hard answer; train queries
     at least one answer. Deterministic for a fixed seed.
     """
-    if structure not in STRUCTURE_ORDER:
+    template = STRUCTURE_TEMPLATES.get(structure)
+    if template is None:
         raise ValueError(f"unknown structure {structure!r}")
     if split not in _SPLIT_SCOPES:
         raise ValueError(f"unknown split {split!r}")
@@ -315,7 +245,7 @@ def generate_queries(kg: KnowledgeGraph, structure: str, count: int, seed: int,
                 f"{split!r} within {budget} attempts ({len(records)} found)"
             )
         attempts += 1
-        node = _instantiate(structure, sampler)
+        node = _instantiate(template, sampler)
         if node is None:
             continue
         if node in seen:

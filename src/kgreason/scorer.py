@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import KnowledgeGraph, Triplet, triplet_array
+from .graph import KnowledgeGraph, triplet_array
 
 log = logging.getLogger(__name__)
 
@@ -353,14 +353,13 @@ def batch_loss(model: EmbeddingModel, heads, rels, tails, reg: float,
     return loss
 
 
-def train(kg: KnowledgeGraph, config: TrainConfig,
-          triplets: list[Triplet] | None = None) -> tuple[EmbeddingModel, list[float]]:
+def train(kg: KnowledgeGraph, config: TrainConfig) -> tuple[EmbeddingModel, list[float]]:
     """Fit an embedding model on the train split; returns (model, epoch losses)."""
     rng = np.random.default_rng(config.seed)
     model = EmbeddingModel.create(
         config.kind, kg.n_entities, kg.n_relations, config.dim, rng
     )
-    data = kg.triplets("train") if triplets is None else triplets
+    data = kg.triplets("train")
     if not data:
         raise ValueError("no training triplets")
     arr = triplet_array(data)

@@ -27,6 +27,7 @@ from kgreason.dsl import (
     Node,
     Projection,
     QueryRecord,
+    Union,
     parse,
     serialize,
 )
@@ -127,8 +128,7 @@ def test_config_epoch_cap():
 
 @pytest.mark.parametrize("field,value", [
     ("epochs", 0), ("batch_size", 0), ("batch_size", -3), ("lr", 0.0), ("lr", -0.1),
-    ("lr", float("nan")), ("lr", float("inf")), ("eps", 1.0), ("eps", -0.1),
-    ("structures", ()), ("structures", ("1p", "2p")), ("structures", ("2u",))])
+    ("lr", float("nan")), ("lr", float("inf")), ("eps", 1.0), ("eps", -0.1)])
 def test_config_rejects_bad_settings(field, value):
     with pytest.raises(SettingError) as err:
         CalibrationConfig(**{field: value})
@@ -327,11 +327,14 @@ class TestAdapt:
         assert np.abs(matrix.theta).max() > 0.0
 
     def test_structure_filter(self, setup):
+        # answered records outside ADAPTATION_STRUCTURES take no part
         kg, _, scorer = setup
-        records = one_hop_records(kg)
-        config = CalibrationConfig(structures=("2i",), epochs=1)
+        a, b = one_hop_records(kg)[:2]
+        records = [QueryRecord(Projection(0, a.ast), frozenset(), a.hard),
+                   QueryRecord(Union((a.ast, b.ast)), frozenset(), a.hard | b.hard)]
+        assert [rec.structure for rec in records] == ["2p", "2u"]
         with pytest.raises(ValueError, match="no training queries"):
-            adapt(scorer, records, config)
+            adapt(scorer, records, CalibrationConfig(epochs=1))
 
     def test_mislabelled_query_rejected(self, setup):
         _, _, scorer = setup
@@ -657,7 +660,7 @@ def reference_batch(provider, records, answer_sets, batch, log_floor=LOG_FLOOR):
 
 
 def reference_adapt(scorer, records, config):
-    usable = [rec for rec in records if rec.structure in config.structures
+    usable = [rec for rec in records if rec.structure in ADAPTATION_STRUCTURES
               and (rec.easy | rec.hard)]
     theta = np.zeros((scorer.n_entities, scorer.n_relations))
     provider = _AdaptiveRows(scorer, theta, config.eps)

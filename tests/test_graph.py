@@ -49,6 +49,12 @@ class TestVocab:
         with pytest.raises(TripletFileError, match="dense"):
             Vocab.load(tmp_path / "bad.tsv")
 
+    def test_load_names_the_line_of_a_bad_id(self, tmp_path):
+        (tmp_path / "bad.tsv").write_text("0\ta\nx\tfoo\n")
+        with pytest.raises(TripletFileError, match=re.escape(
+                f"{tmp_path / 'bad.tsv'}:2: id 'x' is not an integer")):
+            Vocab.load(tmp_path / "bad.tsv")
+
 
 class TestLoadSplit:
     def test_basic_parse(self, tmp_path):

@@ -1,4 +1,6 @@
+import ast
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from kgreason.dsl import (
     Intersection,
     Projection,
     QueryRecord,
+    STRUCTURE_TEMPLATES,
     Union,
     classify_structure,
     parse,
@@ -258,6 +261,19 @@ class TestGenerateQueries:
         assert samplers[0].incoming is not samplers[14].incoming
 
 
+def test_sampler_names_no_structure():
+    # the sampler walks dsl.STRUCTURE_TEMPLATES: a string constant naming a
+    # structure in harness.py, outside a docstring, is a per-structure branch
+    tree = ast.parse(Path(harness.__file__).read_text())
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and ast.get_docstring(node) is not None}
+    found = [node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and id(node) not in docstrings
+             and node.value in STRUCTURE_TEMPLATES]
+    assert found == []
+
+
 # sha256 of write_queries output for the graph below, 5 queries of every
 # structure per split; recorded from the numpy-per-node oracle the set
 # oracle replaced, so a change to the draws or the answers shows here
@@ -278,6 +294,43 @@ def test_query_files_match_recorded_digest(tmp_path, split):
     write_queries(path, records)
     assert len(records) == 5 * len(STRUCTURE_ORDER)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN[split]
+
+
+def _sparse_hub_kg():
+    """A sparse graph on which sampling draws fail: a random core of 12
+    entities and 36 edges, plus one hub pair (entity 12, relation 0) with an
+    edge to each of the other 347 entities, every fourth one a test edge.
+    The hub holds most edges, so draws keep landing on it: no edge points
+    into its head, each hub tail has one incoming pair, and redraws mostly
+    repeat the hub pair or reach the tail they must miss."""
+    core = random_kg(np.random.default_rng(3), 12, 3, 36)
+    splits = {name: list(core.triplets(name)) for name in SPLITS}
+    for k, t in enumerate(range(13, 360)):
+        splits["test" if k % 4 == 0 else "train"].append((12, 0, t))
+    return make_kg(360, 3, splits)
+
+
+# sha256 of write_queries output on _sparse_hub_kg, 3 queries of every
+# structure per split. Its draws fail in every way the sampler has: no edge
+# into the target, edges_into out of tries, and the union and complement
+# redraws out of tries (the validation split hits all five).
+_SPARSE_GOLDEN = {
+    "train": "1c0fe2902270ff399782b7be43a58848c31efff31a659fade1de5227bb8b7b5a",
+    "validation": "e8ebc9fbcca42365d79a06dfbd962865dfa39ae056621c758de7684e0335052f",
+    "test": "fe62c322936b750cd60213746ae654d446926729c8f469e1da36a73521f42d38",
+}
+
+
+@pytest.mark.parametrize("split", sorted(_SPARSE_GOLDEN))
+def test_sparse_query_files_match_recorded_digest(tmp_path, split):
+    kg = _sparse_hub_kg()
+    records = []
+    for i, structure in enumerate(STRUCTURE_ORDER):
+        records += generate_queries(kg, structure, 3, seed=300 + i, split=split)
+    path = tmp_path / "queries"
+    write_queries(path, records)
+    assert len(records) == 3 * len(STRUCTURE_ORDER)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _SPARSE_GOLDEN[split]
 
 
 class TestRankHardAnswer:

@@ -305,13 +305,6 @@ class TestTrain:
         _, h2 = train(kg, self.config(epochs=2, seed=4))
         assert h1 != h2
 
-    def test_explicit_triplets_override_split(self, rng):
-        kg = random_kg(rng, 20, 2, 80)
-        sub = kg.triplets("train")[:10]
-        _, h1 = train(kg, self.config(epochs=2), triplets=sub)
-        _, h2 = train(kg, self.config(epochs=2))
-        assert h1 != h2
-
     def test_empty_train_split_rejected(self):
         kg = make_kg(3, 1, {"test": [(0, 0, 1)]})
         with pytest.raises(ValueError, match="no training triplets"):
