@@ -36,7 +36,7 @@ import numpy as np
 from .dsl import QueryRecord, serialize
 from .graph import KnowledgeGraph
 from .scorer import EmbeddingModel, SettingError, read_checkpoint
-from .tensor import block_rows, csr_take
+from .tensor import block_rows, csr_take, row_csr
 
 log = logging.getLogger(__name__)
 
@@ -312,11 +312,8 @@ class _BranchTable:
         self.pair[rid >= 0] = pair
         # the tape path's base rows: one-row kernel calls, so that they are
         # bitwise its rows (a block GEMM rounds the scores differently)
-        normalized = CalibratedRows(scorer, eps=eps)
-        base = [normalized.row(*divmod(row, m)) for row in self.rows.tolist()]
-        self.base_offsets = np.cumsum([0] + [idx.shape[0] for idx, _ in base])
-        self.base_cols = np.concatenate([idx for idx, _ in base])
-        self.base_vals = np.concatenate([vals for _, vals in base])
+        self.base_offsets, self.base_cols, self.base_vals = row_csr(
+            CalibratedRows(scorer, eps=eps), self.rows)
         answers = [sorted(rec.easy | rec.hard) for rec in records]
         self.answer_offsets = np.cumsum([0] + [len(a) for a in answers])
         self.answer_ids = np.fromiter((i for a in answers for i in a), dtype=np.int64)

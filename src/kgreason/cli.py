@@ -108,10 +108,20 @@ def _add_graph_flags(parser, require_train: bool = True):
                         help="skip inverse-relation augmentation")
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int of at least `low`; argparse names the flag."""
+    def parse(raw: str) -> int:
+        if int(raw) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {raw}")
+        return int(raw)
+    parse.__name__ = "int"      # argparse's word for a value int() rejects
+    return parse
+
+
 def _add_common_flags(parser):
     parser.add_argument("--config", default=None,
                         help="key = value file; flags override its entries")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_int_at_least(0), default=0)
     parser.add_argument("--verbose", action="store_true")
 
 
@@ -306,7 +316,7 @@ def _build_parsers() -> dict[str, tuple[argparse.ArgumentParser, callable]]:
         p.add_argument("--alpha", type=float, default=0.1)
         p.add_argument("--epsilon", type=float, default=0.0005)
         p.add_argument("--mode", default="S1234", choices=ABLATION_MODES)
-        p.add_argument("--memory-cap", type=int, default=None,
+        p.add_argument("--memory-cap", type=_int_at_least(1), default=None,
                        help="abort if the tensor estimate exceeds this many bytes")
         p.add_argument("--out", required=True)
 

@@ -18,15 +18,16 @@ queries that differ only in their ids share one shape and are evaluated
 together (evaluate_batches): every node holds a (Q, |V|) membership matrix,
 anchors are one-hot rows, and complement, intersect and union work
 elementwise on the matrices. Projection is one kernel, project_batch: gather
-the rows of every (query, source) pair through the provider, in ranges of
-about tensor.block_rows(2) entries measured by the rows' real lengths, and
+the rows of every (query, source) pair (gather_chunks, the one gather) and
 max-scatter each range's products into the flat Q * |V| output. evaluate_shape
 is the one walk over a shape; evaluate(node, provider) runs it on one
 query's (|V|,) vector and project() is project_batch of one set.
-Memberships are bitwise those of each query evaluated alone: max is exact
-and products keep the children's order. tensor.BLOCK_ENTRIES bounds both the
-membership entries of a batch (Q * |V|) and the gathered entries in flight,
-so memory stays flat at any |V|; it changes no output.
+Memberships are bitwise those of each query evaluated alone: max is exact,
+products keep the children's order, and gather order does not depend on
+where ranges are cut. tensor.BLOCK_ENTRIES bounds the membership entries of
+a batch (Q * |V|) and the gathered entries in flight, so memory reading a
+CalibratedTensor stays flat at any |V|; a lazy provider also holds the
+distinct rows of one projection (see gather_chunks). It changes no output.
 
 An anchor entity or relation id outside the provider's range raises
 ValueError naming the id, whichever entry point it comes through.
@@ -46,16 +47,16 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .dsl import Node, query_shape
-from .tensor import block_rows
+from .tensor import CalibratedTensor, block_rows, csr_take, row_csr
 
 
 class RowProvider(Protocol):
     """Sparse access to calibrated relation rows.
 
-    row(h, r) is all that evaluation needs. A provider may also implement
-    gather_chunks(heads, rels, limit), which projection then uses in place
-    of one row() call per (head, relation) pair (see gather_chunks). The
-    tensor build reads row_block(rids) instead (see tensor.build_tensor).
+    n_entities, n_relations and row(h, r) are all that evaluation needs;
+    gather_chunks reads a CalibratedTensor's CSR and any other provider's
+    rows through row(). The tensor build reads row_block(rids) and takes
+    an explicit eps instead (see tensor.build_tensor).
     """
 
     n_entities: int
@@ -207,27 +208,34 @@ def gather_chunks(provider: RowProvider, heads: np.ndarray, rels):
     """Rows (heads[k], rels[k]) for every k, in consecutive ranges of pairs:
     yields (start, stop, (cols, float64 vals, lens)) per range, its rows
     concatenated in order and lens the length of each. rels is one relation
-    per head, or a scalar for all of them. A gathered entry takes two
-    float64-sized slots of the working set, its product and its flat output
-    position, so a range holds about block_rows(2) entries. Uses the
-    provider's own gather_chunks(heads, rels, limit) when it has one, which
-    sizes the ranges by the rows' real lengths; otherwise each range holds
-    block_rows(2 * |V|) pairs, as if every row were full, read by one row()
-    call per pair.
+    per head, or a scalar for all of them; both ids are range checked.
+
+    Each range is one csr_take through a CalibratedTensor's own CSR or, for
+    any other provider, through row_csr of its distinct rows, one row()
+    call each, so such a provider holds those rows' nonzeros at once. A
+    gathered entry takes two float64 slots, its product and its output
+    position, so a range ends where the running count of gathered entries
+    crosses a multiple of block_rows(2).
     """
-    chunks = getattr(provider, "gather_chunks", None)
-    if chunks is not None:
-        yield from chunks(heads, rels, block_rows(2))
-        return
-    heads = np.asarray(heads)
-    rels = np.broadcast_to(rels, heads.shape)
-    step = block_rows(2 * provider.n_entities)
-    for a in range(0, heads.shape[0], step):
-        b = min(a + step, heads.shape[0])
-        rows = [provider.row(h, r) for h, r in zip(heads[a:b].tolist(), rels[a:b].tolist())]
-        yield a, b, (np.concatenate([idx for idx, _ in rows]),
-                     np.concatenate([v for _, v in rows], dtype=np.float64),
-                     np.array([idx.shape[0] for idx, _ in rows], dtype=np.int64))
+    heads = np.asarray(heads, dtype=np.int64)
+    rels = np.broadcast_to(np.asarray(rels, dtype=np.int64), heads.shape)
+    _check_ids(heads, provider.n_entities, "head")
+    _check_ids(rels, provider.n_relations, "relation")
+    rids = heads * provider.n_relations + rels
+    if isinstance(provider, CalibratedTensor):
+        # the view is lossless: offsets are validated to run from 0 to nnz
+        offsets, cols, vals = provider.offsets.view(np.int64), provider.indices, provider.values
+    else:
+        distinct, rids = np.unique(rids, return_inverse=True)
+        offsets, cols, vals = row_csr(provider, distinct)
+    ends = np.cumsum(offsets[rids + 1] - offsets[rids])
+    limit = block_rows(2)
+    cuts = np.searchsorted(ends, np.arange(limit, ends[-1] if ends.size else 0, limit),
+                           side="right")
+    bounds = sorted({0, rids.shape[0], *cuts.tolist()})
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        pos, lens = csr_take(offsets, rids[a:b])
+        yield a, b, (cols[pos], vals[pos].astype(np.float64), lens)
 
 
 def project_batch(E: np.ndarray, rels, provider: RowProvider,

@@ -66,6 +66,10 @@ _SPLIT_SCOPES = {
 }
 
 
+# draws of one edges_into or _redraw before the draw fails
+_DRAW_TRIES = 24
+
+
 class SamplingBudgetError(RuntimeError):
     """Query sampling ran out of attempts; the graph is too sparse."""
 
@@ -138,13 +142,13 @@ class _EdgeSampler:
     def any_edge(self) -> tuple[int, int, int]:
         return self.edges[int(self.rng.integers(len(self.edges)))]
 
-    def edges_into(self, t: int, count: int, tries: int = 24) -> list[tuple[int, int]] | None:
+    def edges_into(self, t: int, count: int) -> list[tuple[int, int]] | None:
         """count distinct (head, relation) pairs pointing at t, or None."""
         options = self.incoming.get(t)
         if not options:
             return None
         picked: list[tuple[int, int]] = []
-        for _ in range(tries):
+        for _ in range(_DRAW_TRIES):
             cand = options[int(self.rng.integers(len(options)))]
             if cand not in picked:
                 picked.append(cand)
@@ -164,7 +168,7 @@ def _instantiate(template: Node, s: _EdgeSampler, target: int | None = None) -> 
     itself when k = 1; it walks each such branch, then redraws each
     complemented branch until its answers miss x. A union walks its first
     branch toward the target and redraws each later one until it differs from
-    those before. A redraw walks its branch from the root, at most 24 times.
+    those before. A redraw walks its branch from the root, up to _DRAW_TRIES times.
     """
     if isinstance(template, Anchor):
         return Anchor(target)
@@ -211,9 +215,9 @@ def _instantiate(template: Node, s: _EdgeSampler, target: int | None = None) -> 
     return Intersection(tuple(built))
 
 
-def _redraw(template: Node, s: _EdgeSampler, accept, tries: int = 24) -> Node | None:
+def _redraw(template: Node, s: _EdgeSampler, accept) -> Node | None:
     """template instantiated from the root until accept(node), or None."""
-    for _ in range(tries):
+    for _ in range(_DRAW_TRIES):
         node = _instantiate(template, s)
         if node is not None and accept(node):
             return node

@@ -16,10 +16,14 @@ load reads the file once and keeps read-only views of its buffer as the
 tensor's arrays, so its peak is about one file, not two.
 
 build_tensor reads a provider through row_block(rids) -> (dense float64 rows,
-bool pin mask), for head-major blocks of at most BLOCK_ENTRIES entries; for
-the calibrated providers that is one call of calibrate.calibrated_block. A
-block is compacted in one pass: the flat index of its kept entries gives the
-columns (mod |V|), and one take each gives their values and pins.
+bool pin mask), for head-major blocks of at most BLOCK_ENTRIES entries, and
+an explicit eps; for the calibrated providers a block is one call of
+calibrate.calibrated_block. A block is compacted in one pass: the flat index
+of its kept entries gives the columns (mod |V|), and one take each gives
+their values and pins.
+
+Rows are read back as CSR through csr_take: a tensor's own arrays, or
+row_csr's copy of a lazy provider's rows (fuzzy.gather_chunks, adapt).
 """
 
 from __future__ import annotations
@@ -59,6 +63,16 @@ def csr_take(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
     lens = offsets[rows + 1] - starts
     ends = np.cumsum(lens)
     return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lens, lens), lens
+
+
+def row_csr(provider, rids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of flat row ids `rids` (h * |R| + r) as CSR: (int64 offsets,
+    int32 cols, float64 vals), read by one provider.row(h, r) call per id,
+    in order."""
+    rows = [provider.row(*divmod(rid, provider.n_relations)) for rid in rids.tolist()]
+    cols, vals = zip((np.empty(0, np.int32), np.empty(0)), *rows)
+    return (np.cumsum([idx.shape[0] for idx in cols], dtype=np.int64),
+            np.concatenate(cols, dtype=np.int32), np.concatenate(vals, dtype=np.float64))
 
 
 class MemoryBudgetError(RuntimeError):
@@ -101,7 +115,7 @@ class CalibratedTensor:
         self._check_structure()
 
     def _check_structure(self) -> None:
-        """Vectorized CSR invariants; gather_chunks() trusts them across rows."""
+        """Vectorized CSR invariants; fuzzy.gather_chunks trusts them across rows."""
         offsets, indices, values, nnz = self.offsets, self.indices, self.values, self.nnz
         if self.pin_mask.shape[0] != nnz:
             raise ValueError("pin mask length does not match nnz")
@@ -137,38 +151,6 @@ class CalibratedTensor:
         """(tail indices, float64 values); empty arrays for an absent row."""
         s, e = self._span(h, r)
         return self.indices[s:e], self.values[s:e].astype(np.float64)
-
-    def _row_ids(self, heads, rels) -> np.ndarray:
-        """Flat row ids h * |R| + r of the pairs (heads[k], rels[k]); rels may
-        be a scalar. Both ids are range checked first: an out-of-range
-        relation would otherwise address another head's row."""
-        heads = np.asarray(heads, dtype=np.int64)
-        rels = np.asarray(rels, dtype=np.int64)
-        for ids, size, what in ((heads, self.n_entities, "head"),
-                                (rels, self.n_relations, "relation")):
-            if ids.size and not (0 <= ids.min() and ids.max() < size):
-                raise IndexError(f"{what} id out of range [0, {size})")
-        return np.broadcast_to(heads * self.n_relations + rels, heads.shape)
-
-    def gather_chunks(self, heads: np.ndarray, rels, limit: int):
-        """Rows (heads[k], rels[k]) for every k, concatenated, in consecutive
-        ranges of pairs: yields (start, stop, (cols, float64 vals, lens)) per
-        range; rels is one relation per head, or a scalar for all. Each range
-        is one vectorized gather through the offsets (csr_take). A range ends
-        where the running count of entries crosses a multiple of limit, so it
-        holds its first row and fewer than limit entries after it. The ids
-        are checked once.
-        """
-        # the view is lossless: offsets are validated to run from 0 to nnz
-        offsets = self.offsets.view(np.int64)
-        rids = self._row_ids(heads, rels)
-        ends = np.cumsum(offsets[rids + 1] - offsets[rids])
-        total = int(ends[-1]) if ends.size else 0
-        cuts = np.searchsorted(ends, np.arange(limit, total, limit), side="right")
-        bounds = sorted({0, rids.shape[0], *cuts.tolist()})
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            pos, lens = csr_take(offsets, rids[a:b])
-            yield a, b, (self.indices[pos], self.values[pos].astype(np.float64), lens)
 
     def value(self, h: int, r: int, t: int) -> float:
         s, e = self._span(h, r)
@@ -278,8 +260,7 @@ def _probe_epsilon(provider, n: int, m: int, eps: float, cap: int) -> float:
     return float(values[keep])
 
 
-def build_tensor(provider, eps: float | None = None,
-                 memory_cap: int | None = None) -> CalibratedTensor:
+def build_tensor(provider, eps: float, memory_cap: int | None = None) -> CalibratedTensor:
     """Materialize every (h,r) row of the provider into a sparse tensor.
 
     The provider supplies n_entities, n_relations and row_block. Entries
@@ -287,8 +268,6 @@ def build_tensor(provider, eps: float | None = None,
     MemoryBudgetError when the running size estimate crosses memory_cap,
     reporting the smallest epsilon a row sample suggests would fit.
     """
-    if eps is None:
-        eps = getattr(provider, "eps", 0.0)
     if not 0 <= eps < 1:
         raise ValueError("eps must lie in [0, 1)")
     n = provider.n_entities
@@ -305,7 +284,8 @@ def build_tensor(provider, eps: float | None = None,
             suggestion = _probe_epsilon(provider, n, m, eps, memory_cap)
             raise MemoryBudgetError(
                 f"tensor exceeds memory cap {memory_cap} at eps={eps}; "
-                f"smallest admissible eps is about {suggestion}",
+                + (f"smallest admissible eps is about {suggestion}" if suggestion < 1.0
+                   else "no eps below 1 fits"),
                 suggestion,
             )
     indices, values, pin_mask = map(np.concatenate, zip(*chunks))

@@ -324,15 +324,16 @@ class TestChunkBoundaries:
         assert results[0][0] == want.tobytes()
 
     def test_tensor_gathers_follow_row_lengths(self, monkeypatch):
-        # BLOCK_ENTRIES = 2|V| cuts tensor ranges at |V| gathered entries (two
-        # slots each): a range holds one full row, but many sparse ones
+        # BLOCK_ENTRIES = 2|V| cuts ranges at |V| gathered entries (two slots
+        # each): a range holds one full row, but many sparse ones, and the
+        # dense provider of the same rows is cut at the same pairs
         monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", 2 * N)
         heads, rels = np.repeat(np.arange(N), M), np.tile(np.arange(M), N)
         tensor = make_provider("tensor", np.random.default_rng(33))
-        ranges = list(fuzzy.gather_chunks(tensor, heads, rels))
+        ranges = [(a, b) for a, b, _ in fuzzy.gather_chunks(tensor, heads, rels)]
         assert len(ranges) <= tensor.nnz // N + 1 < heads.size
         dense = make_provider("dense", np.random.default_rng(33))
-        assert len(list(fuzzy.gather_chunks(dense, heads, rels))) == heads.size
+        assert [(a, b) for a, b, _ in fuzzy.gather_chunks(dense, heads, rels)] == ranges
 
     def test_batches_respect_the_bound(self, monkeypatch):
         provider = make_provider("tensor", np.random.default_rng(32))

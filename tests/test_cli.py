@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from kgreason import dsl
+from kgreason import dsl, fuzzy
 from kgreason.cli import main
 from kgreason.dsl import read_queries
+from kgreason.fuzzy import DenseRows
 from kgreason.kvio import read_kv
 from kgreason.scorer import EmbeddingModel
 from kgreason.tensor import CalibratedTensor
@@ -216,6 +217,19 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert str(bad) in err and message in err
 
+    def test_eval_and_ablate_read_only_the_tensor_csr(self, pipeline, tmp_path, monkeypatch,
+                                                       capsys):
+        def refuse(*args):
+            raise AssertionError("rows were read through row()")
+
+        monkeypatch.setattr(fuzzy, "row_csr", refuse)
+        with pytest.raises(AssertionError):             # a lazy provider's gather needs it
+            next(fuzzy.gather_chunks(DenseRows(np.ones((2, 1, 2))), np.array([0]), 0))
+        assert main(["eval", "--tensor", str(pipeline["tensor"]),
+                     "--queries", str(pipeline["test_q"])]) == 0
+        assert main(stage_args("ablate", pipeline, tmp_path)) == 0
+        assert "error" not in capsys.readouterr().err
+
     def test_build_tensor_s12_needs_no_w(self, pipeline, tmp_path):
         out = tmp_path / "s12.kgt"
         code = main(["build-tensor", *pipeline["flags"], "--model",
@@ -375,6 +389,22 @@ class TestTrainingSettings:
         assert f"error: {flag} " in err and message in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["train-kgc", "calibrate", "gen-queries"])
+    def test_negative_seed(self, pipeline, tmp_path, capsys, command, via):
+        out = tmp_path / "out"
+        args = (stage_args(command, pipeline, tmp_path) if command == "calibrate"
+                else [command, *pipeline["flags"], "--out", str(out)])
+        conf = tmp_path / "seed.conf"
+        if via == "config":
+            conf.write_text("seed = -1\n")
+        assert main(args + (["--config", str(conf)] if via == "config"
+                            else ["--seed", "-1"])) == 2
+        err = capsys.readouterr().err
+        assert (f"error: {conf}: bad value for 'seed': '-1'" if via == "config"
+                else "argument --seed: must be at least 0, got -1") in err
+        assert not out.exists()
+
     def test_train_kgc_divergence_names_epoch_and_settings(self, pipeline, tmp_path, capsys):
         # the CLI makes numpy raise on overflow, inside the first batch
         out = tmp_path / "model.npz"
@@ -481,6 +511,18 @@ class TestConfigValues:
             assert ((tmp_path / "config" / "out").read_bytes()
                     == (tmp_path / "flag" / "out").read_bytes())
             assert read_kv(tmp_path / "config" / "out.manifest")["param.memory_cap"] == str(cap)
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_memory_cap_must_be_positive(self, pipeline, tmp_path, capsys, cap):
+        conf = tmp_path / "build.conf"
+        conf.write_text(f"memory-cap = {cap}\n")
+        args = stage_args("build-tensor", pipeline, tmp_path)
+        assert main(args + ["--memory-cap", cap]) == 2
+        assert f"argument --memory-cap: must be at least 1, got {cap}" in capsys.readouterr().err
+        assert main(args + ["--config", str(conf)]) == 2
+        assert (f"error: {conf}: bad value for 'memory-cap': '{cap}'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_boolean_words(self, pipeline, tmp_path, capsys):
         conf = tmp_path / "ingest.conf"

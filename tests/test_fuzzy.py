@@ -206,11 +206,17 @@ class TestProject:
 
 
 class RowsOnly:
-    """A provider with row() alone, so gather_chunks reads one row per pair."""
+    """A provider with evaluation's protocol alone (n_entities, n_relations,
+    row), over a tensor's rows; it records each row() call."""
 
     def __init__(self, tensor):
-        self.n_entities = tensor.n_entities
-        self.row = tensor.row
+        self.n_entities, self.n_relations = tensor.n_entities, tensor.n_relations
+        self.tensor = tensor
+        self.calls = []
+
+    def row(self, h, r):
+        self.calls.append((h, r))
+        return self.tensor.row(h, r)
 
 
 def gathered(provider, heads, rels):
@@ -243,14 +249,16 @@ class TestGather:
                     pairs = zip(heads.tolist(), np.broadcast_to(rels, heads.shape).tolist())
                     assert gchunk[2].tolist() == [tensor.row(h, r)[0].size for h, r in pairs]
 
-    def test_tensor_gather_chunks_split_gather_by_entries(self, rng):
+    def test_tensor_gather_chunks_split_gather_by_entries(self, rng, monkeypatch):
         X = sparse_tensor(rng, 10, 2, density=0.3)
         X[3] = 0.0                                  # empty rows
         tensor = build_tensor(DenseRows(X), eps=0.0)
         heads, rels = rng.integers(10, size=40), rng.integers(2, size=40)
         whole = gathered(RowsOnly(tensor), heads, rels)
         for limit in (1, 3, 7, 1 << 30):
-            ranges = list(tensor.gather_chunks(heads, rels, limit))
+            # a gathered entry takes two slots: ranges end every limit entries
+            monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", 2 * limit)
+            ranges = list(fuzzy.gather_chunks(tensor, heads, rels))
             assert [a for a, _, _ in ranges] == [0] + [b for _, b, _ in ranges[:-1]]
             assert ranges[-1][1] == heads.size
             for a, b, (cols, vals, lens) in ranges:
@@ -258,21 +266,39 @@ class TestGather:
                 assert lens[1:].sum() < limit       # its first row, then fewer than limit
             for parts, want in zip(zip(*[r[2] for r in ranges]), whole):
                 assert np.array_equal(np.concatenate(parts), want)
-        assert list(tensor.gather_chunks(heads[:0], rels[:0], 3)) == []
+            # a row()-only provider of the same rows: the same ranges, entry for entry
+            lazy = list(fuzzy.gather_chunks(RowsOnly(tensor), heads, rels))
+            assert [(a, b) for a, b, _ in lazy] == [(a, b) for a, b, _ in ranges]
+            for (*_, got), (*_, want) in zip(lazy, ranges):
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert list(fuzzy.gather_chunks(tensor, heads[:0], rels[:0])) == []
+
+    def test_lazy_provider_reads_each_distinct_row_once(self, rng, monkeypatch):
+        tensor = build_tensor(DenseRows(sparse_tensor(rng, 10, 2, density=0.3)), eps=0.0)
+        heads, rels = rng.integers(10, size=60), rng.integers(2, size=60)
+        monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", 6)     # many ranges
+        provider = RowsOnly(tensor)
+        got = gathered(provider, heads, rels)
+        # one call per distinct pair, in row-id order
+        assert provider.calls == sorted(set(zip(heads.tolist(), rels.tolist())))
+        assert all(np.array_equal(g, w) for g, w in zip(got, gathered(tensor, heads, rels)))
 
     def test_gather_range_checked(self, rng):
         tensor = build_tensor(DenseRows(sparse_tensor(rng, 4, 2)), eps=0.0)
-        with pytest.raises(IndexError):
-            gathered(tensor, np.array([4]), 0)
-        with pytest.raises(IndexError):
-            gathered(tensor, np.array([0]), 2)
-        # per-pair relations: each one is checked, a negative one too
-        with pytest.raises(IndexError):
-            gathered(tensor, np.array([0, 1]), np.array([0, 2]))
-        with pytest.raises(IndexError):
-            gathered(tensor, np.array([0, 1]), np.array([-1, 0]))
-        with pytest.raises(IndexError):
-            next(tensor.gather_chunks(np.array([0, 1]), np.array([0, 2]), 8))
+        lazy = RowsOnly(tensor)
+        for provider in (tensor, lazy):
+            with pytest.raises(ValueError, match="head 4 out of range"):
+                gathered(provider, np.array([4]), 0)
+            with pytest.raises(ValueError, match="relation 2 out of range"):
+                gathered(provider, np.array([0]), 2)
+            # per-pair relations: each one is checked, a negative one too
+            with pytest.raises(ValueError, match="relation 2 out of range"):
+                gathered(provider, np.array([0, 1]), np.array([0, 2]))
+            with pytest.raises(ValueError, match="relation -1 out of range"):
+                gathered(provider, np.array([0, 1]), np.array([-1, 0]))
+            with pytest.raises(ValueError, match="head -1 out of range"):
+                next(fuzzy.gather_chunks(provider, np.array([-1, 0]), 0))
+        assert lazy.calls == []                     # checked before any row is read
 
 
 # hand-checked 4-entity example: two one-hop branches joined by an

@@ -122,13 +122,6 @@ class TestBuild:
         idx, _ = tensor.row(0, 0)
         assert idx.tolist() == [1]
 
-    def test_eps_defaults_to_provider_attribute(self, rng):
-        provider = DenseRows(dense(rng))
-        provider.eps = 0.4
-        tensor = build_tensor(provider)
-        assert tensor.eps == 0.4
-        assert (tensor.values > np.float32(0.4)).all()
-
     def test_eps_validation(self, rng):
         with pytest.raises(ValueError, match="eps"):
             build_tensor(DenseRows(dense(rng)), eps=1.0)
@@ -160,6 +153,13 @@ class TestBuild:
         with pytest.raises(MemoryBudgetError) as err:
             build_tensor(provider, eps=0.0, memory_cap=300)
         assert 0.0 < err.value.suggested_eps <= 1.0
+        assert "memory cap" in str(err.value)
+
+    def test_memory_cap_below_the_offset_table(self, rng):
+        provider = DenseRows(rng.uniform(0.2, 0.8, size=(10, 2, 10)))
+        with pytest.raises(MemoryBudgetError, match="no eps below 1 fits") as err:
+            build_tensor(provider, eps=0.0, memory_cap=100)     # offsets: 168 bytes
+        assert err.value.suggested_eps == 1.0
         assert "memory cap" in str(err.value)
 
     def test_empty_provider(self):
@@ -483,6 +483,6 @@ def golden_chain():
 @pytest.mark.parametrize("mode", ABLATION_MODES)
 def test_tensor_matches_recorded_digest(tmp_path, golden_chain, mode):
     kg, scorer, adaptation = golden_chain
-    tensor = build_tensor(ablation_provider(mode, scorer, adaptation, kg, eps=0.003))
+    tensor = build_tensor(ablation_provider(mode, scorer, adaptation, kg, eps=0.003), eps=0.003)
     tensor.save(tmp_path / mode)
     assert hashlib.sha256((tmp_path / mode).read_bytes()).hexdigest() == _GOLDEN_TENSORS[mode]
