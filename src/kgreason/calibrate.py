@@ -30,13 +30,17 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dsl import QueryRecord, serialize
 from .graph import KnowledgeGraph
-from .scorer import EmbeddingModel, SettingError, read_checkpoint
+from .kvio import SettingError
+from .scorer import EmbeddingModel, read_checkpoint
 from .tensor import block_rows, csr_take, row_csr
+
+if TYPE_CHECKING:     # annotations only, so that build-tensor loads no dsl
+    from .dsl import QueryRecord
 
 log = logging.getLogger(__name__)
 
@@ -287,6 +291,7 @@ class _BranchTable:
 
     def __init__(self, scorer: NormalizedScorer, records: list[QueryRecord],
                  eps: float, log_floor: float = LOG_FLOOR):
+        from .dsl import serialize
         n, m = scorer.n_entities, scorer.n_relations
         self.n, self.m = n, m
         self.log_floor = log_floor

@@ -9,6 +9,10 @@ input hashes, and outputs.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error (bad flags,
 out-of-range training settings, missing files, unknown names).
+
+A command imports the modules it runs, and only the invoked command's parser
+is built: at module level this file imports the stdlib, numpy and kvio, so a
+stage's start-up compiles and runs no module that the stage does not use.
 """
 
 from __future__ import annotations
@@ -23,21 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibrate import (
-    ABLATION_MODES,
-    ADAPTATION_STRUCTURES,
-    AdaptationMatrix,
-    CalibrationConfig,
-    NormalizedScorer,
-    ablation_provider,
-    adapt,
-)
-from .dsl import read_queries, write_queries
-from .graph import add_inverse_relations, load_kg
-from .harness import STRUCTURE_ORDER, evaluate_run, generate_queries
-from .kvio import read_kv, write_kv
-from .scorer import EmbeddingModel, MODEL_KINDS, SettingError, TrainConfig, train
-from .tensor import CalibratedTensor, build_tensor
+from .kvio import SettingError, read_kv, write_kv
 
 log = logging.getLogger(__name__)
 
@@ -79,6 +69,7 @@ def _write_manifest(artifact: Path, command: str, args: argparse.Namespace,
 
 
 def _load_graph(args):
+    from .graph import add_inverse_relations, load_kg
     kg = load_kg(args.train, args.valid, args.test)
     if not args.no_inverses:
         kg = add_inverse_relations(kg)
@@ -89,8 +80,10 @@ def _graph_inputs(args) -> list[Path]:
     return [Path(p) for p in (args.train, args.valid, args.test) if p]
 
 
-def _load_scorer(args, kg) -> NormalizedScorer:
+def _load_scorer(args, kg):
     """The --model checkpoint, checked against the graph, and its normalizer."""
+    from .calibrate import NormalizedScorer
+    from .scorer import EmbeddingModel
     model = EmbeddingModel.load(args.model, (kg.n_entities, kg.n_relations))
     return NormalizedScorer(model, kg, alpha=args.alpha)
 
@@ -146,6 +139,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train_kgc(args) -> int:
+    from .scorer import TrainConfig, train
     config = TrainConfig(kind=args.model, dim=args.dim, epochs=args.epochs,
                          batch_size=args.batch, lr=args.lr, reg=args.l3,
                          aux_weight=args.l1, seed=args.seed)
@@ -160,6 +154,8 @@ def cmd_train_kgc(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from .calibrate import CalibrationConfig, adapt
+    from .dsl import read_queries
     config = CalibrationConfig(lr=args.lr, epochs=args.epochs, batch_size=args.batch,
                                eps=args.epsilon, seed=args.seed)
     kg = _load_graph(args)
@@ -176,6 +172,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_build_tensor(args) -> int:
+    from .calibrate import AdaptationMatrix, ablation_provider
+    from .tensor import build_tensor
     kg = _load_graph(args)
     scorer = _load_scorer(args, kg)
     matrix = None
@@ -195,9 +193,11 @@ def cmd_build_tensor(args) -> int:
 
 
 def _parse_structures(raw: str) -> list[str]:
+    from .harness import STRUCTURE_ORDER
     if raw == "all":
         return list(STRUCTURE_ORDER)
     if raw == "train":
+        from .calibrate import ADAPTATION_STRUCTURES
         return list(ADAPTATION_STRUCTURES)
     names = [tok.strip() for tok in raw.split(",") if tok.strip()]
     for i, name in enumerate(names):
@@ -211,6 +211,8 @@ def _parse_structures(raw: str) -> list[str]:
 
 
 def cmd_gen_queries(args) -> int:
+    from .dsl import write_queries
+    from .harness import generate_queries
     structures = _parse_structures(args.structures)
     if args.count < 1:
         raise SettingError("count", "must be at least 1")
@@ -227,6 +229,9 @@ def cmd_gen_queries(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .dsl import read_queries
+    from .harness import evaluate_run
+    from .tensor import CalibratedTensor
     tensor = CalibratedTensor.load(args.tensor)
     records = read_queries(args.queries, n_entities=tensor.n_entities,
                            n_relations=tensor.n_relations)
@@ -241,6 +246,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    from .calibrate import ABLATION_MODES, AdaptationMatrix, ablation_provider
+    from .dsl import read_queries
+    from .harness import evaluate_run
+    from .tensor import build_tensor
     kg = _load_graph(args)
     scorer = _load_scorer(args, kg)
     matrix = (AdaptationMatrix.load(args.w, (kg.n_entities, kg.n_relations))
@@ -271,94 +280,101 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def _build_parsers() -> dict[str, tuple[argparse.ArgumentParser, callable]]:
-    commands: dict[str, tuple[argparse.ArgumentParser, callable]] = {}
+def _conf_ingest(p):
+    _add_graph_flags(p)
+    p.add_argument("--out-dir", required=True)
 
-    def register(name, func, configure, description):
-        parser = argparse.ArgumentParser(prog=f"kgreason {name}", allow_abbrev=False,
-                                         description=description)
-        _add_common_flags(parser)
-        configure(parser)
-        commands[name] = (parser, func)
 
-    def conf_ingest(p):
-        _add_graph_flags(p)
-        p.add_argument("--out-dir", required=True)
+def _conf_train(p):
+    from .scorer import MODEL_KINDS
+    _add_graph_flags(p)
+    p.add_argument("--model", default="complex-bilinear", choices=MODEL_KINDS)
+    p.add_argument("--dim", type=int, default=64)
+    p.add_argument("--epochs", type=int, default=50)
+    p.add_argument("--batch", type=int, default=256)
+    p.add_argument("--lr", type=float, default=0.1)
+    p.add_argument("--l3", type=float, default=1e-3,
+                   help="cube regularizer weight")
+    p.add_argument("--l1", type=float, default=0.0,
+                   help="relation-prediction loss weight")
+    p.add_argument("--out", required=True)
 
-    def conf_train(p):
-        _add_graph_flags(p)
-        p.add_argument("--model", default="complex-bilinear", choices=MODEL_KINDS)
-        p.add_argument("--dim", type=int, default=64)
-        p.add_argument("--epochs", type=int, default=50)
-        p.add_argument("--batch", type=int, default=256)
-        p.add_argument("--lr", type=float, default=0.1)
-        p.add_argument("--l3", type=float, default=1e-3,
-                       help="cube regularizer weight")
-        p.add_argument("--l1", type=float, default=0.0,
-                       help="relation-prediction loss weight")
-        p.add_argument("--out", required=True)
 
-    def conf_calibrate(p):
-        _add_graph_flags(p)
-        p.add_argument("--model", required=True, help="model checkpoint")
-        p.add_argument("--queries", required=True, help="training query file")
-        p.add_argument("--alpha", type=float, default=0.1)
-        p.add_argument("--epochs", type=int, default=5)
-        p.add_argument("--lr", type=float, default=0.001)
-        p.add_argument("--batch", type=int, default=1000)
-        p.add_argument("--epsilon", type=float, default=0.0005)
-        p.add_argument("--out", default="adaptation.npz")
+def _conf_calibrate(p):
+    _add_graph_flags(p)
+    p.add_argument("--model", required=True, help="model checkpoint")
+    p.add_argument("--queries", required=True, help="training query file")
+    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--epochs", type=int, default=5)
+    p.add_argument("--lr", type=float, default=0.001)
+    p.add_argument("--batch", type=int, default=1000)
+    p.add_argument("--epsilon", type=float, default=0.0005)
+    p.add_argument("--out", default="adaptation.npz")
 
-    def conf_build(p):
-        _add_graph_flags(p)
-        p.add_argument("--model", required=True)
-        p.add_argument("--w", default=None, help="adaptation checkpoint")
-        p.add_argument("--alpha", type=float, default=0.1)
-        p.add_argument("--epsilon", type=float, default=0.0005)
-        p.add_argument("--mode", default="S1234", choices=ABLATION_MODES)
-        p.add_argument("--memory-cap", type=_int_at_least(1), default=None,
-                       help="abort if the tensor estimate exceeds this many bytes")
-        p.add_argument("--out", required=True)
 
-    def conf_gen(p):
-        _add_graph_flags(p)
-        p.add_argument("--structures", default="all",
-                       help="comma list, or 'all', or 'train' "
-                            "(the adaptation structures)")
-        p.add_argument("--count", type=int, default=100, help="queries per structure")
-        p.add_argument("--split", default="test",
-                       choices=("train", "validation", "test"))
-        p.add_argument("--out", required=True)
+def _conf_build(p):
+    from .calibrate import ABLATION_MODES
+    _add_graph_flags(p)
+    p.add_argument("--model", required=True)
+    p.add_argument("--w", default=None, help="adaptation checkpoint")
+    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--epsilon", type=float, default=0.0005)
+    p.add_argument("--mode", default="S1234", choices=ABLATION_MODES)
+    p.add_argument("--memory-cap", type=_int_at_least(1), default=None,
+                   help="abort if the tensor estimate exceeds this many bytes")
+    p.add_argument("--out", required=True)
 
-    def conf_eval(p):
-        p.add_argument("--tensor", required=True)
-        p.add_argument("--queries", required=True)
-        p.add_argument("--report", default=None, help="write metrics here as key = value")
 
-    def conf_ablate(p):
-        _add_graph_flags(p)
-        p.add_argument("--model", required=True)
-        p.add_argument("--w", default=None)
-        p.add_argument("--queries", required=True)
-        p.add_argument("--alpha", type=float, default=0.1)
-        p.add_argument("--epsilon", type=float, default=0.0005)
-        p.add_argument("--out-dir", required=True)
+def _conf_gen(p):
+    _add_graph_flags(p)
+    p.add_argument("--structures", default="all",
+                   help="comma list, or 'all', or 'train' "
+                        "(the adaptation structures)")
+    p.add_argument("--count", type=int, default=100, help="queries per structure")
+    p.add_argument("--split", default="test",
+                   choices=("train", "validation", "test"))
+    p.add_argument("--out", required=True)
 
-    register("ingest", cmd_ingest, conf_ingest,
-             "Load triplet files, assign ids, dump vocabularies and id triplets.")
-    register("train-kgc", cmd_train_kgc, conf_train,
-             "Train the link-prediction scorer.")
-    register("calibrate", cmd_calibrate, conf_calibrate,
-             "Fit per-(h,r) adaptation scales on training queries.")
-    register("build-tensor", cmd_build_tensor, conf_build,
-             "Materialize the sparse calibrated tensor.")
-    register("gen-queries", cmd_gen_queries, conf_gen,
-             "Sample queries with verified easy/hard answer sets.")
-    register("eval", cmd_eval, conf_eval,
-             "Rank hard answers over a tensor and report MRR/Hits.")
-    register("ablate", cmd_ablate, conf_ablate,
-             "Evaluate S12/S123/S1234 providers side by side.")
-    return commands
+
+def _conf_eval(p):
+    p.add_argument("--tensor", required=True)
+    p.add_argument("--queries", required=True)
+    p.add_argument("--report", default=None, help="write metrics here as key = value")
+
+
+def _conf_ablate(p):
+    _add_graph_flags(p)
+    p.add_argument("--model", required=True)
+    p.add_argument("--w", default=None)
+    p.add_argument("--queries", required=True)
+    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--epsilon", type=float, default=0.0005)
+    p.add_argument("--out-dir", required=True)
+
+
+# name -> (command, adds its flags, description)
+_COMMANDS = {
+    "ingest": (cmd_ingest, _conf_ingest,
+               "Load triplet files, assign ids, dump vocabularies and id triplets."),
+    "train-kgc": (cmd_train_kgc, _conf_train, "Train the link-prediction scorer."),
+    "calibrate": (cmd_calibrate, _conf_calibrate,
+                  "Fit per-(h,r) adaptation scales on training queries."),
+    "build-tensor": (cmd_build_tensor, _conf_build,
+                     "Materialize the sparse calibrated tensor."),
+    "gen-queries": (cmd_gen_queries, _conf_gen,
+                    "Sample queries with verified easy/hard answer sets."),
+    "eval": (cmd_eval, _conf_eval, "Rank hard answers over a tensor and report MRR/Hits."),
+    "ablate": (cmd_ablate, _conf_ablate, "Evaluate S12/S123/S1234 providers side by side."),
+}
+
+
+def _build_parser(name: str) -> argparse.ArgumentParser:
+    _, configure, description = _COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"kgreason {name}", allow_abbrev=False,
+                                     description=description)
+    _add_common_flags(parser)
+    configure(parser)
+    return parser
 
 
 # the words a config file may give a store_true flag
@@ -397,17 +413,17 @@ def _namespace_from_config(parser: argparse.ArgumentParser, path: str,
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    commands = _build_parsers()
     if not argv or argv[0] in ("-h", "--help"):
-        names = "\n  ".join(f"{name:<14}{p.description}" for name, (p, _) in commands.items())
+        names = "\n  ".join(f"{name:<14}{description}"
+                            for name, (*_, description) in _COMMANDS.items())
         print(f"kgreason {__version__}: calibrated fuzzy query answering over KGs\n"
               f"usage: kgreason <command> [flags]\n\ncommands:\n  {names}")
         return 0
     name, rest = argv[0], argv[1:]
-    if name not in commands:
+    if name not in _COMMANDS:
         print(f"error: unknown command {name!r} (try --help)", file=sys.stderr)
         return 2
-    parser, func = commands[name]
+    func, parser = _COMMANDS[name][0], _build_parser(name)
     try:
         prescan = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
         prescan.add_argument("--config", default=None)

@@ -204,7 +204,8 @@ class KnowledgeGraph:
         if keys is None:
             edges = triplet_array(self.edges(key))
             n, m = self.n_entities, self.n_relations
-            keys = np.unique((edges[:, 0] * m + edges[:, 1]) * n + edges[:, 2])
+            keys = np.sort((edges[:, 0] * m + edges[:, 1]) * n + edges[:, 2])
+            keys = keys[np.diff(keys, prepend=-1) != 0]     # keys are >= 0
             keys.flags.writeable = False
             self._keys[key] = keys
         return keys

@@ -372,7 +372,7 @@ def _query_metrics(ranks: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.
     mrr = np.empty(lens.shape[0])
     hits = np.empty((len(HITS_LEVELS), lens.shape[0]))
     levels = np.array(HITS_LEVELS)
-    for k in np.unique(lens).tolist():
+    for k in sorted(set(lens.tolist())):
         sel = np.nonzero(lens == k)[0]
         r = ranks[starts[sel, None] + np.arange(k)]
         mrr[sel] = np.mean(1.0 / r, axis=1)

@@ -1,8 +1,18 @@
-"""Flat `key = value` files, and the line reader of every text file."""
+"""Flat `key = value` files, the line reader of every text file, and the
+setting error every command reports as a usage error."""
 
 from __future__ import annotations
 
 from pathlib import Path
+
+
+class SettingError(ValueError):
+    """A setting out of range; `field` names its config field or argument."""
+
+    def __init__(self, field: str, requirement: str):
+        super().__init__(f"{field} {requirement}")
+        self.field = field
+        self.requirement = requirement
 
 
 def checked_lines(path, lines):

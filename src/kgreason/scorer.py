@@ -36,6 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import KnowledgeGraph, triplet_array
+from .kvio import SettingError
 
 log = logging.getLogger(__name__)
 
@@ -209,15 +210,6 @@ def read_checkpoint(path, what: str, keys: tuple[str, ...]) -> dict[str, np.ndar
     if missing:
         raise ValueError(f"{path}: {what} checkpoint has no {', '.join(missing)}")
     return arrays
-
-
-class SettingError(ValueError):
-    """A setting out of range; `field` names its config field or argument."""
-
-    def __init__(self, field: str, requirement: str):
-        super().__init__(f"{field} {requirement}")
-        self.field = field
-        self.requirement = requirement
 
 
 @dataclass

@@ -19,8 +19,8 @@ build_tensor reads a provider through row_block(rids) -> (dense float64 rows,
 bool pin mask), for head-major blocks of at most BLOCK_ENTRIES entries, and
 an explicit eps; for the calibrated providers a block is one call of
 calibrate.calibrated_block. A block is compacted in one pass: the flat index
-of its kept entries gives the columns (mod |V|), and one take each gives
-their values and pins.
+of its kept entries less its row's start gives the columns, and one take
+each gives their values and pins.
 
 Rows are read back as CSR through csr_take: a tensor's own arrays, or
 row_csr's copy of a lazy provider's rows (fuzzy.gather_chunks, adapt).
@@ -240,7 +240,11 @@ def _kept_blocks(provider, rows: range, eps: float):
         values = dense.astype(np.float32)
         keep = (values > np.float32(eps)) | pinned
         flat = np.flatnonzero(keep)
-        yield (rids, np.count_nonzero(keep, axis=1), (flat % provider.n_entities).astype(np.int32),
+        counts = np.count_nonzero(keep, axis=1)
+        # a block's flat positions fit int32: it has at most max(BLOCK_ENTRIES, |V|) entries
+        starts = np.arange(0, rids.shape[0] * provider.n_entities, provider.n_entities,
+                           dtype=np.int32)
+        yield (rids, counts, flat.astype(np.int32) - np.repeat(starts, counts),
                values.ravel().take(flat), pinned.ravel().take(flat))
 
 

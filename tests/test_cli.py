@@ -1,8 +1,15 @@
-"""End-to-end command tests; everything runs in-process through cli.main."""
+"""End-to-end command tests. They run in-process through cli.main, except
+TestColdStart, which spawns `python -m kgreason.cli` children."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kgreason
 from kgreason import dsl, fuzzy
 from kgreason.cli import main
 from kgreason.dsl import read_queries
@@ -350,8 +357,10 @@ class TestPipeline:
 
 
 def stage_args(command, pipeline, tmp_path, model=None, w=None):
-    """Arguments of calibrate, build-tensor or ablate on the pipeline's
+    """Arguments of calibrate, build-tensor, eval or ablate on the pipeline's
     files, writing under tmp_path / "out"."""
+    if command == "eval":
+        return ["eval", "--tensor", str(pipeline["tensor"]), "--queries", str(pipeline["test_q"])]
     args = [command, *pipeline["flags"], "--model", str(model or pipeline["model"])]
     out = tmp_path / "out"
     if command == "calibrate":
@@ -633,3 +642,61 @@ class TestValidatedInputs:
         assert code == 1
         assert f"error: {conf}:2: not valid UTF-8" in capsys.readouterr().err
         assert not out.exists()
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child process that imports the package this
+    process imported."""
+    src = str(Path(kgreason.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def child_imports(args) -> set[str]:
+    """The modules a `python -X importtime` child imports, by dotted name;
+    `args` follows the interpreter's flags."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+HELP_MODULES = {"cli", "kvio"}
+TRAIN_MODULES = HELP_MODULES | {"graph", "scorer"}
+BUILD_MODULES = TRAIN_MODULES | {"calibrate", "tensor"}
+ALL_MODULES = BUILD_MODULES | {"dsl", "fuzzy", "harness"}    # every module of the package
+
+
+@pytest.fixture(scope="module")
+def numpy_loads_ma():
+    return "numpy.ma" in child_imports(["-c", "import numpy"])    # numpy < 2 does
+
+
+class TestColdStart:
+    """A stage imports only the modules it runs, and no stage imports
+    numpy.ma (plain np.unique loads it on numpy >= 2)."""
+
+    @pytest.mark.parametrize("command,expected", [
+        ("--help", HELP_MODULES),
+        ("train-kgc", TRAIN_MODULES),
+        ("calibrate", BUILD_MODULES | {"dsl"}),
+        ("build-tensor", BUILD_MODULES),
+        ("eval", HELP_MODULES | {"graph", "dsl", "tensor", "fuzzy", "harness"}),
+        ("ablate", ALL_MODULES),
+    ])
+    def test_stage_imports(self, pipeline, tmp_path, numpy_loads_ma, command, expected):
+        if command == "--help":
+            args = ["--help"]
+        elif command == "train-kgc":
+            args = ["train-kgc", *pipeline["flags"], "--dim", "8", "--epochs", "1",
+                    "--out", str(tmp_path / "model.npz")]
+        else:
+            args = stage_args(command, pipeline, tmp_path)
+        names = child_imports(["-m", "kgreason.cli", *args])
+        # cli runs as __main__, so it is never imported under its own name
+        loaded = {"cli"} | {name.split(".")[1] for name in names
+                            if name.startswith("kgreason.")}
+        assert loaded == expected
+        if not numpy_loads_ma:
+            assert "numpy.ma" not in names

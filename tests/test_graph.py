@@ -132,6 +132,13 @@ class TestAdjacency:
         with pytest.raises(KeyError, match="dev"):
             toy_kg.edge_keys(("dev",))
 
+    def test_edge_keys_drop_repeats(self):
+        kg = make_kg(4, 2, {"train": [(3, 1, 0), (0, 0, 1), (3, 1, 0)],
+                            "validation": [(0, 0, 1)]})
+        keys = kg.edge_keys(("train", "validation"))
+        assert keys.dtype == np.int64 and keys.tolist() == [1, 28]
+        assert kg.edge_keys(("test",)).shape == (0,)
+
     def test_consistency_with_triplets(self, rng):
         # every stored triplet has a key and every key a stored triplet
         kg = random_kg(rng, 12, 3, 60)

@@ -5,6 +5,10 @@ the way its `install` looks it up."""
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +19,7 @@ from kgreason.harness import evaluate_run, generate_queries
 from kgreason.tensor import indicator_tensor
 
 from conftest import random_kg
+from test_cli import child_env, pipeline, stage_args  # noqa: F401  (pipeline is a fixture)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -69,3 +74,19 @@ def test_evaluate_run_never_calls_project_or_evaluate(monkeypatch):
     monkeypatch.setattr(fuzzy, "project", refuse)
     monkeypatch.setattr(fuzzy, "evaluate", refuse)
     assert evaluate_run(tensor, records).to_kv() == want
+
+
+@pytest.mark.parametrize("command,spans", [
+    ("eval", {"harness.evaluate_run", "dsl.read_queries"}),
+    ("build-tensor", {"tensor.build_tensor"}),
+])
+def test_traced_commands_record_the_names_they_import(pipeline, tmp_path, command, spans):
+    # the tracer's main calls install() before the command, which imports
+    # these names when it runs, after install has wrapped them
+    out = tmp_path / "trace.json"
+    proc = subprocess.run([sys.executable, str(TRACER), str(out), str(time.time()),
+                           *stage_args(command, pipeline, tmp_path)],
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    recorded = {span[0] for span in json.loads(out.read_text())["spans"]}
+    assert spans <= recorded
