@@ -15,7 +15,7 @@ Its eps threshold is one in-place select, not a mask scatter. With theta = 0
 the adapted provider reproduces the normalized one bitwise.
 
 Fitting theta (adapt) has its own kernel. It handles only the anchored
-shapes of ADAPTATION_STRUCTURES: a query there is at most three anchored
+shapes of dsl.ADAPTATION_STRUCTURES: a query there is at most three anchored
 branches P[r](h), each possibly complemented, intersected. adapt reads them
 from every query's lowering (QueryRecord.lowered) once, then computes each
 minibatch's losses and theta-gradient in one vectorized pass, with no tape,
@@ -48,9 +48,7 @@ LOG_FLOOR = 1e-10
 
 ABLATION_MODES = ("S12", "S123", "S1234")
 
-# query shapes used to fit theta: at most three anchored branches each
-ADAPTATION_STRUCTURES = ("1p", "2i", "3i", "2in", "3in")
-MAX_BRANCHES = 3
+MAX_BRANCHES = 3     # the most branches of a dsl.ADAPTATION_STRUCTURES query
 
 
 class NormalizedScorer:
@@ -371,9 +369,9 @@ def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
           config: CalibrationConfig) -> tuple[AdaptationMatrix, list[float]]:
     """Fit theta on complex-query training data with Adam; returns epoch losses.
 
-    Only records whose structure is in ADAPTATION_STRUCTURES participate; each
-    must be an intersection of at most three anchored branches, which every
-    shape of ADAPTATION_STRUCTURES is (see _BranchTable).
+    Only records whose structure is in dsl.ADAPTATION_STRUCTURES participate;
+    each must be an intersection of at most three anchored branches, which
+    every shape of ADAPTATION_STRUCTURES is (see _BranchTable).
     Answer sets are the records' own (train-graph) answers; non-answers are
     the full complement, no sampling.
 
@@ -389,6 +387,7 @@ def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
     _AdaptiveRows); gradients and theta differ from it only by summation
     order.
     """
+    from .dsl import ADAPTATION_STRUCTURES     # at call time: build-tensor loads no dsl
     usable = [rec for rec in records if rec.structure in ADAPTATION_STRUCTURES
               and (rec.easy | rec.hard)]
     if not usable:

@@ -193,11 +193,11 @@ def cmd_build_tensor(args) -> int:
 
 
 def _parse_structures(raw: str) -> list[str]:
+    from .dsl import ADAPTATION_STRUCTURES
     from .harness import STRUCTURE_ORDER
     if raw == "all":
         return list(STRUCTURE_ORDER)
     if raw == "train":
-        from .calibrate import ADAPTATION_STRUCTURES
         return list(ADAPTATION_STRUCTURES)
     names = [tok.strip() for tok in raw.split(",") if tok.strip()]
     for i, name in enumerate(names):

@@ -287,6 +287,10 @@ NEGATION_TAGS = tuple(tag for tag, t in STRUCTURE_TEMPLATES.items()
                       if any(step[0] == "n" for step in query_shape(t)[0]))
 POSITIVE_TAGS = tuple(t for t in STRUCTURE_TEMPLATES if t not in NEGATION_TAGS)
 
+# the structures calibrate.adapt fits theta on (gen-queries --structures
+# train): at most three anchored branches each, possibly complemented
+ADAPTATION_STRUCTURES = ("1p", "2i", "3i", "2in", "3in")
+
 
 def classify_structure(node: Node) -> str:
     """Name the query shape (1p, 2p, ..., pni), or "other" for anything else."""

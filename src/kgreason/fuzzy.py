@@ -204,18 +204,25 @@ def _check_ids(ids: np.ndarray, size: int, what: str) -> None:
         raise ValueError(f"{what} {int(bad)} out of range (size {size})")
 
 
+# the width of one gathered entry in flight, in float64 slots: its int64 CSR
+# position, int32 column and float32 or float64 value here, its int64 output
+# position and float64 product in project_batch (32 to 36 bytes), plus
+# csr_take's transients
+_GATHER_SLOTS = 5
+
+
 def gather_chunks(provider: RowProvider, heads: np.ndarray, rels):
     """Rows (heads[k], rels[k]) for every k, in consecutive ranges of pairs:
-    yields (start, stop, (cols, float64 vals, lens)) per range, its rows
+    yields (start, stop, (cols, vals, lens)) per range, its rows
     concatenated in order and lens the length of each. rels is one relation
     per head, or a scalar for all of them; both ids are range checked.
 
-    Each range is one csr_take through a CalibratedTensor's own CSR or, for
-    any other provider, through row_csr of its distinct rows, one row()
-    call each, so such a provider holds those rows' nonzeros at once. A
-    gathered entry takes two float64 slots, its product and its output
-    position, so a range ends where the running count of gathered entries
-    crosses a multiple of block_rows(2).
+    Each range is one csr_take through a CalibratedTensor's own CSR, whose
+    float32 values it yields as they are (a product with a float64 weight
+    widens them exactly), or, for any other provider, through row_csr of its
+    distinct rows, one row() call each, float64, so such a provider holds
+    those rows' nonzeros at once. A range ends where the running count of
+    gathered entries crosses a multiple of block_rows(_GATHER_SLOTS).
     """
     heads = np.asarray(heads, dtype=np.int64)
     rels = np.broadcast_to(np.asarray(rels, dtype=np.int64), heads.shape)
@@ -229,13 +236,13 @@ def gather_chunks(provider: RowProvider, heads: np.ndarray, rels):
         distinct, rids = np.unique(rids, return_inverse=True)
         offsets, cols, vals = row_csr(provider, distinct)
     ends = np.cumsum(offsets[rids + 1] - offsets[rids])
-    limit = block_rows(2)
+    limit = block_rows(_GATHER_SLOTS)
     cuts = np.searchsorted(ends, np.arange(limit, ends[-1] if ends.size else 0, limit),
                            side="right")
     bounds = sorted({0, rids.shape[0], *cuts.tolist()})
     for a, b in zip(bounds[:-1], bounds[1:]):
         pos, lens = csr_take(offsets, rids[a:b])
-        yield a, b, (cols[pos], vals[pos].astype(np.float64), lens)
+        yield a, b, (cols[pos], vals[pos], lens)
 
 
 def project_batch(E: np.ndarray, rels, provider: RowProvider,
@@ -246,7 +253,7 @@ def project_batch(E: np.ndarray, rels, provider: RowProvider,
 
     The one projection kernel. The rows of the (set, source) pairs of E's
     support, in row-major order, arrive in ranges of about
-    tensor.block_rows(2) entries (gather_chunks), so the working set stays
+    block_rows(_GATHER_SLOTS) entries (gather_chunks), so the working set stays
     small whatever |V| and the batch size; each range's products are
     max-scattered into the flat output, then the output is clamped to
     [0, 1]. Cost scales with the gathered entries; max is exact, so each row

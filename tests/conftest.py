@@ -8,7 +8,8 @@ from kgreason.dsl import (
     Projection,
     Union,
 )
-from kgreason.graph import KnowledgeGraph, Triplet, Vocab, add_inverse_relations
+from kgreason.graph import KnowledgeGraph, Triplet, Vocab, add_inverse_relations, triplet_array
+from kgreason.scorer import ADAGRAD_EPS, EmbeddingModel, batch_loss
 
 
 def make_kg(n_entities, n_relations, triplets_by_split):
@@ -134,3 +135,31 @@ def toy_kg():
 @pytest.fixture
 def toy_kg_inv(toy_kg):
     return add_inverse_relations(toy_kg)
+
+
+def reference_train(kg, config):
+    """scorer.train's loop and Adagrad step run in float64: scorer.batch_loss
+    on the tables EmbeddingModel.create draws, never rounded to float32.
+    Returns (model, epoch losses). Its tables are bitwise those train returned
+    when it trained in float64 (test_scorer's _GOLDEN_MODELS), and its losses
+    are the reference of train's float32 contract."""
+    rng = np.random.default_rng(config.seed)
+    model = EmbeddingModel.create(config.kind, kg.n_entities, kg.n_relations, config.dim, rng)
+    arr = triplet_array(kg.triplets("train"))
+    gE, gR = np.zeros_like(model.E), np.zeros_like(model.R)
+    accE, accR = np.zeros_like(model.E), np.zeros_like(model.R)
+    history = []
+    for _ in range(config.epochs):
+        order = rng.permutation(arr.shape[0])
+        losses = []
+        for start in range(0, arr.shape[0], config.batch_size):
+            heads, rels, tails = arr[order[start:start + config.batch_size]].T
+            gE.fill(0.0)
+            gR.fill(0.0)
+            losses.append(batch_loss(model, heads, rels, tails, config.reg,
+                                     config.aux_weight, gE, gR))
+            for param, grad, acc in ((model.E, gE, accE), (model.R, gR, accR)):
+                acc += grad * grad
+                param -= config.lr * grad / (np.sqrt(acc) + ADAGRAD_EPS)
+        history.append(sum(losses) / len(losses))
+    return model, history

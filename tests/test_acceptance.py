@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from kgreason.calibrate import (
-    ADAPTATION_STRUCTURES,
     AdaptationMatrix,
     CalibratedRows,
     CalibrationConfig,
@@ -29,6 +28,7 @@ from kgreason.calibrate import (
     query_loss_adjoint,
 )
 from kgreason.dsl import (
+    ADAPTATION_STRUCTURES,
     Anchor,
     Complement,
     Intersection,

@@ -324,10 +324,10 @@ class TestChunkBoundaries:
         assert results[0][0] == want.tobytes()
 
     def test_tensor_gathers_follow_row_lengths(self, monkeypatch):
-        # BLOCK_ENTRIES = 2|V| cuts ranges at |V| gathered entries (two slots
-        # each): a range holds one full row, but many sparse ones, and the
+        # BLOCK_ENTRIES = _GATHER_SLOTS * |V| cuts ranges at |V| gathered
+        # entries: a range holds one full row, but many sparse ones, and the
         # dense provider of the same rows is cut at the same pairs
-        monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", 2 * N)
+        monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", fuzzy._GATHER_SLOTS * N)
         heads, rels = np.repeat(np.arange(N), M), np.tile(np.arange(M), N)
         tensor = make_provider("tensor", np.random.default_rng(33))
         ranges = [(a, b) for a, b, _ in fuzzy.gather_chunks(tensor, heads, rels)]

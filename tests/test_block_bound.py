@@ -11,13 +11,13 @@ import kgreason
 from kgreason import fuzzy
 from kgreason import tensor as tensor_module
 from kgreason.calibrate import (
-    ADAPTATION_STRUCTURES,
     MAX_BRANCHES,
     CalibrationConfig,
     NormalizedScorer,
     _BranchTable,
     adapt,
 )
+from kgreason.dsl import ADAPTATION_STRUCTURES
 from kgreason.fuzzy import DenseRows, evaluate_batches
 from kgreason.harness import STRUCTURE_ORDER, evaluate_run, generate_queries
 from kgreason.scorer import EmbeddingModel

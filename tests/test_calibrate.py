@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from kgreason import calibrate as calibrate_module
 from kgreason.calibrate import (
     ABLATION_MODES,
-    ADAPTATION_STRUCTURES,
     AdaptationMatrix,
     CalibratedRows,
     CalibrationConfig,
@@ -21,6 +20,7 @@ from kgreason.calibrate import (
     query_loss_adjoint,
 )
 from kgreason.dsl import (
+    ADAPTATION_STRUCTURES,
     Anchor,
     Complement,
     Intersection,

@@ -684,6 +684,8 @@ class TestColdStart:
         ("build-tensor", BUILD_MODULES),
         ("eval", HELP_MODULES | {"graph", "dsl", "tensor", "fuzzy", "harness"}),
         ("ablate", ALL_MODULES),
+        # the adaptation structures are dsl's: no calibrate, no scorer
+        ("gen-queries", HELP_MODULES | {"graph", "dsl", "tensor", "fuzzy", "harness"}),
     ])
     def test_stage_imports(self, pipeline, tmp_path, numpy_loads_ma, command, expected):
         if command == "--help":
@@ -691,6 +693,9 @@ class TestColdStart:
         elif command == "train-kgc":
             args = ["train-kgc", *pipeline["flags"], "--dim", "8", "--epochs", "1",
                     "--out", str(tmp_path / "model.npz")]
+        elif command == "gen-queries":
+            args = ["gen-queries", *pipeline["flags"], "--structures", "train", "--count", "2",
+                    "--split", "train", "--out", str(tmp_path / "train.queries")]
         else:
             args = stage_args(command, pipeline, tmp_path)
         names = child_imports(["-m", "kgreason.cli", *args])

@@ -245,7 +245,8 @@ class TestGather:
                     for a, b in zip(gchunk, wchunk):
                         assert a.dtype.kind == b.dtype.kind
                         assert np.array_equal(a, b)
-                    assert gchunk[1].dtype == wchunk[1].dtype == np.float64
+                    # the tensor's own float32 values; row() gives float64
+                    assert gchunk[1].dtype == np.float32 and wchunk[1].dtype == np.float64
                     pairs = zip(heads.tolist(), np.broadcast_to(rels, heads.shape).tolist())
                     assert gchunk[2].tolist() == [tensor.row(h, r)[0].size for h, r in pairs]
 
@@ -256,8 +257,8 @@ class TestGather:
         heads, rels = rng.integers(10, size=40), rng.integers(2, size=40)
         whole = gathered(RowsOnly(tensor), heads, rels)
         for limit in (1, 3, 7, 1 << 30):
-            # a gathered entry takes two slots: ranges end every limit entries
-            monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", 2 * limit)
+            # a gathered entry takes _GATHER_SLOTS slots: ranges end every limit entries
+            monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", fuzzy._GATHER_SLOTS * limit)
             ranges = list(fuzzy.gather_chunks(tensor, heads, rels))
             assert [a for a, _, _ in ranges] == [0] + [b for _, b, _ in ranges[:-1]]
             assert ranges[-1][1] == heads.size

@@ -1,10 +1,12 @@
 import hashlib
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgreason import scorer as scorer_module
 from kgreason.scorer import (
     EmbeddingModel,
     MODEL_KINDS,
@@ -17,7 +19,7 @@ from kgreason.scorer import (
     train,
 )
 
-from conftest import make_kg, random_kg
+from conftest import make_kg, random_kg, reference_train
 
 
 def tiny_model(kind, rng, n=5, m=3, dim=4):
@@ -155,6 +157,22 @@ class TestEmbeddingModel:
         with pytest.raises(ValueError) as err:
             EmbeddingModel.load(path)
         assert str(err.value).startswith(f"{path}: ") and message in str(err.value)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    def test_load_scores_narrow_tables_in_float64(self, rng, tmp_path, dtype):
+        model = tiny_model("complex-bilinear", rng, n=6, m=4, dim=8)
+        E, R = model.E.astype(dtype), model.R.astype(dtype)
+        path = tmp_path / "model.npz"
+        np.savez(path, version=np.array(1), kind=np.array(model.kind),
+                 dim=np.array(model.dim), E=E, R=R)
+        loaded = EmbeddingModel.load(path)
+        assert loaded.E.dtype == loaded.R.dtype == np.float64
+        widened = EmbeddingModel(model.kind, model.dim, E.astype(np.float64),
+                                 R.astype(np.float64))
+        heads, rels = [0, 3, 5], [1, 2, 3]
+        scores = loaded.score_rows(heads, rels)
+        assert scores.dtype == np.float64
+        assert scores.tobytes() == widened.score_rows(heads, rels).tobytes()
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_load_accepts_every_kind(self, kind, rng, tmp_path):
@@ -351,10 +369,11 @@ class TestTrain:
         assert model.kind == kind and len(history) == 2
 
 
-# sha256 of E.tobytes() + R.tobytes() after train on the graph below, per kind
-# and aux_weight; recorded before the in-place softmax cross-entropy, the flat
-# gradient scatter and the reused Adagrad buffers, so a training kernel change
-# that moves a bit of the model shows here
+# sha256 of E.tobytes() + R.tobytes() after reference_train (train's loop in
+# float64) on the graph below, per kind and aux_weight; recorded when train
+# itself still ran in float64, before the in-place softmax cross-entropy, the
+# flat gradient scatter and the reused Adagrad buffers, so a change to
+# batch_loss that moves a bit of a float64 model shows here
 _GOLDEN_MODELS = {
     ("complex-bilinear", 0.0): "bcb36362970f4fe76355ca5504d4e366c45ccf070ea59d4fb526d1791e113098",
     ("complex-bilinear", 0.1): "30dbf4ff0c722234c400b67a56236d7711dbfa781711467b65f348a97438c7d7",
@@ -366,6 +385,32 @@ _GOLDEN_MODELS = {
     ("simple-bilinear", 0.1): "7b717002ffbb37feb32b56c439f7dda6a9a0f95f93b83a528419cdc2de92c843",
 }
 
+# the same digest of the float64 tables train returns, which it trained in
+# float32: a change that moves a bit of the float32 loop shows here
+_GOLDEN_FLOAT32_MODELS = {
+    ("complex-bilinear", 0.0): "d99b72a010cb9ea6c2e7ae56277187fd04d6e4daaad7497278fa9fd6b55bb50c",
+    ("complex-bilinear", 0.1): "999ccc3dbf9282bf0c7d4df645c34377b1bb9d7e7baaf54a8e1658aaf8efc2e5",
+    ("diagonal-bilinear", 0.0): "ce03d3cbd51b6ed7eb865cd7acfd875458d259dbc7e31a5ae1ea15b2f55a5b9d",
+    ("diagonal-bilinear", 0.1): "c12cdafbb79f470597102274418c35e2b5839effd69de1a656afa16aba390690",
+    ("canonical-polyadic", 0.0): "d18dc533688acb522a6f256ac01eef5d081aba3dfc094314aca64eb99888a43d",
+    ("canonical-polyadic", 0.1): "6dc912166f1989c34f77f52e47b22d0fb3e3fff7c24c091c44ef4014640d6980",
+    ("simple-bilinear", 0.0): "d21413e8021d1fca946197e645611e3320cf8410e565e85e8ac37f02ff0e3624",
+    ("simple-bilinear", 0.1): "226de9ae78ac53b56c422ef5b8e1ed48396ef87fd598a148ce59b7708e1cfb48",
+}
+
+# train's stated contract: each epoch loss within 100 float32 ulps of 1
+# (about 1.2e-5), relative, of the float64 reference
+LOSS_RTOL = 100 * float(np.finfo(np.float32).eps)
+
+
+def golden_config(kind, aux_weight, epochs=2):
+    return TrainConfig(kind=kind, dim=8, epochs=epochs, batch_size=64,
+                       aux_weight=aux_weight, seed=3)
+
+
+def table_digest(model):
+    return hashlib.sha256(model.E.tobytes() + model.R.tobytes()).hexdigest()
+
 
 @pytest.fixture(scope="module")
 def golden_graph():
@@ -375,7 +420,95 @@ def golden_graph():
 
 @pytest.mark.parametrize("kind,aux_weight", sorted(_GOLDEN_MODELS))
 def test_model_matches_recorded_digest(golden_graph, kind, aux_weight):
-    model, _ = train(golden_graph, TrainConfig(kind=kind, dim=8, epochs=2, batch_size=64,
-                                               aux_weight=aux_weight, seed=3))
-    digest = hashlib.sha256(model.E.tobytes() + model.R.tobytes()).hexdigest()
-    assert digest == _GOLDEN_MODELS[kind, aux_weight]
+    model, _ = reference_train(golden_graph, golden_config(kind, aux_weight))
+    assert model.E.dtype == model.R.dtype == np.float64
+    assert table_digest(model) == _GOLDEN_MODELS[kind, aux_weight]
+
+
+@pytest.mark.parametrize("kind,aux_weight", sorted(_GOLDEN_FLOAT32_MODELS))
+def test_float32_model_matches_recorded_digest(golden_graph, kind, aux_weight):
+    model, _ = train(golden_graph, golden_config(kind, aux_weight))
+    assert table_digest(model) == _GOLDEN_FLOAT32_MODELS[kind, aux_weight]
+
+
+class TestFloat32Training:
+    """train runs in float32 and returns the float64 widening of its tables;
+    its epoch losses follow the float64 reference within LOSS_RTOL."""
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("aux_weight", [0.0, 0.1])
+    def test_losses_follow_the_float64_reference(self, golden_graph, kind, aux_weight):
+        config = golden_config(kind, aux_weight, epochs=10)
+        _, want = reference_train(golden_graph, config)
+        _, got = train(golden_graph, config)
+        assert len(got) == len(want) == 10
+        np.testing.assert_allclose(got, want, rtol=LOSS_RTOL, atol=0)
+        assert got != want      # the float32 loop really ran
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_every_array_stays_float32_for_an_epoch(self, golden_graph, kind, monkeypatch):
+        # numpy >= 2 promotes float32 met by an np.float64 scalar to float64,
+        # numpy 1.24 does not: the loop must give it no such scalar, even when
+        # the settings are np.float64 scalars
+        seen = []
+
+        def check(*values):
+            for value in values:
+                if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+                    seen.append(value.dtype)
+
+        def spy(wrapped, results=True):
+            def call(*args, **kwargs):
+                check(*args, *kwargs.values())
+                out = wrapped(*args, **kwargs)
+                if results:
+                    check(*(out.values() if isinstance(out, dict) else
+                            out if isinstance(out, tuple) else (out,)))
+                return out
+            return call
+
+        real_batch_loss = scorer_module.batch_loss
+
+        def batch_loss_spy(model, *args):
+            check(model.E, model.R)
+            # train's own arrays: the tables, the gradients and Adagrad's buffers
+            check(*sys._getframe(1).f_locals.values())
+            loss = real_batch_loss(model, *args)
+            assert type(loss) is float
+            return loss
+
+        monkeypatch.setattr(scorer_module, "batch_loss", batch_loss_spy)
+        for name in ("_softmax_ce", "_contract", "_contract_rows", "_cube_reg",
+                     "_relation_queries"):
+            monkeypatch.setattr(scorer_module, name, spy(getattr(scorer_module, name)))
+        monkeypatch.setattr(scorer_module, "scatter_add",
+                            spy(scorer_module.scatter_add, results=False))
+        train(golden_graph, TrainConfig(kind=kind, dim=8, epochs=1, batch_size=64,
+                                        lr=np.float64(0.1), reg=np.float64(0.05),
+                                        aux_weight=np.float64(0.1), seed=3))
+        assert len(seen) > 100 and set(seen) == {np.dtype(np.float32)}
+
+    def test_saved_tables_are_float64_holding_float32_values(self, golden_graph, tmp_path):
+        model, _ = train(golden_graph, golden_config("canonical-polyadic", 0.0))
+        model.save(tmp_path / "model.npz")
+        with np.load(tmp_path / "model.npz") as data:
+            for name in ("E", "R"):
+                table = data[name]
+                assert table.dtype == np.float64
+                assert np.array_equal(table, table.astype(np.float32))
+
+    def test_float32_tables_are_the_rounded_float64_draws(self, golden_graph, monkeypatch):
+        drawn = []
+        create = EmbeddingModel.create
+
+        def spy(*args):
+            drawn.append(create(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(EmbeddingModel, "create", spy)
+        # one batch at a learning rate too small to move a float32 value
+        model, _ = train(golden_graph, TrainConfig(kind="diagonal-bilinear", dim=8, epochs=1,
+                                                   batch_size=1000, lr=1e-30, reg=0.0, seed=3))
+        assert drawn[0].E.dtype == np.float64
+        assert np.array_equal(model.E, drawn[0].E.astype(np.float32))
+        assert np.array_equal(model.R, drawn[0].R.astype(np.float32))

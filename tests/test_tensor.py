@@ -16,7 +16,7 @@ from kgreason.calibrate import (
 from kgreason.fuzzy import DenseRows, evaluate
 from kgreason.dsl import parse
 from kgreason.graph import KnowledgeGraph, Vocab, add_inverse_relations
-from kgreason.scorer import TrainConfig, train
+from kgreason.scorer import TrainConfig
 from kgreason.tensor import (
     CalibratedTensor,
     MAGIC,
@@ -26,7 +26,7 @@ from kgreason.tensor import (
     indicator_tensor,
 )
 
-from conftest import corrupt_payload, random_kg
+from conftest import corrupt_payload, random_kg, reference_train
 
 
 class PinnedDense(DenseRows):
@@ -475,7 +475,8 @@ _GOLDEN_TENSORS = {
 @pytest.fixture(scope="module")
 def golden_chain():
     kg = random_kg(np.random.default_rng(13), 300, 8, 3000)
-    model, _ = train(kg, TrainConfig(dim=8, epochs=2, batch_size=128, seed=3))
+    # the float64 reference training, so that these digests pin build_tensor alone
+    model, _ = reference_train(kg, TrainConfig(dim=8, epochs=2, batch_size=128, seed=3))
     theta = np.random.default_rng(17).normal(0.0, 0.5, (kg.n_entities, kg.n_relations))
     return kg, NormalizedScorer(model, kg), AdaptationMatrix(theta)
 
