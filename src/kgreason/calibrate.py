@@ -46,6 +46,11 @@ log = logging.getLogger(__name__)
 
 LOG_FLOOR = 1e-10
 
+# the defaults of --alpha (the row scale of a (head, relation) pair without
+# train tails) and --epsilon (the support threshold of a row)
+DEFAULT_ALPHA = 0.1
+DEFAULT_EPS = 0.0005
+
 ABLATION_MODES = ("S12", "S123", "S1234")
 
 MAX_BRANCHES = 3     # the most branches of a dsl.ADAPTATION_STRUCTURES query
@@ -54,7 +59,8 @@ MAX_BRANCHES = 3     # the most branches of a dsl.ADAPTATION_STRUCTURES query
 class NormalizedScorer:
     """Scores mapped through a per-row scaled softmax into [0,1]."""
 
-    def __init__(self, model: EmbeddingModel, kg: KnowledgeGraph, alpha: float = 0.1):
+    def __init__(self, model: EmbeddingModel, kg: KnowledgeGraph,
+                 alpha: float = DEFAULT_ALPHA):
         if not (np.isfinite(alpha) and alpha > 0):
             raise SettingError("alpha", "must be a finite positive number")
         if model.n_entities != kg.n_entities or model.n_relations != kg.n_relations:
@@ -125,22 +131,20 @@ class AdaptationMatrix:
 
     theta: np.ndarray
 
-    @classmethod
-    def zeros(cls, n_entities: int, n_relations: int) -> "AdaptationMatrix":
-        return cls(np.zeros((n_entities, n_relations), dtype=np.float64))
-
     def save(self, path) -> None:
         np.savez(path, version=np.array(1), theta=self.theta)
 
     @classmethod
     def load(cls, path, shape: tuple[int, int] | None = None) -> "AdaptationMatrix":
-        """Read a checkpoint; theta must be finite and, when given, of `shape`."""
+        """Read a checkpoint; theta must be finite and, when given, of `shape`.
+        A theta of any float type is widened to float64, so the file's dtype
+        never picks the adaptation arithmetic."""
         theta = read_checkpoint(path, "adaptation", ("theta",))["theta"]
         if shape is not None and theta.shape != tuple(shape):
             raise ValueError(f"{path}: theta has shape {theta.shape}, expected {tuple(shape)}")
         if theta.dtype.kind != "f" or not np.isfinite(theta).all():
             raise ValueError(f"{path}: theta must hold finite floats")
-        return cls(theta)
+        return cls(theta.astype(np.float64, copy=False))
 
 
 @dataclass
@@ -149,7 +153,7 @@ class CalibrationConfig:
     epochs: int = 5
     batch_size: int = 1000
     log_floor: float = LOG_FLOOR
-    eps: float = 0.0005     # support threshold for rows during adaptation
+    eps: float = DEFAULT_EPS     # support threshold for rows during adaptation
     seed: int = 0
 
     def __post_init__(self):
@@ -175,7 +179,7 @@ class CalibratedRows:
     """
 
     def __init__(self, scorer: NormalizedScorer, theta: np.ndarray | None = None,
-                 pin_keys: np.ndarray | None = None, eps: float = 0.0005):
+                 pin_keys: np.ndarray | None = None, eps: float = DEFAULT_EPS):
         if not 0 <= eps < 1:
             raise SettingError("eps", "must lie in [0, 1)")
         self.scorer = scorer
@@ -425,7 +429,7 @@ def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
 
 def ablation_provider(mode: str, scorer: NormalizedScorer,
                       adaptation: AdaptationMatrix | None,
-                      kg: KnowledgeGraph, eps: float = 0.0005) -> CalibratedRows:
+                      kg: KnowledgeGraph, eps: float = DEFAULT_EPS) -> CalibratedRows:
     """S12 = normalize only; S123 = + adaptation; S1234 = + pinning, the full
     calibration: adapted rows with the train and validation triplets pinned
     to 1."""

@@ -1,5 +1,5 @@
-"""Command-line pipeline: ingest -> train-kgc -> calibrate -> build-tensor ->
-gen-queries -> eval, plus an ablation sweep.
+"""Command-line pipeline: train-kgc -> calibrate -> build-tensor -> gen-queries
+-> eval, plus an ablation sweep.
 
 One binary with subcommands. Every command takes --config (flat `key = value`
 file whose keys are flag names); explicit flags override config values,
@@ -116,26 +116,6 @@ def _add_common_flags(parser):
                         help="key = value file; flags override its entries")
     parser.add_argument("--seed", type=_int_at_least(0), default=0)
     parser.add_argument("--verbose", action="store_true")
-
-
-def cmd_ingest(args) -> int:
-    kg = _load_graph(args)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    kg.entities.save(out / "entities.tsv")
-    kg.relations.save(out / "relations.tsv")
-    artifacts = [out / "entities.tsv", out / "relations.tsv"]
-    for split, fname in (("train", "train.txt"), ("validation", "valid.txt"),
-                         ("test", "test.txt")):
-        path = out / fname
-        with open(path, "w", encoding="utf-8") as fh:
-            for h, r, t in kg.triplets(split):
-                fh.write(f"{h}\t{r}\t{t}\n")
-        artifacts.append(path)
-    _write_manifest(out / "ingest", "ingest", args, _graph_inputs(args), artifacts)
-    print(f"entities {kg.n_entities}  relations {kg.n_relations}  "
-          + "  ".join(f"{s} {len(kg.triplets(s))}" for s in ("train", "validation", "test")))
-    return 0
 
 
 def cmd_train_kgc(args) -> int:
@@ -280,11 +260,6 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def _conf_ingest(p):
-    _add_graph_flags(p)
-    p.add_argument("--out-dir", required=True)
-
-
 def _conf_train(p):
     from .scorer import MODEL_KINDS
     _add_graph_flags(p)
@@ -301,24 +276,25 @@ def _conf_train(p):
 
 
 def _conf_calibrate(p):
+    from .calibrate import DEFAULT_ALPHA, DEFAULT_EPS
     _add_graph_flags(p)
     p.add_argument("--model", required=True, help="model checkpoint")
     p.add_argument("--queries", required=True, help="training query file")
-    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--batch", type=int, default=1000)
-    p.add_argument("--epsilon", type=float, default=0.0005)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPS)
     p.add_argument("--out", default="adaptation.npz")
 
 
 def _conf_build(p):
-    from .calibrate import ABLATION_MODES
+    from .calibrate import ABLATION_MODES, DEFAULT_ALPHA, DEFAULT_EPS
     _add_graph_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--w", default=None, help="adaptation checkpoint")
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--epsilon", type=float, default=0.0005)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPS)
     p.add_argument("--mode", default="S1234", choices=ABLATION_MODES)
     p.add_argument("--memory-cap", type=_int_at_least(1), default=None,
                    help="abort if the tensor estimate exceeds this many bytes")
@@ -343,19 +319,18 @@ def _conf_eval(p):
 
 
 def _conf_ablate(p):
+    from .calibrate import DEFAULT_ALPHA, DEFAULT_EPS
     _add_graph_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--w", default=None)
     p.add_argument("--queries", required=True)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--epsilon", type=float, default=0.0005)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPS)
     p.add_argument("--out-dir", required=True)
 
 
 # name -> (command, adds its flags, description)
 _COMMANDS = {
-    "ingest": (cmd_ingest, _conf_ingest,
-               "Load triplet files, assign ids, dump vocabularies and id triplets."),
     "train-kgc": (cmd_train_kgc, _conf_train, "Train the link-prediction scorer."),
     "calibrate": (cmd_calibrate, _conf_calibrate,
                   "Fit per-(h,r) adaptation scales on training queries."),

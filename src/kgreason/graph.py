@@ -4,10 +4,11 @@ Graphs are read-only after construction, so each split scope has three
 cached indexes: the tail index, (head, relation) -> frozenset of tails, for
 the set oracle and the query sampler; the incoming lists, tail -> (head,
 relation) of its edges, for the sampler; and the edge keys, the sorted
-unique int64 (h * |R| + r) * |V| + t, for the row scales, the pins and the
-indicator tensor. Entity/relation ids are dense non-negative integers
-assigned in first-appearance order (train file first, then validation, then
-test), which keeps runs reproducible.
+unique int64 (h * |R| + r) * |V| + t, for the row scales and the pins.
+Entity/relation ids are dense non-negative integers assigned in
+first-appearance order (train file first, then validation, then test), which
+keeps runs reproducible. The vocabularies live in memory only: every command
+rebuilds them from the triplet files it reads.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ INVERSE_SUFFIX = "_inverse"
 
 
 class TripletFileError(ValueError):
-    """Malformed triplet or vocabulary file."""
+    """Malformed triplet file."""
 
 
 class Triplet(NamedTuple):
@@ -74,30 +75,6 @@ class Vocab:
 
     def names(self) -> list[str]:
         return list(self._names)
-
-    def save(self, path) -> None:
-        """Dump as `id<TAB>surface` lines."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for i, name in enumerate(self._names):
-                fh.write(f"{i}\t{name}\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocab":
-        vocab = cls()
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            for lineno, line in checked_lines(path, fh):
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise TripletFileError(f"{path}:{lineno}: expected 'id<TAB>surface'")
-                try:
-                    i = int(fields[0])
-                except ValueError:
-                    raise TripletFileError(
-                        f"{path}:{lineno}: id {fields[0]!r} is not an integer") from None
-                if i != len(vocab._names):
-                    raise TripletFileError(f"{path}:{lineno}: ids must be dense and in order")
-                vocab.add(fields[1])
-        return vocab
 
 
 def load_split(path, entities: Vocab, relations: Vocab) -> list[Triplet]:

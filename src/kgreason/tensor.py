@@ -33,8 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import KnowledgeGraph
-
 log = logging.getLogger(__name__)
 
 MAGIC = b"KGRT"
@@ -141,28 +139,13 @@ class CalibratedTensor:
     def nnz(self) -> int:
         return int(self.indices.shape[0])
 
-    def _span(self, h: int, r: int) -> tuple[int, int]:
+    def row(self, h: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """(tail indices, float64 values); empty arrays for an absent row."""
         if not (0 <= h < self.n_entities and 0 <= r < self.n_relations):
             raise IndexError(f"row ({h}, {r}) out of range")
         rid = h * self.n_relations + r
-        return int(self.offsets[rid]), int(self.offsets[rid + 1])
-
-    def row(self, h: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """(tail indices, float64 values); empty arrays for an absent row."""
-        s, e = self._span(h, r)
+        s, e = int(self.offsets[rid]), int(self.offsets[rid + 1])
         return self.indices[s:e], self.values[s:e].astype(np.float64)
-
-    def value(self, h: int, r: int, t: int) -> float:
-        s, e = self._span(h, r)
-        pos = s + int(np.searchsorted(self.indices[s:e], t))
-        if pos < e and int(self.indices[pos]) == t:
-            return float(self.values[pos])
-        return 0.0
-
-    def is_pinned(self, h: int, r: int, t: int) -> bool:
-        s, e = self._span(h, r)
-        pos = s + int(np.searchsorted(self.indices[s:e], t))
-        return pos < e and int(self.indices[pos]) == t and bool(self.pin_mask[pos])
 
     def stats(self) -> SparsityReport:
         total = self.n_entities * self.n_entities * self.n_relations
@@ -296,16 +279,3 @@ def build_tensor(provider, eps: float, memory_cap: int | None = None) -> Calibra
     tensor = CalibratedTensor(n, m, eps, offsets, indices, values, pin_mask)
     log.info("built tensor: %s", tensor.stats())
     return tensor
-
-
-def indicator_tensor(kg: KnowledgeGraph,
-                     splits: tuple[str, ...] = ("train", "validation", "test"),
-                     ) -> CalibratedTensor:
-    """Exact 0/1 tensor of the graph's edges; the classical-semantics oracle."""
-    n, m = kg.n_entities, kg.n_relations
-    keys = kg.edge_keys(splits)
-    rids, tails = np.divmod(keys, n)
-    offsets = np.zeros(n * m + 1, dtype=np.uint64)
-    offsets[1:] = np.cumsum(np.bincount(rids, minlength=n * m))
-    values = np.ones(keys.shape[0], dtype=np.float32)
-    return CalibratedTensor(n, m, 0.0, offsets, tails.astype(np.int32), values)

@@ -98,13 +98,22 @@ class TestNormalizedScorer:
 
 class TestAdaptationMatrix:
     def test_zeros_gives_unit_scales(self):
-        assert (np.exp(AdaptationMatrix.zeros(3, 2).theta) == 1.0).all()
+        assert (np.exp(AdaptationMatrix(np.zeros((3, 2))).theta) == 1.0).all()
 
     def test_save_load_round_trip(self, rng, tmp_path):
         mat = AdaptationMatrix(rng.normal(size=(5, 3)))
         path = tmp_path / "w.npz"
         mat.save(path)
         assert np.array_equal(AdaptationMatrix.load(path).theta, mat.theta)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    def test_load_widens_theta_to_float64(self, rng, tmp_path, dtype):
+        theta = rng.normal(size=(5, 3)).astype(dtype)
+        path = tmp_path / "w.npz"
+        AdaptationMatrix(theta).save(path)
+        loaded = AdaptationMatrix.load(path).theta
+        assert loaded.dtype == np.float64
+        assert np.array_equal(loaded, theta.astype(np.float64))
 
     def test_version_checked(self, tmp_path):
         path = tmp_path / "w.npz"
@@ -376,7 +385,7 @@ class TestProviders:
 
     def test_s1234_pins_train_and_validation(self, setup):
         kg, _, scorer = setup
-        matrix = AdaptationMatrix.zeros(scorer.n_entities, scorer.n_relations)
+        matrix = AdaptationMatrix(np.zeros((scorer.n_entities, scorer.n_relations)))
         provider = ablation_provider("S1234", scorer, matrix, kg)
         rids, tails = np.divmod(provider.pin_keys, scorer.n_entities)
         heads, rels = np.divmod(rids, scorer.n_relations)

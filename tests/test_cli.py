@@ -2,6 +2,7 @@
 TestColdStart, which spawns `python -m kgreason.cli` children."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,9 +51,10 @@ class TestDispatch:
     def test_help(self, capsys):
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
-        for name in ("ingest", "train-kgc", "calibrate", "build-tensor",
+        for name in ("train-kgc", "calibrate", "build-tensor",
                      "gen-queries", "eval", "ablate"):
             assert name in out
+        assert "ingest" not in out
 
     def test_no_args_prints_help(self, capsys):
         assert main([]) == 0
@@ -62,56 +64,55 @@ class TestDispatch:
         assert main(["frobnicate"]) == 2
         assert "unknown command" in capsys.readouterr().err
 
-    def test_missing_required_flag(self, capsys):
+    def test_ingest_is_an_unknown_command(self, capsys):
+        # every stage rebuilds the ids from the triplet files it reads
         assert main(["ingest"]) == 2
+        assert "error: unknown command 'ingest'" in capsys.readouterr().err
+
+    def test_missing_required_flag(self, capsys):
+        assert main(["gen-queries"]) == 2
 
     def test_flags_are_not_abbreviated(self, tmp_path, capsys):
         paths = write_dataset(tmp_path)
-        out = tmp_path / "data"
-        assert main(["ingest", "--train", str(paths["train"]), "--out-dir", str(out),
+        out = tmp_path / "q.txt"
+        assert main(["gen-queries", "--train", str(paths["train"]), "--out", str(out),
                      "--no-inv"]) == 2
         assert "unrecognized arguments: --no-inv" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_input_file(self, tmp_path, capsys):
-        code = main(["ingest", "--train", str(tmp_path / "nope.tsv"),
-                     "--out-dir", str(tmp_path / "out")])
+        code = main(["gen-queries", "--train", str(tmp_path / "nope.tsv"),
+                     "--out", str(tmp_path / "q.txt")])
         assert code == 2
         assert "missing file" in capsys.readouterr().err
 
 
-class TestIngest:
-    def test_artifacts_and_counts(self, tmp_path, capsys):
-        paths = write_dataset(tmp_path)
-        out = tmp_path / "data"
-        assert main(["ingest", *graph_flags(paths), "--out-dir", str(out)]) == 0
-        printed = capsys.readouterr().out
-        assert "entities 30" in printed and "relations 4" in printed
-        for fname in ("entities.tsv", "relations.tsv", "train.txt",
-                      "valid.txt", "test.txt", "ingest.manifest"):
-            assert (out / fname).exists()
-        relations = (out / "relations.tsv").read_text().splitlines()
-        assert len(relations) == 4
-        assert sum("_inverse" in line for line in relations) == 2
-        first = (out / "train.txt").read_text().splitlines()[0].split("\t")
-        assert all(tok.isdigit() for tok in first)
+def query_relations(path) -> set[int]:
+    """The relation ids that the queries of a query file project along."""
+    return {int(r) for r in re.findall(r"P\[#(\d+)\]", Path(path).read_text())}
 
-    def test_no_inverses(self, tmp_path, capsys):
+
+class TestGraphInputs:
+    """The graph flags and the manifest, which every graph-reading stage shares."""
+
+    def test_no_inverses(self, tmp_path):
         paths = write_dataset(tmp_path)
-        out = tmp_path / "data"
-        assert main(["ingest", *graph_flags(paths), "--no-inverses",
-                     "--out-dir", str(out)]) == 0
-        assert "relations 2" in capsys.readouterr().out
+        out = tmp_path / "q.txt"
+        for flags, relations in (([], {0, 1, 2, 3}), (["--no-inverses"], {0, 1})):
+            assert main(["gen-queries", *graph_flags(paths), *flags, "--structures", "1p",
+                         "--count", "8", "--out", str(out)]) == 0
+            assert query_relations(out) == relations
 
     def test_manifest_contents(self, tmp_path):
         paths = write_dataset(tmp_path)
-        out = tmp_path / "data"
-        main(["ingest", *graph_flags(paths), "--out-dir", str(out)])
-        manifest = read_kv(out / "ingest.manifest")
-        assert manifest["command"] == "ingest"
-        assert manifest["param.out_dir"] == str(out)
+        out = tmp_path / "q.txt"
+        assert main(["gen-queries", *graph_flags(paths), "--structures", "1p",
+                     "--count", "2", "--out", str(out)]) == 0
+        manifest = read_kv(str(out) + ".manifest")
+        assert manifest["command"] == "gen-queries"
+        assert manifest["param.out"] == str(out)
         assert len(manifest["input.train.tsv.sha256"]) == 64
-        assert any(k.startswith("artifact.") for k in manifest)
+        assert manifest["artifact.0"] == str(out)
 
 
 class TestConfigPrecedence:
@@ -492,11 +493,11 @@ class TestConfigValues:
     @pytest.mark.parametrize("line", ["help = 1", "config = other.cfg"])
     def test_key_must_name_a_setting_flag(self, pipeline, tmp_path, capsys, line):
         key = line.split("=")[0].strip()
-        conf = tmp_path / "ingest.conf"
+        conf = tmp_path / "gen.conf"
         conf.write_text(line + "\n")
-        out = tmp_path / "data"
-        assert main(["ingest", *pipeline["flags"], "--config", str(conf),
-                     "--out-dir", str(out)]) == 2
+        out = tmp_path / "q.txt"
+        assert main(["gen-queries", *pipeline["flags"], "--config", str(conf),
+                     "--out", str(out)]) == 2
         assert f"error: {conf}: unknown config key '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
@@ -533,13 +534,13 @@ class TestConfigValues:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
-    def test_boolean_words(self, pipeline, tmp_path, capsys):
-        conf = tmp_path / "ingest.conf"
+    def test_boolean_words(self, pipeline, tmp_path):
+        conf = tmp_path / "gen.conf"
         conf.write_text("no-inverses = Yes\n")
-        out = tmp_path / "data"
-        assert main(["ingest", *pipeline["flags"], "--config", str(conf),
-                     "--out-dir", str(out)]) == 0
-        assert "relations 2" in capsys.readouterr().out
+        out = tmp_path / "q.txt"
+        assert main(["gen-queries", *pipeline["flags"], "--config", str(conf),
+                     "--structures", "1p", "--count", "8", "--out", str(out)]) == 0
+        assert query_relations(out) == {0, 1}
 
 
 class TestValidatedInputs:
@@ -564,6 +565,21 @@ class TestValidatedInputs:
         err = capsys.readouterr().err
         assert str(bad) in err and message in err
         assert not (tmp_path / "x.kgt").exists()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_narrow_adaptation_checkpoint_is_widened(self, pipeline, tmp_path, dtype):
+        # the file's dtype never picks the adaptation arithmetic: a narrow theta
+        # builds the tensor of its exact float64 widening, and exp(12) does
+        # not overflow a float16 theta
+        theta = np.random.default_rng(0).normal(size=(30, 4)).astype(dtype)
+        theta[0, 0] = 12.0
+        for name, stored in (("narrow", theta), ("wide", theta.astype(np.float64))):
+            np.savez(tmp_path / f"{name}.npz", version=np.array(1), theta=stored)
+            (tmp_path / name).mkdir()
+            assert main(stage_args("build-tensor", pipeline, tmp_path / name,
+                                   w=tmp_path / f"{name}.npz")) == 0
+        assert ((tmp_path / "narrow" / "out").read_bytes()
+                == (tmp_path / "wide" / "out").read_bytes())
 
     @pytest.mark.parametrize("command", ["calibrate", "build-tensor", "ablate"])
     def test_model_of_another_graph(self, pipeline, tmp_path, capsys, command):

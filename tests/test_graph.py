@@ -33,28 +33,6 @@ class TestVocab:
         assert v.name(1) == "y"
         assert "y" in v and "z" not in v
 
-    def test_save_load_round_trip(self, tmp_path):
-        v = Vocab(["alpha", "beta", "gamma with spaces"])
-        v.save(tmp_path / "vocab.tsv")
-        loaded = Vocab.load(tmp_path / "vocab.tsv")
-        assert loaded.names() == v.names()
-
-    def test_load_names_a_line_that_is_not_utf8(self, tmp_path):
-        (tmp_path / "bad.tsv").write_bytes(b"0\ta\r\n1\t\xe9\n")
-        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'bad.tsv'}:2: not valid UTF-8")):
-            Vocab.load(tmp_path / "bad.tsv")
-
-    def test_load_rejects_gaps(self, tmp_path):
-        (tmp_path / "bad.tsv").write_text("0\ta\n2\tb\n")
-        with pytest.raises(TripletFileError, match="dense"):
-            Vocab.load(tmp_path / "bad.tsv")
-
-    def test_load_names_the_line_of_a_bad_id(self, tmp_path):
-        (tmp_path / "bad.tsv").write_text("0\ta\nx\tfoo\n")
-        with pytest.raises(TripletFileError, match=re.escape(
-                f"{tmp_path / 'bad.tsv'}:2: id 'x' is not an integer")):
-            Vocab.load(tmp_path / "bad.tsv")
-
 
 class TestLoadSplit:
     def test_basic_parse(self, tmp_path):

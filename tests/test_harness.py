@@ -34,9 +34,9 @@ from kgreason.harness import (
     split_answers,
 )
 from kgreason import harness
-from kgreason.tensor import indicator_tensor
 
 from conftest import crisp_answers, kg_edge_map, make_kg, random_ast, random_kg
+from tensor_helpers import indicator_tensor
 
 SPLITS = ("train", "validation", "test")
 

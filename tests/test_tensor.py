@@ -23,10 +23,10 @@ from kgreason.tensor import (
     MemoryBudgetError,
     _kept_blocks,
     build_tensor,
-    indicator_tensor,
 )
 
 from conftest import corrupt_payload, random_kg, reference_train
+from tensor_helpers import entry_value, indicator_tensor, is_pinned
 
 
 class PinnedDense(DenseRows):
@@ -109,7 +109,7 @@ class TestBuild:
         X = np.zeros((2, 1, 2))
         X[0, 0, 1] = 0.3
         tensor = build_tensor(DenseRows(X), eps=0.0)
-        assert tensor.value(0, 0, 1) == float(np.float32(0.3))
+        assert entry_value(tensor, 0, 0, 1) == float(np.float32(0.3))
         assert tensor.values.dtype == np.float32
         idx, vals = tensor.row(0, 0)
         assert vals.dtype == np.float64
@@ -136,15 +136,15 @@ class TestBuild:
         blocked = build_tensor(provider, eps=0.3)
         assert blocked == whole
         assert np.array_equal(blocked.pin_mask, whole.pin_mask)
-        assert blocked.is_pinned(2, 1, 4) and blocked.is_pinned(5, 2, 3)
+        assert is_pinned(blocked, 2, 1, 4) and is_pinned(blocked, 5, 2, 3)
 
     def test_pins_survive_filtering(self, rng):
         X = dense(rng, n=6, m=1)
         X[2, 0, 4] = 0.001
         provider = PinnedDense(X, {(2, 0): [4]})
         tensor = build_tensor(provider, eps=0.5)
-        assert tensor.value(2, 0, 4) == np.float32(0.001)
-        assert tensor.is_pinned(2, 0, 4)
+        assert entry_value(tensor, 2, 0, 4) == np.float32(0.001)
+        assert is_pinned(tensor, 2, 0, 4)
         kept = tensor.values > np.float32(0.5)
         assert (kept | tensor.pin_mask).all()
 
@@ -180,9 +180,9 @@ class TestAccess:
                 present = set(idx.tolist())
                 for t in range(8):
                     if t in present:
-                        assert tensor.value(h, r, t) == vals[idx.tolist().index(t)]
+                        assert entry_value(tensor, h, r, t) == vals[idx.tolist().index(t)]
                     else:
-                        assert tensor.value(h, r, t) == 0.0
+                        assert entry_value(tensor, h, r, t) == 0.0
 
     def test_out_of_range_row(self, tensor):
         with pytest.raises(IndexError):
@@ -227,7 +227,7 @@ class TestSerialization:
         tensor.save(path)
         loaded = CalibratedTensor.load(path)
         assert loaded == tensor
-        assert tensor.is_pinned(1, 0, 2) and not loaded.is_pinned(1, 0, 2)
+        assert is_pinned(tensor, 1, 0, 2) and not is_pinned(loaded, 1, 0, 2)
 
     def test_load_keeps_views_of_the_file(self, rng, tmp_path):
         # full rows: nnz 2^19, a 4.2 MB file whose arrays are views of the
@@ -311,7 +311,7 @@ class TestIndicatorTensor:
             for r in range(3):
                 for t in range(10):
                     expect = 1.0 if (h, r, t) in edges else 0.0
-                    assert tensor.value(h, r, t) == expect
+                    assert entry_value(tensor, h, r, t) == expect
         assert tensor.nnz == len(edges)
         assert tensor.eps == 0.0
 
@@ -320,7 +320,7 @@ class TestIndicatorTensor:
         train_only = indicator_tensor(kg, splits=("train",))
         assert train_only.nnz == len(kg.triplets("train"))
         for h, r, t in kg.triplets("test"):
-            assert train_only.value(h, r, t) == 0.0
+            assert entry_value(train_only, h, r, t) == 0.0
 
     @pytest.mark.parametrize("splits", [("train",), ("train", "validation", "test")])
     def test_matches_per_row_assembly(self, rng, splits):

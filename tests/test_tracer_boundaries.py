@@ -16,9 +16,9 @@ import pytest
 
 from kgreason import fuzzy
 from kgreason.harness import evaluate_run, generate_queries
-from kgreason.tensor import indicator_tensor
 
 from conftest import random_kg
+from tensor_helpers import indicator_tensor
 from test_cli import child_env, pipeline, stage_args  # noqa: F401  (pipeline is a fixture)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
