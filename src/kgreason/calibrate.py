@@ -8,20 +8,28 @@ Three stages after scorer training:
               fitted on complex-query training data
   pin         rows override known train/validation tails to exactly 1
 
-One kernel, calibrated_block, runs all three on a block of rows with one
-GEMM: on blocks of at most 2^15 entries (tensor.BLOCK_ENTRIES, which keeps
-peak memory flat) in the tensor build, on one row in every per-row accessor.
-Its eps threshold is one in-place select, not a mask scatter. With theta = 0
-the adapted provider reproduces the normalized one bitwise.
+One kernel, calibrated_block, runs all three on a block of rows: one score
+GEMM, then finish_block, which normalizes, adapts, pins and thresholds the
+score block in place. The tensor build calls it on blocks of at most 2^15
+entries (tensor.BLOCK_ENTRIES, which keeps peak memory flat), every per-row
+accessor on one row. Its eps threshold is one in-place select, not a mask
+scatter. With theta = 0 the adapted provider reproduces the normalized one
+bitwise.
 
 Fitting theta (adapt) has its own kernel. It handles only the anchored
 shapes of dsl.ADAPTATION_STRUCTURES: a query there is at most three anchored
 branches P[r](h), each possibly complemented, intersected. adapt reads them
-from every query's lowering (QueryRecord.lowered) once, then computes each
-minibatch's losses and theta-gradient in one vectorized pass, with no tape,
-in chunks of block_rows(MAX_BRANCHES * |V|) queries, which bound its
-working set by tensor.BLOCK_ENTRIES and change no bit of theta. The tape
-path (_AdaptiveRows, GradientTape, query_loss_adjoint) stays the general
+from every query's lowering (QueryRecord.lowered) once, and materializes
+the thresholded S12 base rows of their unique (h, r) per block of
+block_rows(|V|) rows: one model.queries call, one one-row GEMV per row (the
+product a one-row calibrated_block call computes, so the rows are bitwise
+the per-row accessors' rows) and one finish_block pass. It then computes
+each minibatch's losses and theta-gradient in one vectorized pass, with no
+tape, in chunks of block_rows(MAX_BRANCHES * |V|) queries, which bound its
+working set by tensor.BLOCK_ENTRIES and change no bit of theta. A chunk
+works in three reused buffers, and the Adam step updates its moments in
+place; both keep every rounding of the out-of-place formulas. The tape path
+(_AdaptiveRows, GradientTape, query_loss_adjoint) stays the general
 gradient API and the kernel's reference: forward memberships are equal to
 it, gradients and theta differ from it only by summation order.
 """
@@ -37,7 +45,7 @@ import numpy as np
 from .graph import KnowledgeGraph
 from .kvio import SettingError
 from .scorer import EmbeddingModel, read_checkpoint
-from .tensor import block_rows, csr_take, row_csr
+from .tensor import block_rows, csr_take
 
 if TYPE_CHECKING:     # annotations only, so that build-tensor loads no dsl
     from .dsl import QueryRecord
@@ -93,14 +101,25 @@ def calibrated_block(scorer: NormalizedScorer, rids: np.ndarray,
     """Dense calibrated rows (float64) and pin mask (bool), (len(rids), |V|).
 
     rids are flat row ids h * |R| + r, non-empty and ascending; pin_keys is
-    a sorted array of rid * |V| + tail. One score_rows GEMM, then per row:
-    shift by the max, exp, sum, N * exp / sum, clamp at 1; times
-    exp(theta[h, r]), clamp at 1; pins set to 1.0; entries <= eps, and NaN,
-    set to 0.0.
+    a sorted array of rid * |V| + tail. One score_rows GEMM, then
+    finish_block.
+    """
+    heads, rels = np.divmod(rids, scorer.n_relations)
+    return finish_block(scorer, rids, scorer.model.score_rows(heads, rels), theta,
+                        pin_keys, eps)
+
+
+def finish_block(scorer: NormalizedScorer, rids: np.ndarray, block: np.ndarray,
+                 theta: np.ndarray | None = None,
+                 pin_keys: np.ndarray | None = None,
+                 eps: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Calibrate the raw score rows `block` of flat row ids `rids` in place;
+    returns them and their pin mask. Per row: shift by the max, exp, sum,
+    N * exp / sum, clamp at 1; times exp(theta[h, r]), clamp at 1; pins set
+    to 1.0; entries <= eps, and NaN, set to 0.0. See calibrated_block.
     """
     n, m = scorer.scales.shape
     heads, rels = np.divmod(rids, m)
-    block = scorer.model.score_rows(heads, rels)
     block -= block.max(axis=1, keepdims=True)
     np.exp(block, out=block)
     sums = block.sum(axis=1, keepdims=True)
@@ -288,7 +307,8 @@ class _BranchTable:
     pair[q, k] indexes the row of branch k of query q among the unique flat
     row ids h * |R| + r in `rows`, -1 for a padding slot (a constant-1
     factor); negated[q, k] marks a complement. The rows' thresholded S12
-    values (the tape path's base rows) and the answer ids are kept as CSR.
+    values (bitwise the tape path's base rows; see _base_csr) and the answer
+    ids are kept as CSR.
     """
 
     def __init__(self, scorer: NormalizedScorer, records: list[QueryRecord],
@@ -317,17 +337,17 @@ class _BranchTable:
         self.rows, pair = np.unique(rid[rid >= 0], return_inverse=True)
         self.pair = np.full(rid.shape, -1, dtype=np.int64)
         self.pair[rid >= 0] = pair
-        # the tape path's base rows: one-row kernel calls, so that they are
-        # bitwise its rows (a block GEMM rounds the scores differently)
-        self.base_offsets, self.base_cols, self.base_vals = row_csr(
-            CalibratedRows(scorer, eps=eps), self.rows)
+        self.base_offsets, self.base_cols, self.base_vals = _base_csr(scorer, self.rows, eps)
         answers = [sorted(rec.easy | rec.hard) for rec in records]
         self.answer_offsets = np.cumsum([0] + [len(a) for a in answers])
         self.answer_ids = np.fromiter((i for a in answers for i in a), dtype=np.int64)
+        # _chunk's reused (q, MAX_BRANCHES, |V|) buffers: scaled rows, factors, adjoints
+        self._work = np.empty((3, 0, MAX_BRANCHES, n))
 
     def loss_grad(self, theta: np.ndarray, queries: np.ndarray, grad: np.ndarray) -> float:
         """Summed loss of `queries` at theta; adds their summed theta-gradient
-        into grad. Works through chunks of block_rows(MAX_BRANCHES * |V|)
+        into grad, which must be C-contiguous (one flat np.add.at on
+        grad.ravel()). Works through chunks of block_rows(MAX_BRANCHES * |V|)
         queries, which bounds the working memory whatever the minibatch size."""
         size = block_rows(MAX_BRANCHES * self.n)
         total = 0.0
@@ -339,20 +359,25 @@ class _BranchTable:
         q, n = queries.shape[0], self.n
         pair = self.pair[queries]
         live = pair >= 0
-        hr = np.divmod(self.rows[pair[live]], self.m)
-        # the branches' base rows, dense: (q, MAX_BRANCHES, n)
-        base = np.zeros((q, MAX_BRANCHES, n))
+        rids = self.rows[pair[live]]
+        if self._work.shape[1] < q:
+            self._work = np.empty((3, q, MAX_BRANCHES, n))
+        scaled, t, adj = self._work[:, :q]
+        # the branches' base rows, dense, times exp(theta[h, r]); a padding
+        # slot stays 0
+        scaled.fill(0.0)
         pos, lens = csr_take(self.base_offsets, pair[live])
         slots = np.flatnonzero(live)
-        base.reshape(-1, n)[np.repeat(slots, lens), self.base_cols[pos]] = self.base_vals[pos]
+        scaled.reshape(-1, n)[np.repeat(slots, lens), self.base_cols[pos]] = self.base_vals[pos]
         scale = np.zeros((q, MAX_BRANCHES))
-        scale[live] = np.exp(theta[hr])
-        scaled = scale[..., None] * base
-        x = np.minimum(scaled, 1.0)
-        negated = self.negated[queries][..., None]
-        t = np.where(negated, 1.0 - x, x)
-        t[~live] = 1.0
-        out = t[:, 0] * t[:, 1] * t[:, 2]
+        scale[live] = np.exp(theta.take(rids))
+        scaled *= scale[..., None]
+        # x = min(scaled, 1), or 1 - x for a complement; a padding slot reads
+        # as a complemented zero, so its factor is 1 - 0 = 1 exactly
+        np.minimum(scaled, 1.0, out=t)
+        np.subtract(1.0, t, out=t, where=(self.negated[queries] | ~live)[..., None])
+        out = t[:, 0] * t[:, 1]
+        out *= t[:, 2]
         np.clip(out, 0.0, 1.0, out=out)
 
         is_answer = np.zeros((q, n), dtype=bool)
@@ -360,13 +385,43 @@ class _BranchTable:
         is_answer[np.repeat(np.arange(q), lens), self.answer_ids[pos]] = True
         losses, seed = query_loss_adjoint(out, is_answer, self.log_floor)
 
-        # each branch's adjoint: the seed times the other factors, in order
-        adj = np.stack([seed * t[:, 1] * t[:, 2], seed * t[:, 0] * t[:, 2],
-                        seed * t[:, 0] * t[:, 1]], axis=1)
-        adj = np.where(negated, -adj, adj)
-        contrib = (adj * scaled * (scaled < 1.0)).sum(axis=2)
-        np.add.at(grad, hr, contrib[live])
+        # each branch's adjoint: the seed times the other factors, in order,
+        # negated for a complement, then times scaled where it is below 1
+        for k, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
+            np.multiply(seed, t[:, a], out=adj[:, k])
+            adj[:, k] *= t[:, b]
+        np.negative(adj, out=adj, where=self.negated[queries][..., None])
+        adj *= scaled
+        adj *= scaled < 1.0
+        np.add.at(grad.ravel(), rids, adj.sum(axis=2)[live])
         return float(losses.sum())
+
+
+def _base_csr(scorer: NormalizedScorer, rids: np.ndarray,
+              eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The thresholded S12 rows of flat row ids `rids` as CSR: (int64
+    offsets, int32 cols, float64 vals). Per block of block_rows(|V|) rows,
+    one model.queries call, one one-row GEMV per row and one finish_block
+    pass. Each GEMV is the product a one-row CalibratedRows.row call
+    computes, so the rows are bitwise its rows and the tape path's; a block
+    GEMM rounds the scores differently."""
+    model, n = scorer.model, scorer.n_entities
+    candidates = model.candidates().T
+    counts = np.zeros(rids.shape[0] + 1, dtype=np.int64)
+    cols, vals = [np.empty(0, np.int32)], [np.empty(0)]
+    step = block_rows(n)
+    for start in range(0, rids.shape[0], step):
+        block_rids = rids[start:start + step]
+        queries = model.queries(*np.divmod(block_rids, scorer.n_relations))
+        block = np.empty((block_rids.shape[0], n))
+        for i in range(block_rids.shape[0]):
+            np.matmul(queries[i:i + 1], candidates, out=block[i:i + 1])
+        dense, _ = finish_block(scorer, block_rids, block, eps=eps)
+        flat = np.flatnonzero(dense)
+        counts[start + 1:start + 1 + block_rids.shape[0]] = np.count_nonzero(dense, axis=1)
+        cols.append((flat % n).astype(np.int32))
+        vals.append(dense.ravel().take(flat))
+    return np.cumsum(counts), np.concatenate(cols), np.concatenate(vals)
 
 
 def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
@@ -381,12 +436,12 @@ def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
 
     Before the first epoch every query becomes a row of a (Q, 3) branch table
     and the thresholded S12 base rows of its unique (h, r) are materialized
-    once. Each minibatch then runs one vectorized pass per chunk of
-    block_rows(MAX_BRANCHES * |V|) queries: x = min(exp(theta[h, r]) * base,
-    1), x or 1 - x per branch, their product as the answer vector, the loss
-    and seed of query_loss_adjoint, each branch's adjoint as the seed times
-    the other factors, and theta-grad[h, r] += sum(adjoint * scaled *
-    (scaled < 1)).
+    once, per block of rows (_base_csr). Each minibatch then runs one
+    vectorized pass per chunk of block_rows(MAX_BRANCHES * |V|) queries:
+    x = min(exp(theta[h, r]) * base, 1), x or 1 - x per branch, their
+    product as the answer vector, the loss and seed of query_loss_adjoint,
+    each branch's adjoint as the seed times the other factors, and
+    theta-grad[h, r] += sum(adjoint * scaled * (scaled < 1)).
     The memberships equal those of the tape path (GradientTape over
     _AdaptiveRows); gradients and theta differ from it only by summation
     order.
@@ -399,8 +454,11 @@ def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
     n, m = scorer.n_entities, scorer.n_relations
     theta = np.zeros((n, m), dtype=np.float64)
     table = _BranchTable(scorer, usable, config.eps, config.log_floor)
+    grad = np.empty_like(theta)
     adam_m = np.zeros_like(theta)
     adam_v = np.zeros_like(theta)
+    m_hat = np.empty_like(theta)
+    v_hat = np.empty_like(theta)
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     step = 0
     rng = np.random.default_rng(config.seed)
@@ -410,15 +468,28 @@ def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
         total = 0.0
         for start in range(0, len(usable), config.batch_size):
             batch = order[start:start + config.batch_size]
-            grad = np.zeros_like(theta)
+            grad.fill(0.0)
             total += table.loss_grad(theta, batch, grad)
             grad /= batch.size
             step += 1
-            adam_m = beta1 * adam_m + (1 - beta1) * grad
-            adam_v = beta2 * adam_v + (1 - beta2) * grad * grad
-            m_hat = adam_m / (1 - beta1 ** step)
-            v_hat = adam_v / (1 - beta2 ** step)
-            theta -= config.lr * m_hat / (np.sqrt(v_hat) + adam_eps)
+            # Adam in place, each product and sum rounded as in
+            # m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g,
+            # theta -= lr * m_hat / (sqrt(v_hat) + eps); m_hat and v_hat
+            # first hold the new terms of m and v
+            np.multiply(grad, 1 - beta1, out=m_hat)
+            adam_m *= beta1
+            adam_m += m_hat
+            np.multiply(grad, 1 - beta2, out=v_hat)
+            v_hat *= grad
+            adam_v *= beta2
+            adam_v += v_hat
+            np.divide(adam_m, 1 - beta1 ** step, out=m_hat)
+            np.divide(adam_v, 1 - beta2 ** step, out=v_hat)
+            np.sqrt(v_hat, out=v_hat)
+            v_hat += adam_eps
+            m_hat *= config.lr
+            m_hat /= v_hat
+            theta -= m_hat
         mean_loss = total / len(usable)
         if not np.isfinite(mean_loss):
             raise FloatingPointError(f"non-finite adaptation loss at epoch {epoch}")

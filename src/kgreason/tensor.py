@@ -22,8 +22,8 @@ calibrate.calibrated_block. A block is compacted in one pass: the flat index
 of its kept entries less its row's start gives the columns, and one take
 each gives their values and pins.
 
-Rows are read back as CSR through csr_take: a tensor's own arrays, or
-row_csr's copy of a lazy provider's rows (fuzzy.gather_chunks, adapt).
+Rows are read back as CSR through csr_take: a tensor's own arrays, row_csr's
+copy of a lazy provider's rows (fuzzy.gather_chunks), or adapt's base rows.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ from kgreason.dsl import (
 from kgreason.fuzzy import GradientTape, evaluate
 from kgreason.scorer import EmbeddingModel, SettingError
 from kgreason import tensor as tensor_module
-from kgreason.tensor import MemoryBudgetError, build_tensor
+from kgreason.tensor import MemoryBudgetError, build_tensor, csr_take, row_csr
 
 from conftest import random_kg
 
@@ -946,3 +946,128 @@ class TestAdaptationKernel:
         monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", 1 << 30)
         whole_batch, _ = adapt(scorer, records, config)
         assert one_per_chunk.theta.tobytes() == whole_batch.theta.tobytes()
+
+
+class TestBaseRows:
+    """_BranchTable's base CSR against the one-row path it replaced: one
+    CalibratedRows.row call per unique (h, r), through tensor.row_csr."""
+
+    @pytest.mark.parametrize("block_entries", [None, 5 * 24, 7 * 24 + 3])
+    @pytest.mark.parametrize("eps", [0.01, 0.1])
+    @pytest.mark.parametrize("kind", ["complex-bilinear", "simple-bilinear",
+                                      "canonical-polyadic"])
+    def test_bitwise_the_one_row_path(self, monkeypatch, kind, eps, block_entries):
+        kg, scorer, _ = study(12, kind=kind)
+        records = shaped_records(np.random.default_rng(12), 24, 3, per_shape=8)
+        if block_entries is not None:    # blocks of 5 and 7 rows
+            monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", block_entries)
+        table = calibrate_module._BranchTable(scorer, records, eps)
+        offsets, cols, vals = row_csr(CalibratedRows(scorer, eps=eps), table.rows)
+
+        if block_entries is not None:
+            assert table.rows.size % tensor_module.block_rows(24)    # a short last block
+        assert table.base_offsets.dtype == np.int64 and table.base_cols.dtype == np.int32
+        np.testing.assert_array_equal(table.base_offsets, offsets)
+        np.testing.assert_array_equal(table.base_cols, cols)
+        assert table.base_vals.tobytes() == vals.tobytes()
+        lens = np.diff(offsets)
+        assert lens.any()
+        if eps == 0.1:     # unseen pairs (scale alpha = 0.1) keep no entry
+            assert (lens == 0).any()
+
+    def test_no_one_row_call(self, monkeypatch):
+        kg, scorer, _ = study(13)
+        records = shaped_records(np.random.default_rng(13), 24, 3, per_shape=4)
+
+        def refuse(*args):
+            raise AssertionError("a one-row call")
+
+        monkeypatch.setattr(CalibratedRows, "row", refuse)
+        monkeypatch.setattr(EmbeddingModel, "score_rows", refuse)
+        table = calibrate_module._BranchTable(scorer, records, 0.01)
+        assert table.base_vals.size > 0
+
+
+# _BranchTable._chunk as it ran before it computed in place: about ten
+# (q, 3, |V|) temporaries per chunk. Kept as the reference of the in-place
+# chunk, which must give the same loss and theta-gradient bit for bit.
+
+def reference_chunk(table, theta, queries, grad):
+    q, n = queries.shape[0], table.n
+    pair = table.pair[queries]
+    live = pair >= 0
+    hr = np.divmod(table.rows[pair[live]], table.m)
+    base = np.zeros((q, 3, n))
+    pos, lens = csr_take(table.base_offsets, pair[live])
+    slots = np.flatnonzero(live)
+    base.reshape(-1, n)[np.repeat(slots, lens), table.base_cols[pos]] = table.base_vals[pos]
+    scale = np.zeros((q, 3))
+    scale[live] = np.exp(theta[hr])
+    scaled = scale[..., None] * base
+    x = np.minimum(scaled, 1.0)
+    negated = table.negated[queries][..., None]
+    t = np.where(negated, 1.0 - x, x)
+    t[~live] = 1.0
+    out = t[:, 0] * t[:, 1] * t[:, 2]
+    np.clip(out, 0.0, 1.0, out=out)
+
+    is_answer = np.zeros((q, n), dtype=bool)
+    pos, lens = csr_take(table.answer_offsets, queries)
+    is_answer[np.repeat(np.arange(q), lens), table.answer_ids[pos]] = True
+    losses, seed = query_loss_adjoint(out, is_answer, table.log_floor)
+
+    adj = np.stack([seed * t[:, 1] * t[:, 2], seed * t[:, 0] * t[:, 2],
+                    seed * t[:, 0] * t[:, 1]], axis=1)
+    adj = np.where(negated, -adj, adj)
+    contrib = (adj * scaled * (scaled < 1.0)).sum(axis=2)
+    np.add.at(grad, hr, contrib[live])
+    return float(losses.sum())
+
+
+class TestInPlaceChunk:
+    """The in-place _chunk against reference_chunk: bitwise."""
+
+    @staticmethod
+    def assert_bitwise(table, theta, batch):
+        grad = np.zeros_like(theta)
+        ref_grad = np.zeros_like(theta)
+        loss = table._chunk(theta, batch, grad)
+        ref_loss = reference_chunk(table, theta, batch, ref_grad)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+        return grad
+
+    @pytest.mark.parametrize("log_floor", [LOG_FLOOR, 0.05])
+    @pytest.mark.parametrize("theta_scale", [0.0, 0.5, 3.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_reference(self, seed, theta_scale, log_floor):
+        kg, scorer, _ = study(seed)
+        rng = np.random.default_rng(seed)
+        records = shaped_records(rng, 24, 3, per_shape=6, heads=[0, 5, 9])
+        table = calibrate_module._BranchTable(scorer, records, 0.01, log_floor)
+        theta = rng.normal(0.0, theta_scale, size=(24, 3)) + theta_scale
+        order = rng.permutation(len(records))
+        # the whole set, a short batch after a long one (the reused buffers
+        # are larger than it), and one query of each structure
+        firsts = [next(i for i, rec in enumerate(records) if rec.structure == tag)
+                  for tag in ADAPTATION_STRUCTURES]
+        batches = [order, order[:5], np.array(firsts + [len(records) - 1])]
+        assert (table.pair[order] < 0).any()                   # padded slots
+        assert table.negated[len(records) - 1, 0]             # a complement first
+        if theta_scale == 3.0:                                  # a clamp engaged
+            scaled = np.exp(theta.take(table.rows))[np.repeat(
+                np.arange(table.rows.size), np.diff(table.base_offsets))] * table.base_vals
+            assert (scaled >= 1.0).any()
+        for batch in batches:
+            assert self.assert_bitwise(table, theta, batch).any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(adaptation_records(), min_size=1, max_size=12),
+           st.floats(0.0, 3.0), st.integers(0, 2 ** 32 - 1))
+    def test_hypothesis_batches(self, records, theta_scale, seed):
+        rng = np.random.default_rng(seed)
+        table = calibrate_module._BranchTable(branch_scorer(), records, 0.01)
+        theta = rng.normal(0.0, 1.0, size=(24, 3)) * theta_scale
+        # drawn with repeats, so a query can sit in a batch twice
+        batch = rng.integers(len(records), size=int(rng.integers(1, 2 * len(records) + 1)))
+        self.assert_bitwise(table, theta, batch)

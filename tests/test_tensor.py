@@ -10,11 +10,13 @@ from kgreason import tensor as tensor_module
 from kgreason.calibrate import (
     ABLATION_MODES,
     AdaptationMatrix,
+    CalibrationConfig,
     NormalizedScorer,
     ablation_provider,
+    adapt,
 )
 from kgreason.fuzzy import DenseRows, evaluate
-from kgreason.dsl import parse
+from kgreason.dsl import QueryRecord, parse
 from kgreason.graph import KnowledgeGraph, Vocab, add_inverse_relations
 from kgreason.scorer import TrainConfig
 from kgreason.tensor import (
@@ -487,3 +489,53 @@ def test_tensor_matches_recorded_digest(tmp_path, golden_chain, mode):
     tensor = build_tensor(ablation_provider(mode, scorer, adaptation, kg, eps=0.003), eps=0.003)
     tensor.save(tmp_path / mode)
     assert hashlib.sha256((tmp_path / mode).read_bytes()).hexdigest() == _GOLDEN_TENSORS[mode]
+
+
+# sha256 of adapt's theta bytes on the graph below, per model kind and
+# setting (calibrate's CLI defaults, and --lr 0.05 --batch 8), recorded
+# before adaptation's base rows were materialized per block and its chunk
+# and Adam step ran in place, so a kernel change that moves a bit shows here
+_GOLDEN_THETAS = {
+    ("complex-bilinear", "defaults"):
+        "c2e737cc931269644650ecd5e7b68ab79e02e74760096789ee0e8462fdc68513",
+    ("complex-bilinear", "lr0.05-batch8"):
+        "35b351dfd897bdafb9bccfa47d620f226da324eef4e5281b71d332cabf61cf5c",
+    ("simple-bilinear", "defaults"):
+        "88a49050b3be7ce97da7fc622ace8f484dfb11e58006f6fb978c5c8982eb145b",
+    ("simple-bilinear", "lr0.05-batch8"):
+        "3c722f3bc89bab9f795ce4f31c569a2418ac321f0c155d2ab39a9f069c1cc616",
+}
+_THETA_SETTINGS = {"defaults": {}, "lr0.05-batch8": {"lr": 0.05, "batch_size": 8}}
+_ADAPTATION_TEXTS = ("P[#{r0}](#{h0})", "I(P[#{r0}](#{h0}),P[#{r1}](#{h1}))",
+                     "I(P[#{r0}](#{h0}),P[#{r1}](#{h1}),P[#{r2}](#{h2}))",
+                     "I(P[#{r0}](#{h0}),N(P[#{r1}](#{h1})))",
+                     "I(N(P[#{r0}](#{h0})),P[#{r1}](#{h1}),P[#{r2}](#{h2}))")
+
+
+@pytest.fixture(scope="module")
+def golden_adaptation_queries():
+    """60 queries of each adaptation structure over golden_chain's graph,
+    each answered by the train tails of its first branch (or, where it has
+    none, by one drawn entity)."""
+    kg = random_kg(np.random.default_rng(13), 300, 8, 3000)
+    tails = kg.tail_index(("train",))
+    rng = np.random.default_rng(29)
+    records = []
+    for text in _ADAPTATION_TEXTS * 60:
+        ids = {f"h{k}": int(rng.integers(kg.n_entities)) for k in range(3)}
+        ids.update({f"r{k}": int(rng.integers(kg.n_relations)) for k in range(3)})
+        answers = tails.get((ids["h0"], ids["r0"])) or {int(rng.integers(kg.n_entities))}
+        records.append(QueryRecord(parse(text.format(**ids)), frozenset(), frozenset(answers)))
+    return kg, records
+
+
+@pytest.mark.parametrize("setting", sorted(_THETA_SETTINGS))
+@pytest.mark.parametrize("kind", ["complex-bilinear", "simple-bilinear"])
+def test_adapted_theta_matches_recorded_digest(golden_adaptation_queries, kind, setting):
+    kg, records = golden_adaptation_queries
+    model, _ = reference_train(kg, TrainConfig(kind=kind, dim=8, epochs=2, batch_size=128,
+                                               seed=3))
+    matrix, _ = adapt(NormalizedScorer(model, kg), records,
+                      CalibrationConfig(**_THETA_SETTINGS[setting]))
+    assert np.abs(matrix.theta).max() > 0
+    assert hashlib.sha256(matrix.theta.tobytes()).hexdigest() == _GOLDEN_THETAS[kind, setting]
