@@ -26,9 +26,9 @@ product a one-row calibrated_block call computes, so the rows are bitwise
 the per-row accessors' rows) and one finish_block pass. It then computes
 each minibatch's losses and theta-gradient in one vectorized pass, with no
 tape, in chunks of block_rows(MAX_BRANCHES * |V|) queries, which bound its
-working set by tensor.BLOCK_ENTRIES and change no bit of theta. A chunk
-works in three reused buffers, and the Adam step updates its moments in
-place; both keep every rounding of the out-of-place formulas. The tape path
+working set by tensor.BLOCK_ENTRIES and change no bit of theta. The
+chunks of one loss_grad call share three buffers and compute in place,
+with every rounding of the out-of-place formulas. The tape path
 (_AdaptiveRows, GradientTape, query_loss_adjoint) stays the general
 gradient API and the kernel's reference: forward memberships are equal to
 it, gradients and theta differ from it only by summation order.
@@ -341,28 +341,26 @@ class _BranchTable:
         answers = [sorted(rec.easy | rec.hard) for rec in records]
         self.answer_offsets = np.cumsum([0] + [len(a) for a in answers])
         self.answer_ids = np.fromiter((i for a in answers for i in a), dtype=np.int64)
-        # _chunk's reused (q, MAX_BRANCHES, |V|) buffers: scaled rows, factors, adjoints
-        self._work = np.empty((3, 0, MAX_BRANCHES, n))
 
     def loss_grad(self, theta: np.ndarray, queries: np.ndarray, grad: np.ndarray) -> float:
         """Summed loss of `queries` at theta; adds their summed theta-gradient
-        into grad, which must be C-contiguous (one flat np.add.at on
-        grad.ravel()). Works through chunks of block_rows(MAX_BRANCHES * |V|)
+        into grad. Works through chunks of block_rows(MAX_BRANCHES * |V|)
         queries, which bounds the working memory whatever the minibatch size."""
         size = block_rows(MAX_BRANCHES * self.n)
+        # the chunks' (q, MAX_BRANCHES, |V|) buffers: scaled rows, factors, adjoints
+        work = np.empty((3, min(size, queries.shape[0]), MAX_BRANCHES, self.n))
         total = 0.0
         for start in range(0, queries.shape[0], size):
-            total += self._chunk(theta, queries[start:start + size], grad)
+            total += self._chunk(theta, queries[start:start + size], grad, work)
         return total
 
-    def _chunk(self, theta: np.ndarray, queries: np.ndarray, grad: np.ndarray) -> float:
+    def _chunk(self, theta: np.ndarray, queries: np.ndarray, grad: np.ndarray,
+               work: np.ndarray) -> float:
         q, n = queries.shape[0], self.n
         pair = self.pair[queries]
         live = pair >= 0
-        rids = self.rows[pair[live]]
-        if self._work.shape[1] < q:
-            self._work = np.empty((3, q, MAX_BRANCHES, n))
-        scaled, t, adj = self._work[:, :q]
+        hr = np.divmod(self.rows[pair[live]], self.m)
+        scaled, t, adj = work[:, :q]
         # the branches' base rows, dense, times exp(theta[h, r]); a padding
         # slot stays 0
         scaled.fill(0.0)
@@ -370,7 +368,7 @@ class _BranchTable:
         slots = np.flatnonzero(live)
         scaled.reshape(-1, n)[np.repeat(slots, lens), self.base_cols[pos]] = self.base_vals[pos]
         scale = np.zeros((q, MAX_BRANCHES))
-        scale[live] = np.exp(theta.take(rids))
+        scale[live] = np.exp(theta[hr])
         scaled *= scale[..., None]
         # x = min(scaled, 1), or 1 - x for a complement; a padding slot reads
         # as a complemented zero, so its factor is 1 - 0 = 1 exactly
@@ -393,7 +391,7 @@ class _BranchTable:
         np.negative(adj, out=adj, where=self.negated[queries][..., None])
         adj *= scaled
         adj *= scaled < 1.0
-        np.add.at(grad.ravel(), rids, adj.sum(axis=2)[live])
+        np.add.at(grad, hr, adj.sum(axis=2)[live])
         return float(losses.sum())
 
 
@@ -454,11 +452,8 @@ def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
     n, m = scorer.n_entities, scorer.n_relations
     theta = np.zeros((n, m), dtype=np.float64)
     table = _BranchTable(scorer, usable, config.eps, config.log_floor)
-    grad = np.empty_like(theta)
     adam_m = np.zeros_like(theta)
     adam_v = np.zeros_like(theta)
-    m_hat = np.empty_like(theta)
-    v_hat = np.empty_like(theta)
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     step = 0
     rng = np.random.default_rng(config.seed)
@@ -468,28 +463,15 @@ def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
         total = 0.0
         for start in range(0, len(usable), config.batch_size):
             batch = order[start:start + config.batch_size]
-            grad.fill(0.0)
+            grad = np.zeros_like(theta)
             total += table.loss_grad(theta, batch, grad)
             grad /= batch.size
             step += 1
-            # Adam in place, each product and sum rounded as in
-            # m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g,
-            # theta -= lr * m_hat / (sqrt(v_hat) + eps); m_hat and v_hat
-            # first hold the new terms of m and v
-            np.multiply(grad, 1 - beta1, out=m_hat)
-            adam_m *= beta1
-            adam_m += m_hat
-            np.multiply(grad, 1 - beta2, out=v_hat)
-            v_hat *= grad
-            adam_v *= beta2
-            adam_v += v_hat
-            np.divide(adam_m, 1 - beta1 ** step, out=m_hat)
-            np.divide(adam_v, 1 - beta2 ** step, out=v_hat)
-            np.sqrt(v_hat, out=v_hat)
-            v_hat += adam_eps
-            m_hat *= config.lr
-            m_hat /= v_hat
-            theta -= m_hat
+            adam_m = beta1 * adam_m + (1 - beta1) * grad
+            adam_v = beta2 * adam_v + (1 - beta2) * grad * grad
+            m_hat = adam_m / (1 - beta1 ** step)
+            v_hat = adam_v / (1 - beta2 ** step)
+            theta -= config.lr * m_hat / (np.sqrt(v_hat) + adam_eps)
         mean_loss = total / len(usable)
         if not np.isfinite(mean_loss):
             raise FloatingPointError(f"non-finite adaptation loss at epoch {epoch}")

@@ -51,9 +51,9 @@ def test_one_bound_sizes_every_loop(monkeypatch):
     chunks = []
     chunk = _BranchTable._chunk
 
-    def spy(self, theta, queries, grad):
+    def spy(self, theta, queries, grad, work):
         chunks.append(queries.shape[0])
-        return chunk(self, theta, queries, grad)
+        return chunk(self, theta, queries, grad, work)
 
     monkeypatch.setattr(_BranchTable, "_chunk", spy)
     default = pipeline_outputs(X, kg, scorer, eval_records, train_records)

@@ -1028,10 +1028,10 @@ class TestInPlaceChunk:
     """The in-place _chunk against reference_chunk: bitwise."""
 
     @staticmethod
-    def assert_bitwise(table, theta, batch):
+    def assert_bitwise(table, theta, batch, work):
         grad = np.zeros_like(theta)
         ref_grad = np.zeros_like(theta)
-        loss = table._chunk(theta, batch, grad)
+        loss = table._chunk(theta, batch, grad, work)
         ref_loss = reference_chunk(table, theta, batch, ref_grad)
         assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
         assert grad.tobytes() == ref_grad.tobytes()
@@ -1052,6 +1052,7 @@ class TestInPlaceChunk:
         firsts = [next(i for i, rec in enumerate(records) if rec.structure == tag)
                   for tag in ADAPTATION_STRUCTURES]
         batches = [order, order[:5], np.array(firsts + [len(records) - 1])]
+        work = np.full((3, len(records), 3, table.n), np.nan)
         assert (table.pair[order] < 0).any()                   # padded slots
         assert table.negated[len(records) - 1, 0]             # a complement first
         if theta_scale == 3.0:                                  # a clamp engaged
@@ -1059,7 +1060,7 @@ class TestInPlaceChunk:
                 np.arange(table.rows.size), np.diff(table.base_offsets))] * table.base_vals
             assert (scaled >= 1.0).any()
         for batch in batches:
-            assert self.assert_bitwise(table, theta, batch).any()
+            assert self.assert_bitwise(table, theta, batch, work).any()
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(adaptation_records(), min_size=1, max_size=12),
@@ -1070,4 +1071,4 @@ class TestInPlaceChunk:
         theta = rng.normal(0.0, 1.0, size=(24, 3)) * theta_scale
         # drawn with repeats, so a query can sit in a batch twice
         batch = rng.integers(len(records), size=int(rng.integers(1, 2 * len(records) + 1)))
-        self.assert_bitwise(table, theta, batch)
+        self.assert_bitwise(table, theta, batch, np.full((3, batch.size, 3, table.n), np.nan))

@@ -494,7 +494,7 @@ def test_tensor_matches_recorded_digest(tmp_path, golden_chain, mode):
 # sha256 of adapt's theta bytes on the graph below, per model kind and
 # setting (calibrate's CLI defaults, and --lr 0.05 --batch 8), recorded
 # before adaptation's base rows were materialized per block and its chunk
-# and Adam step ran in place, so a kernel change that moves a bit shows here
+# ran in place, so a kernel change that moves a bit shows here
 _GOLDEN_THETAS = {
     ("complex-bilinear", "defaults"):
         "c2e737cc931269644650ecd5e7b68ab79e02e74760096789ee0e8462fdc68513",
