@@ -10,6 +10,13 @@ IDENT is any run of characters excluding whitespace and `[](),`. The `#123`
 form addresses an entity or relation by raw integer id, which keeps queries
 writable for vocabularies whose surface forms contain the delimiters.
 
+read_queries parses each skeleton of a file once: a line's query text less
+its `#<id>` tokens that stand alone between delimiters (not `a#12`, `#12a`).
+Each later line of a skeleton is its ids, range-checked per slot kind, put
+into the template of the first (_Skeleton), with its structure and lowering.
+A first line, a line without ids or with a bad one goes through parse, so
+every AST, error message and position is parse's.
+
 Each of the fourteen query structures of Query2box and BetaE is defined
 once, as a template AST with every id 0 (STRUCTURE_TEMPLATES): it drives
 classification, the positive/negation groups (a negation structure is one
@@ -19,6 +26,8 @@ the template (harness._instantiate).
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -80,6 +89,9 @@ _COMMA = re.compile(r"\s*,")
 # an operator letter and its bracket, each after optional space; a
 # projection's relation starts after the space past its `[`
 _OPERATOR = re.compile(r"\s*(?:(P)\s*\[\s*|([NIU])\s*\()")
+# a `#<id>` token between delimiters or text ends (the look-behind follows
+# the `#`, so that a search skips from `#` to `#`)
+_ID_TOKEN = re.compile(r"#(?<![^\s\[\](),]#)(\d+)(?![^\s\[\](),])")
 
 
 class _Parser:
@@ -341,9 +353,44 @@ def _parse_ids(csv: str) -> frozenset[int]:
     if not csv:
         return frozenset()
     try:
-        return frozenset(int(tok) for tok in csv.split(","))
+        return frozenset(map(int, csv.split(",")))
     except ValueError:
         raise QueryParseError(f"bad id list {csv!r}", None) from None
+
+
+class _Skeleton:
+    """What the later lines of a skeleton take from its first: the structure
+    and shape, where each `#<id>` token goes in params and its id limit."""
+
+    PROBE = 1 << 62         # an id above every vocabulary id
+
+    def __init__(self, first: QueryRecord, texts: list[str], entities, relations, limits):
+        self.structure, self.shape = first.structure, first.lowered[0]
+        # the params of the text with token k made id PROBE + k: its slot is k's
+        probe = "".join(f"{text}#{self.PROBE + k}" for k, text in enumerate(texts[:-1]))
+        self.marks = query_shape(parse(probe + texts[-1], entities, relations,
+                                       math.inf, math.inf))[1]
+        kinds = {self.marks[step[1]]: step[0] for step in self.shape if step[0] in "ap"}
+        self.limits = [limits[kinds[self.PROBE + k]] for k in range(len(texts) - 1)]
+
+    def record(self, ids: list[int], easy, hard) -> QueryRecord:
+        """A later line's record, its AST built from query_shape's steps."""
+        params = [ids[mark - self.PROBE] if mark >= self.PROBE else mark for mark in self.marks]
+        nodes: list[Node] = []
+        for step in self.shape:
+            op = step[0]
+            if op == "a":
+                nodes.append(Anchor(params[step[1]]))
+            elif op == "p":
+                nodes.append(Projection(params[step[1]], nodes[step[2]]))
+            elif op == "n":
+                nodes.append(Complement(nodes[step[1]]))
+            else:
+                kids = tuple([nodes[c] for c in step[1]])
+                nodes.append(Intersection(kids) if op == "i" else Union(kids))
+        rec = QueryRecord(nodes[-1], easy, hard, self.structure)
+        rec.__dict__["lowered"] = (self.shape, params)      # the cached_property's slot
+        return rec
 
 
 def read_queries(path, entities: Vocab | None = None, relations: Vocab | None = None,
@@ -353,6 +400,10 @@ def read_queries(path, entities: Vocab | None = None, relations: Vocab | None = 
     relation ids are checked against n_entities / n_relations, which default
     to the vocabulary sizes; every error names the file and line."""
     n_entities = len(entities) if n_entities is None and entities else n_entities
+    n_relations = len(relations) if n_relations is None and relations else n_relations
+    limits = {"a": math.inf if n_entities is None else n_entities,
+              "p": math.inf if n_relations is None else n_relations}
+    skeletons: dict[str, _Skeleton] = {}
     records = []
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in checked_lines(path, fh):
@@ -361,13 +412,22 @@ def read_queries(path, entities: Vocab | None = None, relations: Vocab | None = 
                 if len(fields) != 3:
                     raise QueryParseError(
                         f"expected 3 tab-separated fields, got {len(fields)}", None)
-                rec = QueryRecord(parse(fields[0], entities, relations, n_entities, n_relations),
-                                  _parse_ids(fields[1]), _parse_ids(fields[2]))
-                if n_entities is not None:
-                    bad = [i for i in rec.easy | rec.hard if not 0 <= i < n_entities]
-                    if bad:
-                        raise QueryParseError(
-                            f"answer id {min(bad)} out of range (size {n_entities})", None)
+                parts = _ID_TOKEN.split(fields[0])
+                ids = [int(tok) for tok in parts[1::2]]
+                key = "\t".join(parts[::2])        # no tab is in a query, so no clash
+                skeleton = skeletons.get(key)
+                if skeleton is not None and all(map(operator.lt, ids, skeleton.limits)):
+                    rec = skeleton.record(ids, _parse_ids(fields[1]), _parse_ids(fields[2]))
+                else:   # a skeleton's first line, or parse raises on the id out of range
+                    ast = parse(fields[0], entities, relations, n_entities, n_relations)
+                    rec = QueryRecord(ast, _parse_ids(fields[1]), _parse_ids(fields[2]))
+                    if ids:     # a line without ids could only repeat verbatim
+                        skeletons[key] = _Skeleton(rec, parts[::2], entities, relations, limits)
+                answers = rec.easy | rec.hard
+                if n_entities is not None and answers and not (
+                        0 <= min(answers) and max(answers) < n_entities):
+                    bad = min(i for i in answers if not 0 <= i < n_entities)
+                    raise QueryParseError(f"answer id {bad} out of range (size {n_entities})", None)
             except ValueError as exc:
                 raise QueryParseError(f"{path}:{lineno}: {exc}", None) from None
             records.append(rec)

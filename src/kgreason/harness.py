@@ -19,9 +19,9 @@ Ranking follows the filtered protocol: a hard answer competes only against
 non-answers, ties resolve to the average rank.
 
 evaluate_run evaluates its queries, each lowered once (QueryRecord.lowered),
-in batches of one shape (fuzzy.evaluate_batches) and ranks each batch with
-one row-wise sort (filtered_ranks); the per-query metrics are reduced per
-batch, with no loop over queries.
+in batches of one shape (fuzzy.evaluate_batches) and ranks each batch's hard
+answers with one comparison of their rows per chunk (filtered_ranks); the
+per-query metrics are reduced per batch, with no loop over queries.
 rank_hard_answers is the batch of one of filtered_ranks, as fuzzy.evaluate
 is the batch of one of the evaluator. Reports are bitwise those of
 evaluating and ranking each query alone.
@@ -50,6 +50,7 @@ from .dsl import (
 from . import fuzzy
 from .fuzzy import MembershipVector
 from .graph import SPLITS, KnowledgeGraph
+from .tensor import block_rows
 
 log = logging.getLogger(__name__)
 
@@ -278,11 +279,9 @@ def filtered_ranks(values: np.ndarray, answers, hard) -> np.ndarray:
 
         rank = 1 + #{non-answers of q scored above t} + #{tied non-answers} / 2,
 
-    with answers[q] all answers of row q. One sort orders every row's values
-    with its answers moved last (to +inf, above any score); then two
-    searchsorted passes per row with hard answers give each hard answer's
-    `left`/`right` position among the row's m non-answers, and
-    rank = m + 1 - (left + right) / 2, exact in float64.
+    with answers[q] all answers of row q, which as NaN compare neither above nor
+    equal. Each chunk of block_rows(|V|) hard answers compares their rows with
+    their values at once; the counts are integers, so the rank is exact.
     """
     is_answer = np.zeros(values.shape, dtype=bool)
     is_answer[_pairs(answers)] = True
@@ -290,19 +289,15 @@ def filtered_ranks(values: np.ndarray, answers, hard) -> np.ndarray:
     stray = ~is_answer[rows, cols]
     if stray.any():
         raise ValueError(f"entity {int(cols[stray][0])} is not an answer of this query")
-    others = np.where(is_answer, np.inf, values)
-    others.sort(axis=1)
-    at = values[rows, cols]
-    left, right = np.empty((2, rows.shape[0]), dtype=np.int64)
-    start = 0
-    for q, count in enumerate(np.bincount(rows, minlength=values.shape[0]).tolist()):
-        if count:
-            span = slice(start, start + count)
-            left[span] = np.searchsorted(others[q], at[span], side="left")
-            right[span] = np.searchsorted(others[q], at[span], side="right")
-            start += count
-    m = values.shape[1] - np.count_nonzero(is_answer, axis=1)
-    return (m[rows] + 1.0) - (left + right) / 2.0
+    others = np.where(is_answer, np.nan, values)
+    at = values[rows, cols, None]
+    ranks = np.empty(rows.shape[0])
+    step = block_rows(values.shape[1])
+    for start in range(0, rows.shape[0], step):
+        block, v = others[rows[start:start + step]], at[start:start + step]
+        above = np.count_nonzero(block > v, axis=1)
+        ranks[start:start + step] = (above + 1.0) + np.count_nonzero(block == v, axis=1) / 2.0
+    return ranks
 
 
 def rank_hard_answers(a, hard, all_answers) -> np.ndarray:

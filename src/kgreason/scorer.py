@@ -277,9 +277,10 @@ def _softmax_ce(scores: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndar
     return loss, scores
 
 
-def scatter_add(table: np.ndarray, ids: np.ndarray, rows: np.ndarray, col0: int = 0) -> None:
+def scatter_add(table: np.ndarray, ids: np.ndarray, rows: np.ndarray, col0=0) -> None:
     """table[ids[i], col0 + j] += rows[i, j], one row i after another, repeated
-    ids included: bitwise np.add.at(table[:, col0:col0 + w], ids, rows).
+    ids included: bitwise np.add.at(table[:, col0:col0 + w], ids, rows). col0
+    is one column or one per row.
 
     The scatter runs on the flattened table, since ufunc.at has a fast path
     only for 1-D operands; the table must be C-contiguous, so that flattening
@@ -303,26 +304,33 @@ def _used(kind: str, role: int, width: int) -> tuple[int, int]:
 def _cube_reg(model: EmbeddingModel, heads, rels, tails, weight: float,
               gE: np.ndarray, gR: np.ndarray) -> float:
     """Cubed-magnitude penalty on the columns each factor's terms use; the
-    complex kind cubes the modulus per component."""
+    complex kind cubes the modulus per component. The head and tail rows are
+    one gather and one scatter into gE, heads first; the loss sums per role."""
     if weight == 0.0:
         return 0.0
-    batch = heads.shape[0]
-    total = 0.0
-    for role, ids, table, grad in ((HEAD, heads, model.E, gE), (RELATION, rels, model.R, gR),
-                                   (TAIL, tails, model.E, gE)):
-        col0, width = _used(model.kind, role, table.shape[1])
-        values = table[ids][:, col0:col0 + width]
+    batch, cubes = heads.shape[0], []
+    (h0, width), (t0, _) = (_used(model.kind, role, model.E.shape[1]) for role in (HEAD, TAIL))
+    r0, r_width = _used(model.kind, RELATION, model.R.shape[1])
+    both = np.concatenate([heads, tails])
+    ents = model.E[both]
+    if h0 != t0:        # the tails' used columns under the heads'
+        ents[batch:, h0:h0 + width] = ents[batch:, t0:t0 + width]
+    for ids, values, grad, col0 in (
+            (both, ents[:, h0:h0 + width], gE, np.repeat([h0, t0], batch)),
+            (rels, model.R[rels][:, r0:r0 + r_width], gR, r0)):
         if model.kind == "complex-bilinear":
             v0, v1 = _split(values, (0, 1)).values()
             mod = np.sqrt(v0 * v0 + v1 * v1)
-            total += float(np.sum(mod ** 3))
+            cubes.append(mod ** 3)
             coeff = 3.0 * mod * (weight / batch)
             dvals = np.concatenate([coeff * v0, coeff * v1], axis=-1)
         else:
-            total += float(np.sum(np.abs(values) ** 3))
+            cubes.append(np.abs(values) ** 3)
             dvals = 3.0 * np.abs(values) * values * (weight / batch)
         scatter_add(grad, ids, dvals, col0)
-    return weight * total / batch
+    ent, rel = cubes
+    return weight * (float(np.sum(ent[:batch])) + float(np.sum(rel))
+                     + float(np.sum(ent[batch:]))) / batch
 
 
 def _relation_queries(model: EmbeddingModel, heads, tails) -> np.ndarray:

@@ -175,9 +175,9 @@ class CalibratedTensor:
             fh.write(np.array([VERSION], dtype="<u4").tobytes())
             fh.write(header.tobytes())
             fh.write(np.array([self.eps], dtype="<f8").tobytes())
-            fh.write(self.offsets.astype("<u8").tobytes())
-            fh.write(self.indices.astype("<i4").tobytes())
-            fh.write(self.values.astype("<f4").tobytes())
+            fh.write(memoryview(self.offsets.astype("<u8", copy=False)))   # no copy
+            fh.write(memoryview(self.indices.astype("<i4", copy=False)))
+            fh.write(memoryview(self.values.astype("<f4", copy=False)))
 
     @classmethod
     def load(cls, path) -> "CalibratedTensor":

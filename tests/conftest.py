@@ -1,5 +1,8 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from kgreason.dsl import (
     Anchor,
@@ -10,6 +13,12 @@ from kgreason.dsl import (
 )
 from kgreason.graph import KnowledgeGraph, Triplet, Vocab, add_inverse_relations, triplet_array
 from kgreason.scorer import ADAGRAD_EPS, EmbeddingModel, batch_loss
+
+# GitHub Actions sets CI: there every property test draws the same examples,
+# and a failure prints the blob that replays it (@reproduce_failure)
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if "CI" in os.environ:
+    settings.load_profile("ci")
 
 
 def make_kg(n_entities, n_relations, triplets_by_split):

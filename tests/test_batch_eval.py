@@ -2,7 +2,9 @@
 
 per_query_evaluate and per_query_report below are the one-query-at-a-time
 loops (one projection per branch, one ranking per query, means over Python
-lists), kept as the reference the batched path must match bitwise.
+lists), kept as the reference the batched path must match bitwise;
+reference_filtered_ranks is the batch ranking before the chunked comparison
+(one sort, then two searchsorted calls per row).
 """
 
 import numpy as np
@@ -97,6 +99,29 @@ def per_query_ranks(values, hard, answers):
     left = np.searchsorted(others, at, side="left")
     right = np.searchsorted(others, at, side="right")
     return (others.shape[0] + 1.0) - (left + right) / 2.0
+
+
+def reference_filtered_ranks(values, answers, hard):
+    """filtered_ranks as one sort of every row with its answers at +inf, then
+    per row the left and right searchsorted position of its hard answers."""
+    rows = np.repeat(np.arange(len(hard)), [len(h) for h in hard])
+    cols = np.array([t for h in hard for t in h], dtype=np.int64)
+    is_answer = np.zeros(values.shape, dtype=bool)
+    for q, ids in enumerate(answers):
+        is_answer[q, list(ids)] = True
+    others = np.where(is_answer, np.inf, values)
+    others.sort(axis=1)
+    at = values[rows, cols]
+    left, right = np.empty((2, rows.shape[0]), dtype=np.int64)
+    start = 0
+    for q, count in enumerate(np.bincount(rows, minlength=values.shape[0]).tolist()):
+        if count:
+            span = slice(start, start + count)
+            left[span] = np.searchsorted(others[q], at[span], side="left")
+            right[span] = np.searchsorted(others[q], at[span], side="right")
+            start += count
+    m = values.shape[1] - np.count_nonzero(is_answer, axis=1)
+    return (m[rows] + 1.0) - (left + right) / 2.0
 
 
 def per_query_report(provider, records):
@@ -297,6 +322,26 @@ class TestReports:
             want = np.concatenate([np.empty(0)] + [per_query_ranks(values[k], hard[k], answers[k])
                                                    for k in range(q)])
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("entries", [1, 7, 3 * 25 - 1, 1 << 15])
+    def test_ranks_match_the_sorted_reference(self, monkeypatch, entries):
+        # chunks of 1, 7 // |V| or about 3 hard answers, or all of them: chunk
+        # boundaries fall inside one row's hard answers and between rows
+        monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", entries)
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            q, n = int(rng.integers(1, 7)), int(rng.integers(1, 26))
+            values = rng.integers(0, int(rng.integers(1, 5)), (q, n)) / 4     # ties
+            if rng.random() < 0.3:
+                values = rng.random((q, n))
+            answers, hard = [], []
+            for k in range(q):
+                everything = k == 0 and rng.random() < 0.5     # a row of answers only
+                ids = rng.permutation(n)[:n if everything else int(rng.integers(0, n + 1))]
+                answers.append(ids.tolist())
+                hard.append(ids[:int(rng.integers(0, ids.size + 1))].tolist())
+            got = filtered_ranks(values, answers, hard)
+            assert got.tobytes() == reference_filtered_ranks(values, answers, hard).tobytes()
 
     def test_hard_answer_that_is_not_an_answer_is_rejected(self):
         values = np.array([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1]])

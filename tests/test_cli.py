@@ -340,12 +340,20 @@ class TestPipeline:
         lowered = []
         real = dsl.query_shape
         monkeypatch.setattr(dsl, "query_shape", lambda node: lowered.append(node) or real(node))
+        records = read_queries(queries)
+        # reading lowers each skeleton's first line and its probe, and fills in
+        # every record's lowering
+        skeletons = {re.sub(r"#\d+", "#", line.split("\t")[0])
+                     for line in queries.read_text().splitlines()}
+        assert len(lowered) == 2 * len(skeletons) < len(ranked)
+        assert all(rec.lowered == real(rec.ast) for rec in records)
+        by_reading, lowered[:] = lowered[:], []
         args = stage_args("ablate", pipeline, tmp_path)
         args[args.index("--queries") + 1] = str(queries)
         assert main(args) == 0
         assert set(read_kv(tmp_path / "out" / "ablation.summary")) == {
             f"{mode}.{avg}" for mode in ("S12", "S123", "S1234") for avg in ("avg_p", "avg_n")}
-        assert lowered == ranked    # once per ranked record, not once per mode
+        assert lowered == by_reading    # while reading, not once per mode
 
     def test_train_kgc_deterministic(self, pipeline, tmp_path):
         out = tmp_path / "model2.npz"
