@@ -279,9 +279,10 @@ def filtered_ranks(values: np.ndarray, answers, hard) -> np.ndarray:
 
         rank = 1 + #{non-answers of q scored above t} + #{tied non-answers} / 2,
 
-    with answers[q] all answers of row q, which as NaN compare neither above nor
-    equal. Each chunk of block_rows(|V|) hard answers compares their rows with
-    their values at once; the counts are integers, so the rank is exact.
+    with answers[q] all answers of row q, moved to -inf, below any score. Each
+    chunk of block_rows(|V|) hard answers compares their rows with their values
+    at once: above = |V| - #{row <= value}, so a NaN non-answer counts as above,
+    as it sorted. The counts are integers, so the rank is exact in float64.
     """
     is_answer = np.zeros(values.shape, dtype=bool)
     is_answer[_pairs(answers)] = True
@@ -289,13 +290,13 @@ def filtered_ranks(values: np.ndarray, answers, hard) -> np.ndarray:
     stray = ~is_answer[rows, cols]
     if stray.any():
         raise ValueError(f"entity {int(cols[stray][0])} is not an answer of this query")
-    others = np.where(is_answer, np.nan, values)
+    others = np.where(is_answer, -np.inf, values)
     at = values[rows, cols, None]
     ranks = np.empty(rows.shape[0])
     step = block_rows(values.shape[1])
     for start in range(0, rows.shape[0], step):
         block, v = others[rows[start:start + step]], at[start:start + step]
-        above = np.count_nonzero(block > v, axis=1)
+        above = values.shape[1] - np.count_nonzero(block <= v, axis=1)
         ranks[start:start + step] = (above + 1.0) + np.count_nonzero(block == v, axis=1) / 2.0
     return ranks
 

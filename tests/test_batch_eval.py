@@ -340,6 +340,9 @@ class TestReports:
                 ids = rng.permutation(n)[:n if everything else int(rng.integers(0, n + 1))]
                 answers.append(ids.tolist())
                 hard.append(ids[:int(rng.integers(0, ids.size + 1))].tolist())
+            k = int(rng.integers(q))
+            if rng.random() < 0.3 and len(hard[k]) < n:     # NaN, not a hard answer's
+                values[k, sorted(set(range(n)) - set(hard[k]))[0]] = np.nan
             got = filtered_ranks(values, answers, hard)
             assert got.tobytes() == reference_filtered_ranks(values, answers, hard).tobytes()
 
