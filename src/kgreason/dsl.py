@@ -364,7 +364,8 @@ class _Skeleton:
 
     PROBE = 1 << 62         # an id above every vocabulary id
 
-    def __init__(self, first: QueryRecord, texts: list[str], entities, relations, limits):
+    def __init__(self, first: QueryRecord, texts: list[str], entities: Vocab | None,
+                 relations: Vocab | None, limits: dict[str, float]):
         self.structure, self.shape = first.structure, first.lowered[0]
         # the params of the text with token k made id PROBE + k: its slot is k's
         probe = "".join(f"{text}#{self.PROBE + k}" for k, text in enumerate(texts[:-1]))
