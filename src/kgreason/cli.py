@@ -162,13 +162,13 @@ def cmd_build_tensor(args) -> int:
             raise UsageError(f"mode {args.mode} needs --w")
         matrix = AdaptationMatrix.load(args.w, (kg.n_entities, kg.n_relations))
     provider = ablation_provider(args.mode, scorer, matrix, kg, eps=args.epsilon)
-    tensor = build_tensor(provider, eps=args.epsilon, memory_cap=args.memory_cap)
-    tensor.save(args.out)
+    report = build_tensor(provider, eps=args.epsilon, memory_cap=args.memory_cap,
+                          out=args.out)
     inputs = _graph_inputs(args) + [Path(args.model)]
     if args.w:
         inputs.append(Path(args.w))
     _write_manifest(Path(args.out), "build-tensor", args, inputs, [Path(args.out)])
-    print(tensor.stats())
+    print(report)
     return 0
 
 

@@ -92,8 +92,8 @@ class DenseRows:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 3 or X.shape[0] != X.shape[2]:
             raise ValueError("expected a (|V|, |R|, |V|) array")
-        if X.size and (X.min() < 0.0 or X.max() > 1.0):
-            raise ValueError("tensor entries must lie in [0, 1]")
+        if X.size and not (X.min() >= 0.0 and X.max() <= 1.0):     # true on NaN
+            raise ValueError("tensor entries must lie in [0, 1] and not be NaN")
         self.X = X
 
     @property

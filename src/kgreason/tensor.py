@@ -22,6 +22,17 @@ calibrate.calibrated_block. A block is compacted in one pass: the flat index
 of its kept entries less its row's start gives the columns, and one take
 each gives their values and pins.
 
+The caller chooses where the tensor goes. Without an output path the build
+returns a CalibratedTensor, pins included. With one it streams: each block's
+kept entries are checked and written as the block is compacted, its indices
+straight into the file and its values to an unlinked temporary spool, which
+is copied in after the last index (values follow all indices in v1); the
+header and offsets go in last. The build then holds the offsets and one
+block, never the tensor's arrays. The file is written under a temporary name
+beside the output and moved into place with os.replace, so a failed build
+leaves nothing behind and an existing file as it was. _write_v1 is the one
+writer of the layout, for this and for CalibratedTensor.save.
+
 Rows are read back as CSR through csr_take: a tensor's own arrays, row_csr's
 copy of a lazy provider's rows (fuzzy.gather_chunks), or adapt's base rows.
 """
@@ -29,6 +40,8 @@ copy of a lazy provider's rows (fuzzy.gather_chunks), or adapt's base rows.
 from __future__ import annotations
 
 import logging
+import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +53,7 @@ VERSION = 1
 
 _INDEX_BYTES = 4
 _VALUE_BYTES = 4
+_HEADER_BYTES = len(MAGIC) + 4 + 3 * 8 + 8
 
 # the package's one working-set bound, in float64 entries per block of every
 # chunked kernel: the build's row blocks, the evaluator's query batches,
@@ -73,6 +87,50 @@ def row_csr(provider, rids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
             np.concatenate(cols, dtype=np.int32), np.concatenate(vals, dtype=np.float64))
 
 
+def _check_csr(offsets: np.ndarray, indices: np.ndarray, values: np.ndarray,
+               n_entities: int) -> None:
+    """The CSR invariants that fuzzy.gather_chunks trusts across rows: offsets
+    monotone from 0 to nnz, tail ids in [0, n_entities) and strictly ascending
+    within a row, values in [0, 1] and not NaN. Checks a whole tensor, or one
+    block of rows with its offsets counted from the block's first entry."""
+    nnz = indices.shape[0]
+    if offsets[0] != 0 or offsets[-1] != nnz:
+        raise ValueError(f"offsets must run from 0 to nnz {nnz}, "
+                         f"got {int(offsets[0])}..{int(offsets[-1])}")
+    if np.any(offsets[1:] < offsets[:-1]):
+        raise ValueError("offsets are not monotone")
+    if nnz == 0:
+        return
+    if int(indices.min()) < 0 or int(indices.max()) >= n_entities:
+        raise ValueError(f"tail index out of range [0, {n_entities})")
+    ascending = indices[1:] > indices[:-1]
+    row_starts = offsets[1:-1].astype(np.int64)
+    row_starts = row_starts[(row_starts > 0) & (row_starts < nnz)]
+    ascending[row_starts - 1] = True    # pairs across a row boundary
+    if not ascending.all():
+        raise ValueError("tail indices are not strictly ascending within a row")
+    if not (values.min() >= 0.0 and values.max() <= 1.0):   # false on NaN
+        raise ValueError("values must be finite and lie in [0, 1]")
+
+
+def _write_v1(fh, n_entities: int, n_relations: int, eps: float, offsets: np.ndarray,
+              index_pieces, value_pieces) -> None:
+    """Write the v1 layout to the seekable binary file `fh`: the index pieces
+    in order, then the value pieces, and last the header and the offsets,
+    which drawing the index pieces may still be filling."""
+    fh.seek(_HEADER_BYTES + 8 * offsets.shape[0])
+    for piece in index_pieces:
+        fh.write(memoryview(piece.astype("<i4", copy=False)))   # no copy
+    for piece in value_pieces:
+        fh.write(memoryview(piece.astype("<f4", copy=False)))
+    fh.seek(0)
+    fh.write(MAGIC)
+    fh.write(np.array([VERSION], dtype="<u4").tobytes())
+    fh.write(np.array([n_entities, n_relations, offsets[-1]], dtype="<u8").tobytes())
+    fh.write(np.array([eps], dtype="<f8").tobytes())
+    fh.write(memoryview(offsets.astype("<u8", copy=False)))
+
+
 class MemoryBudgetError(RuntimeError):
     """Tensor build exceeded the configured cap; carries a probed epsilon."""
 
@@ -83,10 +141,23 @@ class MemoryBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class SparsityReport:
+    n_entities: int
+    n_relations: int
     nnz: int
-    total_entries: int
-    sparsity: float
-    estimated_bytes: int
+
+    @property
+    def total_entries(self) -> int:
+        return self.n_entities * self.n_entities * self.n_relations
+
+    @property
+    def sparsity(self) -> float:
+        return 1.0 if self.total_entries == 0 else 1.0 - self.nnz / self.total_entries
+
+    @property
+    def estimated_bytes(self) -> int:
+        """The arrays' bytes: indices and values, and the uint64 offsets."""
+        offsets = (self.n_entities * self.n_relations + 1) * 8
+        return self.nnz * (_INDEX_BYTES + _VALUE_BYTES) + offsets
 
     def __str__(self) -> str:
         return (f"nnz {self.nnz} / {self.total_entries} entries, "
@@ -110,30 +181,9 @@ class CalibratedTensor:
         if pin_mask is None:
             pin_mask = np.zeros(self.indices.shape[0], dtype=bool)
         self.pin_mask = np.ascontiguousarray(pin_mask, dtype=bool)
-        self._check_structure()
-
-    def _check_structure(self) -> None:
-        """Vectorized CSR invariants; fuzzy.gather_chunks trusts them across rows."""
-        offsets, indices, values, nnz = self.offsets, self.indices, self.values, self.nnz
-        if self.pin_mask.shape[0] != nnz:
+        if self.pin_mask.shape[0] != self.nnz:
             raise ValueError("pin mask length does not match nnz")
-        if offsets[0] != 0 or offsets[-1] != nnz:
-            raise ValueError(f"offsets must run from 0 to nnz {nnz}, "
-                             f"got {int(offsets[0])}..{int(offsets[-1])}")
-        if np.any(offsets[1:] < offsets[:-1]):
-            raise ValueError("offsets are not monotone")
-        if nnz == 0:
-            return
-        if int(indices.min()) < 0 or int(indices.max()) >= self.n_entities:
-            raise ValueError(f"tail index out of range [0, {self.n_entities})")
-        ascending = indices[1:] > indices[:-1]
-        row_starts = offsets[1:-1].astype(np.int64)
-        row_starts = row_starts[(row_starts > 0) & (row_starts < nnz)]
-        ascending[row_starts - 1] = True    # pairs across a row boundary
-        if not ascending.all():
-            raise ValueError("tail indices are not strictly ascending within a row")
-        if not (values.min() >= 0.0 and values.max() <= 1.0):   # false on NaN
-            raise ValueError("values must be finite and lie in [0, 1]")
+        _check_csr(self.offsets, self.indices, self.values, self.n_entities)
 
     @property
     def nnz(self) -> int:
@@ -148,11 +198,7 @@ class CalibratedTensor:
         return self.indices[s:e], self.values[s:e].astype(np.float64)
 
     def stats(self) -> SparsityReport:
-        total = self.n_entities * self.n_entities * self.n_relations
-        nnz = self.nnz
-        sparsity = 1.0 if total == 0 else 1.0 - nnz / total
-        estimated = nnz * (_INDEX_BYTES + _VALUE_BYTES) + self.offsets.nbytes
-        return SparsityReport(nnz, total, sparsity, estimated)
+        return SparsityReport(self.n_entities, self.n_relations, self.nnz)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CalibratedTensor):
@@ -167,17 +213,9 @@ class CalibratedTensor:
         )
 
     def save(self, path) -> None:
-        header = np.array(
-            [self.n_entities, self.n_relations, self.nnz], dtype="<u8"
-        )
         with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(np.array([VERSION], dtype="<u4").tobytes())
-            fh.write(header.tobytes())
-            fh.write(np.array([self.eps], dtype="<f8").tobytes())
-            fh.write(memoryview(self.offsets.astype("<u8", copy=False)))   # no copy
-            fh.write(memoryview(self.indices.astype("<i4", copy=False)))
-            fh.write(memoryview(self.values.astype("<f4", copy=False)))
+            _write_v1(fh, self.n_entities, self.n_relations, self.eps, self.offsets,
+                      [self.indices], [self.values])
 
     @classmethod
     def load(cls, path) -> "CalibratedTensor":
@@ -247,25 +285,16 @@ def _probe_epsilon(provider, n: int, m: int, eps: float, cap: int) -> float:
     return float(values[keep])
 
 
-def build_tensor(provider, eps: float, memory_cap: int | None = None) -> CalibratedTensor:
-    """Materialize every (h,r) row of the provider into a sparse tensor.
-
-    The provider supplies n_entities, n_relations and row_block. Entries
-    whose float32 value is <= eps are dropped unless pinned. Raises
-    MemoryBudgetError when the running size estimate crosses memory_cap,
-    reporting the smallest epsilon a row sample suggests would fit.
-    """
-    if not 0 <= eps < 1:
-        raise ValueError("eps must lie in [0, 1)")
-    n = provider.n_entities
-    m = provider.n_relations
-    offsets = np.zeros(n * m + 1, dtype=np.uint64)
-    chunks = [(np.empty(0, np.int32), np.empty(0, np.float32), np.empty(0, bool))]
+def _built_blocks(provider, eps: float, memory_cap: int | None, offsets: np.ndarray):
+    """_kept_blocks over every row: fills `offsets` as the blocks come and
+    raises MemoryBudgetError once the running size estimate crosses
+    memory_cap. Yields (block offsets from 0, cols, values, pins)."""
+    n, m = provider.n_entities, provider.n_relations
     nnz = 0
     for rids, counts, cols, vals, pins in _kept_blocks(provider, range(n * m), eps):
-        offsets[rids + 1] = nnz + np.cumsum(counts)
+        ends = np.cumsum(counts)
+        offsets[rids + 1] = nnz + ends
         nnz += cols.shape[0]
-        chunks.append((cols, vals, pins))
         estimate = nnz * (_INDEX_BYTES + _VALUE_BYTES) + offsets.nbytes
         if memory_cap is not None and estimate > memory_cap:
             suggestion = _probe_epsilon(provider, n, m, eps, memory_cap)
@@ -275,7 +304,63 @@ def build_tensor(provider, eps: float, memory_cap: int | None = None) -> Calibra
                    else "no eps below 1 fits"),
                 suggestion,
             )
-    indices, values, pin_mask = map(np.concatenate, zip(*chunks))
-    tensor = CalibratedTensor(n, m, eps, offsets, indices, values, pin_mask)
-    log.info("built tensor: %s", tensor.stats())
-    return tensor
+        yield np.concatenate(([0], ends)), cols, vals, pins
+
+
+def _stream_to(path, blocks, n: int, m: int, eps: float, offsets: np.ndarray) -> None:
+    """Write `blocks` as the v1 file at `path`, each block checked and written
+    as it comes; see the module docstring."""
+    path = os.path.abspath(path)
+    parent, name = os.path.split(path)
+    tmp = os.path.join(parent, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh, tempfile.TemporaryFile(dir=parent) as spool:
+            def indices():
+                for block_offsets, cols, vals, _ in blocks:
+                    _check_csr(block_offsets, cols, vals, n)
+                    spool.write(memoryview(vals.astype("<f4", copy=False)))
+                    yield cols
+
+            def values():       # drawn after the last index, in pieces of at most a block
+                spool.seek(0)
+                while piece := spool.read(BLOCK_ENTRIES * _VALUE_BYTES):
+                    yield np.frombuffer(piece, "<f4")
+
+            _write_v1(fh, n, m, eps, offsets, indices(), values())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def build_tensor(provider, eps: float, memory_cap: int | None = None, out=None):
+    """Materialize every (h,r) row of the provider into a sparse tensor.
+
+    The provider supplies n_entities, n_relations and row_block. Entries
+    whose float32 value is <= eps are dropped unless pinned. Raises
+    MemoryBudgetError when the running size estimate crosses memory_cap,
+    reporting the smallest epsilon a row sample suggests would fit.
+
+    The destination comes from the caller. Without `out` the result is a
+    CalibratedTensor in memory, pins included. With `out` the tensor is
+    streamed into the v1 file at that path, block by block, and the result
+    is its SparsityReport (n_entities, n_relations, nnz); a build that fails
+    leaves no file, and any file already at `out` unchanged.
+    """
+    if not 0 <= eps < 1:
+        raise ValueError("eps must lie in [0, 1)")
+    n = provider.n_entities
+    m = provider.n_relations
+    offsets = np.zeros(n * m + 1, dtype=np.uint64)
+    blocks = _built_blocks(provider, eps, memory_cap, offsets)
+    if out is None:
+        chunks = [(np.empty(0, np.int32), np.empty(0, np.float32), np.empty(0, bool))]
+        chunks += [(cols, vals, pins) for _, cols, vals, pins in blocks]
+        indices, values, pin_mask = map(np.concatenate, zip(*chunks))
+        tensor = CalibratedTensor(n, m, eps, offsets, indices, values, pin_mask)
+    else:
+        _stream_to(out, blocks, n, m, eps, offsets)
+    report = SparsityReport(n, m, int(offsets[-1]))
+    log.info("built tensor: %s", report)
+    return tensor if out is None else report

@@ -12,6 +12,7 @@ import pytest
 
 import kgreason
 from kgreason import dsl, fuzzy
+from kgreason import tensor as tensor_module
 from kgreason.cli import main
 from kgreason.dsl import read_queries
 from kgreason.fuzzy import DenseRows
@@ -260,6 +261,36 @@ class TestPipeline:
                      "--out", str(tmp_path / "x.kgt")])
         assert code == 1
         assert "memory cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_build_tensor_abort_leaves_the_directory_as_it_was(self, pipeline, tmp_path,
+                                                                capsys, monkeypatch, existing):
+        # blocks of 8 rows, and a cap of half the tensor: blocks are written before the abort
+        monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", 8 * 30)
+        cap = CalibratedTensor.load(pipeline["tensor"]).stats().estimated_bytes // 2
+        out = tmp_path / "x.kgt"
+        if existing:
+            out.write_bytes(pipeline["tensor"].read_bytes())
+        code = main(["build-tensor", *pipeline["flags"], "--model", str(pipeline["model"]),
+                     "--w", str(pipeline["w"]), "--memory-cap", str(cap),
+                     "--epsilon", "0.001", "--out", str(out)])
+        assert code == 1
+        assert f"exceeds memory cap {cap}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == (["x.kgt"] if existing else [])
+        if existing:
+            assert out.read_bytes() == pipeline["tensor"].read_bytes()
+
+    def test_build_tensor_out_in_a_missing_directory(self, pipeline, tmp_path, capsys,
+                                                     monkeypatch):
+        def refuse(*args):
+            raise AssertionError("rows were scored")
+
+        monkeypatch.setattr(EmbeddingModel, "score_rows", refuse)
+        code = main(["build-tensor", *pipeline["flags"], "--model", str(pipeline["model"]),
+                     "--mode", "S12", "--out", str(tmp_path / "missing" / "x.kgt")])
+        assert code == 2
+        assert "missing file" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_calibrate_has_no_mode_flag(self, pipeline, tmp_path, capsys):
         # every mode fitted the same theta; nor is --mode read as --model

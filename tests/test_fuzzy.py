@@ -38,6 +38,12 @@ class TestDenseRows:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             DenseRows(bad)
 
+    def test_nan_rejected(self):
+        bad = np.zeros((3, 1, 3))
+        bad[0, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            DenseRows(bad)
+
     def test_row_returns_nonzeros(self):
         X = np.zeros((3, 1, 3))
         X[0, 0, 2] = 0.25

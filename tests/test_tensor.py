@@ -170,6 +170,64 @@ class TestBuild:
         assert tensor.row(1, 1)[0].size == 0
 
 
+class TestStreamedBuild:
+    def test_report_and_file(self, rng, tmp_path):
+        provider = DenseRows(dense(rng))
+        report = build_tensor(provider, eps=0.3, out=tmp_path / "t.kgt")
+        tensor = build_tensor(provider, eps=0.3)
+        assert report == tensor.stats()
+        assert (report.n_entities, report.n_relations, report.nnz) == (8, 2, tensor.nnz)
+        assert CalibratedTensor.load(tmp_path / "t.kgt") == tensor
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.kgt"]
+
+    def test_empty_provider(self, tmp_path):
+        report = build_tensor(DenseRows(np.zeros((3, 2, 3))), eps=0.0, out=tmp_path / "t.kgt")
+        assert report.nnz == 0
+        assert CalibratedTensor.load(tmp_path / "t.kgt").nnz == 0
+
+    @pytest.mark.parametrize("block_entries", [1, 1 << 15])
+    def test_bad_block_leaves_no_file(self, rng, tmp_path, monkeypatch, block_entries):
+        X = dense(rng, n=6, m=3)
+        X[5, 2, 1] = 1.5        # kept, and outside [0, 1]
+        monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", block_entries)
+        provider = DenseRows(np.zeros_like(X))
+        provider.X = X          # past the constructor's range check
+        out = tmp_path / "t.kgt"
+        out.write_bytes(b"previous")
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            build_tensor(provider, eps=0.3, out=out)
+        assert out.read_bytes() == b"previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.kgt"]
+
+    def test_memory_cap(self, rng, tmp_path):
+        provider = DenseRows(rng.uniform(0.2, 0.8, size=(10, 2, 10)))
+        with pytest.raises(MemoryBudgetError) as streamed:
+            build_tensor(provider, eps=0.0, memory_cap=300, out=tmp_path / "t.kgt")
+        with pytest.raises(MemoryBudgetError) as in_memory:
+            build_tensor(provider, eps=0.0, memory_cap=300)
+        assert str(streamed.value) == str(in_memory.value)
+        assert streamed.value.suggested_eps == in_memory.value.suggested_eps
+        assert list(tmp_path.iterdir()) == []
+
+    def test_peak_is_a_fraction_of_the_arrays(self, golden_chain, tmp_path, monkeypatch):
+        kg, scorer, adaptation = golden_chain
+        monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", 1 << 13)
+        rows = kg.n_entities * kg.n_relations
+        assert -(-rows // tensor_module.block_rows(kg.n_entities)) >= 40
+        provider = ablation_provider("S1234", scorer, adaptation, kg, eps=0.003)
+        tensor = build_tensor(provider, eps=0.003)
+        arrays = sum(a.nbytes for a in (tensor.offsets, tensor.indices, tensor.values,
+                                         tensor.pin_mask))
+        del tensor
+        tracemalloc.start()
+        try:
+            build_tensor(provider, eps=0.003, out=tmp_path / "t.kgt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < arrays / 4
+
+
 class TestAccess:
     @pytest.fixture
     def tensor(self, rng):
@@ -481,6 +539,21 @@ def golden_chain():
     model, _ = reference_train(kg, TrainConfig(dim=8, epochs=2, batch_size=128, seed=3))
     theta = np.random.default_rng(17).normal(0.0, 0.5, (kg.n_entities, kg.n_relations))
     return kg, NormalizedScorer(model, kg), AdaptationMatrix(theta)
+
+
+@pytest.mark.parametrize("block_entries", [1 << 11, 1 << 13, 1 << 15])
+@pytest.mark.parametrize("eps", [0.003, 0.05])
+@pytest.mark.parametrize("mode", ABLATION_MODES)
+def test_streamed_file_equals_saved_tensor(tmp_path, golden_chain, monkeypatch, mode, eps,
+                                           block_entries):
+    kg, scorer, adaptation = golden_chain
+    monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", block_entries)
+    provider = ablation_provider(mode, scorer, adaptation, kg, eps=eps)
+    build_tensor(provider, eps=eps).save(tmp_path / "saved")
+    report = build_tensor(provider, eps=eps, out=tmp_path / "streamed")
+    assert (tmp_path / "streamed").read_bytes() == (tmp_path / "saved").read_bytes()
+    assert report.nnz == CalibratedTensor.load(tmp_path / "saved").nnz
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["saved", "streamed"]
 
 
 @pytest.mark.parametrize("mode", ABLATION_MODES)
