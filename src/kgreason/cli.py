@@ -154,6 +154,9 @@ def cmd_calibrate(args) -> int:
 def cmd_build_tensor(args) -> int:
     from .calibrate import AdaptationMatrix, ablation_provider
     from .tensor import build_tensor
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        raise UsageError(f"--out directory {out_dir} does not exist")
     kg = _load_graph(args)
     scorer = _load_scorer(args, kg)
     matrix = None

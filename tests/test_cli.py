@@ -289,7 +289,7 @@ class TestPipeline:
         code = main(["build-tensor", *pipeline["flags"], "--model", str(pipeline["model"]),
                      "--mode", "S12", "--out", str(tmp_path / "missing" / "x.kgt")])
         assert code == 2
-        assert "missing file" in capsys.readouterr().err
+        assert f"--out directory {tmp_path / 'missing'} does not exist" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_calibrate_has_no_mode_flag(self, pipeline, tmp_path, capsys):
