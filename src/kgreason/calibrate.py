@@ -8,27 +8,20 @@ Three stages after scorer training:
               fitted on complex-query training data
   pin         rows override known train/validation tails to exactly 1
 
-One kernel, calibrated_block, runs all three on a block of rows: one score
-GEMM, then finish_block, which normalizes, adapts, pins and thresholds the
-score block in place. The tensor build calls it on blocks of at most 2^15
-entries (tensor.BLOCK_ENTRIES, which keeps peak memory flat), every per-row
-accessor on one row. Its eps threshold is one in-place select, not a mask
-scatter. With theta = 0 the adapted provider reproduces the normalized one
-bitwise.
+calibrated_block runs all three on a block of rows, in place: one score
+GEMM, normalize_block (the step every ablation mode shares) and finish_block
+(a mode's own: adapt, pin and the eps threshold, one in-place select). The
+tensor build calls it per block of tensor.block_rows(|V|) rows, a per-row
+accessor on one row; ablate's one pass (ablation_blocks) runs a block's GEMM
+and normalization once for all its modes. With theta = 0 the adapted
+provider reproduces the normalized one bitwise.
 
-Fitting theta (adapt) has its own kernel. It handles only the anchored
-shapes of dsl.ADAPTATION_STRUCTURES: a query there is at most three anchored
-branches P[r](h), each possibly complemented, intersected. adapt reads them
-from every query's lowering (QueryRecord.lowered) once, and materializes
-the thresholded S12 base rows of their unique (h, r) per block of
-block_rows(|V|) rows: one model.queries call, one one-row GEMV per row (the
-product a one-row calibrated_block call computes, so the rows are bitwise
-the per-row accessors' rows) and one finish_block pass. It then computes
-each minibatch's losses and theta-gradient in one vectorized pass, with no
-tape, in chunks of block_rows(MAX_BRANCHES * |V|) queries, which bound its
-working set by tensor.BLOCK_ENTRIES and change no bit of theta. The
-chunks of one loss_grad call share three buffers and compute in place,
-with every rounding of the out-of-place formulas. The tape path
+Fitting theta (adapt) has its own kernel for the shapes of
+dsl.ADAPTATION_STRUCTURES, intersections of at most three anchored branches
+P[r](h), each possibly complemented: the S12 base rows of their unique
+(h, r) once (_base_csr), then each minibatch's losses and theta-gradient in
+one vectorized pass per chunk of block_rows(MAX_BRANCHES * |V|) queries, in
+place and with every rounding of the out-of-place formulas. The tape path
 (_AdaptiveRows, GradientTape, query_loss_adjoint) stays the general
 gradient API and the kernel's reference: forward memberships are equal to
 it, gradients and theta differ from it only by summation order.
@@ -80,6 +73,7 @@ class NormalizedScorer:
         n, m = model.n_entities, model.n_relations
         counts = np.bincount(kg.edge_keys(("train",)) // n, minlength=n * m).reshape(n, m)
         self.scales = np.where(counts > 0, counts, self.alpha)
+        self.candidates = model.candidates()   # taken once: a copy for simple-bilinear
 
     @property
     def n_entities(self) -> int:
@@ -102,32 +96,37 @@ def calibrated_block(scorer: NormalizedScorer, rids: np.ndarray,
 
     rids are flat row ids h * |R| + r, non-empty and ascending; pin_keys is
     a sorted array of rid * |V| + tail. One score_rows GEMM, then
-    finish_block.
+    normalize_block and finish_block.
     """
+    block = scorer.model.score_rows(*np.divmod(rids, scorer.n_relations), scorer.candidates)
+    return finish_block(scorer, rids, normalize_block(scorer, rids, block), theta, pin_keys, eps)
+
+
+def normalize_block(scorer: NormalizedScorer, rids: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Normalize the raw score rows `block` of flat row ids `rids` in place and
+    return it. Per row: shift by the max, exp, sum, N * exp / sum, clamp at 1."""
     heads, rels = np.divmod(rids, scorer.n_relations)
-    return finish_block(scorer, rids, scorer.model.score_rows(heads, rels), theta,
-                        pin_keys, eps)
-
-
-def finish_block(scorer: NormalizedScorer, rids: np.ndarray, block: np.ndarray,
-                 theta: np.ndarray | None = None,
-                 pin_keys: np.ndarray | None = None,
-                 eps: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Calibrate the raw score rows `block` of flat row ids `rids` in place;
-    returns them and their pin mask. Per row: shift by the max, exp, sum,
-    N * exp / sum, clamp at 1; times exp(theta[h, r]), clamp at 1; pins set
-    to 1.0; entries <= eps, and NaN, set to 0.0. See calibrated_block.
-    """
-    n, m = scorer.scales.shape
-    heads, rels = np.divmod(rids, m)
     block -= block.max(axis=1, keepdims=True)
     np.exp(block, out=block)
     sums = block.sum(axis=1, keepdims=True)
     block *= scorer.scales[heads, rels][:, None]
     block /= sums
     np.minimum(block, 1.0, out=block)
+    return block
+
+
+def finish_block(scorer: NormalizedScorer, rids: np.ndarray, block: np.ndarray,
+                 theta: np.ndarray | None = None,
+                 pin_keys: np.ndarray | None = None,
+                 eps: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """A mode's own steps on the normalized rows `block` of flat row ids
+    `rids`, in place; returns them and their pin mask. Per row: times
+    exp(theta[h, r]), clamp at 1; pins set to 1.0; entries <= eps, and NaN,
+    set to 0.0. See calibrated_block.
+    """
+    n, m = scorer.scales.shape
     if theta is not None:
-        block *= np.exp(theta[heads, rels])[:, None]
+        block *= np.exp(theta[np.divmod(rids, m)])[:, None]
         np.minimum(block, 1.0, out=block)
     pinned = np.zeros(block.shape, dtype=bool)
     if pin_keys is not None:
@@ -399,12 +398,12 @@ def _base_csr(scorer: NormalizedScorer, rids: np.ndarray,
               eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The thresholded S12 rows of flat row ids `rids` as CSR: (int64
     offsets, int32 cols, float64 vals). Per block of block_rows(|V|) rows,
-    one model.queries call, one one-row GEMV per row and one finish_block
-    pass. Each GEMV is the product a one-row CalibratedRows.row call
-    computes, so the rows are bitwise its rows and the tape path's; a block
-    GEMM rounds the scores differently."""
+    one model.queries call, one one-row GEMV per row and one normalize_block
+    and finish_block pass. Each GEMV is the product a one-row
+    CalibratedRows.row call computes, so the rows are bitwise its rows and the
+    tape path's; a block GEMM rounds the scores differently."""
     model, n = scorer.model, scorer.n_entities
-    candidates = model.candidates().T
+    candidates = scorer.candidates.T
     counts = np.zeros(rids.shape[0] + 1, dtype=np.int64)
     cols, vals = [np.empty(0, np.int32)], [np.empty(0)]
     step = block_rows(n)
@@ -414,7 +413,8 @@ def _base_csr(scorer: NormalizedScorer, rids: np.ndarray,
         block = np.empty((block_rids.shape[0], n))
         for i in range(block_rids.shape[0]):
             np.matmul(queries[i:i + 1], candidates, out=block[i:i + 1])
-        dense, _ = finish_block(scorer, block_rids, block, eps=eps)
+        dense, _ = finish_block(scorer, block_rids, normalize_block(scorer, block_rids, block),
+                                eps=eps)
         flat = np.flatnonzero(dense)
         counts[start + 1:start + 1 + block_rids.shape[0]] = np.count_nonzero(dense, axis=1)
         cols.append((flat % n).astype(np.int32))
@@ -478,6 +478,21 @@ def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
         history.append(mean_loss)
         log.debug("adaptation epoch %d: loss %.6f", epoch, mean_loss)
     return AdaptationMatrix(theta), history
+
+
+def ablation_blocks(scorer: NormalizedScorer, providers: list[CalibratedRows]):
+    """Per head-major block of block_rows(|V|) rows, (rids, the rows and pin
+    masks of `providers`, to be drawn in order before the next block): one
+    score GEMM and normalization, then each provider's finish_block on its
+    own copy (the last one's on the block), so its rows are its row_block's."""
+    n, m = scorer.n_entities, scorer.n_relations
+    step, last = block_rows(n), len(providers) - 1
+    for start in range(0, n * m, step):
+        rids = np.arange(start, min(start + step, n * m))
+        block = scorer.model.score_rows(*np.divmod(rids, m), scorer.candidates)
+        normalize_block(scorer, rids, block)
+        yield rids, (finish_block(scorer, rids, block if k == last else block.copy(),
+                                  p.theta, p.pin_keys, p.eps) for k, p in enumerate(providers))
 
 
 def ablation_provider(mode: str, scorer: NormalizedScorer,

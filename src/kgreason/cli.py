@@ -22,6 +22,7 @@ import hashlib
 import logging
 import sys
 import time
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -229,31 +230,35 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    from .calibrate import ABLATION_MODES, AdaptationMatrix, ablation_provider
+    from .calibrate import ABLATION_MODES, AdaptationMatrix, ablation_blocks, ablation_provider
     from .dsl import read_queries
     from .harness import evaluate_run
-    from .tensor import build_tensor
+    from .tensor import stream_tensors
+    out_dir = Path(args.out_dir)
+    if not next(p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir():
+        raise UsageError(f"--out-dir {out_dir} is not a directory")
     kg = _load_graph(args)
     scorer = _load_scorer(args, kg)
     matrix = (AdaptationMatrix.load(args.w, (kg.n_entities, kg.n_relations))
               if args.w else None)
     records = read_queries(args.queries, kg.entities, kg.relations)
-    out_dir = Path(args.out_dir)
+    modes = ABLATION_MODES if matrix is not None else ("S12",)
+    providers = [ablation_provider(mode, scorer, matrix, kg, eps=args.epsilon) for mode in modes]
+    out_dir.mkdir(parents=True, exist_ok=True)
     summary: dict[str, str] = {}
-    for mode in ABLATION_MODES:
-        if mode != "S12" and matrix is None:
-            print(f"{mode}: skipped (no --w)")
-            continue
-        provider = ablation_provider(mode, scorer, matrix, kg, eps=args.epsilon)
-        tensor = build_tensor(provider, eps=args.epsilon)
-        report = evaluate_run(tensor, records)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_kv(out_dir / f"{mode}.report", report.to_kv())
-        summary[f"{mode}.avg_p"] = f"{report.avg_p:.6f}"
-        summary[f"{mode}.avg_n"] = f"{report.avg_n:.6f}"
-        print(f"{mode}: avg_p {report.avg_p:.4f}  avg_n {report.avg_n:.4f}  "
-              f"(nnz {tensor.nnz})")
-        del tensor      # released before the next mode's build
+    with closing(stream_tensors(ablation_blocks(scorer, providers), len(modes), kg.n_entities,
+                                kg.n_relations, args.epsilon, out_dir)) as tensors:
+        for mode in modes:
+            tensor = next(tensors)      # not through zip, whose tuple would keep the last one
+            report = evaluate_run(tensor, records)
+            write_kv(out_dir / f"{mode}.report", report.to_kv())
+            summary[f"{mode}.avg_p"] = f"{report.avg_p:.6f}"
+            summary[f"{mode}.avg_n"] = f"{report.avg_n:.6f}"
+            print(f"{mode}: avg_p {report.avg_p:.4f}  avg_n {report.avg_n:.4f}  "
+                  f"(nnz {tensor.nnz})")
+            del tensor      # released before the next mode is loaded
+    for mode in ABLATION_MODES[len(modes):]:
+        print(f"{mode}: skipped (no --w)")
     write_kv(out_dir / "ablation.summary", summary)
     inputs = _graph_inputs(args) + [Path(args.model), Path(args.queries)]
     if args.w:

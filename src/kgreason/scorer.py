@@ -166,12 +166,14 @@ class EmbeddingModel:
         order, row = _ORDER[self.kind][TAIL], _ROW[self.kind][TAIL]
         return self.E if order == row else _join(_split(self.E, row), order)
 
-    def score_rows(self, heads: Sequence[int] | np.ndarray,
-                   rels: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Raw scores over every tail, one row per (head, relation) pair."""
+    def score_rows(self, heads: Sequence[int] | np.ndarray, rels: Sequence[int] | np.ndarray,
+                   candidates: np.ndarray | None = None) -> np.ndarray:
+        """Raw scores over every tail, one row per (head, relation) pair;
+        `candidates` is this model's candidates(), when the caller holds it."""
         heads = np.asarray(heads, dtype=np.int64)
         rels = np.asarray(rels, dtype=np.int64)
-        return self.queries(heads, rels) @ self.candidates().T
+        return self.queries(heads, rels) @ (self.candidates() if candidates is None
+                                            else candidates).T
 
     def save(self, path) -> None:
         np.savez(path, version=np.array(1), kind=np.array(self.kind),

@@ -17,21 +17,18 @@ tensor's arrays, so its peak is about one file, not two.
 
 build_tensor reads a provider through row_block(rids) -> (dense float64 rows,
 bool pin mask), for head-major blocks of at most BLOCK_ENTRIES entries, and
-an explicit eps; for the calibrated providers a block is one call of
-calibrate.calibrated_block. A block is compacted in one pass: the flat index
-of its kept entries less its row's start gives the columns, and one take
-each gives their values and pins.
+an explicit eps. _compact, the one compaction, keeps a block's entries in one
+pass: the flat index of a kept entry less its row's start gives its column,
+and one take each gives the values and pins.
 
-The caller chooses where the tensor goes. Without an output path the build
-returns a CalibratedTensor, pins included. With one it streams: each block's
-kept entries are checked and written as the block is compacted, its indices
-straight into the file and its values to an unlinked temporary spool, which
-is copied in after the last index (values follow all indices in v1); the
-header and offsets go in last. The build then holds the offsets and one
-block, never the tensor's arrays. The file is written under a temporary name
-beside the output and moved into place with os.replace, so a failed build
-leaves nothing behind and an existing file as it was. _write_v1 is the one
-writer of the layout, for this and for CalibratedTensor.save.
+_V1Writer is the one writer of the layout: each block is checked and its
+indices written as it comes, its values go to an unlinked spool copied in
+after the last index, and the header and offsets go in last, so a streamed
+tensor is never whole in memory. Without an output path build_tensor returns
+a CalibratedTensor, pins included. With one it streams into a temporary name
+beside the output, moved into place with os.replace, so a failed build
+leaves nothing behind. ablate's pass streams its modes in lockstep into
+unlinked files (stream_tensors) and loads them one at a time.
 
 Rows are read back as CSR through csr_take: a tensor's own arrays, row_csr's
 copy of a lazy provider's rows (fuzzy.gather_chunks), or adapt's base rows.
@@ -39,8 +36,10 @@ copy of a lazy provider's rows (fuzzy.gather_chunks), or adapt's base rows.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
+import struct
 import tempfile
 from dataclasses import dataclass
 
@@ -113,22 +112,40 @@ def _check_csr(offsets: np.ndarray, indices: np.ndarray, values: np.ndarray,
         raise ValueError("values must be finite and lie in [0, 1]")
 
 
-def _write_v1(fh, n_entities: int, n_relations: int, eps: float, offsets: np.ndarray,
-              index_pieces, value_pieces) -> None:
-    """Write the v1 layout to the seekable binary file `fh`: the index pieces
-    in order, then the value pieces, and last the header and the offsets,
-    which drawing the index pieces may still be filling."""
-    fh.seek(_HEADER_BYTES + 8 * offsets.shape[0])
-    for piece in index_pieces:
-        fh.write(memoryview(piece.astype("<i4", copy=False)))   # no copy
-    for piece in value_pieces:
-        fh.write(memoryview(piece.astype("<f4", copy=False)))
-    fh.seek(0)
-    fh.write(MAGIC)
-    fh.write(np.array([VERSION], dtype="<u4").tobytes())
-    fh.write(np.array([n_entities, n_relations, offsets[-1]], dtype="<u8").tobytes())
-    fh.write(np.array([eps], dtype="<f8").tobytes())
-    fh.write(memoryview(offsets.astype("<u8", copy=False)))
+class _V1Writer:
+    """Writes the v1 layout into the seekable binary file `fh`, push-style: add()
+    each block of rows in order, then finish(), which without a spool takes the values."""
+
+    def __init__(self, fh, n_entities: int, n_relations: int, eps: float, spool=None):
+        self.fh, self.spool, self.nnz = fh, spool, 0
+        self.shape, self.eps = (n_entities, n_relations), eps
+        self.offsets = np.zeros(n_entities * n_relations + 1, dtype=np.uint64)
+        fh.seek(_HEADER_BYTES + self.offsets.nbytes)
+
+    def add(self, rids, counts, cols, vals) -> None:
+        """The kept entries of the rows rids, which follow the rows added so far;
+        checked by _check_csr."""
+        ends = np.cumsum(counts, dtype=np.int64)
+        _check_csr(np.concatenate(([0], ends)), cols, vals, self.shape[0])
+        self.offsets[rids + 1] = self.nnz + ends
+        self.nnz += cols.shape[0]
+        self.fh.write(memoryview(cols.astype("<i4", copy=False)))   # no copy
+        if self.spool is not None:
+            self.spool.write(memoryview(vals.astype("<f4", copy=False)))
+
+    def finish(self, values=()) -> int:
+        """The values, the header and the offsets; returns nnz."""
+        if self.spool is not None:      # in pieces of at most a block
+            self.spool.seek(0)
+            while piece := self.spool.read(BLOCK_ENTRIES * _VALUE_BYTES):
+                self.fh.write(piece)
+        for vals in values:
+            self.fh.write(memoryview(vals.astype("<f4", copy=False)))
+        self.fh.seek(0)
+        self.fh.write(struct.pack("<4sI3Qd", MAGIC, VERSION, *self.shape, self.nnz, self.eps))
+        self.fh.write(memoryview(self.offsets.astype("<u8", copy=False)))
+        self.fh.seek(0)     # flushed, and ready to be read
+        return self.nnz
 
 
 class MemoryBudgetError(RuntimeError):
@@ -214,12 +231,14 @@ class CalibratedTensor:
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
-            _write_v1(fh, self.n_entities, self.n_relations, self.eps, self.offsets,
-                      [self.indices], [self.values])
+            writer = _V1Writer(fh, self.n_entities, self.n_relations, self.eps)
+            writer.add(np.arange(self.offsets.shape[0] - 1), np.diff(self.offsets),
+                       self.indices, self.values)
+            writer.finish([self.values])
 
     @classmethod
     def load(cls, path) -> "CalibratedTensor":
-        with open(path, "rb") as fh:
+        with open(path, "rb", closefd=not isinstance(path, int)) as fh:   # or an fd, left open
             buf = fh.read()
         pos = len(MAGIC)
 
@@ -250,23 +269,38 @@ class CalibratedTensor:
             raise ValueError(f"{path}: corrupt tensor: {exc}") from exc
 
 
-def _kept_blocks(provider, rows: range, eps: float):
-    """The entries whose float32 value exceeds eps, or that are pinned, per
-    block of the row ids in `rows`: (rids, kept per row, cols, values, pins)."""
-    step = block_rows(provider.n_entities)
+def _compact(dense: np.ndarray, pinned: np.ndarray, eps: float):
+    """The entries of dense rows whose float32 value exceeds eps, or that are
+    pinned: (kept per row, cols, values, pins). See the module docstring."""
+    values = dense.astype(np.float32)
+    keep = (values > np.float32(eps)) | pinned
+    flat = np.flatnonzero(keep)
+    counts = np.count_nonzero(keep, axis=1)
+    # a block's flat positions fit int32: it has at most max(BLOCK_ENTRIES, |V|) entries
+    starts = np.arange(0, dense.size, dense.shape[1], dtype=np.int32)
+    return (counts, flat.astype(np.int32) - np.repeat(starts, counts),
+            values.ravel().take(flat), pinned.ravel().take(flat))
+
+
+def _kept_blocks(provider, rows: range, eps: float, memory_cap: int | None = None):
+    """(rids, *_compact) per row_block of the row ids in `rows`; raises
+    MemoryBudgetError once the running size estimate crosses memory_cap."""
+    n, m = provider.n_entities, provider.n_relations
+    step, nnz = block_rows(n), 0
     for start in range(0, len(rows), step):
         block = rows[start:start + step]
         rids = np.arange(block.start, block.stop, block.step)
-        dense, pinned = provider.row_block(rids)
-        values = dense.astype(np.float32)
-        keep = (values > np.float32(eps)) | pinned
-        flat = np.flatnonzero(keep)
-        counts = np.count_nonzero(keep, axis=1)
-        # a block's flat positions fit int32: it has at most max(BLOCK_ENTRIES, |V|) entries
-        starts = np.arange(0, rids.shape[0] * provider.n_entities, provider.n_entities,
-                           dtype=np.int32)
-        yield (rids, counts, flat.astype(np.int32) - np.repeat(starts, counts),
-               values.ravel().take(flat), pinned.ravel().take(flat))
+        kept = (rids, *_compact(*provider.row_block(rids), eps))
+        nnz += kept[2].shape[0]
+        if memory_cap is not None and SparsityReport(n, m, nnz).estimated_bytes > memory_cap:
+            suggestion = _probe_epsilon(provider, n, m, eps, memory_cap)
+            raise MemoryBudgetError(
+                f"tensor exceeds memory cap {memory_cap} at eps={eps}; "
+                + (f"smallest admissible eps is about {suggestion}" if suggestion < 1.0
+                   else "no eps below 1 fits"),
+                suggestion,
+            )
+        yield kept
 
 
 def _probe_epsilon(provider, n: int, m: int, eps: float, cap: int) -> float:
@@ -275,8 +309,7 @@ def _probe_epsilon(provider, n: int, m: int, eps: float, cap: int) -> float:
     sample = range(0, total_rows, max(1, total_rows // 256))
     pool = [vals for *_, vals, _ in _kept_blocks(provider, sample, eps)]
     values = np.sort(np.concatenate([np.empty(0, np.float32), *pool]))[::-1]
-    offset_bytes = (total_rows + 1) * 8
-    budget = max(cap - offset_bytes, 0) // (_INDEX_BYTES + _VALUE_BYTES)
+    budget = max(cap - SparsityReport(n, m, 0).estimated_bytes, 0) // (_INDEX_BYTES + _VALUE_BYTES)
     keep = int(budget * len(sample) / total_rows)
     if keep >= values.shape[0]:
         return eps
@@ -285,53 +318,45 @@ def _probe_epsilon(provider, n: int, m: int, eps: float, cap: int) -> float:
     return float(values[keep])
 
 
-def _built_blocks(provider, eps: float, memory_cap: int | None, offsets: np.ndarray):
-    """_kept_blocks over every row: fills `offsets` as the blocks come and
-    raises MemoryBudgetError once the running size estimate crosses
-    memory_cap. Yields (block offsets from 0, cols, values, pins)."""
-    n, m = provider.n_entities, provider.n_relations
-    nnz = 0
-    for rids, counts, cols, vals, pins in _kept_blocks(provider, range(n * m), eps):
-        ends = np.cumsum(counts)
-        offsets[rids + 1] = nnz + ends
-        nnz += cols.shape[0]
-        estimate = nnz * (_INDEX_BYTES + _VALUE_BYTES) + offsets.nbytes
-        if memory_cap is not None and estimate > memory_cap:
-            suggestion = _probe_epsilon(provider, n, m, eps, memory_cap)
-            raise MemoryBudgetError(
-                f"tensor exceeds memory cap {memory_cap} at eps={eps}; "
-                + (f"smallest admissible eps is about {suggestion}" if suggestion < 1.0
-                   else "no eps below 1 fits"),
-                suggestion,
-            )
-        yield np.concatenate(([0], ends)), cols, vals, pins
-
-
-def _stream_to(path, blocks, n: int, m: int, eps: float, offsets: np.ndarray) -> None:
+def _stream_to(path, blocks, n: int, m: int, eps: float) -> int:
     """Write `blocks` as the v1 file at `path`, each block checked and written
-    as it comes; see the module docstring."""
+    as it comes; returns nnz. See the module docstring."""
     path = os.path.abspath(path)
     parent, name = os.path.split(path)
     tmp = os.path.join(parent, f".{name}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh, tempfile.TemporaryFile(dir=parent) as spool:
-            def indices():
-                for block_offsets, cols, vals, _ in blocks:
-                    _check_csr(block_offsets, cols, vals, n)
-                    spool.write(memoryview(vals.astype("<f4", copy=False)))
-                    yield cols
-
-            def values():       # drawn after the last index, in pieces of at most a block
-                spool.seek(0)
-                while piece := spool.read(BLOCK_ENTRIES * _VALUE_BYTES):
-                    yield np.frombuffer(piece, "<f4")
-
-            _write_v1(fh, n, m, eps, offsets, indices(), values())
+            writer = _V1Writer(fh, n, m, eps, spool)
+            for rids, counts, cols, vals, _ in blocks:
+                writer.add(rids, counts, cols, vals)
+            nnz = writer.finish()
         os.replace(tmp, path)
+        return nnz
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def stream_tensors(blocks, count: int, n_entities: int, n_relations: int, eps, directory):
+    """Stream `count` tensors, whose rows `blocks` yields in lockstep as
+    calibrate.ablation_blocks does, into unlinked v1 files in `directory`;
+    then load and yield each in turn, its file closed as the next is drawn."""
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(tempfile.TemporaryFile(dir=directory))
+                 for _ in range(count)]
+        with contextlib.ExitStack() as spools:
+            writers = [_V1Writer(fh, n_entities, n_relations, eps,
+                                 spools.enter_context(tempfile.TemporaryFile(dir=directory)))
+                       for fh in files]
+            for rids, pairs in blocks:
+                for writer, (dense, pinned) in zip(writers, pairs):
+                    writer.add(rids, *_compact(dense, pinned, eps)[:3])
+            for writer in writers:
+                writer.finish()
+        for fh in files:
+            yield CalibratedTensor.load(fh.fileno())
+            fh.close()
 
 
 def build_tensor(provider, eps: float, memory_cap: int | None = None, out=None):
@@ -352,15 +377,17 @@ def build_tensor(provider, eps: float, memory_cap: int | None = None, out=None):
         raise ValueError("eps must lie in [0, 1)")
     n = provider.n_entities
     m = provider.n_relations
-    offsets = np.zeros(n * m + 1, dtype=np.uint64)
-    blocks = _built_blocks(provider, eps, memory_cap, offsets)
+    blocks = _kept_blocks(provider, range(n * m), eps, memory_cap)
     if out is None:
-        chunks = [(np.empty(0, np.int32), np.empty(0, np.float32), np.empty(0, bool))]
-        chunks += [(cols, vals, pins) for _, cols, vals, pins in blocks]
-        indices, values, pin_mask = map(np.concatenate, zip(*chunks))
-        tensor = CalibratedTensor(n, m, eps, offsets, indices, values, pin_mask)
+        chunks = [(np.empty(0, np.int64), np.empty(0, np.int32), np.empty(0, np.float32),
+                   np.empty(0, bool))]
+        chunks += [block[1:] for block in blocks]
+        counts, indices, values, pin_mask = map(np.concatenate, zip(*chunks))
+        tensor = CalibratedTensor(n, m, eps, np.concatenate(([0], np.cumsum(counts))),
+                                  indices, values, pin_mask)
+        nnz = tensor.nnz
     else:
-        _stream_to(out, blocks, n, m, eps, offsets)
-    report = SparsityReport(n, m, int(offsets[-1]))
+        nnz = _stream_to(out, blocks, n, m, eps)
+    report = SparsityReport(n, m, nnz)
     log.info("built tensor: %s", report)
     return tensor if out is None else report

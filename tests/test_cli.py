@@ -5,20 +5,24 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kgreason
-from kgreason import dsl, fuzzy
+from kgreason import calibrate, dsl, fuzzy, graph, harness
 from kgreason import tensor as tensor_module
+from kgreason.calibrate import (DEFAULT_EPS, AdaptationMatrix, NormalizedScorer,
+                                ablation_provider)
 from kgreason.cli import main
 from kgreason.dsl import read_queries
 from kgreason.fuzzy import DenseRows
-from kgreason.kvio import read_kv
+from kgreason.harness import evaluate_run
+from kgreason.kvio import read_kv, write_kv
 from kgreason.scorer import EmbeddingModel
-from kgreason.tensor import CalibratedTensor
+from kgreason.tensor import CalibratedTensor, build_tensor
 
 from conftest import corrupt_payload, random_kg
 
@@ -385,6 +389,84 @@ class TestPipeline:
         assert set(read_kv(tmp_path / "out" / "ablation.summary")) == {
             f"{mode}.{avg}" for mode in ("S12", "S123", "S1234") for avg in ("avg_p", "avg_n")}
         assert lowered == by_reading    # while reading, not once per mode
+
+    @pytest.mark.parametrize("with_w", [True, False])
+    def test_ablate_reports_equal_per_mode_builds(self, pipeline, tmp_path, monkeypatch,
+                                                  with_w):
+        # blocks of 2 rows: the one pass runs 60 blocks
+        monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", 2 * 30)
+        args = stage_args("ablate", pipeline, tmp_path)
+        if not with_w:
+            del args[args.index("--w"):args.index("--w") + 2]
+        assert main(args) == 0
+        root = pipeline["root"]
+        kg = graph.add_inverse_relations(graph.load_kg(
+            root / "train.tsv", root / "valid.tsv", root / "test.tsv"))
+        assert kg.n_entities * kg.n_relations // tensor_module.block_rows(kg.n_entities) >= 40
+        scorer = NormalizedScorer(EmbeddingModel.load(pipeline["model"]), kg)
+        matrix = AdaptationMatrix.load(pipeline["w"])
+        records = read_queries(pipeline["test_q"], kg.entities, kg.relations)
+        modes = ("S12", "S123", "S1234") if with_w else ("S12",)
+        for mode in modes:
+            provider = ablation_provider(mode, scorer, matrix, kg, eps=DEFAULT_EPS)
+            write_kv(tmp_path / mode, evaluate_run(build_tensor(provider, DEFAULT_EPS),
+                                                   records).to_kv())
+            assert (tmp_path / "out" / f"{mode}.report").read_bytes() == (
+                tmp_path / mode).read_bytes()
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+            [f"{mode}.report" for mode in modes] + ["ablation.summary", "ablation.manifest"])
+
+    @pytest.mark.parametrize("where", ["pass", "evaluation"])
+    def test_ablate_failure_in_the_second_mode_leaves_no_tensor_file(
+            self, pipeline, tmp_path, monkeypatch, capsys, where):
+        opened = []
+        real_file = tempfile.TemporaryFile
+        monkeypatch.setattr(tempfile, "TemporaryFile",
+                            lambda **kw: opened.append(real_file(**kw)) or opened[-1])
+        calls = []
+        if where == "pass":     # S123's rows of the fourth block
+            real = calibrate.finish_block
+
+            def finish(scorer, rids, block, theta=None, pin_keys=None, eps=0.0):
+                calls.append(1)
+                if len(calls) == 3 * 3 + 2:
+                    raise RuntimeError("injected")
+                return real(scorer, rids, block, theta, pin_keys, eps)
+
+            monkeypatch.setattr(calibrate, "finish_block", finish)
+        else:
+            real = harness.evaluate_run
+
+            def evaluate(*args):
+                calls.append(1)
+                if len(calls) == 2:
+                    raise RuntimeError("injected")
+                return real(*args)
+
+            monkeypatch.setattr(harness, "evaluate_run", evaluate)
+        monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", 2 * 30)
+        assert main(stage_args("ablate", pipeline, tmp_path)) == 1
+        assert "error: injected" in capsys.readouterr().err
+        # three tensor files and, in the pass, their three spools; all closed
+        assert len(opened) == 6 and all(fh.closed for fh in opened)
+        assert [p.name for p in (tmp_path / "out").iterdir()] == (
+            [] if where == "pass" else ["S12.report"])
+
+    @pytest.mark.parametrize("name", ["file", "file/sub"])
+    def test_ablate_out_dir_that_is_not_a_directory(self, pipeline, tmp_path, monkeypatch,
+                                                    capsys, name):
+        def refuse(*args):
+            raise AssertionError("the graph was loaded")
+
+        monkeypatch.setattr(graph, "load_kg", refuse)
+        (tmp_path / "file").write_text("kept\n")
+        args = stage_args("ablate", pipeline, tmp_path)
+        args[args.index("--out-dir") + 1] = str(tmp_path / name)
+        assert main(args) == 2
+        assert (f"error: --out-dir {tmp_path / name} is not a directory"
+                in capsys.readouterr().err)
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert (tmp_path / "file").read_text() == "kept\n"
 
     def test_train_kgc_deterministic(self, pipeline, tmp_path):
         out = tmp_path / "model2.npz"

@@ -12,19 +12,21 @@ from kgreason.calibrate import (
     AdaptationMatrix,
     CalibrationConfig,
     NormalizedScorer,
+    ablation_blocks,
     ablation_provider,
     adapt,
 )
 from kgreason.fuzzy import DenseRows, evaluate
 from kgreason.dsl import QueryRecord, parse
 from kgreason.graph import KnowledgeGraph, Vocab, add_inverse_relations
-from kgreason.scorer import TrainConfig
+from kgreason.scorer import EmbeddingModel, TrainConfig
 from kgreason.tensor import (
     CalibratedTensor,
     MAGIC,
     MemoryBudgetError,
     _kept_blocks,
     build_tensor,
+    stream_tensors,
 )
 
 from conftest import corrupt_payload, random_kg, reference_train
@@ -562,6 +564,95 @@ def test_tensor_matches_recorded_digest(tmp_path, golden_chain, mode):
     tensor = build_tensor(ablation_provider(mode, scorer, adaptation, kg, eps=0.003), eps=0.003)
     tensor.save(tmp_path / mode)
     assert hashlib.sha256((tmp_path / mode).read_bytes()).hexdigest() == _GOLDEN_TENSORS[mode]
+
+
+# sha256 of CalibratedTensor.save for build_tensor in mode S1234 on golden_chain's
+# graph and theta with a simple-bilinear model, whose candidates() is a copy of
+# E's parts; recorded before the scorer took that copy once
+_GOLDEN_SIMPLE_S1234 = "43650de398711d658c2ef935b7e7af16532275edf68f5d1f1f265a63915cd6f7"
+
+
+def stream_modes(directory, kg, scorer, adaptation, eps, modes=ABLATION_MODES):
+    """ablate's pass: the modes' tensors streamed in lockstep, then each
+    loaded and saved to a file named after its mode in `directory`."""
+    providers = [ablation_provider(mode, scorer, adaptation, kg, eps=eps) for mode in modes]
+    tensors = stream_tensors(ablation_blocks(scorer, providers), len(modes), kg.n_entities,
+                             kg.n_relations, eps, directory)
+    for mode in modes:
+        next(tensors).save(directory / mode)
+    assert next(tensors, None) is None
+
+
+class TestAblationPass:
+    """ablate's one pass: each mode's file is bitwise its own build's."""
+
+    @pytest.mark.parametrize("block_entries", [1 << 11, 1 << 13, 1 << 15])
+    @pytest.mark.parametrize("eps", [0.003, 0.05])
+    def test_files_equal_saved_tensors(self, tmp_path, golden_chain, monkeypatch, eps,
+                                       block_entries):
+        kg, scorer, adaptation = golden_chain
+        monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", block_entries)
+        (tmp_path / "saved").mkdir()
+        stream_modes(tmp_path, kg, scorer, adaptation, eps)
+        for mode in ABLATION_MODES:
+            tensor = build_tensor(ablation_provider(mode, scorer, adaptation, kg, eps=eps), eps)
+            tensor.save(tmp_path / "saved" / mode)
+            assert (tmp_path / mode).read_bytes() == (tmp_path / "saved" / mode).read_bytes()
+        # the temporary files are gone
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*ABLATION_MODES, "saved"])
+
+    @pytest.mark.parametrize("modes", [("S12",), ("S1234", "S12")])
+    def test_any_modes_in_any_order(self, tmp_path, golden_chain, monkeypatch, modes):
+        kg, scorer, adaptation = golden_chain
+        monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", 1 << 13)
+        stream_modes(tmp_path, kg, scorer, adaptation, 0.003, modes)
+        for mode in modes:
+            provider = ablation_provider(mode, scorer, adaptation, kg, eps=0.003)
+            assert CalibratedTensor.load(tmp_path / mode) == build_tensor(provider, 0.003)
+
+    def test_simple_bilinear_matches_recorded_digest(self, tmp_path, golden_chain, monkeypatch):
+        kg, _, adaptation = golden_chain
+        model, _ = reference_train(kg, TrainConfig(kind="simple-bilinear", dim=8, epochs=2,
+                                                   batch_size=128, seed=3))
+        assert model.candidates() is not model.E
+        taken = []
+        real = EmbeddingModel.candidates
+        monkeypatch.setattr(EmbeddingModel, "candidates",
+                            lambda self: taken.append(1) or real(self))
+        scorer = NormalizedScorer(model, kg)
+        provider = ablation_provider("S1234", scorer, adaptation, kg, eps=0.003)
+        build_tensor(provider, eps=0.003).save(tmp_path / "saved")
+        build_tensor(provider, eps=0.003, out=tmp_path / "streamed")
+        stream_modes(tmp_path, kg, scorer, adaptation, 0.003, ("S1234",))
+        assert len(taken) == 1      # once per scorer, not once per block
+        for name in ("saved", "streamed", "S1234"):
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert digest == _GOLDEN_SIMPLE_S1234
+
+    def test_peak_is_a_fraction_of_one_mode(self, golden_chain, tmp_path, monkeypatch):
+        kg, scorer, adaptation = golden_chain
+        monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", 1 << 13)
+        rows = kg.n_entities * kg.n_relations
+        assert -(-rows // tensor_module.block_rows(kg.n_entities)) >= 40
+        tensor = build_tensor(ablation_provider("S1234", scorer, adaptation, kg, eps=0.003),
+                              eps=0.003)
+        arrays = sum(a.nbytes for a in (tensor.offsets, tensor.indices, tensor.values,
+                                         tensor.pin_mask))
+        del tensor
+        providers = [ablation_provider(mode, scorer, adaptation, kg, eps=0.003)
+                     for mode in ABLATION_MODES]
+        tensors = stream_tensors(ablation_blocks(scorer, providers), len(providers),
+                                 kg.n_entities, kg.n_relations, 0.003, tmp_path)
+        peaks = []       # the pass's, read as the first tensor's load begins
+        load = CalibratedTensor.load
+        monkeypatch.setattr(CalibratedTensor, "load", staticmethod(
+            lambda fd: peaks.append(tracemalloc.get_traced_memory()[1]) or load(fd)))
+        tracemalloc.start()
+        try:
+            next(tensors)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] < arrays / 4
 
 
 # sha256 of adapt's theta bytes on the graph below, per model kind and
