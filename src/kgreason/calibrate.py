@@ -10,11 +10,11 @@ Three stages after scorer training:
 
 calibrated_block runs all three on a block of rows, in place: one score
 GEMM, normalize_block (the step every ablation mode shares) and finish_block
-(a mode's own: adapt, pin and the eps threshold, one in-place select). The
-tensor build calls it per block of tensor.block_rows(|V|) rows, a per-row
-accessor on one row; ablate's one pass (ablation_blocks) runs a block's GEMM
-and normalization once for all its modes. With theta = 0 the adapted
-provider reproduces the normalized one bitwise.
+(a mode's own: adapt, pins as plain 1.0 values and the eps threshold, one
+in-place select). The tensor build calls it per block of block_rows(|V|)
+rows, a per-row accessor on one row; ablate's one pass (ablation_blocks)
+runs a block's GEMM and normalization once for all its modes. With theta =
+0 the adapted provider reproduces the normalized one bitwise.
 
 Fitting theta (adapt) has its own kernel for the shapes of
 dsl.ADAPTATION_STRUCTURES, intersections of at most three anchored branches
@@ -38,7 +38,7 @@ import numpy as np
 from .graph import KnowledgeGraph
 from .kvio import SettingError
 from .scorer import EmbeddingModel, read_checkpoint
-from .tensor import block_rows, csr_take
+from .tensor import block_rows, check_eps, csr_take
 
 if TYPE_CHECKING:     # annotations only, so that build-tensor loads no dsl
     from .dsl import QueryRecord
@@ -85,14 +85,14 @@ class NormalizedScorer:
 
     def norm_row(self, h: int, r: int) -> np.ndarray:
         """Dense normalized row min(N * softmax(f(h, r, :)), 1)."""
-        return calibrated_block(self, np.array([h * self.n_relations + r]))[0][0]
+        return calibrated_block(self, np.array([h * self.n_relations + r]))[0]
 
 
 def calibrated_block(scorer: NormalizedScorer, rids: np.ndarray,
                      theta: np.ndarray | None = None,
                      pin_keys: np.ndarray | None = None,
-                     eps: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Dense calibrated rows (float64) and pin mask (bool), (len(rids), |V|).
+                     eps: float = 0.0) -> np.ndarray:
+    """Dense calibrated rows (float64), (len(rids), |V|).
 
     rids are flat row ids h * |R| + r, non-empty and ascending; pin_keys is
     a sorted array of rid * |V| + tail. One score_rows GEMM, then
@@ -118,9 +118,9 @@ def normalize_block(scorer: NormalizedScorer, rids: np.ndarray, block: np.ndarra
 def finish_block(scorer: NormalizedScorer, rids: np.ndarray, block: np.ndarray,
                  theta: np.ndarray | None = None,
                  pin_keys: np.ndarray | None = None,
-                 eps: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+                 eps: float = 0.0) -> np.ndarray:
     """A mode's own steps on the normalized rows `block` of flat row ids
-    `rids`, in place; returns them and their pin mask. Per row: times
+    `rids`, in place; returns the block. Per row: times
     exp(theta[h, r]), clamp at 1; pins set to 1.0; entries <= eps, and NaN,
     set to 0.0. See calibrated_block.
     """
@@ -128,19 +128,15 @@ def finish_block(scorer: NormalizedScorer, rids: np.ndarray, block: np.ndarray,
     if theta is not None:
         block *= np.exp(theta[np.divmod(rids, m)])[:, None]
         np.minimum(block, 1.0, out=block)
-    pinned = np.zeros(block.shape, dtype=bool)
     if pin_keys is not None:
         lo, hi = np.searchsorted(pin_keys, (rids[0] * n, (rids[-1] + 1) * n))
         key_rids, tails = np.divmod(pin_keys[lo:hi], n)
         pos = np.searchsorted(rids, key_rids)
         hit = rids[pos] == key_rids
-        at = pos[hit], tails[hit]
-        pinned[at] = True
-        block[at] = 1.0
+        block[pos[hit], tails[hit]] = 1.0
     # entries are >= 0 or NaN; fmax turns a NaN the select keeps into 0.0
     np.multiply(block, block > eps, out=block)
-    np.fmax(block, 0.0, out=block)
-    return block, pinned
+    return np.fmax(block, 0.0, out=block)
 
 
 @dataclass
@@ -183,8 +179,7 @@ class CalibrationConfig:
             raise SettingError("batch_size", "must be at least 1")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise SettingError("lr", "must be a finite positive number")
-        if not 0 <= self.eps < 1:
-            raise SettingError("eps", "must lie in [0, 1)")
+        check_eps(self.eps)     # the one --epsilon of the chain, which the build thresholds
 
 
 class CalibratedRows:
@@ -198,8 +193,7 @@ class CalibratedRows:
 
     def __init__(self, scorer: NormalizedScorer, theta: np.ndarray | None = None,
                  pin_keys: np.ndarray | None = None, eps: float = DEFAULT_EPS):
-        if not 0 <= eps < 1:
-            raise SettingError("eps", "must lie in [0, 1)")
+        check_eps(eps)
         self.scorer = scorer
         self.theta = theta
         self.pin_keys = pin_keys
@@ -213,12 +207,12 @@ class CalibratedRows:
     def n_relations(self) -> int:
         return self.scorer.n_relations
 
-    def row_block(self, rids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Dense rows and pin mask of ascending flat row ids; see calibrated_block."""
+    def row_block(self, rids: np.ndarray) -> np.ndarray:
+        """Dense rows of ascending flat row ids; see calibrated_block."""
         return calibrated_block(self.scorer, rids, self.theta, self.pin_keys, self.eps)
 
     def row(self, h: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-        dense = self.row_block(np.array([h * self.n_relations + r]))[0][0]
+        dense = self.row_block(np.array([h * self.n_relations + r]))[0]
         idx = dense.nonzero()[0].astype(np.int32)
         return idx, dense[idx]
 
@@ -413,8 +407,8 @@ def _base_csr(scorer: NormalizedScorer, rids: np.ndarray,
         block = np.empty((block_rids.shape[0], n))
         for i in range(block_rids.shape[0]):
             np.matmul(queries[i:i + 1], candidates, out=block[i:i + 1])
-        dense, _ = finish_block(scorer, block_rids, normalize_block(scorer, block_rids, block),
-                                eps=eps)
+        dense = finish_block(scorer, block_rids, normalize_block(scorer, block_rids, block),
+                             eps=eps)
         flat = np.flatnonzero(dense)
         counts[start + 1:start + 1 + block_rids.shape[0]] = np.count_nonzero(dense, axis=1)
         cols.append((flat % n).astype(np.int32))
@@ -481,8 +475,8 @@ def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
 
 
 def ablation_blocks(scorer: NormalizedScorer, providers: list[CalibratedRows]):
-    """Per head-major block of block_rows(|V|) rows, (rids, the rows and pin
-    masks of `providers`, to be drawn in order before the next block): one
+    """Per head-major block of block_rows(|V|) rows, (rids, the dense rows of
+    `providers`, to be drawn in order before the next block): one
     score GEMM and normalization, then each provider's finish_block on its
     own copy (the last one's on the block), so its rows are its row_block's."""
     n, m = scorer.n_entities, scorer.n_relations

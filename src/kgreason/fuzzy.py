@@ -55,8 +55,8 @@ class RowProvider(Protocol):
 
     n_entities, n_relations and row(h, r) are all that evaluation needs;
     gather_chunks reads a CalibratedTensor's CSR and any other provider's
-    rows through row(). The tensor build reads row_block(rids) and takes
-    an explicit eps instead (see tensor.build_tensor).
+    rows through row(). The tensor build reads row_block(rids) -> dense rows,
+    pins being plain 1.0 values, and an explicit eps (see tensor.build_tensor).
     """
 
     n_entities: int
@@ -109,11 +109,9 @@ class DenseRows:
         idx = np.nonzero(dense)[0].astype(np.int32)
         return idx, dense[idx]
 
-    def row_block(self, rids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Dense rows of flat row ids h * |R| + r, nothing pinned; see build_tensor."""
-        heads, rels = np.divmod(rids, self.n_relations)
-        block = self.X[heads, rels]
-        return block, np.zeros(block.shape, dtype=bool)
+    def row_block(self, rids: np.ndarray) -> np.ndarray:
+        """Dense rows of flat row ids h * |R| + r; see build_tensor."""
+        return self.X[np.divmod(rids, self.n_relations)]
 
 
 class GradientTape:

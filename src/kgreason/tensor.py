@@ -3,32 +3,33 @@
 Rows are CSR-style over flattened (head, relation) pairs, head-major.
 Stored values are float32 (memberships need no more); all math upstream
 and downstream runs in float64, upcasting on row access. An entry is kept
-when its float32 value exceeds eps, or when it is pinned.
+when its float32 value exceeds eps. A pin is a plain value: the calibration
+writes 1.0 into a known triplet's entry, which every eps that check_eps
+admits keeps.
 
 File layout, little-endian:
 
     magic "KGRT" | u32 version | u64 |V| | u64 |R| | u64 nnz | f64 eps
     u64 offsets[(|V|*|R|)+1] | i32 indices[nnz] | f32 values[nnz]
 
-Pin markers are in-memory bookkeeping only; they are not serialized, so a
-loaded tensor compares equal on content but reports nothing as pinned.
 load reads the file once and keeps read-only views of its buffer as the
 tensor's arrays, so its peak is about one file, not two.
 
-build_tensor reads a provider through row_block(rids) -> (dense float64 rows,
-bool pin mask), for head-major blocks of at most BLOCK_ENTRIES entries, and
-an explicit eps. _compact, the one compaction, keeps a block's entries in one
-pass: the flat index of a kept entry less its row's start gives its column,
-and one take each gives the values and pins.
+build_tensor reads a provider through row_block(rids) -> dense float64 rows,
+for head-major blocks of at most BLOCK_ENTRIES entries, and an explicit eps.
+_compact, the one compaction, keeps a block's entries in one pass: the flat
+index of a kept entry less its row's start gives its column, and one take
+gives the values.
 
 _V1Writer is the one writer of the layout: each block is checked and its
 indices written as it comes, its values go to an unlinked spool copied in
 after the last index, and the header and offsets go in last, so a streamed
-tensor is never whole in memory. Without an output path build_tensor returns
-a CalibratedTensor, pins included. With one it streams into a temporary name
-beside the output, moved into place with os.replace, so a failed build
-leaves nothing behind. ablate's pass streams its modes in lockstep into
-unlinked files (stream_tensors) and loads them one at a time.
+tensor is never whole in memory. Every build streams through it (_write):
+build_tensor with an output path into a temporary name beside the output,
+moved into place with os.replace, so a failed build leaves nothing behind;
+without one into an unlinked file, loaded back as the CalibratedTensor it
+returns. ablate's pass streams its modes in lockstep into unlinked files
+(stream_tensors) and loads them one at a time.
 
 Rows are read back as CSR through csr_take: a tensor's own arrays, row_csr's
 copy of a lazy provider's rows (fuzzy.gather_chunks), or adapt's base rows.
@@ -44,6 +45,8 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
+
+from .kvio import SettingError
 
 log = logging.getLogger(__name__)
 
@@ -65,6 +68,13 @@ def block_rows(width: int) -> int:
     """Rows of `width` entries per block: max(1, BLOCK_ENTRIES // width),
     with BLOCK_ENTRIES read at call time, so one setting sizes every loop."""
     return max(1, BLOCK_ENTRIES // max(width, 1))
+
+
+def check_eps(eps: float) -> None:
+    """Raise SettingError unless eps lies in [0, 1) and its float32, which
+    _compact compares with, is below 1: so every entry of 1.0 is kept."""
+    if not (0 <= eps < 1 and np.float32(eps) < 1):
+        raise SettingError("eps", "must lie in [0, 1), and below 1 in float32")
 
 
 def csr_take(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,9 +124,9 @@ def _check_csr(offsets: np.ndarray, indices: np.ndarray, values: np.ndarray,
 
 class _V1Writer:
     """Writes the v1 layout into the seekable binary file `fh`, push-style: add()
-    each block of rows in order, then finish(), which without a spool takes the values."""
+    each block of rows in order, its values to `spool`, then finish()."""
 
-    def __init__(self, fh, n_entities: int, n_relations: int, eps: float, spool=None):
+    def __init__(self, fh, n_entities: int, n_relations: int, eps: float, spool):
         self.fh, self.spool, self.nnz = fh, spool, 0
         self.shape, self.eps = (n_entities, n_relations), eps
         self.offsets = np.zeros(n_entities * n_relations + 1, dtype=np.uint64)
@@ -130,17 +140,13 @@ class _V1Writer:
         self.offsets[rids + 1] = self.nnz + ends
         self.nnz += cols.shape[0]
         self.fh.write(memoryview(cols.astype("<i4", copy=False)))   # no copy
-        if self.spool is not None:
-            self.spool.write(memoryview(vals.astype("<f4", copy=False)))
+        self.spool.write(memoryview(vals.astype("<f4", copy=False)))
 
-    def finish(self, values=()) -> int:
+    def finish(self) -> int:
         """The values, the header and the offsets; returns nnz."""
-        if self.spool is not None:      # in pieces of at most a block
-            self.spool.seek(0)
-            while piece := self.spool.read(BLOCK_ENTRIES * _VALUE_BYTES):
-                self.fh.write(piece)
-        for vals in values:
-            self.fh.write(memoryview(vals.astype("<f4", copy=False)))
+        self.spool.seek(0)      # in pieces of at most a block
+        while piece := self.spool.read(BLOCK_ENTRIES * _VALUE_BYTES):
+            self.fh.write(piece)
         self.fh.seek(0)
         self.fh.write(struct.pack("<4sI3Qd", MAGIC, VERSION, *self.shape, self.nnz, self.eps))
         self.fh.write(memoryview(self.offsets.astype("<u8", copy=False)))
@@ -183,8 +189,7 @@ class SparsityReport:
 
 class CalibratedTensor:
     def __init__(self, n_entities: int, n_relations: int, eps: float,
-                 offsets: np.ndarray, indices: np.ndarray, values: np.ndarray,
-                 pin_mask: np.ndarray | None = None):
+                 offsets: np.ndarray, indices: np.ndarray, values: np.ndarray):
         if offsets.shape[0] != n_entities * n_relations + 1:
             raise ValueError("offset table does not match the vocabulary sizes")
         if indices.shape[0] != values.shape[0]:
@@ -195,11 +200,6 @@ class CalibratedTensor:
         self.offsets = np.ascontiguousarray(offsets, dtype=np.uint64)
         self.indices = np.ascontiguousarray(indices, dtype=np.int32)
         self.values = np.ascontiguousarray(values, dtype=np.float32)
-        if pin_mask is None:
-            pin_mask = np.zeros(self.indices.shape[0], dtype=bool)
-        self.pin_mask = np.ascontiguousarray(pin_mask, dtype=bool)
-        if self.pin_mask.shape[0] != self.nnz:
-            raise ValueError("pin mask length does not match nnz")
         _check_csr(self.offsets, self.indices, self.values, self.n_entities)
 
     @property
@@ -231,10 +231,9 @@ class CalibratedTensor:
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
-            writer = _V1Writer(fh, self.n_entities, self.n_relations, self.eps)
-            writer.add(np.arange(self.offsets.shape[0] - 1), np.diff(self.offsets),
-                       self.indices, self.values)
-            writer.finish([self.values])
+            _write([fh], [(np.arange(self.offsets.shape[0] - 1),
+                           [(np.diff(self.offsets), self.indices, self.values)])],
+                   self.n_entities, self.n_relations, self.eps)
 
     @classmethod
     def load(cls, path) -> "CalibratedTensor":
@@ -269,29 +268,28 @@ class CalibratedTensor:
             raise ValueError(f"{path}: corrupt tensor: {exc}") from exc
 
 
-def _compact(dense: np.ndarray, pinned: np.ndarray, eps: float):
-    """The entries of dense rows whose float32 value exceeds eps, or that are
-    pinned: (kept per row, cols, values, pins). See the module docstring."""
+def _compact(dense: np.ndarray, eps: float):
+    """The entries of dense rows whose float32 value exceeds eps: (kept per
+    row, cols, values). See the module docstring."""
     values = dense.astype(np.float32)
-    keep = (values > np.float32(eps)) | pinned
+    keep = values > np.float32(eps)
     flat = np.flatnonzero(keep)
     counts = np.count_nonzero(keep, axis=1)
     # a block's flat positions fit int32: it has at most max(BLOCK_ENTRIES, |V|) entries
     starts = np.arange(0, dense.size, dense.shape[1], dtype=np.int32)
-    return (counts, flat.astype(np.int32) - np.repeat(starts, counts),
-            values.ravel().take(flat), pinned.ravel().take(flat))
+    return counts, flat.astype(np.int32) - np.repeat(starts, counts), values.ravel().take(flat)
 
 
 def _kept_blocks(provider, rows: range, eps: float, memory_cap: int | None = None):
-    """(rids, *_compact) per row_block of the row ids in `rows`; raises
-    MemoryBudgetError once the running size estimate crosses memory_cap."""
+    """(rids, _compact of their row_block) per block of the row ids in `rows`;
+    raises MemoryBudgetError once the running size estimate crosses memory_cap."""
     n, m = provider.n_entities, provider.n_relations
     step, nnz = block_rows(n), 0
     for start in range(0, len(rows), step):
         block = rows[start:start + step]
         rids = np.arange(block.start, block.stop, block.step)
-        kept = (rids, *_compact(*provider.row_block(rids), eps))
-        nnz += kept[2].shape[0]
+        kept = _compact(provider.row_block(rids), eps)
+        nnz += kept[1].shape[0]
         if memory_cap is not None and SparsityReport(n, m, nnz).estimated_bytes > memory_cap:
             suggestion = _probe_epsilon(provider, n, m, eps, memory_cap)
             raise MemoryBudgetError(
@@ -300,14 +298,14 @@ def _kept_blocks(provider, rows: range, eps: float, memory_cap: int | None = Non
                    else "no eps below 1 fits"),
                 suggestion,
             )
-        yield kept
+        yield rids, kept
 
 
 def _probe_epsilon(provider, n: int, m: int, eps: float, cap: int) -> float:
     """Estimate the smallest eps whose tensor fits the cap, by row sampling."""
     total_rows = n * m
     sample = range(0, total_rows, max(1, total_rows // 256))
-    pool = [vals for *_, vals, _ in _kept_blocks(provider, sample, eps)]
+    pool = [vals for _, (*_, vals) in _kept_blocks(provider, sample, eps)]
     values = np.sort(np.concatenate([np.empty(0, np.float32), *pool]))[::-1]
     budget = max(cap - SparsityReport(n, m, 0).estimated_bytes, 0) // (_INDEX_BYTES + _VALUE_BYTES)
     keep = int(budget * len(sample) / total_rows)
@@ -318,42 +316,30 @@ def _probe_epsilon(provider, n: int, m: int, eps: float, cap: int) -> float:
     return float(values[keep])
 
 
-def _stream_to(path, blocks, n: int, m: int, eps: float) -> int:
-    """Write `blocks` as the v1 file at `path`, each block checked and written
-    as it comes; returns nnz. See the module docstring."""
-    path = os.path.abspath(path)
-    parent, name = os.path.split(path)
-    tmp = os.path.join(parent, f".{name}.{os.urandom(4).hex()}.tmp")
-    try:
-        with open(tmp, "xb") as fh, tempfile.TemporaryFile(dir=parent) as spool:
-            writer = _V1Writer(fh, n, m, eps, spool)
-            for rids, counts, cols, vals, _ in blocks:
-                writer.add(rids, counts, cols, vals)
-            nnz = writer.finish()
-        os.replace(tmp, path)
-        return nnz
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _write(files, blocks, n: int, m: int, eps: float, directory=None) -> list[int]:
+    """Write one v1 tensor into each open binary file of `files`, from `blocks`
+    of (rids, one _compact result per file), with the values spooled in
+    `directory`; returns each nnz, the files positioned at 0."""
+    with contextlib.ExitStack() as spools:
+        writers = [_V1Writer(fh, n, m, eps,
+                             spools.enter_context(tempfile.TemporaryFile(dir=directory)))
+                   for fh in files]
+        for rids, kept in blocks:
+            for writer, block in zip(writers, kept):
+                writer.add(rids, *block)
+        return [writer.finish() for writer in writers]
 
 
 def stream_tensors(blocks, count: int, n_entities: int, n_relations: int, eps, directory):
-    """Stream `count` tensors, whose rows `blocks` yields in lockstep as
+    """Stream `count` tensors, whose dense rows `blocks` yields in lockstep as
     calibrate.ablation_blocks does, into unlinked v1 files in `directory`;
     then load and yield each in turn, its file closed as the next is drawn."""
+    check_eps(eps)
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(tempfile.TemporaryFile(dir=directory))
                  for _ in range(count)]
-        with contextlib.ExitStack() as spools:
-            writers = [_V1Writer(fh, n_entities, n_relations, eps,
-                                 spools.enter_context(tempfile.TemporaryFile(dir=directory)))
-                       for fh in files]
-            for rids, pairs in blocks:
-                for writer, (dense, pinned) in zip(writers, pairs):
-                    writer.add(rids, *_compact(dense, pinned, eps)[:3])
-            for writer in writers:
-                writer.finish()
+        _write(files, ((rids, (_compact(dense, eps) for dense in denses))
+                       for rids, denses in blocks), n_entities, n_relations, eps, directory)
         for fh in files:
             yield CalibratedTensor.load(fh.fileno())
             fh.close()
@@ -363,31 +349,36 @@ def build_tensor(provider, eps: float, memory_cap: int | None = None, out=None):
     """Materialize every (h,r) row of the provider into a sparse tensor.
 
     The provider supplies n_entities, n_relations and row_block. Entries
-    whose float32 value is <= eps are dropped unless pinned. Raises
-    MemoryBudgetError when the running size estimate crosses memory_cap,
-    reporting the smallest epsilon a row sample suggests would fit.
+    whose float32 value is <= eps are dropped. Raises MemoryBudgetError when
+    the running size estimate crosses memory_cap, reporting the smallest
+    epsilon a row sample suggests would fit.
 
-    The destination comes from the caller. Without `out` the result is a
-    CalibratedTensor in memory, pins included. With `out` the tensor is
-    streamed into the v1 file at that path, block by block, and the result
-    is its SparsityReport (n_entities, n_relations, nnz); a build that fails
-    leaves no file, and any file already at `out` unchanged.
+    The destination comes from the caller; the tensor is streamed into a
+    v1 file block by block either way. With `out` it is the file at that
+    path, the result its SparsityReport (n_entities, n_relations, nnz), and a
+    failed build leaves no file and any file already at `out` unchanged.
+    Without `out` it is an unlinked file, loaded back as the result.
     """
-    if not 0 <= eps < 1:
-        raise ValueError("eps must lie in [0, 1)")
+    check_eps(eps)
     n = provider.n_entities
     m = provider.n_relations
-    blocks = _kept_blocks(provider, range(n * m), eps, memory_cap)
+    blocks = ((rids, [kept]) for rids, kept in _kept_blocks(provider, range(n * m), eps,
+                                                             memory_cap))
     if out is None:
-        chunks = [(np.empty(0, np.int64), np.empty(0, np.int32), np.empty(0, np.float32),
-                   np.empty(0, bool))]
-        chunks += [block[1:] for block in blocks]
-        counts, indices, values, pin_mask = map(np.concatenate, zip(*chunks))
-        tensor = CalibratedTensor(n, m, eps, np.concatenate(([0], np.cumsum(counts))),
-                                  indices, values, pin_mask)
-        nnz = tensor.nnz
+        with tempfile.TemporaryFile() as fh:
+            nnz, = _write([fh], blocks, n, m, eps)
+            tensor = CalibratedTensor.load(fh.fileno())
     else:
-        nnz = _stream_to(out, blocks, n, m, eps)
+        parent, name = os.path.split(os.path.abspath(out))
+        tmp = os.path.join(parent, f".{name}.{os.urandom(4).hex()}.tmp")
+        try:
+            with open(tmp, "xb") as fh:
+                nnz, = _write([fh], blocks, n, m, eps, parent)
+            os.replace(tmp, out)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
     report = SparsityReport(n, m, nnz)
     log.info("built tensor: %s", report)
     return tensor if out is None else report

@@ -32,9 +32,3 @@ def entry_value(tensor: CalibratedTensor, h: int, r: int, t: int) -> float:
     """The stored value of (h, r, t), 0.0 when it is not stored."""
     pos = _position(tensor, h, r, t)
     return float(tensor.values[pos]) if pos >= 0 else 0.0
-
-
-def is_pinned(tensor: CalibratedTensor, h: int, r: int, t: int) -> bool:
-    """Whether (h, r, t) is stored and pinned."""
-    pos = _position(tensor, h, r, t)
-    return pos >= 0 and bool(tensor.pin_mask[pos])

@@ -557,6 +557,17 @@ class TestTrainingSettings:
         assert f"error: {flag} " in err and message in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["calibrate", "build-tensor", "ablate"])
+    def test_epsilon_whose_float32_is_one(self, pipeline, tmp_path, capsys, command):
+        # below 1, but the tensor keeps entries above float32(eps), which is
+        # 1.0 here: the S1234 pins would silently go; calibrate, whose
+        # --epsilon the chain shares, refuses it as well
+        args = stage_args(command, pipeline, tmp_path) + ["--epsilon", "0.99999999"]
+        assert main(args) == 2
+        assert ("error: --epsilon must lie in [0, 1), and below 1 in float32"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
+
     def test_config_file_value_named_by_its_flag(self, pipeline, tmp_path, capsys):
         conf = tmp_path / "calibrate.conf"
         conf.write_text("batch = -3\n")

@@ -1,4 +1,5 @@
 import hashlib
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -30,21 +31,23 @@ from kgreason.tensor import (
 )
 
 from conftest import corrupt_payload, random_kg, reference_train
-from tensor_helpers import entry_value, indicator_tensor, is_pinned
+from tensor_helpers import entry_value, indicator_tensor
 
 
-class PinnedDense(DenseRows):
-    """Dense provider with an explicit pin map, for exercising pin handling."""
+@pytest.fixture(scope="module")
+def pinned_chain():
+    """A small graph and its S1234 provider at eps 0.3: every train and
+    validation triplet is pinned, that is, its entry is 1.0."""
+    rng = np.random.default_rng(5)
+    kg = random_kg(rng, 12, 3, 60)
+    scorer = NormalizedScorer(EmbeddingModel.create("complex-bilinear", 12, 3, 8, rng), kg)
+    adaptation = AdaptationMatrix(rng.normal(0.0, 1.0, (12, 3)))
+    return kg, ablation_provider("S1234", scorer, adaptation, kg, eps=0.3)
 
-    def __init__(self, X, pins):
-        super().__init__(X)
-        self.pins = pins
 
-    def row_block(self, rids):
-        block, pinned = super().row_block(rids)
-        for i, rid in enumerate(rids.tolist()):
-            pinned[i, self.pins.get(divmod(rid, self.n_relations), [])] = True
-        return block, pinned
+def known_entries(tensor, kg):
+    """The stored values of the graph's train and validation triplets."""
+    return [entry_value(tensor, h, r, t) for h, r, t in kg.edges(("train", "validation"))]
 
 
 def dense(rng, n=8, m=2, density=0.5):
@@ -126,31 +129,37 @@ class TestBuild:
         idx, _ = tensor.row(0, 0)
         assert idx.tolist() == [1]
 
-    def test_eps_validation(self, rng):
-        with pytest.raises(ValueError, match="eps"):
-            build_tensor(DenseRows(dense(rng)), eps=1.0)
+    def test_eps_validation(self, rng, tmp_path):
+        # 0.99999999 is below 1, but its float32 is 1.0: _compact would drop the pins
+        for eps in (1.0, 0.99999999, -0.1, np.nan):
+            for out in (None, tmp_path / "t.kgt"):
+                with pytest.raises(ValueError, match=r"eps must lie in \[0, 1\)"):
+                    build_tensor(DenseRows(dense(rng)), eps=eps, out=out)
+            with pytest.raises(ValueError, match=r"eps must lie in \[0, 1\)"):
+                next(stream_tensors(iter(()), 1, 8, 2, eps, tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("block_entries", [1, 7, 20, 1 << 15])
-    def test_block_size_does_not_change_the_tensor(self, rng, monkeypatch, block_entries):
-        X = dense(rng, n=6, m=3)
-        X[2, 1, 4] = 0.001
-        provider = PinnedDense(X, {(2, 1): [4], (5, 2): [0, 3]})
-        whole = build_tensor(provider, eps=0.3)
+    def test_block_size_does_not_change_the_tensor(self, pinned_chain, monkeypatch,
+                                                    block_entries):
+        # the S1234 rows, pins included, as one array: blocks slice the same values
+        kg, provider = pinned_chain
+        n, m = kg.n_entities, kg.n_relations
+        X = DenseRows(provider.row_block(np.arange(n * m)).reshape(n, m, n))
+        whole = build_tensor(X, eps=0.3)
         monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", block_entries)
-        blocked = build_tensor(provider, eps=0.3)
+        blocked = build_tensor(X, eps=0.3)
         assert blocked == whole
-        assert np.array_equal(blocked.pin_mask, whole.pin_mask)
-        assert is_pinned(blocked, 2, 1, 4) and is_pinned(blocked, 5, 2, 3)
+        assert set(known_entries(blocked, kg)) == {1.0}
 
-    def test_pins_survive_filtering(self, rng):
-        X = dense(rng, n=6, m=1)
-        X[2, 0, 4] = 0.001
-        provider = PinnedDense(X, {(2, 0): [4]})
-        tensor = build_tensor(provider, eps=0.5)
-        assert entry_value(tensor, 2, 0, 4) == np.float32(0.001)
-        assert is_pinned(tensor, 2, 0, 4)
-        kept = tensor.values > np.float32(0.5)
-        assert (kept | tensor.pin_mask).all()
+    def test_pins_survive_filtering(self, pinned_chain):
+        # at the largest eps whose float32 is below 1 only the pins are kept
+        kg, provider = pinned_chain
+        eps = float(np.nextafter(np.float32(1.0), np.float32(0.0)))
+        tensor = build_tensor(ablation_provider("S1234", provider.scorer,
+                                                AdaptationMatrix(provider.theta), kg, eps), eps)
+        assert set(known_entries(tensor, kg)) == {1.0}
+        assert (tensor.values == 1.0).all()
 
     def test_memory_cap(self, rng):
         provider = DenseRows(rng.uniform(0.2, 0.8, size=(10, 2, 10)))
@@ -201,15 +210,21 @@ class TestStreamedBuild:
         assert out.read_bytes() == b"previous"
         assert [p.name for p in tmp_path.iterdir()] == ["t.kgt"]
 
-    def test_memory_cap(self, rng, tmp_path):
+    def test_memory_cap(self, rng, tmp_path, monkeypatch):
         provider = DenseRows(rng.uniform(0.2, 0.8, size=(10, 2, 10)))
         with pytest.raises(MemoryBudgetError) as streamed:
             build_tensor(provider, eps=0.0, memory_cap=300, out=tmp_path / "t.kgt")
+        opened = []
+        real_file = tempfile.TemporaryFile
+        monkeypatch.setattr(tempfile, "TemporaryFile",
+                            lambda **kw: opened.append(real_file(**kw)) or opened[-1])
         with pytest.raises(MemoryBudgetError) as in_memory:
             build_tensor(provider, eps=0.0, memory_cap=300)
         assert str(streamed.value) == str(in_memory.value)
         assert streamed.value.suggested_eps == in_memory.value.suggested_eps
         assert list(tmp_path.iterdir()) == []
+        # the in-memory build's unlinked file and its spool, both closed
+        assert len(opened) == 2 and all(fh.closed for fh in opened)
 
     def test_peak_is_a_fraction_of_the_arrays(self, golden_chain, tmp_path, monkeypatch):
         kg, scorer, adaptation = golden_chain
@@ -218,8 +233,7 @@ class TestStreamedBuild:
         assert -(-rows // tensor_module.block_rows(kg.n_entities)) >= 40
         provider = ablation_provider("S1234", scorer, adaptation, kg, eps=0.003)
         tensor = build_tensor(provider, eps=0.003)
-        arrays = sum(a.nbytes for a in (tensor.offsets, tensor.indices, tensor.values,
-                                         tensor.pin_mask))
+        arrays = sum(a.nbytes for a in (tensor.offsets, tensor.indices, tensor.values))
         del tensor
         tracemalloc.start()
         try:
@@ -259,10 +273,9 @@ class TestAccess:
         assert report.sparsity == pytest.approx(1 - tensor.nnz / 128)
         assert f"nnz {tensor.nnz}" in str(report)
 
-    def test_equality_ignores_pins(self, tensor):
+    def test_equality(self, tensor):
         other = CalibratedTensor(tensor.n_entities, tensor.n_relations, tensor.eps,
-                                 tensor.offsets, tensor.indices, tensor.values,
-                                 np.ones(tensor.nnz, dtype=bool))
+                                 tensor.offsets, tensor.indices, tensor.values)
         assert tensor == other
         assert tensor != build_tensor(DenseRows(np.zeros((8, 2, 8))), eps=0.1)
 
@@ -279,17 +292,6 @@ class TestSerialization:
             for r in range(2):
                 a, b = tensor.row(h, r), loaded.row(h, r)
                 assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
-    def test_pins_are_not_serialized(self, rng, tmp_path):
-        X = dense(rng, n=4, m=1)
-        X[1, 0, 2] = 0.01
-        provider = PinnedDense(X, {(1, 0): [2]})
-        tensor = build_tensor(provider, eps=0.3)
-        path = tmp_path / "t.kgt"
-        tensor.save(path)
-        loaded = CalibratedTensor.load(path)
-        assert loaded == tensor
-        assert is_pinned(tensor, 1, 0, 2) and not is_pinned(loaded, 1, 0, 2)
 
     def test_load_keeps_views_of_the_file(self, rng, tmp_path):
         # full rows: nnz 2^19, a 4.2 MB file whose arrays are views of the
@@ -414,35 +416,21 @@ class TestIndicatorTensor:
             kg.tail_index(("train",)).get((1, 0), ()))
 
 
-class BlockArrays:
-    """Provider over explicit (|V|, |R|, |V|) value and pin arrays."""
-
-    def __init__(self, X, pins):
-        self.X, self.pins = X, pins
-        self.n_entities, self.n_relations = X.shape[0], X.shape[1]
-
-    def row_block(self, rids):
-        n = self.n_entities
-        return self.X.reshape(-1, n)[rids].copy(), self.pins.reshape(-1, n)[rids].copy()
-
-
 def reference_kept_blocks(provider, rows, eps):
-    """The compaction as first written: keep.nonzero() and two boolean-mask
-    gathers per block; _kept_blocks must give the same arrays bit for bit."""
+    """The compaction as first written: keep.nonzero() and a boolean-mask
+    gather per block; _kept_blocks must give the same arrays bit for bit."""
     step = max(1, tensor_module.BLOCK_ENTRIES // max(provider.n_entities, 1))
     for start in range(0, len(rows), step):
         block = rows[start:start + step]
         rids = np.arange(block.start, block.stop, block.step)
-        dense, pinned = provider.row_block(rids)
-        values = dense.astype(np.float32)
-        keep = (values > np.float32(eps)) | pinned
-        yield (rids, np.count_nonzero(keep, axis=1), keep.nonzero()[1].astype(np.int32),
-               values[keep], pinned[keep])
+        values = provider.row_block(rids).astype(np.float32)
+        keep = values > np.float32(eps)
+        yield rids, np.count_nonzero(keep, axis=1), keep.nonzero()[1].astype(np.int32), values[keep]
 
 
 def assert_compaction_matches_reference(provider, eps, rows=None):
     rows = range(provider.n_entities * provider.n_relations) if rows is None else rows
-    got = list(_kept_blocks(provider, rows, eps))
+    got = [(rids, *kept) for rids, kept in _kept_blocks(provider, rows, eps)]
     want = list(reference_kept_blocks(provider, rows, eps))
     assert len(got) == len(want)
     for block, expect in zip(got, want):
@@ -466,47 +454,39 @@ class TestCompaction:
     def test_random_blocks(self, rng, monkeypatch, block_entries, n, m):
         monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", block_entries)
         X = rng.random((n, m, n)) ** 3
-        pins = rng.random((n, m, n)) < 0.1
-        assert_compaction_matches_reference(BlockArrays(X, pins), eps=0.2)
+        assert_compaction_matches_reference(DenseRows(X), eps=0.2)
 
-    def test_pins_below_eps_and_values_at_eps(self, rng):
+    def test_values_at_eps(self, rng):
         eps = 0.3
         X = eps_edge_values((7, 3, 7), eps, rng)
-        pins = rng.random(X.shape) < 0.3
-        X[pins & (rng.random(X.shape) < 0.5)] = 0.001
-        got = assert_compaction_matches_reference(BlockArrays(X, pins), eps)
+        got = assert_compaction_matches_reference(DenseRows(X), eps)
         vals = np.concatenate([b[3] for b in got])
-        kept_pins = np.concatenate([b[4] for b in got])
-        assert (vals[~kept_pins] > np.float32(eps)).all()
-        assert (vals[kept_pins] <= np.float32(eps)).any()
-        assert not (vals == np.float32(eps))[~kept_pins].any()
+        assert (vals > np.float32(eps)).all()
+        # every 1.0, a pin's value, is kept; nothing at or one ulp below eps is
+        assert np.count_nonzero(vals == 1.0) == np.count_nonzero(X == 1.0)
 
     def test_empty_and_fully_kept_rows(self, rng):
         X = rng.uniform(0.5, 1.0, size=(6, 2, 6))
         X[1, 0] = 0.0
         X[4, 1] = 0.1
-        pins = np.zeros(X.shape, dtype=bool)
-        got = assert_compaction_matches_reference(BlockArrays(X, pins), eps=0.2)
+        got = assert_compaction_matches_reference(DenseRows(X), eps=0.2)
         counts = np.concatenate([b[1] for b in got]).reshape(6, 2)
         assert counts[1, 0] == 0 and counts[4, 1] == 0
         assert counts[0, 0] == counts[5, 1] == 6
 
     def test_one_row_block_and_one_entity(self, rng, monkeypatch):
         X = rng.random((5, 2, 5))
-        pins = rng.random(X.shape) < 0.2
         monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", 1)
-        got = assert_compaction_matches_reference(BlockArrays(X, pins), eps=0.5)
+        got = assert_compaction_matches_reference(DenseRows(X), eps=0.5)
         assert all(b[0].shape == (1,) for b in got)
         monkeypatch.undo()
-        single = BlockArrays(np.array([[[0.7], [0.1], [0.0]]]),
-                             np.array([[[False], [True], [False]]]))
+        single = DenseRows(np.array([[[0.7], [1.0], [0.0]]]))
         got = assert_compaction_matches_reference(single, eps=0.5)
         assert np.concatenate([b[1] for b in got]).tolist() == [1, 1, 0]
 
     def test_sampled_rows(self, rng):
         X = rng.random((30, 3, 30))
-        pins = rng.random(X.shape) < 0.05
-        assert_compaction_matches_reference(BlockArrays(X, pins), 0.4, range(0, 90, 7))
+        assert_compaction_matches_reference(DenseRows(X), 0.4, range(0, 90, 7))
 
     @given(st.integers(1, 12), st.integers(1, 4), st.integers(1, 64),
            st.sampled_from([0.0, 0.25, 0.3, 0.999]), st.integers(0, 2 ** 32 - 1))
@@ -515,11 +495,10 @@ class TestCompaction:
         rng = np.random.default_rng(seed)
         X = np.where(rng.random((n, m, n)) < 0.5, eps_edge_values((n, m, n), eps, rng),
                      rng.random((n, m, n)))
-        pins = rng.random(X.shape) < 0.2
         previous = tensor_module.BLOCK_ENTRIES
         tensor_module.BLOCK_ENTRIES = block_entries
         try:
-            assert_compaction_matches_reference(BlockArrays(X, pins), eps)
+            assert_compaction_matches_reference(DenseRows(X), eps)
         finally:
             tensor_module.BLOCK_ENTRIES = previous
 
@@ -551,11 +530,17 @@ def test_streamed_file_equals_saved_tensor(tmp_path, golden_chain, monkeypatch, 
     kg, scorer, adaptation = golden_chain
     monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", block_entries)
     provider = ablation_provider(mode, scorer, adaptation, kg, eps=eps)
-    build_tensor(provider, eps=eps).save(tmp_path / "saved")
+    in_memory = build_tensor(provider, eps=eps)
+    in_memory.save(tmp_path / "saved")
     report = build_tensor(provider, eps=eps, out=tmp_path / "streamed")
     assert (tmp_path / "streamed").read_bytes() == (tmp_path / "saved").read_bytes()
-    assert report.nnz == CalibratedTensor.load(tmp_path / "saved").nnz
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["saved", "streamed"]
+    # one build path: the in-memory tensor is the streamed file loaded back
+    loaded = CalibratedTensor.load(tmp_path / "streamed")
+    assert loaded == in_memory
+    loaded.save(tmp_path / "loaded")
+    assert (tmp_path / "loaded").read_bytes() == (tmp_path / "saved").read_bytes()
+    assert report.nnz == in_memory.nnz
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["loaded", "saved", "streamed"]
 
 
 @pytest.mark.parametrize("mode", ABLATION_MODES)
@@ -636,8 +621,7 @@ class TestAblationPass:
         assert -(-rows // tensor_module.block_rows(kg.n_entities)) >= 40
         tensor = build_tensor(ablation_provider("S1234", scorer, adaptation, kg, eps=0.003),
                               eps=0.003)
-        arrays = sum(a.nbytes for a in (tensor.offsets, tensor.indices, tensor.values,
-                                         tensor.pin_mask))
+        arrays = sum(a.nbytes for a in (tensor.offsets, tensor.indices, tensor.values))
         del tensor
         providers = [ablation_provider(mode, scorer, adaptation, kg, eps=0.003)
                      for mode in ABLATION_MODES]
