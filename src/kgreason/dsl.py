@@ -230,7 +230,7 @@ _UNSAFE = re.compile(r"[\s\[\](),]|^#")
 def _surface(i: int, vocab: Vocab | None) -> str:
     if vocab is not None and i < len(vocab):
         name = vocab.name(i)
-        if not _UNSAFE.search(name):
+        if name and not _UNSAFE.search(name):
             return name
     return f"#{i}"
 

@@ -1,26 +1,26 @@
 """Knowledge-graph storage: vocabularies, triplet splits, edge indexes.
 
+Each split is a read-only (k, 3) int64 array of (head, relation, tail) rows
+in file order: load_split reads a file in bulk and drops its repeated
+triplets, keeping the first, and add_inverse_relations appends the reversed
+rows. Ids are dense and assigned in first-appearance order (head before tail
+on a line; train, then validation, then test), which keeps runs
+reproducible; every command rebuilds the vocabularies from the files it reads.
+
 Graphs are read-only after construction, so each split scope has three
 cached indexes: the tail index, (head, relation) -> frozenset of tails, for
 the set oracle and the query sampler; the incoming lists, tail -> (head,
 relation) of its edges, for the sampler; and the edge keys, the sorted
 unique int64 (h * |R| + r) * |V| + t, for the row scales and the pins.
-Entity/relation ids are dense non-negative integers assigned in
-first-appearance order (train file first, then validation, then test), which
-keeps runs reproducible. The vocabularies live in memory only: every command
-rebuilds them from the triplet files it reads.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import defaultdict
-from itertools import chain
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
-
-from .kvio import checked_lines
 
 log = logging.getLogger(__name__)
 
@@ -32,25 +32,13 @@ class TripletFileError(ValueError):
     """Malformed triplet file."""
 
 
-class Triplet(NamedTuple):
-    head: int
-    relation: int
-    tail: int
-
-
-def triplet_array(triplets) -> np.ndarray:
-    """(k, 3) int64 array of k triplets, read as one flat stream of ids."""
-    return np.fromiter(chain.from_iterable(triplets), np.int64, 3 * len(triplets)).reshape(-1, 3)
-
-
 class Vocab:
     """Bijection between surface strings and dense integer ids."""
 
     def __init__(self, names: Iterable[str] = ()):
         self._names: list[str] = []
         self._ids: dict[str, int] = {}
-        for name in names:
-            self.add(name)
+        self.ids(list(names))
 
     def __len__(self) -> int:
         return len(self._names)
@@ -58,14 +46,14 @@ class Vocab:
     def __contains__(self, name: str) -> bool:
         return name in self._ids
 
-    def add(self, name: str) -> int:
-        """Return the id for `name`, assigning the next free id if new."""
-        i = self._ids.get(name)
-        if i is None:
-            i = len(self._names)
-            self._ids[name] = i
-            self._names.append(name)
-        return i
+    def ids(self, names: list[str]) -> np.ndarray:
+        """int64 id of each name; unseen names get the next free ids in
+        first-appearance order."""
+        ids = self._ids
+        fresh = [name for name in dict.fromkeys(names) if name not in ids]
+        ids.update(zip(fresh, range(len(ids), len(ids) + len(fresh))))
+        self._names += fresh
+        return np.fromiter(map(ids.__getitem__, names), np.int64, len(names))
 
     def id(self, name: str) -> int:
         return self._ids[name]
@@ -77,47 +65,61 @@ class Vocab:
         return list(self._names)
 
 
-def load_split(path, entities: Vocab, relations: Vocab) -> list[Triplet]:
-    """Read one `head<TAB>relation<TAB>tail` file into id triplets.
+def _fields(path) -> list[str]:
+    """head, relation, tail, head, ... of the non-blank lines of a
+    `head<TAB>relation<TAB>tail` file, read as text mode reads it: `\\r\\n`
+    and `\\r` end lines too. The first bad line in file order raises, a
+    line's encoding checked before its field count."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text, first_bad = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        first_bad = data.count(b"\n", 0, exc.start)     # its line, from 0
+    # no byte of a multi-byte UTF-8 character is a tab or a newline
+    buf = np.frombuffer(data, np.uint8)
+    ends = np.append(np.flatnonzero(buf == 10), len(data))     # of each line
+    tabs = np.diff(np.searchsorted(np.flatnonzero(buf == 9), ends), prepend=0)
+    wrong = np.flatnonzero((np.diff(ends, prepend=-1) > 1) & (tabs != 2))
+    if wrong.size and (first_bad is None or wrong[0] < first_bad):
+        raise TripletFileError(f"{path}:{wrong[0] + 1}: expected 3 tab-separated fields, "
+                               f"got {tabs[wrong[0]] + 1}")
+    if first_bad is not None:
+        raise ValueError(f"{path}:{first_bad + 1}: not valid UTF-8")
+    del data, buf, ends, tabs
+    text = text.strip("\n")
+    while "\n\n" in text:                  # blank lines
+        text = text.replace("\n\n", "\n")
+    return text.replace("\n", "\t").split("\t") if text else []
 
-    Unseen symbols extend the vocabularies. Duplicate triplets within the
-    file are dropped with a warning.
-    """
-    triplets: list[Triplet] = []
-    seen: set[Triplet] = set()
-    duplicates = 0
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in checked_lines(path, fh):
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise TripletFileError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                )
-            h, r, t = fields
-            trip = Triplet(entities.add(h), relations.add(r), entities.add(t))
-            if trip in seen:
-                duplicates += 1
-                continue
-            seen.add(trip)
-            triplets.append(trip)
-    if duplicates:
-        log.warning("%s: dropped %d duplicate triplet(s)", path, duplicates)
-    return triplets
+
+def load_split(path, entities: Vocab, relations: Vocab) -> np.ndarray:
+    """Read one `head<TAB>relation<TAB>tail` file into a (k, 3) int64 array
+    in file order. Unseen symbols extend the vocabularies. Duplicate
+    triplets within the file are dropped with a warning."""
+    fields = _fields(path)
+    rows = np.empty((len(fields) // 3, 3), dtype=np.int64)
+    rows[:, 1] = relations.ids(fields[1::3])
+    del fields[1::3]                       # h, t, h, t, ...: first-appearance order
+    rows[:, ::2] = entities.ids(fields).reshape(-1, 2)
+    del fields
+    order = np.lexsort(rows.T[::-1])       # stable: repeats follow their first
+    first = np.diff(rows[order], axis=0, prepend=-1).any(axis=1)     # ids are >= 0
+    if not first.all():
+        log.warning("%s: dropped %d duplicate triplet(s)", path, len(rows) - first.sum())
+        rows = rows[np.sort(order[first])]
+    return rows
 
 
 class KnowledgeGraph:
     """Entity/relation vocabularies plus train/validation/test triplet splits."""
 
-    def __init__(
-        self,
-        entities: Vocab,
-        relations: Vocab,
-        splits: dict[str, list[Triplet]],
-        has_inverses: bool = False,
-    ):
-        self.entities = entities
-        self.relations = relations
-        self.splits = {name: list(splits.get(name, [])) for name in SPLITS}
+    def __init__(self, entities: Vocab, relations: Vocab, splits: dict[str, np.ndarray],
+                 has_inverses: bool = False):
+        self.entities, self.relations = entities, relations
+        self.splits = {name: _rows(splits.get(name, ())) for name in SPLITS}
         self.has_inverses = has_inverses
         self._tails: dict[tuple[str, ...], dict[tuple[int, int], frozenset[int]]] = {}
         self._incoming: dict[tuple[str, ...], dict[int, list[tuple[int, int]]]] = {}
@@ -131,16 +133,12 @@ class KnowledgeGraph:
     def n_relations(self) -> int:
         return len(self.relations)
 
-    def triplets(self, split: str) -> list[Triplet]:
+    def triplets(self, split: str) -> np.ndarray:
         return self.splits[split]
 
-    def edges(self, splits: tuple[str, ...] = SPLITS) -> list[Triplet]:
-        out: list[Triplet] = []
-        for name in splits:
-            if name not in self.splits:
-                raise KeyError(f"unknown split {name!r}")
-            out.extend(self.splits[name])
-        return out
+    def edges(self, splits: tuple[str, ...] = SPLITS) -> np.ndarray:
+        """(k, 3) rows of the splits, one after another."""
+        return np.concatenate([self.splits[name] for name in splits] or [_rows(())])
 
     def tail_index(self, splits: tuple[str, ...] = ("train",)
                    ) -> dict[tuple[int, int], frozenset[int]]:
@@ -151,13 +149,11 @@ class KnowledgeGraph:
         """
         key = tuple(splits)
         index = self._tails.get(key)
-        if index is not None:
-            return index
-        raw: dict[tuple[int, int], list[int]] = defaultdict(list)
-        for h, r, t in self.edges(key):
-            raw[(h, r)].append(t)
-        index = {hr: frozenset(tails) for hr, tails in raw.items()}
-        self._tails[key] = index
+        if index is None:
+            raw: dict[tuple[int, int], list[int]] = defaultdict(list)
+            for h, r, t in zip(*self._columns(key)):
+                raw[(h, r)].append(t)
+            index = self._tails[key] = {hr: frozenset(tails) for hr, tails in raw.items()}
         return index
 
     def incoming(self, splits: tuple[str, ...] = ("train",)) -> dict[int, list[tuple[int, int]]]:
@@ -167,10 +163,15 @@ class KnowledgeGraph:
         index = self._incoming.get(key)
         if index is None:
             raw: dict[int, list[tuple[int, int]]] = defaultdict(list)
-            for h, r, t in self.edges(key):
+            for h, r, t in zip(*self._columns(key)):
                 raw[t].append((h, r))
             index = self._incoming[key] = dict(raw)
         return index
+
+    def _columns(self, key: tuple[str, ...]) -> list[list[int]]:
+        """The scope's h, r and t columns as lists of shared ints, one per id."""
+        ints = list(range(max(self.n_entities, self.n_relations)))
+        return [list(map(ints.__getitem__, col)) for col in self.edges(key).T.tolist()]
 
     def edge_keys(self, splits: tuple[str, ...] = ("train",)) -> np.ndarray:
         """Sorted unique int64 keys (h * |R| + r) * |V| + t of the edges over
@@ -179,7 +180,7 @@ class KnowledgeGraph:
         key = tuple(splits)
         keys = self._keys.get(key)
         if keys is None:
-            edges = triplet_array(self.edges(key))
+            edges = self.edges(key)
             n, m = self.n_entities, self.n_relations
             keys = np.sort((edges[:, 0] * m + edges[:, 1]) * n + edges[:, 2])
             keys = keys[np.diff(keys, prepend=-1) != 0]     # keys are >= 0
@@ -188,13 +189,18 @@ class KnowledgeGraph:
         return keys
 
 
+def _rows(triplets) -> np.ndarray:
+    """A read-only (k, 3) int64 view of triplets."""
+    rows = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
+    rows.flags.writeable = False
+    return rows
+
+
 def load_kg(train_path, validation_path=None, test_path=None) -> KnowledgeGraph:
     """Load up to three split files, building vocabularies in file order."""
-    entities = Vocab()
-    relations = Vocab()
-    splits: dict[str, list[Triplet]] = {}
-    for name, path in zip(SPLITS, (train_path, validation_path, test_path)):
-        splits[name] = load_split(path, entities, relations) if path else []
+    entities, relations = Vocab(), Vocab()
+    splits = {name: load_split(path, entities, relations)
+              for name, path in zip(SPLITS, (train_path, validation_path, test_path)) if path}
     return KnowledgeGraph(entities, relations, splits)
 
 
@@ -206,15 +212,10 @@ def add_inverse_relations(kg: KnowledgeGraph) -> KnowledgeGraph:
     """
     if kg.has_inverses:
         raise ValueError("inverses already present")
-    base = len(kg.relations)
-    relations = Vocab(kg.relations.names())
-    for i in range(base):
-        inv_name = kg.relations.name(i) + INVERSE_SUFFIX
-        if inv_name in relations:
-            raise ValueError(f"relation name collision on {inv_name!r}")
-        relations.add(inv_name)
-    splits = {}
-    for name in SPLITS:
-        forward = kg.splits[name]
-        splits[name] = forward + [Triplet(t, r + base, h) for h, r, t in forward]
-    return KnowledgeGraph(kg.entities, relations, splits, has_inverses=True)
+    names = kg.relations.names()
+    inverse = [name + INVERSE_SUFFIX for name in names]
+    if clash := [name for name in inverse if name in kg.relations]:
+        raise ValueError(f"relation name collision on {clash[0]!r}")
+    splits = {name: np.concatenate([forward, forward[:, ::-1] + (0, len(names), 0)])
+              for name, forward in kg.splits.items()}
+    return KnowledgeGraph(kg.entities, Vocab(names + inverse), splits, has_inverses=True)

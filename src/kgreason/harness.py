@@ -134,14 +134,14 @@ class _EdgeSampler:
                  rng: np.random.Generator):
         self.rng = rng
         self.edges = kg.edges(splits)
-        if not self.edges:
+        if not len(self.edges):
             raise SamplingBudgetError(f"no edges in splits {splits}")
         self.incoming = kg.incoming(splits)
         self.tails = kg.tail_index(splits)
         self.n_entities = kg.n_entities
 
-    def any_edge(self) -> tuple[int, int, int]:
-        return self.edges[int(self.rng.integers(len(self.edges)))]
+    def any_edge(self) -> list[int]:
+        return self.edges[int(self.rng.integers(len(self.edges)))].tolist()
 
     def edges_into(self, t: int, count: int) -> list[tuple[int, int]] | None:
         """count distinct (head, relation) pairs pointing at t, or None."""

@@ -49,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import KnowledgeGraph, triplet_array
+from .graph import KnowledgeGraph
 from .kvio import SettingError
 
 log = logging.getLogger(__name__)
@@ -384,10 +384,9 @@ def train(kg: KnowledgeGraph, config: TrainConfig) -> tuple[EmbeddingModel, list
     model = EmbeddingModel.create(
         config.kind, kg.n_entities, kg.n_relations, config.dim, rng
     ).astype(np.float32)
-    data = kg.triplets("train")
-    if not data:
+    arr = kg.triplets("train")
+    if not len(arr):
         raise ValueError("no training triplets")
-    arr = triplet_array(data)
     # Python floats, never np.float64 scalars: numpy >= 2 would promote the
     # float32 arrays they meet to float64, numpy 1.24 would not
     lr, reg, aux_weight = float(config.lr), float(config.reg), float(config.aux_weight)

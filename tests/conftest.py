@@ -11,7 +11,7 @@ from kgreason.dsl import (
     Projection,
     Union,
 )
-from kgreason.graph import KnowledgeGraph, Triplet, Vocab, add_inverse_relations, triplet_array
+from kgreason.graph import KnowledgeGraph, Vocab, add_inverse_relations
 from kgreason.scorer import ADAGRAD_EPS, EmbeddingModel, batch_loss
 
 # GitHub Actions sets CI: there every property test draws the same examples,
@@ -25,11 +25,12 @@ def make_kg(n_entities, n_relations, triplets_by_split):
     """Graph with synthetic names and explicit split contents."""
     entities = Vocab(f"e{i}" for i in range(n_entities))
     relations = Vocab(f"r{j}" for j in range(n_relations))
-    splits = {
-        name: [Triplet(*t) for t in triplets_by_split.get(name, [])]
-        for name in ("train", "validation", "test")
-    }
-    return KnowledgeGraph(entities, relations, splits)
+    return KnowledgeGraph(entities, relations, triplets_by_split)
+
+
+def edge_set(rows):
+    """The (head, relation, tail) tuples of a (k, 3) triplet array."""
+    return set(map(tuple, rows.tolist()))
 
 
 def random_kg(rng, n_entities, n_relations, n_edges,
@@ -133,10 +134,9 @@ def toy_kg():
     entities = Vocab(["a", "b", "c", "d"])
     relations = Vocab(["likes", "knows"])
     splits = {
-        "train": [Triplet(0, 0, 1), Triplet(0, 0, 2), Triplet(1, 1, 2),
-                  Triplet(2, 0, 3), Triplet(3, 1, 0)],
-        "validation": [Triplet(1, 0, 3)],
-        "test": [Triplet(0, 1, 3)],
+        "train": [(0, 0, 1), (0, 0, 2), (1, 1, 2), (2, 0, 3), (3, 1, 0)],
+        "validation": [(1, 0, 3)],
+        "test": [(0, 1, 3)],
     }
     return KnowledgeGraph(entities, relations, splits)
 
@@ -154,7 +154,7 @@ def reference_train(kg, config):
     are the reference of train's float32 contract."""
     rng = np.random.default_rng(config.seed)
     model = EmbeddingModel.create(config.kind, kg.n_entities, kg.n_relations, config.dim, rng)
-    arr = triplet_array(kg.triplets("train"))
+    arr = kg.triplets("train")
     gE, gR = np.zeros_like(model.E), np.zeros_like(model.R)
     accE, accR = np.zeros_like(model.E), np.zeros_like(model.R)
     history = []

@@ -43,7 +43,6 @@ from kgreason.dsl import (
 from kgreason.fuzzy import DenseRows, GradientTape, evaluate
 from kgreason.graph import (
     KnowledgeGraph,
-    Triplet,
     Vocab,
     add_inverse_relations,
     load_kg,
@@ -421,9 +420,9 @@ def _clustered_kg(seed: int, n: int = 200, m: int = 10, groups: int = 40,
     cut1 = int(len(ordered) * 0.8)
     cut2 = cut1 + int(len(ordered) * 0.1)
     splits = {
-        "train": [Triplet(*ordered[i]) for i in perm[:cut1]],
-        "validation": [Triplet(*ordered[i]) for i in perm[cut1:cut2]],
-        "test": [Triplet(*ordered[i]) for i in perm[cut2:]],
+        "train": [ordered[i] for i in perm[:cut1]],
+        "validation": [ordered[i] for i in perm[cut1:cut2]],
+        "test": [ordered[i] for i in perm[cut2:]],
     }
     entities = Vocab(f"e{i}" for i in range(n))
     relations = Vocab(f"r{j}" for j in range(m))
@@ -545,10 +544,10 @@ def test_criterion_08_pinning(synthetic_study, capsys):
     pinned, adapted = (
         build_tensor(ablation_provider(mode, s0.scorer, s0.matrix, s0.kg, eps=STUDY_EPS),
                      eps=STUDY_EPS) for mode in ("S1234", "S123"))
-    known = list(s0.kg.edges(("train", "validation")))
+    known = list(map(tuple, s0.kg.edges(("train", "validation")).tolist()))
     not_one = sum(1 for h, r, t in known if entry_value(pinned, h, r, t) != 1.0)
     known_set = set(known)
-    held_out = [e for e in s0.kg.edges(("test",)) if e not in known_set]
+    held_out = [e for e in map(tuple, s0.kg.edges(("test",)).tolist()) if e not in known_set]
     moved = sum(1 for h, r, t in held_out
                 if np.float32(entry_value(pinned, h, r, t)).tobytes()
                 != np.float32(entry_value(adapted, h, r, t)).tobytes())

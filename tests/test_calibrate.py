@@ -36,7 +36,7 @@ from kgreason.scorer import EmbeddingModel, SettingError
 from kgreason import tensor as tensor_module
 from kgreason.tensor import MemoryBudgetError, build_tensor, csr_take, row_csr
 
-from conftest import random_kg
+from conftest import edge_set, random_kg
 
 
 @pytest.fixture
@@ -390,7 +390,7 @@ class TestProviders:
         rids, tails = np.divmod(provider.pin_keys, scorer.n_entities)
         heads, rels = np.divmod(rids, scorer.n_relations)
         pinned = set(zip(heads.tolist(), rels.tolist(), tails.tolist()))
-        assert pinned == set(kg.triplets("train")) | set(kg.triplets("validation"))
+        assert pinned == edge_set(kg.triplets("train")) | edge_set(kg.triplets("validation"))
 
     def test_mode_names_exported(self):
         assert ABLATION_MODES == ("S12", "S123", "S1234")

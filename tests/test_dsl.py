@@ -190,6 +190,19 @@ class TestSerialize:
         assert serialize(Anchor(1), ents) == "#1"
         assert serialize(Anchor(2), ents) == "fine"
 
+    # the triplet reader accepts empty fields, so a vocabulary can hold ""
+    def test_empty_entity_name_falls_back_to_id(self):
+        ents = Vocab(["x", ""])
+        node = p(0, Anchor(1))
+        assert serialize(node, ents, RELS) == "P[likes](#1)"
+        assert parse(serialize(node, ents, RELS), ents, RELS) == node
+
+    def test_empty_relation_name_falls_back_to_id(self):
+        rels = Vocab(["r", ""])
+        node = p(1, Anchor(0))
+        assert serialize(node, ENTS, rels) == "P[#1](alice)"
+        assert parse(serialize(node, ENTS, rels), ENTS, rels) == node
+
     def test_round_trip_with_unsafe_names(self):
         ents = Vocab(["a,b", "ok"])
         rels = Vocab(["r [x]"])

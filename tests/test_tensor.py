@@ -30,7 +30,7 @@ from kgreason.tensor import (
     stream_tensors,
 )
 
-from conftest import corrupt_payload, random_kg, reference_train
+from conftest import corrupt_payload, edge_set, random_kg, reference_train
 from tensor_helpers import entry_value, indicator_tensor
 
 
@@ -370,7 +370,7 @@ class TestIndicatorTensor:
     def test_exact_edge_memberships(self, rng):
         kg = random_kg(rng, 10, 3, 60)
         tensor = indicator_tensor(kg)
-        edges = set(kg.edges())
+        edges = edge_set(kg.edges())
         for h in range(10):
             for r in range(3):
                 for t in range(10):
