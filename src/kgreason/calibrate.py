@@ -30,7 +30,7 @@ it, gradients and theta differ from it only by summation order.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -166,7 +166,6 @@ class CalibrationConfig:
     lr: float = 0.001
     epochs: int = 5
     batch_size: int = 1000
-    log_floor: float = LOG_FLOOR
     eps: float = DEFAULT_EPS     # support threshold for rows during adaptation
     seed: int = 0
 
@@ -262,34 +261,28 @@ class _AdaptiveRows:
             out[h, r] += float(np.sum(adj[idx] * scaled * live))
 
 
-def query_loss_adjoint(values: np.ndarray, answers: np.ndarray,
-                       log_floor: float = LOG_FLOOR):
+def query_loss_adjoint(values: np.ndarray, is_answer: np.ndarray):
     """Calibration loss and its adjoint w.r.t. the answer vector, per query.
 
     loss = -mean_{i in answers} log a_i - mean_{i not in answers} log(1 - a_i)
-    with both logs floored; the flat side of the floor gets zero gradient,
-    and a query without answers (or without non-answers) drops that term.
-    values is one answer vector (n,) with answers its answer ids, or a batch
-    (Q, n) with answers a boolean mask of the same shape. Returns the loss
-    (a float, or one per row) and the adjoint, shaped like values.
+    with both logs floored at LOG_FLOOR; the flat side of the floor gets zero
+    gradient, and a query without answers (or without non-answers) drops that
+    term. values is a batch (Q, n) of answer vectors and is_answer a boolean
+    mask of the same shape. Returns the (Q,) losses and the (Q, n) adjoint.
     """
     values = np.asarray(values, dtype=np.float64)
-    is_answer = np.asarray(answers)
-    if is_answer.dtype != bool:
-        is_answer = np.zeros(values.shape, dtype=bool)
-        is_answer[answers] = True
     n_answers = np.count_nonzero(is_answer, axis=-1)
     n_others = values.shape[-1] - n_answers
     # each entry's own side: a_i for answers, 1 - a_i for the rest
     side = np.where(is_answer, values, 1.0 - values)
-    floored = np.maximum(side, log_floor)
+    floored = np.maximum(side, LOG_FLOOR)
     logs = np.log(floored)
     loss = (-np.where(is_answer, logs, 0.0).sum(axis=-1) / np.maximum(n_answers, 1)
             - np.where(is_answer, 0.0, logs).sum(axis=-1) / np.maximum(n_others, 1))
     sign = np.where(is_answer, -1.0, 1.0)
     count = np.where(is_answer, n_answers[..., None], n_others[..., None])
-    seed = np.where(side > log_floor, sign / (count * floored), 0.0)
-    return (float(loss) if values.ndim == 1 else loss), seed
+    seed = np.where(side > LOG_FLOOR, sign / (count * floored), 0.0)
+    return loss, seed
 
 
 class _BranchTable:
@@ -305,11 +298,10 @@ class _BranchTable:
     """
 
     def __init__(self, scorer: NormalizedScorer, records: list[QueryRecord],
-                 eps: float, log_floor: float = LOG_FLOOR):
+                 eps: float):
         from .dsl import serialize
         n, m = scorer.n_entities, scorer.n_relations
         self.n, self.m = n, m
-        self.log_floor = log_floor
         rid = np.full((len(records), MAX_BRANCHES), -1, dtype=np.int64)
         self.negated = np.zeros(rid.shape, dtype=bool)
         for i, rec in enumerate(records):
@@ -374,7 +366,7 @@ class _BranchTable:
         is_answer = np.zeros((q, n), dtype=bool)
         pos, lens = csr_take(self.answer_offsets, queries)
         is_answer[np.repeat(np.arange(q), lens), self.answer_ids[pos]] = True
-        losses, seed = query_loss_adjoint(out, is_answer, self.log_floor)
+        losses, seed = query_loss_adjoint(out, is_answer)
 
         # each branch's adjoint: the seed times the other factors, in order,
         # negated for a complement, then times scaled where it is below 1
@@ -392,8 +384,8 @@ def _base_csr(scorer: NormalizedScorer, rids: np.ndarray,
               eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The thresholded S12 rows of flat row ids `rids` as CSR: (int64
     offsets, int32 cols, float64 vals). Per block of block_rows(|V|) rows,
-    one model.queries call, one one-row GEMV per row and one normalize_block
-    and finish_block pass. Each GEMV is the product a one-row
+    one model.queries call, one stacked product of one-row GEMVs and one
+    normalize_block and finish_block pass. Each GEMV is the product a one-row
     CalibratedRows.row call computes, so the rows are bitwise its rows and the
     tape path's; a block GEMM rounds the scores differently."""
     model, n = scorer.model, scorer.n_entities
@@ -404,9 +396,7 @@ def _base_csr(scorer: NormalizedScorer, rids: np.ndarray,
     for start in range(0, rids.shape[0], step):
         block_rids = rids[start:start + step]
         queries = model.queries(*np.divmod(block_rids, scorer.n_relations))
-        block = np.empty((block_rids.shape[0], n))
-        for i in range(block_rids.shape[0]):
-            np.matmul(queries[i:i + 1], candidates, out=block[i:i + 1])
+        block = np.matmul(queries[:, None, :], candidates)[:, 0]
         dense = finish_block(scorer, block_rids, normalize_block(scorer, block_rids, block),
                              eps=eps)
         flat = np.flatnonzero(dense)
@@ -445,7 +435,7 @@ def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
         raise ValueError("no training queries of the adaptation structures")
     n, m = scorer.n_entities, scorer.n_relations
     theta = np.zeros((n, m), dtype=np.float64)
-    table = _BranchTable(scorer, usable, config.eps, config.log_floor)
+    table = _BranchTable(scorer, usable, config.eps)
     adam_m = np.zeros_like(theta)
     adam_v = np.zeros_like(theta)
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8

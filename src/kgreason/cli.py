@@ -5,7 +5,9 @@ One binary with subcommands. Every command takes --config (flat `key = value`
 file whose keys are flag names); explicit flags override config values,
 config values override defaults. All randomness comes from --seed. Beside
 each artifact a `<artifact>.manifest` records the command, parameters,
-input hashes, and outputs.
+outputs, and the digest of each file named by one of the command's input
+flags (declared in _COMMANDS), keyed by the flag: `input.train.sha256`.
+Where a command writes is checked before it reads any input.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error (bad flags,
 out-of-range training settings, missing files, unknown names).
@@ -51,7 +53,7 @@ def _sha256(path) -> str:
 
 
 def _write_manifest(artifact: Path, command: str, args: argparse.Namespace,
-                    inputs: list[Path], artifacts: list[Path]) -> None:
+                    artifacts: list[Path]) -> None:
     kv: dict[str, str] = {
         "command": command,
         "tool_version": __version__,
@@ -61,9 +63,9 @@ def _write_manifest(artifact: Path, command: str, args: argparse.Namespace,
         if key in ("config",):
             continue
         kv[f"param.{key}"] = "" if value is None else str(value)
-    for path in inputs:
-        if path is not None and Path(path).exists():
-            kv[f"input.{Path(path).name}.sha256"] = _sha256(path)
+    for flag in _COMMANDS[command][2]:
+        if getattr(args, flag):
+            kv[f"input.{flag}.sha256"] = _sha256(getattr(args, flag))
     for i, path in enumerate(artifacts):
         kv[f"artifact.{i}"] = str(path)
     write_kv(str(artifact) + ".manifest", kv)
@@ -75,10 +77,6 @@ def _load_graph(args):
     if not args.no_inverses:
         kg = add_inverse_relations(kg)
     return kg
-
-
-def _graph_inputs(args) -> list[Path]:
-    return [Path(p) for p in (args.train, args.valid, args.test) if p]
 
 
 def _load_scorer(args, kg):
@@ -94,12 +92,38 @@ def _npz_path(raw: str) -> Path:
     return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
 
 
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Raise UsageError, before any input is read, if an output flag names a
+    location the command cannot write to."""
+    for flag in ("out", "report"):
+        if not getattr(args, flag, None):     # an empty --report writes none
+            continue
+        path = Path(getattr(args, flag))
+        if not path.parent.is_dir():
+            raise UsageError(f"--{flag} directory {path.parent} does not exist")
+        if path.is_dir():
+            raise UsageError(f"--{flag} {path} is a directory")
+    if getattr(args, "out_dir", None) is not None:
+        out_dir = Path(args.out_dir)
+        if not next(p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir():
+            raise UsageError(f"--out-dir {out_dir} is not a directory")
+
+
 def _add_graph_flags(parser, require_train: bool = True):
     parser.add_argument("--train", required=require_train, help="train triplet file")
     parser.add_argument("--valid", default=None, help="validation triplet file")
     parser.add_argument("--test", default=None, help="test triplet file")
     parser.add_argument("--no-inverses", action="store_true",
                         help="skip inverse-relation augmentation")
+
+
+def _add_scorer_flags(parser):
+    """The graph flags, the --model checkpoint, --alpha and --epsilon."""
+    from .calibrate import DEFAULT_ALPHA, DEFAULT_EPS
+    _add_graph_flags(parser)
+    parser.add_argument("--model", required=True, help="model checkpoint")
+    parser.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    parser.add_argument("--epsilon", type=float, default=DEFAULT_EPS)
 
 
 def _int_at_least(low: int):
@@ -126,11 +150,10 @@ def cmd_train_kgc(args) -> int:
                          aux_weight=args.l1, seed=args.seed)
     kg = _load_graph(args)
     model, history = train(kg, config)
-    out = _npz_path(args.out)
-    model.save(out)
-    _write_manifest(out, "train-kgc", args, _graph_inputs(args), [out])
+    model.save(args.out)
+    _write_manifest(args.out, "train-kgc", args, [args.out])
     print(f"trained {args.model} dim={args.dim} on {len(kg.triplets('train'))} triplets; "
-          f"final loss {history[-1]:.6f}; saved {out}")
+          f"final loss {history[-1]:.6f}; saved {args.out}")
     return 0
 
 
@@ -143,35 +166,26 @@ def cmd_calibrate(args) -> int:
     scorer = _load_scorer(args, kg)
     records = read_queries(args.queries, kg.entities, kg.relations)
     matrix, history = adapt(scorer, records, config)
-    out = _npz_path(args.out)
-    matrix.save(out)
-    inputs = _graph_inputs(args) + [Path(args.model), Path(args.queries)]
-    _write_manifest(out, "calibrate", args, inputs, [out])
+    matrix.save(args.out)
+    _write_manifest(args.out, "calibrate", args, [args.out])
     print(f"adapted on {len(records)} queries; loss {history[0]:.4f} -> "
-          f"{history[-1]:.4f}; saved {out}")
+          f"{history[-1]:.4f}; saved {args.out}")
     return 0
 
 
 def cmd_build_tensor(args) -> int:
     from .calibrate import AdaptationMatrix, ablation_provider
     from .tensor import build_tensor
-    out_dir = Path(args.out).parent
-    if not out_dir.is_dir():
-        raise UsageError(f"--out directory {out_dir} does not exist")
+    if args.mode != "S12" and not args.w:
+        raise UsageError(f"mode {args.mode} needs --w")
     kg = _load_graph(args)
     scorer = _load_scorer(args, kg)
-    matrix = None
-    if args.mode != "S12":
-        if not args.w:
-            raise UsageError(f"mode {args.mode} needs --w")
-        matrix = AdaptationMatrix.load(args.w, (kg.n_entities, kg.n_relations))
+    matrix = (AdaptationMatrix.load(args.w, (kg.n_entities, kg.n_relations))
+              if args.w else None)
     provider = ablation_provider(args.mode, scorer, matrix, kg, eps=args.epsilon)
     report = build_tensor(provider, eps=args.epsilon, memory_cap=args.memory_cap,
                           out=args.out)
-    inputs = _graph_inputs(args) + [Path(args.model)]
-    if args.w:
-        inputs.append(Path(args.w))
-    _write_manifest(Path(args.out), "build-tensor", args, inputs, [Path(args.out)])
+    _write_manifest(Path(args.out), "build-tensor", args, [Path(args.out)])
     print(report)
     return 0
 
@@ -198,16 +212,13 @@ def cmd_gen_queries(args) -> int:
     from .dsl import write_queries
     from .harness import generate_queries
     structures = _parse_structures(args.structures)
-    if args.count < 1:
-        raise SettingError("count", "must be at least 1")
     kg = _load_graph(args)
     records = []
     for i, structure in enumerate(structures):
         records.extend(generate_queries(kg, structure, args.count,
                                         seed=args.seed + i, split=args.split))
     write_queries(args.out, records)
-    _write_manifest(Path(args.out), "gen-queries", args, _graph_inputs(args),
-                    [Path(args.out)])
+    _write_manifest(Path(args.out), "gen-queries", args, [Path(args.out)])
     print(f"wrote {len(records)} queries ({len(structures)} structures) to {args.out}")
     return 0
 
@@ -224,8 +235,7 @@ def cmd_eval(args) -> int:
     print(report.wide_row())
     if args.report:
         write_kv(args.report, report.to_kv())
-        _write_manifest(Path(args.report), "eval", args,
-                        [Path(args.tensor), Path(args.queries)], [Path(args.report)])
+        _write_manifest(Path(args.report), "eval", args, [Path(args.report)])
     return 0
 
 
@@ -235,8 +245,6 @@ def cmd_ablate(args) -> int:
     from .harness import evaluate_run
     from .tensor import stream_tensors
     out_dir = Path(args.out_dir)
-    if not next(p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir():
-        raise UsageError(f"--out-dir {out_dir} is not a directory")
     kg = _load_graph(args)
     scorer = _load_scorer(args, kg)
     matrix = (AdaptationMatrix.load(args.w, (kg.n_entities, kg.n_relations))
@@ -260,11 +268,7 @@ def cmd_ablate(args) -> int:
     for mode in ABLATION_MODES[len(modes):]:
         print(f"{mode}: skipped (no --w)")
     write_kv(out_dir / "ablation.summary", summary)
-    inputs = _graph_inputs(args) + [Path(args.model), Path(args.queries)]
-    if args.w:
-        inputs.append(Path(args.w))
-    _write_manifest(out_dir / "ablation", "ablate", args, inputs,
-                    [out_dir / "ablation.summary"])
+    _write_manifest(out_dir / "ablation", "ablate", args, [out_dir / "ablation.summary"])
     return 0
 
 
@@ -280,29 +284,22 @@ def _conf_train(p):
                    help="cube regularizer weight")
     p.add_argument("--l1", type=float, default=0.0,
                    help="relation-prediction loss weight")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_npz_path, required=True)
 
 
 def _conf_calibrate(p):
-    from .calibrate import DEFAULT_ALPHA, DEFAULT_EPS
-    _add_graph_flags(p)
-    p.add_argument("--model", required=True, help="model checkpoint")
+    _add_scorer_flags(p)
     p.add_argument("--queries", required=True, help="training query file")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--batch", type=int, default=1000)
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPS)
-    p.add_argument("--out", default="adaptation.npz")
+    p.add_argument("--out", type=_npz_path, default="adaptation.npz")
 
 
 def _conf_build(p):
-    from .calibrate import ABLATION_MODES, DEFAULT_ALPHA, DEFAULT_EPS
-    _add_graph_flags(p)
-    p.add_argument("--model", required=True)
+    from .calibrate import ABLATION_MODES
+    _add_scorer_flags(p)
     p.add_argument("--w", default=None, help="adaptation checkpoint")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPS)
     p.add_argument("--mode", default="S1234", choices=ABLATION_MODES)
     p.add_argument("--memory-cap", type=_int_at_least(1), default=None,
                    help="abort if the tensor estimate exceeds this many bytes")
@@ -314,7 +311,8 @@ def _conf_gen(p):
     p.add_argument("--structures", default="all",
                    help="comma list, or 'all', or 'train' "
                         "(the adaptation structures)")
-    p.add_argument("--count", type=int, default=100, help="queries per structure")
+    p.add_argument("--count", type=_int_at_least(1), default=100,
+                   help="queries per structure")
     p.add_argument("--split", default="test",
                    choices=("train", "validation", "test"))
     p.add_argument("--out", required=True)
@@ -327,32 +325,32 @@ def _conf_eval(p):
 
 
 def _conf_ablate(p):
-    from .calibrate import DEFAULT_ALPHA, DEFAULT_EPS
-    _add_graph_flags(p)
-    p.add_argument("--model", required=True)
+    _add_scorer_flags(p)
     p.add_argument("--w", default=None)
     p.add_argument("--queries", required=True)
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPS)
     p.add_argument("--out-dir", required=True)
 
 
-# name -> (command, adds its flags, description)
+_GRAPH = ("train", "valid", "test")
+
+# name -> (command, adds its flags, the flags naming the files it reads, description)
 _COMMANDS = {
-    "train-kgc": (cmd_train_kgc, _conf_train, "Train the link-prediction scorer."),
-    "calibrate": (cmd_calibrate, _conf_calibrate,
+    "train-kgc": (cmd_train_kgc, _conf_train, _GRAPH, "Train the link-prediction scorer."),
+    "calibrate": (cmd_calibrate, _conf_calibrate, (*_GRAPH, "model", "queries"),
                   "Fit per-(h,r) adaptation scales on training queries."),
-    "build-tensor": (cmd_build_tensor, _conf_build,
+    "build-tensor": (cmd_build_tensor, _conf_build, (*_GRAPH, "model", "w"),
                      "Materialize the sparse calibrated tensor."),
-    "gen-queries": (cmd_gen_queries, _conf_gen,
+    "gen-queries": (cmd_gen_queries, _conf_gen, _GRAPH,
                     "Sample queries with verified easy/hard answer sets."),
-    "eval": (cmd_eval, _conf_eval, "Rank hard answers over a tensor and report MRR/Hits."),
-    "ablate": (cmd_ablate, _conf_ablate, "Evaluate S12/S123/S1234 providers side by side."),
+    "eval": (cmd_eval, _conf_eval, ("tensor", "queries"),
+             "Rank hard answers over a tensor and report MRR/Hits."),
+    "ablate": (cmd_ablate, _conf_ablate, (*_GRAPH, "model", "w", "queries"),
+               "Evaluate S12/S123/S1234 providers side by side."),
 }
 
 
 def _build_parser(name: str) -> argparse.ArgumentParser:
-    _, configure, description = _COMMANDS[name]
+    _, configure, _, description = _COMMANDS[name]
     parser = argparse.ArgumentParser(prog=f"kgreason {name}", allow_abbrev=False,
                                      description=description)
     _add_common_flags(parser)
@@ -418,6 +416,7 @@ def main(argv: list[str] | None = None) -> int:
             if action.required and hasattr(namespace, action.dest):
                 action.required = False
         args = parser.parse_args(rest, namespace=namespace)
+        _check_outputs(args)
         logging.basicConfig(
             level=logging.DEBUG if args.verbose else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from kgreason.calibrate import query_loss_adjoint
 from kgreason.dsl import (
     Anchor,
     Complement,
@@ -26,6 +27,15 @@ def make_kg(n_entities, n_relations, triplets_by_split):
     entities = Vocab(f"e{i}" for i in range(n_entities))
     relations = Vocab(f"r{j}" for j in range(n_relations))
     return KnowledgeGraph(entities, relations, triplets_by_split)
+
+
+def one_query_loss(values, answers):
+    """query_loss_adjoint of one answer vector and its answer ids, run as a
+    batch of one: (the float loss, the adjoint vector)."""
+    is_answer = np.zeros((1, len(values)), dtype=bool)
+    is_answer[0, answers] = True
+    loss, seed = query_loss_adjoint(np.asarray(values)[None], is_answer)
+    return float(loss[0]), seed[0]
 
 
 def edge_set(rows):

@@ -25,7 +25,6 @@ from kgreason.calibrate import (
     _BranchTable,
     ablation_provider,
     adapt,
-    query_loss_adjoint,
 )
 from kgreason.dsl import (
     ADAPTATION_STRUCTURES,
@@ -57,7 +56,7 @@ from kgreason.scorer import EmbeddingModel, TrainConfig, train
 from kgreason.tensor import CalibratedTensor, build_tensor
 from kgreason.cli import main as cli_main
 
-from conftest import crisp_answers, kg_edge_map, random_ast, random_kg
+from conftest import crisp_answers, kg_edge_map, one_query_loss, random_ast, random_kg
 from tensor_helpers import entry_value, indicator_tensor
 
 
@@ -258,7 +257,7 @@ def test_criterion_03_adaptation_gradient(capsys):
         tape = GradientTape()
         vec = evaluate(node, provider, tape)
         answers = np.unique(rng.integers(0, 12, size=int(rng.integers(1, 5))))
-        loss, seed_vec = query_loss_adjoint(vec.values, answers)
+        loss, seed_vec = one_query_loss(vec.values, answers)
         adjoints = tape.backward(vec, seed_vec)
         if not adjoints:
             continue
@@ -286,10 +285,10 @@ def test_criterion_03_adaptation_gradient(capsys):
 
         for (h, r) in sorted(adjoints):
             theta[h, r] += hstep
-            up = query_loss_adjoint(evaluate(node, provider).values, answers)[0]
+            up = one_query_loss(evaluate(node, provider).values, answers)[0]
             prod_up = production_loss()
             theta[h, r] -= 2 * hstep
-            down = query_loss_adjoint(evaluate(node, provider).values, answers)[0]
+            down = one_query_loss(evaluate(node, provider).values, answers)[0]
             prod_down = production_loss()
             theta[h, r] += hstep
             err = _relative_error(analytic[h, r], (up - down) / (2 * hstep))

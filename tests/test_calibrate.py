@@ -36,7 +36,7 @@ from kgreason.scorer import EmbeddingModel, SettingError
 from kgreason import tensor as tensor_module
 from kgreason.tensor import MemoryBudgetError, build_tensor, csr_take, row_csr
 
-from conftest import edge_set, random_kg
+from conftest import edge_set, one_query_loss, random_kg
 
 
 @pytest.fixture
@@ -203,7 +203,7 @@ class TestQueryLossAdjoint:
     def test_matches_direct_formula(self, rng):
         values = rng.uniform(0.05, 0.95, size=12)
         answers = np.array([1, 4, 7])
-        loss, _ = query_loss_adjoint(values, answers)
+        loss, _ = one_query_loss(values, answers)
         others = np.setdiff1d(np.arange(12), answers)
         expected = (-np.mean(np.log(values[answers]))
                     - np.mean(np.log(1.0 - values[others])))
@@ -212,32 +212,32 @@ class TestQueryLossAdjoint:
     def test_adjoint_matches_central_differences(self, rng):
         values = rng.uniform(0.05, 0.95, size=10)
         answers = np.array([0, 3])
-        _, seed = query_loss_adjoint(values, answers)
+        _, seed = one_query_loss(values, answers)
         h = 1e-7
         for j in range(10):
             plus, minus = values.copy(), values.copy()
             plus[j] += h
             minus[j] -= h
-            fd = (query_loss_adjoint(plus, answers)[0]
-                  - query_loss_adjoint(minus, answers)[0]) / (2 * h)
+            fd = (one_query_loss(plus, answers)[0]
+                  - one_query_loss(minus, answers)[0]) / (2 * h)
             assert seed[j] == pytest.approx(fd, rel=1e-5)
 
     def test_floor_keeps_loss_finite_and_grad_flat(self):
         values = np.array([0.0, 1.0, 0.5])
-        loss, seed = query_loss_adjoint(values, np.array([0]))
+        loss, seed = one_query_loss(values, np.array([0]))
         assert np.isfinite(loss)
         assert seed[0] == 0.0   # answer at 0 sits below the floor
         assert seed[1] == 0.0   # non-answer at 1 likewise
 
     def test_all_answers(self):
         values = np.array([0.5, 0.25])
-        loss, seed = query_loss_adjoint(values, np.array([0, 1]))
+        loss, seed = one_query_loss(values, np.array([0, 1]))
         assert loss == pytest.approx(-np.mean(np.log([0.5, 0.25])))
         assert (seed < 0).all()
 
     def test_no_answers(self):
         values = np.array([0.5, 0.25])
-        loss, seed = query_loss_adjoint(values, np.array([], dtype=np.int64))
+        loss, seed = one_query_loss(values, np.array([], dtype=np.int64))
         assert loss == pytest.approx(-np.mean(np.log([0.5, 0.75])))
         assert (seed > 0).all()
 
@@ -251,7 +251,7 @@ class TestQueryLossAdjoint:
             losses, seeds = query_loss_adjoint(values, is_answer)
         assert losses.shape == (6,) and seeds.shape == (6, 9)
         for q in range(6):
-            loss, seed = query_loss_adjoint(values[q], np.flatnonzero(is_answer[q]))
+            loss, seed = one_query_loss(values[q], np.flatnonzero(is_answer[q]))
             assert losses[q] == pytest.approx(loss, rel=1e-15)
             assert seeds[q].tobytes() == seed.tobytes()
 
@@ -284,11 +284,11 @@ class TestAdaptiveRows:
         answers = np.array([1, 4, 9])
 
         def loss_now():
-            return query_loss_adjoint(evaluate(node, provider).values, answers)[0]
+            return one_query_loss(evaluate(node, provider).values, answers)[0]
 
         tape = GradientTape()
         vec = evaluate(node, provider, tape)
-        _, seed = query_loss_adjoint(vec.values, answers)
+        _, seed = one_query_loss(vec.values, answers)
         grad = np.zeros_like(theta)
         provider.theta_grad(tape.backward(vec, seed), grad)
 
@@ -651,18 +651,32 @@ class TestAdaptationCheckpoint:
         assert str(path) in str(err.value)
 
 
+def spy_on_the_floor(monkeypatch):
+    """A list that gets, per query_loss_adjoint call of the kernel, whether
+    an answer or non-answer side sat on LOG_FLOOR."""
+    floored = []
+    real = calibrate_module.query_loss_adjoint
+
+    def spy(values, is_answer):
+        floored.append(bool((np.where(is_answer, values, 1.0 - values) <= LOG_FLOOR).any()))
+        return real(values, is_answer)
+
+    monkeypatch.setattr(calibrate_module, "query_loss_adjoint", spy)
+    return floored
+
+
 # The adaptation loop as it ran before the batched kernel: one GradientTape
 # forward and backward per query over _AdaptiveRows. Kept as the reference of
 # the kernel.
 
-def reference_batch(provider, records, answer_sets, batch, log_floor=LOG_FLOOR):
+def reference_batch(provider, records, answer_sets, batch):
     """Summed loss and summed theta-gradient of the queries in batch."""
     grad = np.zeros_like(provider.theta)
     total = 0.0
     for q in batch:
         tape = GradientTape()
         vec = evaluate(records[q].ast, provider, tape)
-        loss, seed = query_loss_adjoint(vec.values, answer_sets[q], log_floor)
+        loss, seed = one_query_loss(vec.values, answer_sets[q])
         total += loss
         provider.theta_grad(tape.backward(vec, seed), grad)
     return total, grad
@@ -686,8 +700,7 @@ def reference_adapt(scorer, records, config):
         total = 0.0
         for start in range(0, len(usable), config.batch_size):
             batch = order[start:start + config.batch_size]
-            loss, grad = reference_batch(provider, usable, answer_sets, batch,
-                                         config.log_floor)
+            loss, grad = reference_batch(provider, usable, answer_sets, batch)
             total += loss
             grad /= batch.size
             step += 1
@@ -923,15 +936,16 @@ class TestAdaptationKernel:
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         assert_close_to_reference(grad, ref_grad, 1e-12)
 
-    @pytest.mark.parametrize("batch_size,log_floor", [
-        (1, LOG_FLOOR), (7, LOG_FLOOR), (7, 0.05), (1000, LOG_FLOOR)])
-    def test_whole_run_matches_reference(self, batch_size, log_floor):
+    @pytest.mark.parametrize("batch_size", [1, 7, 1000])
+    def test_whole_run_matches_reference(self, monkeypatch, batch_size):
         kg, scorer, _ = study(9)
         records = shaped_records(np.random.default_rng(9), 24, 3, per_shape=8)
         config = CalibrationConfig(lr=0.05, epochs=5, batch_size=batch_size,
-                                   eps=0.01, seed=3, log_floor=log_floor)
+                                   eps=0.01, seed=3)
+        floored = spy_on_the_floor(monkeypatch)
         matrix, history = adapt(scorer, records, config)
         ref_theta, ref_history = reference_adapt(scorer, records, config)
+        assert any(floored)                 # the floor's flat side was reached
         assert np.abs(ref_theta).max() > 0.05
         np.testing.assert_allclose(matrix.theta, ref_theta, rtol=0, atol=1e-10)
         np.testing.assert_allclose(history, ref_history, rtol=1e-12)
@@ -1014,7 +1028,7 @@ def reference_chunk(table, theta, queries, grad):
     is_answer = np.zeros((q, n), dtype=bool)
     pos, lens = csr_take(table.answer_offsets, queries)
     is_answer[np.repeat(np.arange(q), lens), table.answer_ids[pos]] = True
-    losses, seed = query_loss_adjoint(out, is_answer, table.log_floor)
+    losses, seed = query_loss_adjoint(out, is_answer)
 
     adj = np.stack([seed * t[:, 1] * t[:, 2], seed * t[:, 0] * t[:, 2],
                     seed * t[:, 0] * t[:, 1]], axis=1)
@@ -1037,14 +1051,13 @@ class TestInPlaceChunk:
         assert grad.tobytes() == ref_grad.tobytes()
         return grad
 
-    @pytest.mark.parametrize("log_floor", [LOG_FLOOR, 0.05])
     @pytest.mark.parametrize("theta_scale", [0.0, 0.5, 3.0])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_matches_reference(self, seed, theta_scale, log_floor):
+    def test_matches_reference(self, monkeypatch, seed, theta_scale):
         kg, scorer, _ = study(seed)
         rng = np.random.default_rng(seed)
         records = shaped_records(rng, 24, 3, per_shape=6, heads=[0, 5, 9])
-        table = calibrate_module._BranchTable(scorer, records, 0.01, log_floor)
+        table = calibrate_module._BranchTable(scorer, records, 0.01)
         theta = rng.normal(0.0, theta_scale, size=(24, 3)) + theta_scale
         order = rng.permutation(len(records))
         # the whole set, a short batch after a long one (the reused buffers
@@ -1053,6 +1066,7 @@ class TestInPlaceChunk:
                   for tag in ADAPTATION_STRUCTURES]
         batches = [order, order[:5], np.array(firsts + [len(records) - 1])]
         work = np.full((3, len(records), 3, table.n), np.nan)
+        floored = spy_on_the_floor(monkeypatch)
         assert (table.pair[order] < 0).any()                   # padded slots
         assert table.negated[len(records) - 1, 0]             # a complement first
         if theta_scale == 3.0:                                  # a clamp engaged
@@ -1061,6 +1075,8 @@ class TestInPlaceChunk:
             assert (scaled >= 1.0).any()
         for batch in batches:
             assert self.assert_bitwise(table, theta, batch, work).any()
+        if theta_scale == 3.0:      # the clamps put memberships on the floor's flat side
+            assert floored[0]
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(adaptation_records(), min_size=1, max_size=12),

@@ -1,6 +1,7 @@
 """End-to-end command tests. They run in-process through cli.main, except
 TestColdStart, which spawns `python -m kgreason.cli` children."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -116,7 +117,7 @@ class TestGraphInputs:
         manifest = read_kv(str(out) + ".manifest")
         assert manifest["command"] == "gen-queries"
         assert manifest["param.out"] == str(out)
-        assert len(manifest["input.train.tsv.sha256"]) == 64
+        assert len(manifest["input.train.sha256"]) == 64
         assert manifest["artifact.0"] == str(out)
 
 
@@ -330,7 +331,7 @@ class TestPipeline:
         code = main(["gen-queries", *pipeline["flags"], "--structures", "1p",
                      "--count", count, "--out", str(out)])
         assert code == 2
-        assert "error: --count must be at least 1" in capsys.readouterr().err
+        assert f"argument --count: must be at least 1, got {count}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_gen_queries_repeated_structure(self, pipeline, tmp_path, capsys):
@@ -491,6 +492,114 @@ def stage_args(command, pipeline, tmp_path, model=None, w=None):
     if command == "build-tensor":
         return args + ["--out", str(out)]
     return args + ["--queries", str(pipeline["test_q"]), "--out-dir", str(out)]
+
+
+# the flag of each command's output
+OUTPUT_FLAGS = {"train-kgc": "--out", "calibrate": "--out", "build-tensor": "--out",
+                "gen-queries": "--out", "eval": "--report", "ablate": "--out-dir"}
+
+
+def writing_to(command, pipeline, tmp_path, path):
+    """Arguments of `command` on the pipeline's files, its output flag naming path."""
+    if command in ("train-kgc", "gen-queries"):
+        return [command, *pipeline["flags"], "--out", str(path)]
+    args = stage_args(command, pipeline, tmp_path)
+    if command == "eval":
+        return args + ["--report", str(path)]
+    args[args.index(OUTPUT_FLAGS[command]) + 1] = str(path)
+    return args
+
+
+@pytest.fixture
+def refuse_inputs(monkeypatch):
+    """Reading the graph, a checkpoint, a query file or a tensor fails the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(graph, "load_kg", refuse)
+    monkeypatch.setattr(dsl, "read_queries", refuse)
+    monkeypatch.setattr(EmbeddingModel, "load", refuse)
+    monkeypatch.setattr(CalibratedTensor, "load", refuse)
+
+
+class TestDeclaredFiles:
+    """Each command's output location is checked before any input is read,
+    and its manifest holds one digest per input flag given."""
+
+    @pytest.mark.parametrize("command", list(OUTPUT_FLAGS))
+    def test_output_in_a_missing_directory(self, pipeline, tmp_path, capsys, refuse_inputs,
+                                           command):
+        flag = OUTPUT_FLAGS[command]
+        if command == "ablate":     # a missing --out-dir is made; one under a file cannot be
+            (tmp_path / "file").write_text("kept\n")
+            target = tmp_path / "file" / "out"
+            message = f"error: --out-dir {target} is not a directory"
+        else:
+            target = tmp_path / "missing" / "out.npz"
+            message = f"error: {flag} directory {target.parent} does not exist"
+        assert main(writing_to(command, pipeline, tmp_path, target)) == 2
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == (["file"] if command == "ablate" else [])
+
+    @pytest.mark.parametrize("command", [c for c in OUTPUT_FLAGS if c != "ablate"])
+    def test_output_that_is_a_directory(self, pipeline, tmp_path, capsys, refuse_inputs,
+                                        command):
+        target = tmp_path / "taken.npz"
+        target.mkdir()
+        assert main(writing_to(command, pipeline, tmp_path, target)) == 2
+        assert f"error: {OUTPUT_FLAGS[command]} {target} is a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [target] and not list(target.iterdir())
+
+    def test_output_from_a_config_file_is_checked(self, pipeline, tmp_path, capsys,
+                                                  refuse_inputs):
+        conf = tmp_path / "gen.conf"
+        conf.write_text(f"out = {tmp_path / 'missing' / 'q.txt'}\n")
+        assert main(["gen-queries", *pipeline["flags"], "--config", str(conf)]) == 2
+        assert (f"error: --out directory {tmp_path / 'missing'} does not exist"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == [conf]
+
+    def test_same_basename_inputs_keep_both_digests(self, tmp_path):
+        paths = write_dataset(tmp_path)
+        files = {"train": tmp_path / "a" / "x.tsv", "valid": tmp_path / "b" / "x.tsv"}
+        for flag, split in (("train", "train"), ("valid", "validation")):
+            files[flag].parent.mkdir()
+            files[flag].write_bytes(paths[split].read_bytes())
+        out = tmp_path / "m.npz"
+        assert main(["train-kgc", "--train", str(files["train"]), "--valid",
+                     str(files["valid"]), "--dim", "4", "--epochs", "1", "--out", str(out)]) == 0
+        manifest = read_kv(str(out) + ".manifest")
+        assert {key for key in manifest if key.startswith("input.")} == {
+            "input.train.sha256", "input.valid.sha256"}
+        for flag, path in files.items():
+            assert manifest[f"input.{flag}.sha256"] == hashlib.sha256(
+                path.read_bytes()).hexdigest()
+        assert manifest["input.train.sha256"] != manifest["input.valid.sha256"]
+
+    @pytest.mark.parametrize("command,dropped,extra,inputs", [
+        ("train-kgc", ["--test"], ["--dim", "4", "--epochs", "1"], {"train", "valid"}),
+        ("gen-queries", [], ["--structures", "1p", "--count", "2"], {"train", "valid", "test"}),
+        ("calibrate", [], [], {"train", "valid", "test", "model", "queries"}),
+        ("build-tensor", ["--w"], ["--mode", "S12"], {"train", "valid", "test", "model"}),
+        ("build-tensor", [], [], {"train", "valid", "test", "model", "w"}),
+        ("eval", [], [], {"tensor", "queries"}),
+        ("ablate", ["--w"], [], {"train", "valid", "test", "model", "queries"})],
+        ids=["train-kgc", "gen-queries", "calibrate", "build-tensor-S12", "build-tensor",
+             "eval", "ablate"])
+    def test_input_keys_are_the_input_flags_given(self, pipeline, tmp_path, command, dropped,
+                                                  extra, inputs):
+        out = tmp_path / "out.npz"
+        args = writing_to(command, pipeline, tmp_path, out)
+        for flag in dropped:
+            del args[args.index(flag):args.index(flag) + 2]
+        assert main(args + extra) == 0
+        manifest = read_kv(out / "ablation.manifest" if command == "ablate"
+                           else f"{out}.manifest")
+        assert {key for key in manifest if key.startswith("input.")} == {
+            f"input.{flag}.sha256" for flag in inputs}
+        for flag in inputs:
+            assert manifest[f"input.{flag}.sha256"] == hashlib.sha256(
+                Path(manifest[f"param.{flag}"]).read_bytes()).hexdigest()
 
 
 class TestTrainingSettings:
