@@ -8,13 +8,13 @@ Three stages after scorer training:
               fitted on complex-query training data
   pin         rows override known train/validation tails to exactly 1
 
-calibrated_block runs all three on a block of rows, in place: one score
-GEMM, normalize_block (the step every ablation mode shares) and finish_block
-(a mode's own: adapt, pins as plain 1.0 values and the eps threshold, one
-in-place select). The tensor build calls it per block of block_rows(|V|)
-rows, a per-row accessor on one row; ablate's one pass (ablation_blocks)
-runs a block's GEMM and normalization once for all its modes. With theta =
-0 the adapted provider reproduces the normalized one bitwise.
+calibrated_blocks runs all three on a block of rows: one score GEMM and
+normalize_block (the step every ablation mode shares), then each provider's
+finish_block (its adapt, and pins as plain 1.0 values). A build reads one
+provider's blocks (row_block), ablate's one pass (ablation_blocks) all modes'
+at once. Rows leave it unthresholded: tensor.compact, the one keep rule,
+makes them sparse. With theta = 0 the adapted provider reproduces the
+normalized one bitwise.
 
 Fitting theta (adapt) has its own kernel for the shapes of
 dsl.ADAPTATION_STRUCTURES, intersections of at most three anchored branches
@@ -38,7 +38,7 @@ import numpy as np
 from .graph import KnowledgeGraph
 from .kvio import SettingError
 from .scorer import EmbeddingModel, read_checkpoint
-from .tensor import block_rows, check_eps, csr_take
+from .tensor import block_rows, check_eps, compact, csr_take
 
 if TYPE_CHECKING:     # annotations only, so that build-tensor loads no dsl
     from .dsl import QueryRecord
@@ -85,21 +85,19 @@ class NormalizedScorer:
 
     def norm_row(self, h: int, r: int) -> np.ndarray:
         """Dense normalized row min(N * softmax(f(h, r, :)), 1)."""
-        return calibrated_block(self, np.array([h * self.n_relations + r]))[0]
+        return CalibratedRows(self).row_block(np.array([h * self.n_relations + r]))[0]
 
 
-def calibrated_block(scorer: NormalizedScorer, rids: np.ndarray,
-                     theta: np.ndarray | None = None,
-                     pin_keys: np.ndarray | None = None,
-                     eps: float = 0.0) -> np.ndarray:
-    """Dense calibrated rows (float64), (len(rids), |V|).
-
-    rids are flat row ids h * |R| + r, non-empty and ascending; pin_keys is
-    a sorted array of rid * |V| + tail. One score_rows GEMM, then
-    normalize_block and finish_block.
-    """
+def calibrated_blocks(scorer: NormalizedScorer, rids: np.ndarray, providers):
+    """The dense calibrated rows (float64, (len(rids), |V|)) of each of
+    `providers` (CalibratedRows, or anything with theta and pin_keys), to be
+    drawn in order: one score_rows GEMM and normalize_block, then each
+    provider's finish_block on its own copy (the last one's on the block).
+    rids are flat row ids h * |R| + r, non-empty and ascending."""
     block = scorer.model.score_rows(*np.divmod(rids, scorer.n_relations), scorer.candidates)
-    return finish_block(scorer, rids, normalize_block(scorer, rids, block), theta, pin_keys, eps)
+    normalize_block(scorer, rids, block)
+    return (finish_block(scorer, rids, block if k == len(providers) - 1 else block.copy(),
+                         p.theta, p.pin_keys) for k, p in enumerate(providers))
 
 
 def normalize_block(scorer: NormalizedScorer, rids: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -117,12 +115,11 @@ def normalize_block(scorer: NormalizedScorer, rids: np.ndarray, block: np.ndarra
 
 def finish_block(scorer: NormalizedScorer, rids: np.ndarray, block: np.ndarray,
                  theta: np.ndarray | None = None,
-                 pin_keys: np.ndarray | None = None,
-                 eps: float = 0.0) -> np.ndarray:
+                 pin_keys: np.ndarray | None = None) -> np.ndarray:
     """A mode's own steps on the normalized rows `block` of flat row ids
-    `rids`, in place; returns the block. Per row: times
-    exp(theta[h, r]), clamp at 1; pins set to 1.0; entries <= eps, and NaN,
-    set to 0.0. See calibrated_block.
+    `rids`, in place; returns the block. Per row: times exp(theta[h, r]),
+    clamp at 1; pins set to 1.0. pin_keys is a sorted array of
+    rid * |V| + tail. See calibrated_blocks.
     """
     n, m = scorer.scales.shape
     if theta is not None:
@@ -134,9 +131,7 @@ def finish_block(scorer: NormalizedScorer, rids: np.ndarray, block: np.ndarray,
         pos = np.searchsorted(rids, key_rids)
         hit = rids[pos] == key_rids
         block[pos[hit], tails[hit]] = 1.0
-    # entries are >= 0 or NaN; fmax turns a NaN the select keeps into 0.0
-    np.multiply(block, block > eps, out=block)
-    return np.fmax(block, 0.0, out=block)
+    return block
 
 
 @dataclass
@@ -186,8 +181,9 @@ class CalibratedRows:
 
     theta and pin_keys are optional, giving the three ablation variants;
     pin_keys is a sorted array of (h * |R| + r) * |V| + tail, as
-    KnowledgeGraph.edge_keys returns. Rows are recomputed per call; the
-    tensor builder materializes them once, block by block, through row_block.
+    KnowledgeGraph.edge_keys returns. Rows are recomputed per call; the tensor
+    build reads them unthresholded, block by block (row_block); row keeps
+    their entries by tensor.compact, as the build does.
     """
 
     def __init__(self, scorer: NormalizedScorer, theta: np.ndarray | None = None,
@@ -207,20 +203,18 @@ class CalibratedRows:
         return self.scorer.n_relations
 
     def row_block(self, rids: np.ndarray) -> np.ndarray:
-        """Dense rows of ascending flat row ids; see calibrated_block."""
-        return calibrated_block(self.scorer, rids, self.theta, self.pin_keys, self.eps)
+        """Dense unthresholded rows of ascending flat row ids; see calibrated_blocks."""
+        return next(calibrated_blocks(self.scorer, rids, [self]))
 
     def row(self, h: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-        dense = self.row_block(np.array([h * self.n_relations + r]))[0]
-        idx = dense.nonzero()[0].astype(np.int32)
-        return idx, dense[idx]
+        return compact(self.row_block(np.array([h * self.n_relations + r])), self.eps)[1:]
 
 
 class _AdaptiveRows:
     """Tape-path provider: fixed normalized support, live theta.
 
-    The base support is thresholded once on the normalized rows (one-row
-    calls of the calibration kernel, cached) so it stays stable while theta
+    The base support is kept once on the normalized rows (one-row
+    CalibratedRows.row calls, cached) so it stays stable while theta
     moves; values are recomputed against the current theta on every access.
     With GradientTape and theta_grad it gives the theta-gradient of any query
     shape; adapt's batched kernel computes the same for anchored branches.
@@ -382,28 +376,22 @@ class _BranchTable:
 
 def _base_csr(scorer: NormalizedScorer, rids: np.ndarray,
               eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The thresholded S12 rows of flat row ids `rids` as CSR: (int64
-    offsets, int32 cols, float64 vals). Per block of block_rows(|V|) rows,
-    one model.queries call, one stacked product of one-row GEMVs and one
-    normalize_block and finish_block pass. Each GEMV is the product a one-row
+    """The S12 rows of flat row ids `rids`, kept by tensor.compact, as CSR:
+    (int64 offsets, int32 cols, float64 vals). Per block of block_rows(|V|)
+    rows, one model.queries call, one stacked product of one-row GEMVs, one
+    normalize_block and one compact. Each GEMV is the product a one-row
     CalibratedRows.row call computes, so the rows are bitwise its rows and the
     tape path's; a block GEMM rounds the scores differently."""
-    model, n = scorer.model, scorer.n_entities
-    candidates = scorer.candidates.T
-    counts = np.zeros(rids.shape[0] + 1, dtype=np.int64)
-    cols, vals = [np.empty(0, np.int32)], [np.empty(0)]
-    step = block_rows(n)
+    step = block_rows(scorer.n_entities)
+    # the leading offset 0, and each array's dtype when there are no rows
+    parts = [(np.zeros(1, np.int64), np.empty(0, np.int32), np.empty(0))]
     for start in range(0, rids.shape[0], step):
         block_rids = rids[start:start + step]
-        queries = model.queries(*np.divmod(block_rids, scorer.n_relations))
-        block = np.matmul(queries[:, None, :], candidates)[:, 0]
-        dense = finish_block(scorer, block_rids, normalize_block(scorer, block_rids, block),
-                             eps=eps)
-        flat = np.flatnonzero(dense)
-        counts[start + 1:start + 1 + block_rids.shape[0]] = np.count_nonzero(dense, axis=1)
-        cols.append((flat % n).astype(np.int32))
-        vals.append(dense.ravel().take(flat))
-    return np.cumsum(counts), np.concatenate(cols), np.concatenate(vals)
+        queries = scorer.model.queries(*np.divmod(block_rids, scorer.n_relations))
+        block = np.matmul(queries[:, None, :], scorer.candidates.T)[:, 0]
+        parts.append(compact(normalize_block(scorer, block_rids, block), eps))
+    counts, cols, vals = (np.concatenate(part) for part in zip(*parts))
+    return np.cumsum(counts), cols, vals
 
 
 def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
@@ -465,18 +453,13 @@ def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
 
 
 def ablation_blocks(scorer: NormalizedScorer, providers: list[CalibratedRows]):
-    """Per head-major block of block_rows(|V|) rows, (rids, the dense rows of
-    `providers`, to be drawn in order before the next block): one
-    score GEMM and normalization, then each provider's finish_block on its
-    own copy (the last one's on the block), so its rows are its row_block's."""
+    """Per head-major block of block_rows(|V|) rows, (rids, the calibrated_blocks
+    of `providers`), so each provider's rows are its row_block's."""
     n, m = scorer.n_entities, scorer.n_relations
-    step, last = block_rows(n), len(providers) - 1
+    step = block_rows(n)
     for start in range(0, n * m, step):
         rids = np.arange(start, min(start + step, n * m))
-        block = scorer.model.score_rows(*np.divmod(rids, m), scorer.candidates)
-        normalize_block(scorer, rids, block)
-        yield rids, (finish_block(scorer, rids, block if k == last else block.copy(),
-                                  p.theta, p.pin_keys, p.eps) for k, p in enumerate(providers))
+        yield rids, calibrated_blocks(scorer, rids, providers)
 
 
 def ablation_provider(mode: str, scorer: NormalizedScorer,

@@ -30,13 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .kvio import SettingError, read_kv, write_kv
+from .kvio import SettingError, UsageError, read_kv, write_kv
 
 log = logging.getLogger(__name__)
-
-
-class UsageError(Exception):
-    """Bad invocation detected after argparse (exit code 2)."""
 
 
 # config fields whose flag is not `--<field>`
@@ -370,15 +366,21 @@ def _namespace_from_config(parser: argparse.ArgumentParser, path: str,
     Each key names a flag other than --help and --config. Each value is
     converted as its flag's would be: with the flag's type, or from a boolean
     word for a store_true flag, and must be one of the flag's choices. A
-    value that does not is a usage error naming the file and the key.
+    value that does not, a key given twice or two keys naming one flag
+    (`out-dir` and `out_dir`) is a usage error naming the file and the keys.
     """
     values = read_kv(path)
     actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
     ns = argparse.Namespace()
+    keys: dict[str, str] = {}     # dest -> the key that set it
     for key, raw in values.items():
         action = actions.get(key.replace("-", "_"))
         if action is None:
             raise UsageError(f"{path}: unknown config key {key!r}")
+        if action.dest in keys:
+            raise UsageError(f"{path}: config keys {keys[action.dest]!r} and {key!r} "
+                             f"both set {action.option_strings[0]}")
+        keys[action.dest] = key
         try:
             if isinstance(action, argparse._StoreTrueAction):
                 value = _BOOLEAN_WORDS[raw.lower()]

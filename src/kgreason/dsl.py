@@ -92,6 +92,8 @@ _OPERATOR = re.compile(r"\s*(?:(P)\s*\[\s*|([NIU])\s*\()")
 # a `#<id>` token between delimiters or text ends (the look-behind follows
 # the `#`, so that a search skips from `#` to `#`)
 _ID_TOKEN = re.compile(r"#(?<![^\s\[\](),]#)(\d+)(?![^\s\[\](),])")
+# an answer field's ids
+_ID_LIST = re.compile(r"[0-9]+(?:,[0-9]+)*")
 
 
 class _Parser:
@@ -350,12 +352,13 @@ def write_queries(path, records: list[QueryRecord], entities: Vocab | None = Non
 
 
 def _parse_ids(csv: str) -> frozenset[int]:
+    """An answer field: comma-separated ASCII digit runs only, so that a space,
+    a sign, an `_` or a non-ASCII digit is an error, not an id int() reads."""
     if not csv:
         return frozenset()
-    try:
-        return frozenset(map(int, csv.split(",")))
-    except ValueError:
-        raise QueryParseError(f"bad id list {csv!r}", None) from None
+    if not _ID_LIST.fullmatch(csv):
+        raise QueryParseError(f"bad id list {csv!r}", None)
+    return frozenset(map(int, csv.split(",")))
 
 
 class _Skeleton:

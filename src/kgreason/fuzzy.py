@@ -55,8 +55,8 @@ class RowProvider(Protocol):
 
     n_entities, n_relations and row(h, r) are all that evaluation needs;
     gather_chunks reads a CalibratedTensor's CSR and any other provider's
-    rows through row(). The tensor build reads row_block(rids) -> dense rows,
-    pins being plain 1.0 values, and an explicit eps (see tensor.build_tensor).
+    rows through row(). The tensor build reads row_block(rids) -> unthresholded
+    dense rows, pins being plain 1.0 values, and an explicit eps (build_tensor).
     """
 
     n_entities: int

@@ -1,5 +1,5 @@
 """Flat `key = value` files, the line reader of every text file, and the
-setting error every command reports as a usage error."""
+errors every command reports as usage errors."""
 
 from __future__ import annotations
 
@@ -15,6 +15,10 @@ class SettingError(ValueError):
         self.requirement = requirement
 
 
+class UsageError(ValueError):
+    """Bad invocation (exit code 2), a config file's own faults included."""
+
+
 def checked_lines(path, lines):
     """(number, line without its newline) of each non-empty line of text read
     with errors="surrogateescape"; a line that is not UTF-8 raises ValueError."""
@@ -28,7 +32,7 @@ def checked_lines(path, lines):
 
 
 def read_kv(path: str | Path) -> dict[str, str]:
-    """Parse a flat key-value file. Blank lines and `#` comments are skipped."""
+    """Parse a flat key-value file, each key once. Skips blanks and `#` comments."""
     out: dict[str, str] = {}
     text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
     for lineno, raw in checked_lines(path, text.splitlines()):
@@ -38,7 +42,10 @@ def read_kv(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise UsageError(f"{path}:{lineno}: key {key!r} is given twice")
+        out[key] = value.strip()
     return out
 
 

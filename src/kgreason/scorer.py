@@ -216,11 +216,12 @@ def _table_problem(kind: str, dim: np.ndarray, E: np.ndarray, R: np.ndarray) -> 
 def read_checkpoint(path, what: str, keys: tuple[str, ...]) -> dict[str, np.ndarray]:
     """The arrays `keys` of a version-1 npz checkpoint; every error names the file."""
     try:
-        data = np.load(path)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise ValueError("a single array")
-        with data:
-            arrays = {key: data[key] for key in ("version", *keys) if key in data.files}
+        with open(path, "rb") as fh:    # closed however np.load fails
+            data = np.load(fh)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError("a single array")
+            with data:
+                arrays = {key: data[key] for key in ("version", *keys) if key in data.files}
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
         # numpy takes a file that is not a zip archive for a pickle
         raise ValueError(f"{path}: not an npz {what} checkpoint") from exc

@@ -2,10 +2,11 @@
 
 Rows are CSR-style over flattened (head, relation) pairs, head-major.
 Stored values are float32 (memberships need no more); all math upstream
-and downstream runs in float64, upcasting on row access. An entry is kept
-when its float32 value exceeds eps. A pin is a plain value: the calibration
-writes 1.0 into a known triplet's entry, which every eps that check_eps
-admits keeps.
+and downstream runs in float64, upcasting on row access. compact is the one
+keep rule of a calibrated entry, float32(x) > float32(eps), for every row
+made sparse (builds, ablate, CalibratedRows.row, adapt's base rows). A pin is
+a plain value: the calibration writes 1.0 into a known triplet's entry,
+which every eps that check_eps admits keeps.
 
 File layout, little-endian:
 
@@ -17,9 +18,8 @@ tensor's arrays, so its peak is about one file, not two.
 
 build_tensor reads a provider through row_block(rids) -> dense float64 rows,
 for head-major blocks of at most BLOCK_ENTRIES entries, and an explicit eps.
-_compact, the one compaction, keeps a block's entries in one pass: the flat
-index of a kept entry less its row's start gives its column, and one take
-gives the values.
+compact keeps a block's entries in one pass: the flat index of a kept entry
+less its row's start gives its column, one take the float64 values.
 
 _V1Writer is the one writer of the layout: each block is checked and its
 indices written as it comes, its values go to an unlinked spool copied in
@@ -72,7 +72,7 @@ def block_rows(width: int) -> int:
 
 def check_eps(eps: float) -> None:
     """Raise SettingError unless eps lies in [0, 1) and its float32, which
-    _compact compares with, is below 1: so every entry of 1.0 is kept."""
+    compact compares with, is below 1: so every entry of 1.0 is kept."""
     if not (0 <= eps < 1 and np.float32(eps) < 1):
         raise SettingError("eps", "must lie in [0, 1), and below 1 in float32")
 
@@ -268,27 +268,27 @@ class CalibratedTensor:
             raise ValueError(f"{path}: corrupt tensor: {exc}") from exc
 
 
-def _compact(dense: np.ndarray, eps: float):
-    """The entries of dense rows whose float32 value exceeds eps: (kept per
-    row, cols, values). See the module docstring."""
-    values = dense.astype(np.float32)
-    keep = values > np.float32(eps)
+def compact(dense: np.ndarray, eps: float):
+    """The one keep rule: the entries of dense float64 rows whose float32 value
+    exceeds float32(eps), as (kept per row, int32 cols, float64 values). A NaN
+    fails the compare, so it never reaches a file or a row."""
+    keep = dense.astype(np.float32) > np.float32(eps)
     flat = np.flatnonzero(keep)
     counts = np.count_nonzero(keep, axis=1)
     # a block's flat positions fit int32: it has at most max(BLOCK_ENTRIES, |V|) entries
     starts = np.arange(0, dense.size, dense.shape[1], dtype=np.int32)
-    return counts, flat.astype(np.int32) - np.repeat(starts, counts), values.ravel().take(flat)
+    return counts, flat.astype(np.int32) - np.repeat(starts, counts), dense.ravel().take(flat)
 
 
 def _kept_blocks(provider, rows: range, eps: float, memory_cap: int | None = None):
-    """(rids, _compact of their row_block) per block of the row ids in `rows`;
+    """(rids, compact of their row_block) per block of the row ids in `rows`;
     raises MemoryBudgetError once the running size estimate crosses memory_cap."""
     n, m = provider.n_entities, provider.n_relations
     step, nnz = block_rows(n), 0
     for start in range(0, len(rows), step):
         block = rows[start:start + step]
         rids = np.arange(block.start, block.stop, block.step)
-        kept = _compact(provider.row_block(rids), eps)
+        kept = compact(provider.row_block(rids), eps)
         nnz += kept[1].shape[0]
         if memory_cap is not None and SparsityReport(n, m, nnz).estimated_bytes > memory_cap:
             suggestion = _probe_epsilon(provider, n, m, eps, memory_cap)
@@ -305,7 +305,7 @@ def _probe_epsilon(provider, n: int, m: int, eps: float, cap: int) -> float:
     """Estimate the smallest eps whose tensor fits the cap, by row sampling."""
     total_rows = n * m
     sample = range(0, total_rows, max(1, total_rows // 256))
-    pool = [vals for _, (*_, vals) in _kept_blocks(provider, sample, eps)]
+    pool = [vals.astype(np.float32) for _, (*_, vals) in _kept_blocks(provider, sample, eps)]
     values = np.sort(np.concatenate([np.empty(0, np.float32), *pool]))[::-1]
     budget = max(cap - SparsityReport(n, m, 0).estimated_bytes, 0) // (_INDEX_BYTES + _VALUE_BYTES)
     keep = int(budget * len(sample) / total_rows)
@@ -318,7 +318,7 @@ def _probe_epsilon(provider, n: int, m: int, eps: float, cap: int) -> float:
 
 def _write(files, blocks, n: int, m: int, eps: float, directory=None) -> list[int]:
     """Write one v1 tensor into each open binary file of `files`, from `blocks`
-    of (rids, one _compact result per file), with the values spooled in
+    of (rids, one compact result per file), with the values spooled in
     `directory`; returns each nnz, the files positioned at 0."""
     with contextlib.ExitStack() as spools:
         writers = [_V1Writer(fh, n, m, eps,
@@ -338,7 +338,7 @@ def stream_tensors(blocks, count: int, n_entities: int, n_relations: int, eps, d
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(tempfile.TemporaryFile(dir=directory))
                  for _ in range(count)]
-        _write(files, ((rids, (_compact(dense, eps) for dense in denses))
+        _write(files, ((rids, (compact(dense, eps) for dense in denses))
                        for rids, denses in blocks), n_entities, n_relations, eps, directory)
         for fh in files:
             yield CalibratedTensor.load(fh.fileno())
@@ -348,8 +348,8 @@ def stream_tensors(blocks, count: int, n_entities: int, n_relations: int, eps, d
 def build_tensor(provider, eps: float, memory_cap: int | None = None, out=None):
     """Materialize every (h,r) row of the provider into a sparse tensor.
 
-    The provider supplies n_entities, n_relations and row_block. Entries
-    whose float32 value is <= eps are dropped. Raises MemoryBudgetError when
+    The provider supplies n_entities, n_relations and row_block, dense
+    float64 rows that compact keeps entries of. Raises MemoryBudgetError when
     the running size estimate crosses memory_cap, reporting the smallest
     epsilon a row sample suggests would fit.
 

@@ -16,7 +16,6 @@ from kgreason.calibrate import (
     _AdaptiveRows,
     ablation_provider,
     adapt,
-    calibrated_block,
     query_loss_adjoint,
 )
 from kgreason.dsl import (
@@ -159,7 +158,7 @@ class TestCalibratedRows:
         for h, r in [(0, 0), (7, 2)]:
             idx, vals = rows.row(h, r)
             dense = scorer.norm_row(h, r)
-            assert idx.tolist() == np.nonzero(dense > eps)[0].tolist()
+            assert idx.tolist() == np.nonzero(dense.astype(np.float32) > np.float32(eps))[0].tolist()
             assert (vals > eps).all()
             np.testing.assert_array_equal(vals, dense[idx])
 
@@ -417,7 +416,7 @@ def reference_row(scorer, theta, pins, eps, h, r):
         dense = np.minimum(np.exp(theta[h, r]) * dense, 1.0)
     pinned = np.array(sorted((pins or {}).get((h, r), ())), dtype=np.int64)
     dense[pinned] = 1.0
-    idx = np.nonzero(dense > eps)[0]
+    idx = np.nonzero(dense.astype(np.float32) > np.float32(eps))[0]
     return idx, dense[idx], pinned
 
 
@@ -522,10 +521,11 @@ class TestCalibrationKernel:
         provider = ablation_provider("S1234", scorer, matrix, kg, eps=0.01)
         rids = np.arange(0, scorer.n_entities * scorer.n_relations, 5)
         dense = provider.row_block(rids)
+        assert ((dense > 0.0) & (dense <= 0.01)).any()    # row_block keeps them; row drops
         pinned = 0
         for k, rid in enumerate(rids.tolist()):
             idx, vals = provider.row(*divmod(rid, scorer.n_relations))
-            assert np.array_equal(np.flatnonzero(dense[k]), idx)
+            assert np.array_equal(np.flatnonzero(reference_keep(dense[k], 0.01)), idx)
             # GEMM and GEMV round the scores differently, and exp turns that
             # absolute score error into a relative one; far below float32
             np.testing.assert_allclose(dense[k, idx], vals, rtol=1e-12, atol=0.0)
@@ -559,9 +559,9 @@ class TestCalibrationKernel:
         assert abs(err.value.suggested_eps - expected) <= np.spacing(np.float32(expected))
 
 
-def reference_calibrated_block(scorer, rids, theta=None, pin_keys=None, eps=0.0):
-    """calibrated_block as first written: pins and the eps threshold applied
-    through boolean-mask scatters over the whole block."""
+def reference_calibrated_block(scorer, rids, theta=None, pin_keys=None):
+    """The dense calibrated rows as first written: pins applied through a
+    boolean-mask scatter over the whole block. Returns (block, pin mask)."""
     n, m = scorer.scales.shape
     heads, rels = np.divmod(rids, m)
     block = scorer.model.score_rows(heads, rels)
@@ -582,44 +582,68 @@ def reference_calibrated_block(scorer, rids, theta=None, pin_keys=None, eps=0.0)
         hit = rids[pos] == key_rids
         pinned[pos[hit], tails[hit]] = True
         block[pinned] = 1.0
-    block[~(block > eps)] = 0.0
     return block, pinned
 
 
+def reference_keep(dense, eps):
+    """The keep rule written out: the float32 entries that exceed float32(eps)
+    stay, every other one (NaN too) reads 0."""
+    values = dense.astype(np.float32)
+    return np.where(values > np.float32(eps), values, np.float32(0.0))
+
+
 class TestThreshold:
-    """calibrated_block's select threshold against the mask scatter it
-    replaced: bitwise equal rows, pins and NaN included."""
+    """The one keep rule, where rows become sparse: a built tensor and a lazy
+    CalibratedRows.row keep exactly the entries whose float32 exceeds
+    float32(eps), pins and NaN included, against the mask-scatter rows above.
+    row_block itself returns the rows unthresholded."""
 
     @staticmethod
-    def assert_matches_reference(provider, rids, eps):
-        """The block, and the reference's pin mask."""
-        got = calibrated_block(provider.scorer, rids, provider.theta, provider.pin_keys, eps)
-        want, pinned = reference_calibrated_block(provider.scorer, rids, provider.theta,
-                                                  provider.pin_keys, eps)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-        return got, pinned
+    def assert_kept_by_the_rule(provider, raw, eps):
+        """The tensor of `provider` at eps is reference_keep of the whole-block
+        rows `raw`, bitwise; each lazy row keeps reference_keep of its own
+        one-row chain, with its float64 values. Returns the tensor, densified."""
+        n, m = provider.n_entities, provider.n_relations
+        tensor = densify(build_tensor(provider, eps))
+        assert tensor.tobytes() == reference_keep(raw, eps).reshape(n, m, n).tobytes()
+        for rid in range(n * m):
+            one, _ = reference_calibrated_block(provider.scorer, np.array([rid]),
+                                                provider.theta, provider.pin_keys)
+            idx, vals = provider.row(*divmod(rid, m))
+            assert idx.dtype == np.int32 and vals.dtype == np.float64
+            assert np.array_equal(idx, np.flatnonzero(reference_keep(one[0], eps)))
+            assert vals.tobytes() == one[0, idx].tobytes()
+        return tensor
 
     @pytest.mark.parametrize("mode", ABLATION_MODES)
     def test_entries_at_and_one_ulp_around_eps(self, mode):
         kg, scorer, matrix = study(7)
+        n, m = scorer.n_entities, scorer.n_relations
         provider = ablation_provider(mode, scorer, matrix, kg)
-        rids = np.arange(scorer.n_entities * scorer.n_relations)
+        rids = np.arange(n * m)
         raw, pinned = reference_calibrated_block(scorer, rids, provider.theta,
-                                                 provider.pin_keys, eps=0.0)
+                                                 provider.pin_keys)
+        assert provider.row_block(rids).tobytes() == raw.tobytes()
         candidates = np.unique(raw[(raw > 0.0) & (raw < 1.0) & ~pinned])
         for value in candidates[[0, len(candidates) // 3, len(candidates) // 2, -1]]:
-            for eps in (value, np.nextafter(value, 0.0), np.nextafter(value, 1.0)):
-                block, _ = self.assert_matches_reference(provider, rids, float(eps))
-                assert (block[raw == value] == (value if value > eps else 0.0)).all()
+            single = np.float32(value)
+            for eps in (value, np.nextafter(value, 0.0), np.nextafter(value, 1.0),
+                        np.nextafter(single, np.float32(0.0)), np.nextafter(single, np.float32(1.0))):
+                eps = float(eps)
+                at = ablation_provider(mode, scorer, matrix, kg, eps=eps)
+                tensor = self.assert_kept_by_the_rule(at, raw, eps)
+                kept = single > np.float32(eps)
+                assert (tensor.reshape(n * m, n)[raw == value] == (single if kept else 0.0)).all()
         if mode == "S1234":
-            block, pinned = self.assert_matches_reference(provider, rids, 0.999)
-            assert pinned.any() and (block[pinned] == 1.0).all()
-            assert (block[~pinned] < 1.0).any()
+            at = ablation_provider(mode, scorer, matrix, kg, eps=0.999)
+            tensor = self.assert_kept_by_the_rule(at, raw, 0.999).reshape(n * m, n)
+            assert pinned.any() and (tensor[pinned] == 1.0).all()
+            assert ((raw < 1.0) & (raw > 0.0)).any()
 
     @pytest.mark.parametrize("mode", ABLATION_MODES)
     def test_nan_becomes_zero(self, mode):
         kg, scorer, matrix = study(8)
+        n, m = scorer.n_entities, scorer.n_relations
         theta = matrix.theta.copy()
         pin_keys = kg.edge_keys(("train", "validation")) if mode == "S1234" else None
         h, r = kg.triplets("train")[0][:2]
@@ -628,15 +652,43 @@ class TestThreshold:
                                   pin_keys=pin_keys, eps=0.01)
         if mode == "S12":
             scorer.model.R[r, 0] = np.nan
-        rids = np.arange(scorer.n_entities * scorer.n_relations)
-        block, pinned = self.assert_matches_reference(provider, rids, 0.01)
-        row = block[h * scorer.n_relations + r]
-        pins = pinned[h * scorer.n_relations + r]
-        assert not np.isnan(block).any()
+        raw, pinned = reference_calibrated_block(scorer, np.arange(n * m), provider.theta,
+                                                 pin_keys)
+        pins = pinned[h * m + r]
+        assert np.isnan(raw[h * m + r][~pins]).all()
+        tensor = self.assert_kept_by_the_rule(provider, raw, 0.01)
+        row = tensor[h, r]
+        assert not np.isnan(tensor).any()
         assert (row[~pins] == 0.0).all() and not np.signbit(row).any()
         assert (row[pins] == 1.0).all() and pins.any() == (mode == "S1234")
         idx, vals = provider.row(h, r)
         assert idx.tolist() == np.flatnonzero(pins).tolist() and (vals == 1.0).all()
+
+
+class TestKeepRuleBoundary:
+    """At an eps one float64 ulp below an entry whose float32 equals
+    float32(eps), the float32 rule drops the entry and a float64 rule would
+    keep it; lazy rows and the tensor must decide it the same way."""
+
+    @pytest.mark.parametrize("mode", ABLATION_MODES)
+    def test_lazy_row_supports_equal_the_tensor(self, mode):
+        kg, scorer, matrix = study(7)
+        n, m = scorer.n_entities, scorer.n_relations
+        # an unpinned entry of a lazy row, read through the one-row chain
+        lazy = ablation_provider(mode, scorer, matrix, kg, eps=0.0)
+        h, r = 5, 1
+        idx, vals = lazy.row(h, r)
+        free = (vals < 1.0) & (vals > 0.0)
+        assert free.any()
+        value = np.sort(vals[free])[free.sum() // 2]
+        eps = float(np.nextafter(value, 0.0))
+        assert np.float32(eps) == np.float32(value) and value > eps
+        provider = ablation_provider(mode, scorer, matrix, kg, eps=eps)
+        tensor = build_tensor(provider, eps)
+        for hh in range(n):
+            for rr in range(m):
+                assert np.array_equal(provider.row(hh, rr)[0], tensor.row(hh, rr)[0]), (hh, rr)
+        assert idx[vals == value][0] not in provider.row(h, r)[0]
 
 
 class TestAdaptationCheckpoint:

@@ -146,6 +146,28 @@ class TestConfigPrecedence:
         assert code == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_a_key_given_twice_is_a_usage_error(self, tmp_path, capsys):
+        # the input files do not exist: the file is rejected before any is read
+        conf = tmp_path / "twice.conf"
+        conf.write_text("epochs = 3\ndim = 6\nepochs = 4\n")
+        out = tmp_path / "m.npz"
+        code = main(["train-kgc", "--config", str(conf),
+                     "--train", str(tmp_path / "missing"), "--out", str(out)])
+        assert code == 2
+        assert f"error: {conf}:3: key 'epochs' is given twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_two_keys_of_one_flag_are_a_usage_error(self, tmp_path, capsys):
+        conf = tmp_path / "ablate.conf"
+        conf.write_text(f"out-dir = {tmp_path / 'a'}\nout_dir = {tmp_path / 'b'}\n")
+        missing = str(tmp_path / "missing")
+        code = main(["ablate", "--config", str(conf), "--train", missing,
+                     "--model", missing, "--queries", missing])
+        assert code == 2
+        assert (f"error: {conf}: config keys 'out-dir' and 'out_dir' both set --out-dir"
+                in capsys.readouterr().err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ablate.conf"]
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
@@ -428,11 +450,11 @@ class TestPipeline:
         if where == "pass":     # S123's rows of the fourth block
             real = calibrate.finish_block
 
-            def finish(scorer, rids, block, theta=None, pin_keys=None, eps=0.0):
+            def finish(scorer, rids, block, theta=None, pin_keys=None):
                 calls.append(1)
                 if len(calls) == 3 * 3 + 2:
                     raise RuntimeError("injected")
-                return real(scorer, rids, block, theta, pin_keys, eps)
+                return real(scorer, rids, block, theta, pin_keys)
 
             monkeypatch.setattr(calibrate, "finish_block", finish)
         else:

@@ -391,11 +391,33 @@ class TestQueryFiles:
         with pytest.raises(QueryParseError, match="bad id list"):
             read_queries(path)
 
+    @pytest.mark.parametrize("field", [" 3", "3 ", "+3", "-1", "1_0", "\u0663", "12,3 ",
+                                       "3,", ",3", "3,,4", "3;4", "0x3"],
+                             ids=["leading-space", "trailing-space", "plus", "minus",
+                                  "underscore", "arabic-indic-three", "list-trailing-space",
+                                  "trailing-comma", "leading-comma", "empty-id", "semicolon",
+                                  "hex"])
+    @pytest.mark.parametrize("sizes", [{}, {"n_entities": 50, "n_relations": 2}],
+                             ids=["unchecked", "sized"])
+    def test_answer_ids_are_ascii_digits_only(self, tmp_path, field, sizes):
+        path = tmp_path / "q.txt"
+        for easy, hard in ((field, "7"), ("7", field)):
+            path.write_text(f"P[#0](#1)\t\t2\nP[#0](#1)\t{easy}\t{hard}\n", encoding="utf-8")
+            with pytest.raises(QueryParseError) as err:
+                read_queries(path, **sizes)
+            assert str(err.value) == f"{path}:2: bad id list {field!r}"
+
+    def test_answer_ids_may_have_leading_zeros(self, tmp_path):
+        path = tmp_path / "q.txt"
+        path.write_text("P[#0](#1)\t0,012\t30\n")
+        rec, = read_queries(path)
+        assert rec.easy == {0, 12} and rec.hard == {30}
+
     @pytest.mark.parametrize("line,message", [
         ("P[#2](#1)\t\t3", "at position 2: relation id 2 out of range (size 2)"),
         ("P[#0](#5)\t\t3", "entity id 5 out of range (size 5)"),
         ("P[#0](#1)\t\t3,5", "answer id 5 out of range (size 5)"),
-        ("P[#0](#1)\t-1\t3", "answer id -1 out of range"),
+        ("P[#0](#1)\t-1\t3", "bad id list '-1'"),
         ("P[#0](#1)\t3\t3", "overlap"),
         ("P[#0](#1\t\t3", "at position 8: expected ')'")])
     def test_errors_name_file_and_line(self, tmp_path, line, message):

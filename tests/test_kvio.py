@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from kgreason.kvio import read_kv, write_kv
+from kgreason.kvio import UsageError, read_kv, write_kv
 
 
 def test_round_trip(tmp_path):
@@ -35,6 +35,17 @@ def test_malformed_line_reports_position(tmp_path):
     path.write_text("fine = 1\nnot a pair\n")
     with pytest.raises(ValueError, match=":2"):
         read_kv(path)
+
+
+@pytest.mark.parametrize("text", ["epochs = 3\nepochs = 4\n", "epochs = 3\n# x\n  epochs=3\n"],
+                         ids=["other value", "same value"])
+def test_a_key_given_twice_names_file_line_and_key(tmp_path, text):
+    path = tmp_path / "c.conf"
+    path.write_text(text)
+    with pytest.raises(UsageError) as err:
+        read_kv(path)
+    assert str(err.value) == f"{path}:{text.count(chr(10))}: key 'epochs' is given twice"
+    assert isinstance(err.value, ValueError)
 
 
 def test_utf8_and_line_breaks_read_as_before(tmp_path):

@@ -29,12 +29,13 @@ from kgreason.kvio import checked_lines
 
 
 def _reference_ids(csv):
+    """An answer field as read_queries takes it: ASCII digits only."""
     if not csv:
         return frozenset()
-    try:
-        return frozenset(int(tok) for tok in csv.split(","))
-    except ValueError:
-        raise QueryParseError(f"bad id list {csv!r}", None) from None
+    tokens = csv.split(",")
+    if not all(tok and set(tok) <= set("0123456789") for tok in tokens):
+        raise QueryParseError(f"bad id list {csv!r}", None)
+    return frozenset(int(tok) for tok in tokens)
 
 
 def reference_read_queries(path, entities=None, relations=None, n_entities=None,

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +135,18 @@ class TestEmbeddingModel:
         np.save(single, np.zeros(3))
         with pytest.raises(ValueError, match="not an npz model checkpoint"):
             EmbeddingModel.load(single)
+
+    @pytest.mark.parametrize("content", [b"PK\x03\x04garbage", b"not an archive\n", b""],
+                             ids=["truncated", "text", "empty"])
+    def test_failed_load_leaves_no_file_open(self, tmp_path, content):
+        path = tmp_path / "bad.npz"
+        path.write_bytes(content)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ValueError, match="not an npz model checkpoint"):
+                EmbeddingModel.load(path)
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     @pytest.mark.parametrize("change,message", [
         (dict(version=np.array([1, 1])), "unsupported model checkpoint version"),

@@ -130,7 +130,7 @@ class TestBuild:
         assert idx.tolist() == [1]
 
     def test_eps_validation(self, rng, tmp_path):
-        # 0.99999999 is below 1, but its float32 is 1.0: _compact would drop the pins
+        # 0.99999999 is below 1, but its float32 is 1.0: compact would drop the pins
         for eps in (1.0, 0.99999999, -0.1, np.nan):
             for out in (None, tmp_path / "t.kgt"):
                 with pytest.raises(ValueError, match=r"eps must lie in \[0, 1\)"):
@@ -418,14 +418,15 @@ class TestIndicatorTensor:
 
 def reference_kept_blocks(provider, rows, eps):
     """The compaction as first written: keep.nonzero() and a boolean-mask
-    gather per block; _kept_blocks must give the same arrays bit for bit."""
+    gather per block, the float64 values at the kept positions; _kept_blocks
+    must give the same arrays bit for bit."""
     step = max(1, tensor_module.BLOCK_ENTRIES // max(provider.n_entities, 1))
     for start in range(0, len(rows), step):
         block = rows[start:start + step]
         rids = np.arange(block.start, block.stop, block.step)
-        values = provider.row_block(rids).astype(np.float32)
-        keep = values > np.float32(eps)
-        yield rids, np.count_nonzero(keep, axis=1), keep.nonzero()[1].astype(np.int32), values[keep]
+        dense = provider.row_block(rids)
+        keep = dense.astype(np.float32) > np.float32(eps)
+        yield rids, np.count_nonzero(keep, axis=1), keep.nonzero()[1].astype(np.int32), dense[keep]
 
 
 def assert_compaction_matches_reference(provider, eps, rows=None):
