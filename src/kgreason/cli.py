@@ -363,13 +363,16 @@ def _namespace_from_config(parser: argparse.ArgumentParser, path: str,
                            ) -> argparse.Namespace:
     """Pre-seed a namespace so config values lose to explicit flags only.
 
-    Each key names a flag other than --help and --config. Each value is
-    converted as its flag's would be: with the flag's type, or from a boolean
-    word for a store_true flag, and must be one of the flag's choices. A
-    value that does not, a key given twice or two keys naming one flag
-    (`out-dir` and `out_dir`) is a usage error naming the file and the keys.
+    Each key names a flag other than --help and --config; each value is
+    converted as its flag's would be (its type, or a boolean word for a
+    store_true flag) and must be one of its choices. A value that fails, a
+    line without `=`, bytes not UTF-8, a key given twice or two keys of one
+    flag (`out-dir`, `out_dir`) is a usage error naming the file.
     """
-    values = read_kv(path)
+    try:
+        values = read_kv(path)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
     ns = argparse.Namespace()
     keys: dict[str, str] = {}     # dest -> the key that set it

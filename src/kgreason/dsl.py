@@ -83,15 +83,14 @@ class Union:
 Node = TUnion[Anchor, Projection, Complement, Intersection, Union]
 
 _IDENT = re.compile(r"[^\s\[\](),]+")
-_RAW_ID = re.compile(r"#(\d+)")
 _SPACE = re.compile(r"\s*")
 _COMMA = re.compile(r"\s*,")
 # an operator letter and its bracket, each after optional space; a
 # projection's relation starts after the space past its `[`
 _OPERATOR = re.compile(r"\s*(?:(P)\s*\[\s*|([NIU])\s*\()")
-# a `#<id>` token between delimiters or text ends (the look-behind follows
-# the `#`, so that a search skips from `#` to `#`)
-_ID_TOKEN = re.compile(r"#(?<![^\s\[\](),]#)(\d+)(?![^\s\[\](),])")
+# a `#<id>` token, ASCII digits between delimiters or text ends, the parser's
+# and the file reader's (the look-behind after `#` makes a search skip # to #)
+_ID_TOKEN = re.compile(r"#(?<![^\s\[\](),]#)([0-9]+)(?![^\s\[\](),])")
 # an answer field's ids
 _ID_LIST = re.compile(r"[0-9]+(?:,[0-9]+)*")
 
@@ -121,7 +120,7 @@ class _Parser:
 
     def _symbol(self, vocab: Vocab | None, kind: str, size: int | None) -> int:
         """The entity or relation at pos, which the caller has moved past space."""
-        m = _RAW_ID.match(self.text, self.pos)
+        m = _ID_TOKEN.match(self.text, self.pos)
         if m is not None:
             raw = int(m.group(1))
             limit = size if size is not None else (len(vocab) if vocab else None)

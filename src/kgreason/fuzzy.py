@@ -32,17 +32,15 @@ distinct rows of one projection (see gather_chunks). It changes no output.
 An anchor entity or relation id outside the provider's range raises
 ValueError naming the id, whichever entry point it comes through.
 
-GradientTape is the gradient API: pass one to evaluate (or to an op) and
-each op records its forward pass, so adjoints can flow back to tensor rows.
-The tape rides on the same kernels; project_batch states its tie rule, the
-winning entry of each output entry feeds the backward pass, and the clamped
-side of any upstream min(., 1) contributes zero gradient.
+GradientTape is the gradient API; the kernels take no tape. evaluate (or
+evaluate_shape) records its walk on one, and backward walks it in reverse to
+the adjoints of tensor rows, re-gathering each projection to find its winners.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -114,86 +112,24 @@ class DenseRows:
         return self.X[np.divmod(rids, self.n_relations)]
 
 
-class GradientTape:
-    """Records fuzzy ops so adjoints can flow back to tensor rows.
-
-    backward() seeds the root with an adjoint and returns the accumulated
-    d(objective)/d(row values) per (head, relation) key, each a dense
-    length-n array. Adjoints for intermediate membership vectors are kept
-    by array identity, which the recorded closures keep alive.
-    """
-
-    def __init__(self):
-        self._records: list[tuple[np.ndarray, Callable]] = []
-
-    def _record(self, out: np.ndarray, backward: Callable) -> None:
-        self._records.append((out, backward))
-
-    def backward(self, root, seed: np.ndarray | None = None) -> dict[tuple[int, int], np.ndarray]:
-        if isinstance(root, MembershipVector):
-            root = root.values
-        if not self._records:
-            raise RuntimeError("backward called without a recorded forward pass")
-        if seed is None:
-            seed = np.ones_like(root)
-        adjoints: dict[int, np.ndarray] = {id(root): np.asarray(seed, dtype=np.float64).copy()}
-        rows: dict[tuple[int, int], np.ndarray] = {}
-        touched = False
-        for out, backward in reversed(self._records):
-            g = adjoints.get(id(out))
-            if g is None:
-                continue
-            touched = True
-            backward(g, adjoints, rows)
-        if not touched:
-            raise RuntimeError("backward root does not match any recorded output")
-        return rows
+def complement(e: np.ndarray) -> np.ndarray:
+    return 1.0 - e
 
 
-def _accumulate(adjoints: dict[int, np.ndarray], target: np.ndarray, delta: np.ndarray) -> None:
-    g = adjoints.get(id(target))
-    if g is None:
-        adjoints[id(target)] = delta.copy()
-    else:
-        g += delta
-
-
-def complement(e: np.ndarray, tape: GradientTape | None = None) -> np.ndarray:
-    out = 1.0 - e
-
-    if tape is not None:
-        def backward(g, adjoints, rows, e=e):
-            _accumulate(adjoints, e, -g)
-
-        tape._record(out, backward)
-    return out
-
-
-def intersect(vectors: Sequence[np.ndarray], tape: GradientTape | None = None) -> np.ndarray:
+def intersect(vectors: Sequence[np.ndarray]) -> np.ndarray:
     if len(vectors) < 2:
         raise ValueError("intersection needs at least 2 operands")
     out = vectors[0] * vectors[1]
     for v in vectors[2:]:
         out = out * v
     np.clip(out, 0.0, 1.0, out=out)   # absorbs ulp-level rounding excursions
-
-    if tape is not None:
-        def backward(g, adjoints, rows, vectors=tuple(vectors)):
-            for k, v in enumerate(vectors):
-                partial = g.copy()
-                for j, other in enumerate(vectors):
-                    if j != k:
-                        partial *= other
-                _accumulate(adjoints, v, partial)
-
-        tape._record(out, backward)
     return out
 
 
-def union(vectors: Sequence[np.ndarray], tape: GradientTape | None = None) -> np.ndarray:
+def union(vectors: Sequence[np.ndarray]) -> np.ndarray:
     if len(vectors) < 2:
         raise ValueError("union needs at least 2 operands")
-    return complement(intersect([complement(v, tape) for v in vectors], tape), tape)
+    return complement(intersect([complement(v) for v in vectors]))
 
 
 def _check_ids(ids: np.ndarray, size: int, what: str) -> None:
@@ -243,97 +179,55 @@ def gather_chunks(provider: RowProvider, heads: np.ndarray, rels):
         yield a, b, (cols[pos], vals[pos], lens)
 
 
-def project_batch(E: np.ndarray, rels, provider: RowProvider,
-                  tape: GradientTape | None = None) -> np.ndarray:
-    """Relational images of fuzzy sets, one relation per set: for a (Q, |V|)
-    batch out[q, j] = max_i E[q, i] * X[i, rels[q], j], for one (|V|,) set
-    out_j = max_i E_i * X[i, rels, j].
-
-    The one projection kernel. The rows of the (set, source) pairs of E's
-    support, in row-major order, arrive in ranges of about
-    block_rows(_GATHER_SLOTS) entries (gather_chunks), so the working set stays
-    small whatever |V| and the batch size; each range's products are
-    max-scattered into the flat output, then the output is clamped to
-    [0, 1]. Cost scales with the gathered entries; max is exact, so each row
-    equals its set projected alone.
-
-    When a tape records, each output entry's winner is picked before the
-    clamp: its earliest gathered entry whose product is positive and equals
-    the maximum, which gather order makes the lowest source id. The backward
-    pass sends each entry's adjoint through its winner alone, to E and to
-    the winning row.
-    """
-    E = np.asarray(E, dtype=np.float64)
-    flat = E.reshape(-1, E.shape[-1])   # (Q, |V|); one row for a single set
-    n = flat.shape[1]
-    rels = np.broadcast_to(np.asarray(rels, dtype=np.int64), flat.shape[:1])
-    _check_ids(rels, provider.n_relations, "relation")
+def _products(flat: np.ndarray, rels: np.ndarray, provider: RowProvider):
+    """The gathered entries of projecting the (Q, |V|) batch flat, one
+    gather_chunks range of its support's (set, source) pairs at a time: yields
+    each pair's row length and each entry's output position, product, value."""
     qs, srcs = np.nonzero(flat != 0.0)  # a bool mask: numpy's faster nonzero
-    row_at = qs * n                     # flat start of each pair's output row
+    row_at = qs * flat.shape[1]         # flat start of each pair's output row
     weights = flat[qs, srcs]
-    out = np.zeros(E.size, dtype=np.float64)
-    # under a tape: (pair, flat position, product, value) of each gathered entry
-    taped = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), np.empty(0))]
     for a, b, (cols, vals, lens) in gather_chunks(provider, srcs, rels[qs]):
         at = np.repeat(row_at[a:b], lens)
         at += cols
         cand = np.repeat(weights[a:b], lens)
         cand *= vals
-        np.maximum.at(out, at, cand)
-        if tape is not None:
-            taped.append((np.repeat(np.arange(a, b), lens), at, cand, vals))
-    result = out.reshape(E.shape)
-
-    if tape is not None:
-        pair, at, cand, vals = map(np.concatenate, zip(*taped))
-        # taken before the clamp below; every entry with out > 0 has a hit
-        hits = np.nonzero(cand == out[at])[0]
-        first = np.full(out.size, cand.size, dtype=np.int64)
-        np.minimum.at(first, at[hits], hits)
-        win_at = np.nonzero(out > 0.0)[0]
-        win_pos = first[win_at]
-        win_pair, win_val = pair[win_pos], vals[win_pos]
-
-        def backward(g, adjoints, rows):
-            g_win = g.reshape(-1)[win_at]
-            live = g_win != 0.0
-            if not live.any():
-                return
-            g_live, pairs = g_win[live], win_pair[live]
-            q, src = qs[pairs], srcs[pairs]
-            d_in = adjoints.get(id(E))
-            if d_in is None:
-                d_in = adjoints[id(E)] = np.zeros_like(E)
-            # E's own index: (query, source) in a batch, (source,) for one set
-            np.add.at(d_in, (q, src)[-E.ndim:], g_live * win_val[live])
-            row_grad = g_live * weights[pairs]
-            cols = win_at[live] - q * n
-            keys, which = np.unique(src * provider.n_relations + rels[q], return_inverse=True)
-            for k, key in enumerate(keys.tolist()):
-                sel = which == k
-                acc = rows.setdefault(divmod(key, provider.n_relations), np.zeros(n))
-                np.add.at(acc, cols[sel], row_grad[sel])
-
-        tape._record(result, backward)
-    np.minimum(out, 1.0, out=out)   # out >= 0 already: clamp to [0, 1]
-    return result
+        yield lens, at, cand, vals
 
 
-def project(e: np.ndarray, relation: int, provider: RowProvider,
-            tape: GradientTape | None = None) -> np.ndarray:
-    """Relational image of one fuzzy set: out_j = max_i e_i * X[i, relation, j].
+def project_batch(E: np.ndarray, rels, provider: RowProvider) -> np.ndarray:
+    """Relational images of fuzzy sets, one relation per set: for a (Q, |V|)
+    batch out[q, j] = max_i E[q, i] * X[i, rels[q], j], for one (|V|,) set
+    out_j = max_i E_i * X[i, rels, j].
 
-    project_batch of a (|V|,) set. It stays a function of its own, which
-    evaluate_shape never calls: perfbench/tracer.py wraps it with a tag that
-    reads a 1-D e.
+    The one projection kernel. Its products arrive in ranges of about
+    block_rows(_GATHER_SLOTS) gathered entries (_products), so the working
+    set stays small whatever |V| and the batch size; each range is
+    max-scattered into the flat output, then the output is clamped to
+    [0, 1]. Cost scales with the gathered entries; max is exact, so each row
+    equals its set projected alone.
     """
-    return project_batch(e, relation, provider, tape)
+    E = np.asarray(E, dtype=np.float64)
+    flat = E.reshape(-1, E.shape[-1])   # (Q, |V|); one row for a single set
+    rels = np.broadcast_to(np.asarray(rels, dtype=np.int64), flat.shape[:1])
+    _check_ids(rels, provider.n_relations, "relation")
+    out = np.zeros(E.size, dtype=np.float64)
+    for _, at, cand, _ in _products(flat, rels, provider):
+        np.maximum.at(out, at, cand)
+    np.minimum(out, 1.0, out=out)   # out >= 0 already: clamp to [0, 1]
+    return out.reshape(E.shape)
+
+
+def project(e: np.ndarray, relation: int, provider: RowProvider) -> np.ndarray:
+    """project_batch of one (|V|,) set: out_j = max_i e_i * X[i, relation, j].
+    A function of its own, which evaluate_shape never calls, since
+    perfbench/tracer.py wraps it with a tag that reads a 1-D e."""
+    return project_batch(e, relation, provider)
 
 
 def evaluate_shape(shape: tuple, params: np.ndarray, provider: RowProvider,
                    tape: GradientTape | None = None) -> np.ndarray:
     """Memberships of the queries of one shape: params (Q, k) give a (Q, |V|)
-    matrix, params (k,) one query's (|V|,) vector. A tape records every op,
+    matrix, params (k,) one query's (|V|,) vector. A tape records the walk,
     so a shared subtree (one step) is evaluated once and its adjoints
     accumulate across all consumers."""
     n = provider.n_entities
@@ -346,14 +240,16 @@ def evaluate_shape(shape: tuple, params: np.ndarray, provider: RowProvider,
             _check_ids(entities, n, "anchor entity")
             v = (entities[..., None] == np.arange(n)).astype(np.float64)
         elif op == "p":
-            v = project_batch(memo[step[2]], params[..., step[1]], provider, tape)
+            v = project_batch(memo[step[2]], params[..., step[1]], provider)
         elif op == "n":
-            v = complement(memo[step[1]], tape)
+            v = complement(memo[step[1]])
         elif op == "i":
-            v = intersect([memo[c] for c in step[1]], tape)
+            v = intersect([memo[c] for c in step[1]])
         else:
-            v = union([memo[c] for c in step[1]], tape)
+            v = union([memo[c] for c in step[1]])
         memo.append(v)
+    if tape is not None:
+        tape.walks.append((shape, params, provider, memo))
     return memo[-1]
 
 
@@ -380,3 +276,103 @@ def evaluate(node: Node, provider: RowProvider,
     """Memberships of one query: evaluate_shape of its query_shape, the batch
     of one of evaluate_batches, recorded on the tape when one is given."""
     return MembershipVector(evaluate_shape(*query_shape(node), provider, tape))
+
+
+class GradientTape:
+    """Records query walks so adjoints can flow back to tensor rows.
+
+    evaluate_shape appends each walk to walks: (shape, params, provider,
+    memo), memo every step's memberships. backward(root, seed) walks back
+    from the step whose memberships are root, one adjoint g per step, root's
+    the seed (ones by default), to d(seed . root)/d(row values) per (head,
+    relation) key, a dense (|V|,) array summed over a batch ({} for an
+    anchor root). A complement sends -g to its operand, an intersection g
+    times the other operands, in order, to each, and a union the same rule
+    on its De Morgan composition's recomputed 1 - v, negated, operands in
+    reverse order; a projection sends g through each output entry's winner
+    (_project_adjoint).
+    """
+
+    def __init__(self):
+        self.walks: list[tuple[tuple, np.ndarray, RowProvider, list[np.ndarray]]] = []
+
+    def backward(self, root, seed: np.ndarray | None = None) -> dict[tuple[int, int], np.ndarray]:
+        if isinstance(root, MembershipVector):
+            root = root.values
+        if not self.walks:
+            raise RuntimeError("backward called without a recorded forward pass")
+        found = [(walk, k) for walk in self.walks for k, v in enumerate(walk[3]) if v is root]
+        if not found:
+            raise RuntimeError("backward root does not match any recorded output")
+        (shape, params, provider, memo), last = found[0]
+        adjoints: list[np.ndarray | None] = [None] * last + [
+            np.ones_like(root) if seed is None else np.array(seed, dtype=np.float64)]
+        rows: dict[tuple[int, int], np.ndarray] = {}
+        for k in range(last, -1, -1):
+            g, step = adjoints[k], shape[k]
+            if g is None or step[0] == "a":
+                continue
+            if step[0] == "p":
+                adjoints[step[2]] = _project_adjoint(
+                    g, memo[step[2]], params[..., step[1]], provider, adjoints[step[2]], rows)
+                continue
+            if step[0] == "n":
+                sends = [(step[1], -g)]
+            elif step[0] == "i":
+                sends = zip(step[1], _shares(g, [memo[c] for c in step[1]]))
+            else:
+                shares = _shares(-g, [1.0 - memo[c] for c in step[1]])
+                sends = reversed([(c, -share) for c, share in zip(step[1], shares)])
+            for c, delta in sends:
+                adjoints[c] = delta if adjoints[c] is None else adjoints[c] + delta
+        return rows
+
+
+def _shares(g: np.ndarray, factors: list[np.ndarray]) -> list[np.ndarray]:
+    """g times every factor but the k-th, in order, for each k."""
+    shares = []
+    for k in range(len(factors)):
+        share = g.copy()
+        for j, factor in enumerate(factors):
+            if j != k:
+                share *= factor
+        shares.append(share)
+    return shares
+
+
+def _project_adjoint(g, E, rels, provider: RowProvider, d_in, rows) -> np.ndarray | None:
+    """Re-gathers project_batch(E, rels, provider) (_products) and sends each
+    output entry's adjoint in g through its winner alone, to the winning row
+    in rows and to E's adjoint d_in (None till it has one), then returned.
+    The winner is the earliest gathered entry whose product is positive and
+    equals the pre-clamp maximum: gather order makes it the lowest source."""
+    flat = E.reshape(-1, E.shape[-1])
+    n = flat.shape[1]
+    rels = np.broadcast_to(rels, flat.shape[:1])
+    empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), np.empty(0))
+    lens, at, cand, vals = map(np.concatenate, zip(empty, *_products(flat, rels, provider)))
+    out = np.zeros(flat.size)
+    np.maximum.at(out, at, cand)
+    hits = np.nonzero(cand == out[at])[0]
+    first = np.full(out.size, cand.size, dtype=np.int64)
+    np.minimum.at(first, at[hits], hits)
+    g = g.reshape(-1)
+    win_at = np.nonzero((out > 0.0) & (g != 0.0))[0]
+    if not win_at.size:
+        return d_in
+    win = first[win_at]
+    qs, srcs = np.nonzero(flat != 0.0)
+    pairs = np.searchsorted(np.cumsum(lens), win, side="right")
+    q, src, g_win = qs[pairs], srcs[pairs], g[win_at]
+    if d_in is None:
+        d_in = np.zeros_like(E)
+    # E's own index: (query, source) in a batch, (source,) for one set
+    np.add.at(d_in, (q, src)[-E.ndim:], g_win * vals[win])
+    row_grad = g_win * flat[q, src]
+    cols = win_at - q * n
+    keys, which = np.unique(src * provider.n_relations + rels[q], return_inverse=True)
+    for k, key in enumerate(keys.tolist()):
+        sel = which == k
+        acc = rows.setdefault(divmod(key, provider.n_relations), np.zeros(n))
+        np.add.at(acc, cols[sel], row_grad[sel])
+    return d_in

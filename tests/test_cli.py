@@ -918,8 +918,18 @@ class TestValidatedInputs:
         out = tmp_path / "model.npz"
         code = main(["train-kgc", *pipeline["flags"], "--config", str(conf),
                      "--out", str(out)])
-        assert code == 1
+        assert code == 2
         assert f"error: {conf}:2: not valid UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_line_without_equals_is_a_usage_error(self, pipeline, tmp_path, capsys):
+        conf = tmp_path / "bad.conf"
+        conf.write_text("dim = 6\nepochs 1\n")
+        out = tmp_path / "model.npz"
+        code = main(["train-kgc", *pipeline["flags"], "--config", str(conf),
+                     "--out", str(out)])
+        assert code == 2
+        assert f"error: {conf}:2: expected 'key = value', got 'epochs 1'" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -46,6 +46,20 @@ class TestParse:
         with pytest.raises(QueryParseError, match="out of range"):
             parse("#3", ENTS, RELS)
 
+    def test_raw_id_digits_are_ascii(self):
+        # an Arabic-Indic three is a digit to \d, but not an id
+        with pytest.raises(QueryParseError) as err:
+            parse("P[#0](#\u0663)")
+        assert str(err.value) == ("at position 6: entity name '#\u0663' needs a "
+                                  "vocabulary; use #<id> instead")
+        with pytest.raises(QueryParseError, match="unknown entity '#\u0663'"):
+            parse("P[knows](#\u0663)", ENTS, RELS)
+
+    def test_id_followed_by_a_letter_is_a_name(self):
+        entities = Vocab(["alice", "#12a"])
+        assert parse("P[likes](#12a)", entities, RELS) == p(0, Anchor(1))
+        assert parse("I(#12a,#0)", entities, RELS) == Intersection((Anchor(1), Anchor(0)))
+
     def test_projection(self):
         assert parse("P[likes](alice)", ENTS, RELS) == p(0, Anchor(0))
 
@@ -149,7 +163,8 @@ PARSE_ERRORS = [
     ("I()", True, "expected entity name, found ')'", 2),
     ("P[#1](#3", False, "expected ')', found 'end of input'", 8),
     ("\xa0P[likes](alice)\u2003x", True, "trailing input 'x'", 17),
-    ("P[#1\u2003](#12abc)", False, "expected ')', found 'a'", 10),
+    ("P[#1\u2003](#12abc)", False,
+     "entity name '#12abc' needs a vocabulary; use #<id> instead", 7),
 ]
 
 
@@ -406,6 +421,23 @@ class TestQueryFiles:
             with pytest.raises(QueryParseError) as err:
                 read_queries(path, **sizes)
             assert str(err.value) == f"{path}:2: bad id list {field!r}"
+
+    @pytest.mark.parametrize("sizes", [{}, {"n_entities": 50, "n_relations": 2}],
+                             ids=["unchecked", "sized"])
+    def test_raw_id_digits_are_ascii(self, tmp_path, sizes):
+        # the second line shares the first one's skeleton but for its digit
+        path = tmp_path / "q.txt"
+        path.write_text("P[#0](#3)\t\t2\nP[#0](#\u0663)\t\t2\n", encoding="utf-8")
+        with pytest.raises(QueryParseError) as err:
+            read_queries(path, **sizes)
+        assert str(err.value) == (f"{path}:2: at position 6: entity name '#\u0663' "
+                                  "needs a vocabulary; use #<id> instead")
+
+    def test_id_followed_by_a_letter_is_a_name(self, tmp_path):
+        path = tmp_path / "q.txt"
+        path.write_text("P[#1](#12a)\t\t0\nP[#0](#12a)\t\t1\n")
+        records = read_queries(path, Vocab(["alice", "#12a"]), RELS)
+        assert [r.ast for r in records] == [p(1, Anchor(1)), p(0, Anchor(1))]
 
     def test_answer_ids_may_have_leading_zeros(self, tmp_path):
         path = tmp_path / "q.txt"

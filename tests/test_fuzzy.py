@@ -189,10 +189,10 @@ class TestProject:
         X = np.zeros((3, 1, 3))
         X[1, 0, 2] = 0.5
         X[2, 0, 2] = 0.5
-        e = np.array([0.0, 1.0, 1.0])
         tape = GradientTape()
-        out = project(e, 0, DenseRows(X), tape)
-        assert out[2] == 0.5
+        # U(#1,#2) is the set {1, 2}, both at membership 1
+        out = evaluate(parse("P[#0](U(#1,#2))"), DenseRows(X), tape)
+        assert out.values[2] == 0.5
         rows = tape.backward(out)
         assert set(rows) == {(1, 0)}
 
@@ -359,7 +359,7 @@ class TestGradientTape:
 
     def test_backward_requires_matching_root(self):
         tape = GradientTape()
-        complement(np.array([0.5, 0.5]), tape)
+        evaluate(parse("N(#0)"), DenseRows(np.full((2, 1, 2), 0.5)), tape)
         with pytest.raises(RuntimeError, match="does not match"):
             tape.backward(np.array([1.0, 1.0]))
 
