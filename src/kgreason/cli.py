@@ -15,11 +15,16 @@ out-of-range training settings, missing files, unknown names).
 A command imports the modules it runs, and only the invoked command's parser
 is built: at module level this file imports the stdlib, numpy and kvio, so a
 stage's start-up compiles and runs no module that the stage does not use.
+
+`main` is the in-process API; `entry` is the process entry point of both
+`python -m kgreason.cli` and the `kgreason` script. It runs `main`, then
+freezes the heap, so the interpreter's exit does not scan it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import logging
 import sys
@@ -446,5 +451,19 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def entry() -> int:
+    """Run `main` on the process's arguments, then move every object left
+    alive into the collector's permanent generation, so the cyclic collection
+    that the interpreter's exit runs has almost nothing to scan. The exit
+    still runs atexit handlers, flushes the standard streams and tears the
+    modules down; a cycle left alive is never collected, so no output may
+    depend on a finalizer at exit: nothing in kgreason defines `__del__` or
+    registers `weakref.finalize` or `atexit`, and every temporary file is
+    opened under `with`. Returns main's exit code."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -1,6 +1,8 @@
 """End-to-end command tests. They run in-process through cli.main, except
-TestColdStart, which spawns `python -m kgreason.cli` children."""
+TestColdStart and TestProcessEntry, which spawn `python -m kgreason.cli`
+children."""
 
+import gc
 import hashlib
 import os
 import re
@@ -941,11 +943,16 @@ def child_env() -> dict[str, str]:
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
+def run_child(args) -> subprocess.CompletedProcess:
+    """A `python <args>` child of the package this process imported."""
+    return subprocess.run([sys.executable, *args], env=child_env(), capture_output=True,
+                          text=True, timeout=120)
+
+
 def child_imports(args) -> set[str]:
     """The modules a `python -X importtime` child imports, by dotted name;
     `args` follows the interpreter's flags."""
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=child_env(),
-                          capture_output=True, text=True, timeout=120)
+    proc = run_child(["-X", "importtime", *args])
     assert proc.returncode == 0, proc.stderr
     return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
             if line.startswith("import time:")}
@@ -994,3 +1001,64 @@ class TestColdStart:
         assert loaded == expected
         if not numpy_loads_ma:
             assert "numpy.ma" not in names
+
+
+class TestProcessEntry:
+    """`entry` is the process entry point: it returns main's exit code and
+    freezes the heap after the command; main never touches the collector."""
+
+    def test_main_leaves_the_collector_alone(self, pipeline, tmp_path):
+        frozen = gc.get_freeze_count()
+        assert main(["--help"]) == 0
+        assert main(["frobnicate"]) == 2
+        assert main(stage_args("eval", pipeline, tmp_path)) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_entry_freezes_after_the_command(self):
+        proc = run_child(["-c", "import gc, sys\n"
+                          "from kgreason.cli import entry\n"
+                          "sys.argv = ['kgreason', 'frobnicate']\n"
+                          "before = gc.get_freeze_count()\n"
+                          "code = entry()\n"
+                          "print(code, before, gc.get_freeze_count() > 0)"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["2", "0", "True"]
+
+    def test_no_output_waits_for_a_finalizer(self):
+        # cycles frozen at exit are never collected, so their finalizers never run
+        for path in Path(kgreason.__file__).parent.glob("*.py"):
+            text = path.read_text(encoding="utf-8")
+            assert not re.search(r"def __del__\b|^\s*(import|from) (weakref|atexit)\b",
+                                 text, flags=re.M), path.name
+            for line in text.splitlines():
+                if "TemporaryFile(" in line:
+                    assert "with " in line or "enter_context(" in line, (path.name, line)
+
+    def test_help_exits_0(self):
+        proc = run_child(["-m", "kgreason.cli", "--help"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "usage: kgreason <command> [flags]" in proc.stdout
+
+    def test_unknown_command_exits_2(self):
+        proc = run_child(["-m", "kgreason.cli", "no-such-command"])
+        assert proc.returncode == 2
+        assert proc.stderr == "error: unknown command 'no-such-command' (try --help)\n"
+
+    def test_missing_input_file_exits_2(self, tmp_path):
+        missing = tmp_path / "nope.tsv"
+        proc = run_child(["-m", "kgreason.cli", "gen-queries", "--train", str(missing),
+                          "--out", str(tmp_path / "q.txt")])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: missing file: ") and str(missing) in proc.stderr
+        assert not (tmp_path / "q.txt").exists()
+
+    def test_eval_on_a_corrupt_tensor_exits_1(self, pipeline, tmp_path):
+        tensor = CalibratedTensor.load(pipeline["tensor"])
+        bad = tmp_path / "bad.kgt"
+        tensor.save(bad)
+        corrupt_payload(bad, tensor, "indices", 0, 99)
+        proc = run_child(["-m", "kgreason.cli", "eval", "--tensor", str(bad),
+                          "--queries", str(pipeline["test_q"])])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert str(bad) in proc.stderr and "out of range" in proc.stderr
