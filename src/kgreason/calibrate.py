@@ -10,11 +10,11 @@ Three stages after scorer training:
 
 calibrated_blocks runs all three on a block of rows: one score GEMM and
 normalize_block (the step every ablation mode shares), then each provider's
-finish_block (its adapt, and pins as plain 1.0 values). A build reads one
-provider's blocks (row_block), ablate's one pass (ablation_blocks) all modes'
-at once. Rows leave it unthresholded: tensor.compact, the one keep rule,
-makes them sparse. With theta = 0 the adapted provider reproduces the
-normalized one bitwise.
+finish_block (its adapt, and pins as plain 1.0 values). It leaves the rows
+unthresholded: tensor.kept_blocks, the one loop over row blocks, makes them
+sparse for a build (one provider's row_block), for ablate's one pass (all
+modes at once) and for adapt's base rows (_base_csr). With theta = 0 the
+adapted provider reproduces the normalized one bitwise.
 
 Fitting theta (adapt) has its own kernel for the shapes of
 dsl.ADAPTATION_STRUCTURES, intersections of at most three anchored branches
@@ -38,7 +38,7 @@ import numpy as np
 from .graph import KnowledgeGraph
 from .kvio import SettingError
 from .scorer import EmbeddingModel, read_checkpoint
-from .tensor import block_rows, check_eps, compact, csr_take
+from .tensor import block_rows, check_eps, compact, csr_take, kept_blocks
 
 if TYPE_CHECKING:     # annotations only, so that build-tensor loads no dsl
     from .dsl import QueryRecord
@@ -213,8 +213,8 @@ class CalibratedRows:
 class _AdaptiveRows:
     """Tape-path provider: fixed normalized support, live theta.
 
-    The base support is kept once on the normalized rows (one-row
-    CalibratedRows.row calls, cached) so it stays stable while theta
+    The base support is kept once on the normalized rows (the kernel's
+    _base_csr, one row per call, cached) so it stays stable while theta
     moves; values are recomputed against the current theta on every access.
     With GradientTape and theta_grad it gives the theta-gradient of any query
     shape; adapt's batched kernel computes the same for anchored branches.
@@ -222,22 +222,22 @@ class _AdaptiveRows:
 
     def __init__(self, scorer: NormalizedScorer, theta: np.ndarray, eps: float):
         self.theta = theta
-        self._normalized = CalibratedRows(scorer, eps=eps)
+        self.scorer, self.eps = scorer, float(eps)
         self._base: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def n_entities(self) -> int:
-        return self._normalized.n_entities
+        return self.scorer.n_entities
 
     @property
     def n_relations(self) -> int:
-        return self._normalized.n_relations
+        return self.scorer.n_relations
 
     def base_row(self, h: int, r: int) -> tuple[np.ndarray, np.ndarray]:
         key = (h, r)
         row = self._base.get(key)
         if row is None:
-            row = self._normalized.row(h, r)
+            row = _base_csr(self.scorer, np.array([h * self.n_relations + r]), self.eps)[1:]
             self._base[key] = row
         return row
 
@@ -376,31 +376,41 @@ class _BranchTable:
 
 def _base_csr(scorer: NormalizedScorer, rids: np.ndarray,
               eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The S12 rows of flat row ids `rids`, kept by tensor.compact, as CSR:
-    (int64 offsets, int32 cols, float64 vals). Per block of block_rows(|V|)
-    rows, one model.queries call, one stacked product of one-row GEMVs, one
-    normalize_block and one compact. Each GEMV is the product a one-row
-    CalibratedRows.row call computes, so the rows are bitwise its rows and the
-    tape path's; a block GEMM rounds the scores differently."""
-    step = block_rows(scorer.n_entities)
-    # the leading offset 0, and each array's dtype when there are no rows
-    parts = [(np.zeros(1, np.int64), np.empty(0, np.int32), np.empty(0))]
-    for start in range(0, rids.shape[0], step):
-        block_rids = rids[start:start + step]
+    """The S12 rows of ascending flat row ids `rids`, kept by tensor.compact,
+    as CSR: (int64 offsets, int32 cols, float64 vals). Per block of
+    tensor.kept_blocks, one model.queries call, one stacked product of one-row
+    GEMVs and one normalize_block. Each GEMV is the product of a one-row
+    score_rows call, so a row is the same whatever block it is in, and the
+    one source of the kernel's and the tape path's base rows; a block GEMM
+    rounds the scores differently."""
+    def base_rows(block_rids):
         queries = scorer.model.queries(*np.divmod(block_rids, scorer.n_relations))
         block = np.matmul(queries[:, None, :], scorer.candidates.T)[:, 0]
-        parts.append(compact(normalize_block(scorer, block_rids, block), eps))
+        return [normalize_block(scorer, block_rids, block)]
+
+    # the leading offset 0, and each array's dtype when there are no rows
+    parts = [(np.zeros(1, np.int64), np.empty(0, np.int32), np.empty(0))]
+    parts += [kept for _, (kept,) in kept_blocks(base_rows, scorer.n_entities,
+                                                  scorer.n_relations, rids, eps)]
     counts, cols, vals = (np.concatenate(part) for part in zip(*parts))
     return np.cumsum(counts), cols, vals
+
+
+def adaptation_records(records: list[QueryRecord]) -> list[QueryRecord]:
+    """The records adapt fits theta on: those of dsl.ADAPTATION_STRUCTURES
+    with at least one answer."""
+    from .dsl import ADAPTATION_STRUCTURES     # at call time: build-tensor loads no dsl
+    return [rec for rec in records if rec.structure in ADAPTATION_STRUCTURES
+            and (rec.easy or rec.hard)]
 
 
 def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
           config: CalibrationConfig) -> tuple[AdaptationMatrix, list[float]]:
     """Fit theta on complex-query training data with Adam; returns epoch losses.
 
-    Only records whose structure is in dsl.ADAPTATION_STRUCTURES participate;
-    each must be an intersection of at most three anchored branches, which
-    every shape of ADAPTATION_STRUCTURES is (see _BranchTable).
+    Only adaptation_records(records) participate. Each is an intersection of
+    at most three anchored branches, as every shape of ADAPTATION_STRUCTURES
+    is (see _BranchTable).
     Answer sets are the records' own (train-graph) answers; non-answers are
     the full complement, no sampling.
 
@@ -416,9 +426,7 @@ def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
     _AdaptiveRows); gradients and theta differ from it only by summation
     order.
     """
-    from .dsl import ADAPTATION_STRUCTURES     # at call time: build-tensor loads no dsl
-    usable = [rec for rec in records if rec.structure in ADAPTATION_STRUCTURES
-              and (rec.easy | rec.hard)]
+    usable = adaptation_records(records)
     if not usable:
         raise ValueError("no training queries of the adaptation structures")
     n, m = scorer.n_entities, scorer.n_relations
@@ -450,16 +458,6 @@ def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
         history.append(mean_loss)
         log.debug("adaptation epoch %d: loss %.6f", epoch, mean_loss)
     return AdaptationMatrix(theta), history
-
-
-def ablation_blocks(scorer: NormalizedScorer, providers: list[CalibratedRows]):
-    """Per head-major block of block_rows(|V|) rows, (rids, the calibrated_blocks
-    of `providers`), so each provider's rows are its row_block's."""
-    n, m = scorer.n_entities, scorer.n_relations
-    step = block_rows(n)
-    for start in range(0, n * m, step):
-        rids = np.arange(start, min(start + step, n * m))
-        yield rids, calibrated_blocks(scorer, rids, providers)
 
 
 def ablation_provider(mode: str, scorer: NormalizedScorer,

@@ -80,12 +80,15 @@ def _load_graph(args):
     return kg
 
 
-def _load_scorer(args, kg):
-    """The --model checkpoint, checked against the graph, and its normalizer."""
-    from .calibrate import NormalizedScorer
+def _load_calibration(args):
+    """The graph, the --model scorer and the --w adaptation matrix (None
+    without --w), each checked against the graph's vocabularies."""
+    from .calibrate import AdaptationMatrix, NormalizedScorer
     from .scorer import EmbeddingModel
-    model = EmbeddingModel.load(args.model, (kg.n_entities, kg.n_relations))
-    return NormalizedScorer(model, kg, alpha=args.alpha)
+    kg = _load_graph(args)
+    shape, w = (kg.n_entities, kg.n_relations), getattr(args, "w", None)
+    scorer = NormalizedScorer(EmbeddingModel.load(args.model, shape), kg, alpha=args.alpha)
+    return kg, scorer, AdaptationMatrix.load(w, shape) if w else None
 
 
 def _npz_path(raw: str) -> Path:
@@ -159,30 +162,28 @@ def cmd_train_kgc(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    from .calibrate import CalibrationConfig, adapt
-    from .dsl import read_queries
+    from .calibrate import CalibrationConfig, adapt, adaptation_records
+    from .dsl import ADAPTATION_STRUCTURES, read_queries
     config = CalibrationConfig(lr=args.lr, epochs=args.epochs, batch_size=args.batch,
                                eps=args.epsilon, seed=args.seed)
-    kg = _load_graph(args)
-    scorer = _load_scorer(args, kg)
+    kg, scorer, _ = _load_calibration(args)
     records = read_queries(args.queries, kg.entities, kg.relations)
-    matrix, history = adapt(scorer, records, config)
+    usable = adaptation_records(records)
+    matrix, history = adapt(scorer, usable, config)
     matrix.save(args.out)
     _write_manifest(args.out, "calibrate", args, [args.out])
-    print(f"adapted on {len(records)} queries; loss {history[0]:.4f} -> "
+    print(f"adapted on {len(usable)} queries ({len(records) - len(usable)} skipped: not "
+          f"{'/'.join(ADAPTATION_STRUCTURES)}, or no answers); loss {history[0]:.4f} -> "
           f"{history[-1]:.4f}; saved {args.out}")
     return 0
 
 
 def cmd_build_tensor(args) -> int:
-    from .calibrate import AdaptationMatrix, ablation_provider
+    from .calibrate import ablation_provider
     from .tensor import build_tensor
     if args.mode != "S12" and not args.w:
         raise UsageError(f"mode {args.mode} needs --w")
-    kg = _load_graph(args)
-    scorer = _load_scorer(args, kg)
-    matrix = (AdaptationMatrix.load(args.w, (kg.n_entities, kg.n_relations))
-              if args.w else None)
+    kg, scorer, matrix = _load_calibration(args)
     provider = ablation_provider(args.mode, scorer, matrix, kg, eps=args.epsilon)
     report = build_tensor(provider, eps=args.epsilon, memory_cap=args.memory_cap,
                           out=args.out)
@@ -241,22 +242,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    from .calibrate import ABLATION_MODES, AdaptationMatrix, ablation_blocks, ablation_provider
+    from .calibrate import ABLATION_MODES, ablation_provider, calibrated_blocks
     from .dsl import read_queries
     from .harness import evaluate_run
     from .tensor import stream_tensors
     out_dir = Path(args.out_dir)
-    kg = _load_graph(args)
-    scorer = _load_scorer(args, kg)
-    matrix = (AdaptationMatrix.load(args.w, (kg.n_entities, kg.n_relations))
-              if args.w else None)
+    kg, scorer, matrix = _load_calibration(args)
     records = read_queries(args.queries, kg.entities, kg.relations)
     modes = ABLATION_MODES if matrix is not None else ("S12",)
     providers = [ablation_provider(mode, scorer, matrix, kg, eps=args.epsilon) for mode in modes]
     out_dir.mkdir(parents=True, exist_ok=True)
     summary: dict[str, str] = {}
-    with closing(stream_tensors(ablation_blocks(scorer, providers), len(modes), kg.n_entities,
-                                kg.n_relations, args.epsilon, out_dir)) as tensors:
+    with closing(stream_tensors(lambda rids: calibrated_blocks(scorer, rids, providers),
+                                len(modes), kg.n_entities, kg.n_relations, args.epsilon,
+                                out_dir)) as tensors:
         for mode in modes:
             tensor = next(tensors)      # not through zip, whose tuple would keep the last one
             report = evaluate_run(tensor, records)

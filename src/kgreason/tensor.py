@@ -2,11 +2,9 @@
 
 Rows are CSR-style over flattened (head, relation) pairs, head-major.
 Stored values are float32 (memberships need no more); all math upstream
-and downstream runs in float64, upcasting on row access. compact is the one
-keep rule of a calibrated entry, float32(x) > float32(eps), for every row
-made sparse (builds, ablate, CalibratedRows.row, adapt's base rows). A pin is
-a plain value: the calibration writes 1.0 into a known triplet's entry,
-which every eps that check_eps admits keeps.
+and downstream runs in float64, upcasting on row access. A pin is a plain
+value: the calibration writes 1.0 into a known triplet's entry, which every
+eps that check_eps admits keeps.
 
 File layout, little-endian:
 
@@ -16,10 +14,11 @@ File layout, little-endian:
 load reads the file once and keeps read-only views of its buffer as the
 tensor's arrays, so its peak is about one file, not two.
 
-build_tensor reads a provider through row_block(rids) -> dense float64 rows,
-for head-major blocks of at most BLOCK_ENTRIES entries, and an explicit eps.
-compact keeps a block's entries in one pass: the flat index of a kept entry
-less its row's start gives its column, one take the float64 values.
+kept_blocks is the one loop that makes calibrated rows sparse, for the
+build, ablate, the --memory-cap probe and adapt's base rows: per head-major
+block of block_rows(|V|) row ids it takes dense float64 rows from
+row_blocks(rids), one array per output, and keeps their entries by compact,
+float32(x) > float32(eps), the one keep rule (CalibratedRows.row's too).
 
 _V1Writer is the one writer of the layout: each block is checked and its
 indices written as it comes, its values go to an unlinked spool copied in
@@ -27,9 +26,8 @@ after the last index, and the header and offsets go in last, so a streamed
 tensor is never whole in memory. Every build streams through it (_write):
 build_tensor with an output path into a temporary name beside the output,
 moved into place with os.replace, so a failed build leaves nothing behind;
-without one into an unlinked file, loaded back as the CalibratedTensor it
-returns. ablate's pass streams its modes in lockstep into unlinked files
-(stream_tensors) and loads them one at a time.
+stream_tensors (ablate's pass, and build_tensor without a path) into
+unlinked files, in lockstep, then loaded one at a time.
 
 Rows are read back as CSR through csr_take: a tensor's own arrays, row_csr's
 copy of a lazy provider's rows (fuzzy.gather_chunks), or adapt's base rows.
@@ -58,7 +56,7 @@ _VALUE_BYTES = 4
 _HEADER_BYTES = len(MAGIC) + 4 + 3 * 8 + 8
 
 # the package's one working-set bound, in float64 entries per block of every
-# chunked kernel: the build's row blocks, the evaluator's query batches,
+# chunked kernel: kept_blocks' row blocks, the evaluator's query batches,
 # projection's gather ranges and adaptation's query chunks (block_rows). Its
 # value fixes the build's GEMM block shape, and so the bytes of the tensor.
 BLOCK_ENTRIES = 1 << 15
@@ -280,32 +278,34 @@ def compact(dense: np.ndarray, eps: float):
     return counts, flat.astype(np.int32) - np.repeat(starts, counts), dense.ravel().take(flat)
 
 
-def _kept_blocks(provider, rows: range, eps: float, memory_cap: int | None = None):
-    """(rids, compact of their row_block) per block of the row ids in `rows`;
-    raises MemoryBudgetError once the running size estimate crosses memory_cap."""
-    n, m = provider.n_entities, provider.n_relations
+def kept_blocks(row_blocks, n: int, m: int, rows, eps: float, memory_cap: int | None = None):
+    """The one loop over row blocks: per block of block_rows(n) of the ascending
+    flat row ids `rows` (a range or an int64 array), (rids, [compact(dense, eps)
+    for each dense float64 array of row_blocks(rids)]), one per output; eps as
+    check_eps admits. Raises MemoryBudgetError once the running estimate
+    SparsityReport(n, m, nnz), nnz summed over the outputs, crosses memory_cap."""
+    check_eps(eps)
     step, nnz = block_rows(n), 0
     for start in range(0, len(rows), step):
-        block = rows[start:start + step]
-        rids = np.arange(block.start, block.stop, block.step)
-        kept = compact(provider.row_block(rids), eps)
-        nnz += kept[1].shape[0]
+        rids = rows[start:start + step]
+        rids = np.arange(rids.start, rids.stop, rids.step) if isinstance(rids, range) else rids
+        kept = [compact(dense, eps) for dense in row_blocks(rids)]
+        nnz += sum(cols.shape[0] for _, cols, _ in kept)
         if memory_cap is not None and SparsityReport(n, m, nnz).estimated_bytes > memory_cap:
-            suggestion = _probe_epsilon(provider, n, m, eps, memory_cap)
-            raise MemoryBudgetError(
-                f"tensor exceeds memory cap {memory_cap} at eps={eps}; "
-                + (f"smallest admissible eps is about {suggestion}" if suggestion < 1.0
-                   else "no eps below 1 fits"),
-                suggestion,
-            )
+            suggestion = _probe_epsilon(row_blocks, n, m, eps, memory_cap)
+            fits = (f"smallest admissible eps is about {suggestion}" if suggestion < 1.0
+                    else "no eps below 1 fits")
+            raise MemoryBudgetError(f"tensor exceeds memory cap {memory_cap} at eps={eps}; "
+                                    + fits, suggestion)
         yield rids, kept
 
 
-def _probe_epsilon(provider, n: int, m: int, eps: float, cap: int) -> float:
+def _probe_epsilon(row_blocks, n: int, m: int, eps: float, cap: int) -> float:
     """Estimate the smallest eps whose tensor fits the cap, by row sampling."""
     total_rows = n * m
     sample = range(0, total_rows, max(1, total_rows // 256))
-    pool = [vals.astype(np.float32) for _, (*_, vals) in _kept_blocks(provider, sample, eps)]
+    pool = [vals.astype(np.float32) for _, kept in kept_blocks(row_blocks, n, m, sample, eps)
+            for *_, vals in kept]
     values = np.sort(np.concatenate([np.empty(0, np.float32), *pool]))[::-1]
     budget = max(cap - SparsityReport(n, m, 0).estimated_bytes, 0) // (_INDEX_BYTES + _VALUE_BYTES)
     keep = int(budget * len(sample) / total_rows)
@@ -330,16 +330,17 @@ def _write(files, blocks, n: int, m: int, eps: float, directory=None) -> list[in
         return [writer.finish() for writer in writers]
 
 
-def stream_tensors(blocks, count: int, n_entities: int, n_relations: int, eps, directory):
-    """Stream `count` tensors, whose dense rows `blocks` yields in lockstep as
-    calibrate.ablation_blocks does, into unlinked v1 files in `directory`;
-    then load and yield each in turn, its file closed as the next is drawn."""
-    check_eps(eps)
+def stream_tensors(row_blocks, count: int, n: int, m: int, eps: float, directory=None,
+                   memory_cap: int | None = None):
+    """Stream the `count` (|V| = n, |R| = m) tensors whose dense rows
+    row_blocks(rids) gives, one array each (see kept_blocks), in lockstep
+    into unlinked v1 files in `directory`; then load and yield each in turn,
+    its file closed as the next is drawn."""
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(tempfile.TemporaryFile(dir=directory))
                  for _ in range(count)]
-        _write(files, ((rids, (compact(dense, eps) for dense in denses))
-                       for rids, denses in blocks), n_entities, n_relations, eps, directory)
+        _write(files, kept_blocks(row_blocks, n, m, range(n * m), eps, memory_cap),
+               n, m, eps, directory)
         for fh in files:
             yield CalibratedTensor.load(fh.fileno())
             fh.close()
@@ -357,28 +358,29 @@ def build_tensor(provider, eps: float, memory_cap: int | None = None, out=None):
     v1 file block by block either way. With `out` it is the file at that
     path, the result its SparsityReport (n_entities, n_relations, nnz), and a
     failed build leaves no file and any file already at `out` unchanged.
-    Without `out` it is an unlinked file, loaded back as the result.
+    Without `out` it is an unlinked file (stream_tensors), loaded back as
+    the result.
     """
-    check_eps(eps)
-    n = provider.n_entities
-    m = provider.n_relations
-    blocks = ((rids, [kept]) for rids, kept in _kept_blocks(provider, range(n * m), eps,
-                                                             memory_cap))
+    n, m = provider.n_entities, provider.n_relations
+
+    def row_blocks(rids):
+        return [provider.row_block(rids)]
+
     if out is None:
-        with tempfile.TemporaryFile() as fh:
-            nnz, = _write([fh], blocks, n, m, eps)
-            tensor = CalibratedTensor.load(fh.fileno())
-    else:
-        parent, name = os.path.split(os.path.abspath(out))
-        tmp = os.path.join(parent, f".{name}.{os.urandom(4).hex()}.tmp")
-        try:
-            with open(tmp, "xb") as fh:
-                nnz, = _write([fh], blocks, n, m, eps, parent)
-            os.replace(tmp, out)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        tensor, = stream_tensors(row_blocks, 1, n, m, eps, memory_cap=memory_cap)
+        log.info("built tensor: %s", tensor.stats())
+        return tensor
+    parent, name = os.path.split(os.path.abspath(out))
+    tmp = os.path.join(parent, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            nnz, = _write([fh], kept_blocks(row_blocks, n, m, range(n * m), eps, memory_cap),
+                          n, m, eps, parent)
+        os.replace(tmp, out)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
     report = SparsityReport(n, m, nnz)
     log.info("built tensor: %s", report)
-    return tensor if out is None else report
+    return report

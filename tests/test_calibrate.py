@@ -1018,19 +1018,21 @@ class TestBaseRows:
     """_BranchTable's base CSR against the one-row path it replaced: one
     CalibratedRows.row call per unique (h, r), through tensor.row_csr."""
 
-    @pytest.mark.parametrize("block_entries", [None, 5 * 24, 7 * 24 + 3])
+    @pytest.mark.parametrize("block_entries", [None, 24, 5 * 24, 7 * 24 + 3])
     @pytest.mark.parametrize("eps", [0.01, 0.1])
     @pytest.mark.parametrize("kind", ["complex-bilinear", "simple-bilinear",
                                       "canonical-polyadic"])
     def test_bitwise_the_one_row_path(self, monkeypatch, kind, eps, block_entries):
         kg, scorer, _ = study(12, kind=kind)
         records = shaped_records(np.random.default_rng(12), 24, 3, per_shape=8)
-        if block_entries is not None:    # blocks of 5 and 7 rows
+        if block_entries is not None:    # blocks of 1, 5 and 7 rows
             monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", block_entries)
         table = calibrate_module._BranchTable(scorer, records, eps)
         offsets, cols, vals = row_csr(CalibratedRows(scorer, eps=eps), table.rows)
 
-        if block_entries is not None:
+        if block_entries == 24:
+            assert tensor_module.block_rows(24) == 1
+        elif block_entries is not None:
             assert table.rows.size % tensor_module.block_rows(24)    # a short last block
         assert table.base_offsets.dtype == np.int64 and table.base_cols.dtype == np.int32
         np.testing.assert_array_equal(table.base_offsets, offsets)
@@ -1052,6 +1054,25 @@ class TestBaseRows:
         monkeypatch.setattr(EmbeddingModel, "score_rows", refuse)
         table = calibrate_module._BranchTable(scorer, records, 0.01)
         assert table.base_vals.size > 0
+
+    def test_tape_path_reads_the_kernels_rows(self, monkeypatch):
+        # _AdaptiveRows.base_row is _base_csr's row, read one row at a time:
+        # bitwise the table's, and through no CalibratedRows call
+        kg, scorer, _ = study(14)
+        records = shaped_records(np.random.default_rng(14), 24, 3, per_shape=4)
+        table = calibrate_module._BranchTable(scorer, records, 0.01)
+
+        def refuse(*args):
+            raise AssertionError("a CalibratedRows call")
+
+        monkeypatch.setattr(CalibratedRows, "row", refuse)
+        monkeypatch.setattr(CalibratedRows, "row_block", refuse)
+        adaptive = _AdaptiveRows(scorer, np.zeros((24, 3)), eps=0.01)
+        for k, rid in enumerate(table.rows.tolist()):
+            idx, vals = adaptive.base_row(*divmod(rid, 3))
+            lo, hi = table.base_offsets[k:k + 2]
+            assert idx.dtype == np.int32 and idx.tobytes() == table.base_cols[lo:hi].tobytes()
+            assert vals.tobytes() == table.base_vals[lo:hi].tobytes()
 
 
 # _BranchTable._chunk as it ran before it computed in place: about ten

@@ -337,6 +337,26 @@ class TestPipeline:
         assert f"error: {conf}: unknown config key 'mode'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_calibrate_reports_the_queries_it_fitted_on(self, pipeline, tmp_path, capsys):
+        # 2p is no adaptation structure: a file of 1p and 2p queries fits the
+        # theta of its 1p queries alone, and says so
+        thetas = []
+        for structures in ("1p,2p", "1p"):
+            queries, w = tmp_path / f"{structures}.queries", tmp_path / f"{structures}.npz"
+            assert main(["gen-queries", *pipeline["flags"], "--structures", structures,
+                         "--count", "5", "--split", "train", "--out", str(queries)]) == 0
+            capsys.readouterr()
+            assert main(["calibrate", *pipeline["flags"], "--model", str(pipeline["model"]),
+                         "--queries", str(queries), "--lr", "0.05", "--batch", "2",
+                         "--out", str(w)]) == 0
+            thetas.append(AdaptationMatrix.load(w).theta)
+            out = capsys.readouterr().out
+            skipped = 5 if structures == "1p,2p" else 0
+            assert out.startswith(f"adapted on 5 queries ({skipped} skipped: "
+                                  "not 1p/2i/3i/2in/3in, or no answers); loss ")
+        assert np.abs(thetas[0]).max() > 0
+        assert thetas[0].tobytes() == thetas[1].tobytes()
+
     def test_calibrate_needs_queries(self, pipeline, capsys):
         code = main(["calibrate", *pipeline["flags"], "--model",
                      str(pipeline["model"])])

@@ -13,9 +13,9 @@ from kgreason.calibrate import (
     AdaptationMatrix,
     CalibrationConfig,
     NormalizedScorer,
-    ablation_blocks,
     ablation_provider,
     adapt,
+    calibrated_blocks,
 )
 from kgreason.fuzzy import DenseRows, evaluate
 from kgreason.dsl import QueryRecord, parse
@@ -25,8 +25,8 @@ from kgreason.tensor import (
     CalibratedTensor,
     MAGIC,
     MemoryBudgetError,
-    _kept_blocks,
     build_tensor,
+    kept_blocks,
     stream_tensors,
 )
 
@@ -136,7 +136,7 @@ class TestBuild:
                 with pytest.raises(ValueError, match=r"eps must lie in \[0, 1\)"):
                     build_tensor(DenseRows(dense(rng)), eps=eps, out=out)
             with pytest.raises(ValueError, match=r"eps must lie in \[0, 1\)"):
-                next(stream_tensors(iter(()), 1, 8, 2, eps, tmp_path))
+                next(stream_tensors(lambda rids: [], 1, 8, 2, eps, tmp_path))
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("block_entries", [1, 7, 20, 1 << 15])
@@ -418,20 +418,25 @@ class TestIndicatorTensor:
 
 def reference_kept_blocks(provider, rows, eps):
     """The compaction as first written: keep.nonzero() and a boolean-mask
-    gather per block, the float64 values at the kept positions; _kept_blocks
+    gather per block, the float64 values at the kept positions; kept_blocks
     must give the same arrays bit for bit."""
     step = max(1, tensor_module.BLOCK_ENTRIES // max(provider.n_entities, 1))
     for start in range(0, len(rows), step):
-        block = rows[start:start + step]
-        rids = np.arange(block.start, block.stop, block.step)
+        rids = np.asarray(rows[start:start + step], dtype=np.int64)
         dense = provider.row_block(rids)
         keep = dense.astype(np.float32) > np.float32(eps)
         yield rids, np.count_nonzero(keep, axis=1), keep.nonzero()[1].astype(np.int32), dense[keep]
 
 
+def provider_kept_blocks(provider, rows, eps):
+    """kept_blocks over one provider's row_block, as build_tensor runs it."""
+    return kept_blocks(lambda rids: [provider.row_block(rids)], provider.n_entities,
+                       provider.n_relations, rows, eps)
+
+
 def assert_compaction_matches_reference(provider, eps, rows=None):
     rows = range(provider.n_entities * provider.n_relations) if rows is None else rows
-    got = [(rids, *kept) for rids, kept in _kept_blocks(provider, rows, eps)]
+    got = [(rids, *kept) for rids, (kept,) in provider_kept_blocks(provider, rows, eps)]
     want = list(reference_kept_blocks(provider, rows, eps))
     assert len(got) == len(want)
     for block, expect in zip(got, want):
@@ -488,6 +493,51 @@ class TestCompaction:
     def test_sampled_rows(self, rng):
         X = rng.random((30, 3, 30))
         assert_compaction_matches_reference(DenseRows(X), 0.4, range(0, 90, 7))
+
+    @pytest.mark.parametrize("block_entries", [1, 13, 1 << 15])
+    def test_array_rows_match_range_rows(self, rng, monkeypatch, block_entries):
+        # adapt's base rows pass an int64 array of ascending row ids, the
+        # builds a range: the same ids give the same blocks
+        monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", block_entries)
+        provider = DenseRows(rng.random((30, 3, 30)))
+        from_range = assert_compaction_matches_reference(provider, 0.4, range(0, 90, 7))
+        from_array = assert_compaction_matches_reference(provider, 0.4, np.arange(0, 90, 7))
+        assert len(from_range) == len(from_array)
+        for a, b in zip(from_range, from_array):
+            assert all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+    @pytest.mark.parametrize("block_entries", [1, 13, 1 << 15])
+    def test_outputs_in_lockstep(self, rng, monkeypatch, block_entries):
+        # one row_blocks call per block, one compaction per array it returns,
+        # each bitwise that output's own
+        monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", block_entries)
+        X = [DenseRows(rng.random((9, 3, 9)) ** k) for k in (1, 2, 3)]
+        calls = []
+
+        def row_blocks(rids):
+            calls.append(rids)
+            return (x.row_block(rids) for x in X)
+
+        got = list(kept_blocks(row_blocks, 9, 3, range(27), 0.3))
+        assert len(calls) == len(got) == -(-27 // tensor_module.block_rows(9))
+        for k, x in enumerate(X):
+            want = list(provider_kept_blocks(x, range(27), 0.3))
+            for (rids, kept), (want_rids, (want_kept,)) in zip(got, want):
+                assert rids.tobytes() == want_rids.tobytes()
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(kept[k], want_kept))
+
+    def test_memory_cap_counts_every_output(self, rng):
+        # two outputs of 10 * 2 rows of 10 kept entries: 3200 bytes of entries
+        X = DenseRows(rng.uniform(0.2, 0.8, size=(10, 2, 10)))
+        offsets = (10 * 2 + 1) * 8
+        rows = range(20)
+
+        def both(rids):
+            return [X.row_block(rids)] * 2
+
+        assert sum(1 for _ in kept_blocks(both, 10, 2, rows, 0.0, offsets + 3200)) == 1
+        with pytest.raises(MemoryBudgetError, match="memory cap 3367"):
+            list(kept_blocks(both, 10, 2, rows, 0.0, offsets + 3199))
 
     @given(st.integers(1, 12), st.integers(1, 4), st.integers(1, 64),
            st.sampled_from([0.0, 0.25, 0.3, 0.999]), st.integers(0, 2 ** 32 - 1))
@@ -562,8 +612,8 @@ def stream_modes(directory, kg, scorer, adaptation, eps, modes=ABLATION_MODES):
     """ablate's pass: the modes' tensors streamed in lockstep, then each
     loaded and saved to a file named after its mode in `directory`."""
     providers = [ablation_provider(mode, scorer, adaptation, kg, eps=eps) for mode in modes]
-    tensors = stream_tensors(ablation_blocks(scorer, providers), len(modes), kg.n_entities,
-                             kg.n_relations, eps, directory)
+    tensors = stream_tensors(lambda rids: calibrated_blocks(scorer, rids, providers),
+                             len(modes), kg.n_entities, kg.n_relations, eps, directory)
     for mode in modes:
         next(tensors).save(directory / mode)
     assert next(tensors, None) is None
@@ -579,13 +629,18 @@ class TestAblationPass:
         kg, scorer, adaptation = golden_chain
         monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", block_entries)
         (tmp_path / "saved").mkdir()
+        (tmp_path / "built").mkdir()
         stream_modes(tmp_path, kg, scorer, adaptation, eps)
         for mode in ABLATION_MODES:
-            tensor = build_tensor(ablation_provider(mode, scorer, adaptation, kg, eps=eps), eps)
-            tensor.save(tmp_path / "saved" / mode)
-            assert (tmp_path / mode).read_bytes() == (tmp_path / "saved" / mode).read_bytes()
+            provider = ablation_provider(mode, scorer, adaptation, kg, eps=eps)
+            build_tensor(provider, eps).save(tmp_path / "saved" / mode)
+            build_tensor(provider, eps, out=tmp_path / "built" / mode)
+            for built in ("saved", "built"):
+                assert (tmp_path / mode).read_bytes() == (tmp_path / built / mode).read_bytes()
         # the temporary files are gone
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*ABLATION_MODES, "saved"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*ABLATION_MODES, "built",
+                                                                     "saved"])
+        assert sorted(p.name for p in (tmp_path / "built").iterdir()) == sorted(ABLATION_MODES)
 
     @pytest.mark.parametrize("modes", [("S12",), ("S1234", "S12")])
     def test_any_modes_in_any_order(self, tmp_path, golden_chain, monkeypatch, modes):
@@ -626,8 +681,9 @@ class TestAblationPass:
         del tensor
         providers = [ablation_provider(mode, scorer, adaptation, kg, eps=0.003)
                      for mode in ABLATION_MODES]
-        tensors = stream_tensors(ablation_blocks(scorer, providers), len(providers),
-                                 kg.n_entities, kg.n_relations, 0.003, tmp_path)
+        tensors = stream_tensors(lambda rids: calibrated_blocks(scorer, rids, providers),
+                                 len(providers), kg.n_entities, kg.n_relations, 0.003,
+                                 tmp_path)
         peaks = []       # the pass's, read as the first tensor's load begins
         load = CalibratedTensor.load
         monkeypatch.setattr(CalibratedTensor, "load", staticmethod(
