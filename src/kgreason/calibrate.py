@@ -21,7 +21,11 @@ dsl.ADAPTATION_STRUCTURES, intersections of at most three anchored branches
 P[r](h), each possibly complemented: the S12 base rows of their unique
 (h, r) once (_base_csr), then each minibatch's losses and theta-gradient in
 one vectorized pass per chunk of block_rows(MAX_BRANCHES * |V|) queries, in
-place and with every rounding of the out-of-place formulas. The tape path
+place and with every rounding of the out-of-place formulas. Theta, its
+gradient and the Adam moments are vectors over those reached rows, and the
+chunks' buffers are allocated once per adapt, so a step costs its minibatch,
+not |V| * |R|; theta becomes the (|V|, |R|) matrix after the last step, +0.0
+on every row no query reaches. The tape path
 (_AdaptiveRows, GradientTape, query_loss_adjoint) stays the general
 gradient API and the kernel's reference: forward memberships are equal to
 it, gradients and theta differ from it only by summation order.
@@ -286,16 +290,18 @@ class _BranchTable:
     (or the query itself): an anchor's projection, perhaps complemented.
     pair[q, k] indexes the row of branch k of query q among the unique flat
     row ids h * |R| + r in `rows`, -1 for a padding slot (a constant-1
-    factor); negated[q, k] marks a complement. The rows' thresholded S12
-    values (bitwise the tape path's base rows; see _base_csr) and the answer
-    ids are kept as CSR.
+    factor); negated[q, k] marks a complement, live[q, k] a branch that is
+    not padding, and flip[q, k] a factor read as 1 - x (a complement or a
+    padding slot). The rows' thresholded S12 values (bitwise the tape path's
+    base rows; see _base_csr) and the answer ids are kept as CSR. theta and
+    its gradient are read and written by row: vectors of rows.size entries.
     """
 
     def __init__(self, scorer: NormalizedScorer, records: list[QueryRecord],
                  eps: float):
         from .dsl import serialize
         n, m = scorer.n_entities, scorer.n_relations
-        self.n, self.m = n, m
+        self.n = n
         rid = np.full((len(records), MAX_BRANCHES), -1, dtype=np.int64)
         self.negated = np.zeros(rid.shape, dtype=bool)
         for i, rec in enumerate(records):
@@ -313,51 +319,61 @@ class _BranchTable:
                                      f"graph ({n} entities, {m} relations)")
                 rid[i, k] = h * m + r
                 self.negated[i, k] = negated
-        self.rows, pair = np.unique(rid[rid >= 0], return_inverse=True)
+        self.live = rid >= 0
+        self.flip = self.negated | ~self.live
+        self.rows, pair = np.unique(rid[self.live], return_inverse=True)
         self.pair = np.full(rid.shape, -1, dtype=np.int64)
-        self.pair[rid >= 0] = pair
+        self.pair[self.live] = pair
         self.base_offsets, self.base_cols, self.base_vals = _base_csr(scorer, self.rows, eps)
         answers = [sorted(rec.easy | rec.hard) for rec in records]
         self.answer_offsets = np.cumsum([0] + [len(a) for a in answers])
         self.answer_ids = np.fromiter((i for a in answers for i in a), dtype=np.int64)
 
-    def loss_grad(self, theta: np.ndarray, queries: np.ndarray, grad: np.ndarray) -> float:
-        """Summed loss of `queries` at theta; adds their summed theta-gradient
-        into grad. Works through chunks of block_rows(MAX_BRANCHES * |V|)
-        queries, which bounds the working memory whatever the minibatch size."""
-        size = block_rows(MAX_BRANCHES * self.n)
-        # the chunks' (q, MAX_BRANCHES, |V|) buffers: scaled rows, factors, adjoints
-        work = np.empty((3, min(size, queries.shape[0]), MAX_BRANCHES, self.n))
+    def workspace(self, queries: int) -> tuple[np.ndarray, np.ndarray]:
+        """The chunks' reused buffers for batches of up to `queries` queries,
+        at most block_rows(MAX_BRANCHES * |V|) of them: the (3, q,
+        MAX_BRANCHES, |V|) scaled rows, factors and adjoints, and the (q, |V|)
+        answer mask."""
+        q = min(block_rows(MAX_BRANCHES * self.n), queries)
+        return np.empty((3, q, MAX_BRANCHES, self.n)), np.empty((q, self.n), dtype=bool)
+
+    def loss_grad(self, theta: np.ndarray, queries: np.ndarray, grad: np.ndarray,
+                  work: tuple[np.ndarray, np.ndarray]) -> float:
+        """Summed loss of `queries` at theta (by row of `rows`); adds their
+        summed theta-gradient into grad (by row). Works through chunks of as
+        many queries as `work` (a workspace) holds, which bounds the working
+        memory whatever the minibatch size."""
+        size = work[1].shape[0]
         total = 0.0
         for start in range(0, queries.shape[0], size):
             total += self._chunk(theta, queries[start:start + size], grad, work)
         return total
 
     def _chunk(self, theta: np.ndarray, queries: np.ndarray, grad: np.ndarray,
-               work: np.ndarray) -> float:
+               work: tuple[np.ndarray, np.ndarray]) -> float:
         q, n = queries.shape[0], self.n
-        pair = self.pair[queries]
-        live = pair >= 0
-        hr = np.divmod(self.rows[pair[live]], self.m)
-        scaled, t, adj = work[:, :q]
-        # the branches' base rows, dense, times exp(theta[h, r]); a padding
-        # slot stays 0
+        live = self.live[queries]
+        slot_rows = self.pair[queries][live]
+        scaled, t, adj = work[0][:, :q]
+        # the branches' base rows, dense, times exp(theta of their row); a
+        # padding slot stays 0
         scaled.fill(0.0)
-        pos, lens = csr_take(self.base_offsets, pair[live])
+        pos, lens = csr_take(self.base_offsets, slot_rows)
         slots = np.flatnonzero(live)
         scaled.reshape(-1, n)[np.repeat(slots, lens), self.base_cols[pos]] = self.base_vals[pos]
         scale = np.zeros((q, MAX_BRANCHES))
-        scale[live] = np.exp(theta[hr])
+        scale[live] = np.exp(theta[slot_rows])
         scaled *= scale[..., None]
         # x = min(scaled, 1), or 1 - x for a complement; a padding slot reads
         # as a complemented zero, so its factor is 1 - 0 = 1 exactly
         np.minimum(scaled, 1.0, out=t)
-        np.subtract(1.0, t, out=t, where=(self.negated[queries] | ~live)[..., None])
+        np.subtract(1.0, t, out=t, where=self.flip[queries][..., None])
         out = t[:, 0] * t[:, 1]
         out *= t[:, 2]
         np.clip(out, 0.0, 1.0, out=out)
 
-        is_answer = np.zeros((q, n), dtype=bool)
+        is_answer = work[1][:q]
+        is_answer.fill(False)
         pos, lens = csr_take(self.answer_offsets, queries)
         is_answer[np.repeat(np.arange(q), lens), self.answer_ids[pos]] = True
         losses, seed = query_loss_adjoint(out, is_answer)
@@ -370,7 +386,7 @@ class _BranchTable:
         np.negative(adj, out=adj, where=self.negated[queries][..., None])
         adj *= scaled
         adj *= scaled < 1.0
-        np.add.at(grad, hr, adj.sum(axis=2)[live])
+        np.add.at(grad, slot_rows, adj.sum(axis=2)[live])
         return float(losses.sum())
 
 
@@ -425,15 +441,24 @@ def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
     The memberships equal those of the tape path (GradientTape over
     _AdaptiveRows); gradients and theta differ from it only by summation
     order.
+
+    Theta, the gradient and both Adam moments are kept as vectors over the
+    table's rows, the only (h, r) a gradient reaches, and the chunks'
+    buffers are allocated once (_BranchTable.workspace), so a step costs its
+    minibatch, not |V| * |R|. On every other (h, r) the gradient, the
+    moments and the update of a full-matrix step are exactly 0, so the
+    vector scattered into zeros after the last step is bitwise that step's
+    theta.
     """
     usable = adaptation_records(records)
     if not usable:
         raise ValueError("no training queries of the adaptation structures")
-    n, m = scorer.n_entities, scorer.n_relations
-    theta = np.zeros((n, m), dtype=np.float64)
     table = _BranchTable(scorer, usable, config.eps)
+    theta = np.zeros(table.rows.size)
     adam_m = np.zeros_like(theta)
     adam_v = np.zeros_like(theta)
+    grad = np.empty_like(theta)
+    work = table.workspace(min(config.batch_size, len(usable)))
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     step = 0
     rng = np.random.default_rng(config.seed)
@@ -443,8 +468,8 @@ def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
         total = 0.0
         for start in range(0, len(usable), config.batch_size):
             batch = order[start:start + config.batch_size]
-            grad = np.zeros_like(theta)
-            total += table.loss_grad(theta, batch, grad)
+            grad.fill(0.0)
+            total += table.loss_grad(theta, batch, grad, work)
             grad /= batch.size
             step += 1
             adam_m = beta1 * adam_m + (1 - beta1) * grad
@@ -457,7 +482,9 @@ def adapt(scorer: NormalizedScorer, records: list[QueryRecord],
             raise FloatingPointError(f"non-finite adaptation loss at epoch {epoch}")
         history.append(mean_loss)
         log.debug("adaptation epoch %d: loss %.6f", epoch, mean_loss)
-    return AdaptationMatrix(theta), history
+    matrix = np.zeros((scorer.n_entities, scorer.n_relations))
+    matrix.reshape(-1)[table.rows] = theta
+    return AdaptationMatrix(matrix), history
 
 
 def ablation_provider(mode: str, scorer: NormalizedScorer,

@@ -176,12 +176,16 @@ class KnowledgeGraph:
     def edge_keys(self, splits: tuple[str, ...] = ("train",)) -> np.ndarray:
         """Sorted unique int64 keys (h * |R| + r) * |V| + t of the edges over
         the split union, read-only. Built once per scope and cached; a key's
-        row id h * |R| + r is key // |V| and its tail key % |V|."""
+        row id h * |R| + r is key // |V| and its tail key % |V|. A graph with
+        |V|^2 * |R| >= 2^63, whose keys int64 cannot hold, raises ValueError."""
         key = tuple(splits)
         keys = self._keys.get(key)
         if keys is None:
             edges = self.edges(key)
             n, m = self.n_entities, self.n_relations
+            if n * n * m >= 1 << 63:
+                raise ValueError(f"a graph of {n} entities and {m} relations is too large: "
+                                 f"its edge keys (h * |R| + r) * |V| + t overflow int64")
             keys = np.sort((edges[:, 0] * m + edges[:, 1]) * n + edges[:, 2])
             keys = keys[np.diff(keys, prepend=-1) != 0]     # keys are >= 0
             keys.flags.writeable = False

@@ -47,10 +47,7 @@ from .dsl import (
     STRUCTURE_TEMPLATES,
     Union,
 )
-from . import fuzzy
-from .fuzzy import MembershipVector
 from .graph import SPLITS, KnowledgeGraph
-from .tensor import block_rows
 
 log = logging.getLogger(__name__)
 
@@ -284,6 +281,7 @@ def filtered_ranks(values: np.ndarray, answers, hard) -> np.ndarray:
     at once: above = |V| - #{row <= value}, so a NaN non-answer counts as above,
     as it sorted. The counts are integers, so the rank is exact in float64.
     """
+    from .tensor import block_rows     # at call time: gen-queries loads no tensor
     is_answer = np.zeros(values.shape, dtype=bool)
     is_answer[_pairs(answers)] = True
     rows, cols = _pairs(hard)
@@ -304,6 +302,7 @@ def filtered_ranks(values: np.ndarray, answers, hard) -> np.ndarray:
 def rank_hard_answers(a, hard, all_answers) -> np.ndarray:
     """Filtered average ranks of the hard answers, in the order given: the
     batch of one of filtered_ranks."""
+    from .fuzzy import MembershipVector     # at call time: gen-queries loads no fuzzy
     values = a.values if isinstance(a, MembershipVector) else np.asarray(a)
     return filtered_ranks(values[None, :], [list(all_answers)], [list(hard)])
 
@@ -385,6 +384,7 @@ def evaluate_run(provider, records: list[QueryRecord]) -> EvalReport:
     means over its queries in record order. avg_p / avg_n average the
     positive and negation structure groups.
     """
+    from . import fuzzy     # at call time: gen-queries loads no fuzzy
     ranked = [rec for rec in records if rec.hard]
     mrr = np.empty(len(ranked))
     hits = np.empty((len(HITS_LEVELS), len(ranked)))

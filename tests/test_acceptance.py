@@ -276,12 +276,17 @@ def test_criterion_03_adaptation_gradient(capsys):
         # the production kernel on the same query, answers and base rows
         table = _BranchTable(scorer, [QueryRecord(node, frozenset(),
                                                   frozenset(answers.tolist()))], eps=0.01)
+        # theta and its gradient by table row, the gradient scattered back
         query = np.zeros(1, dtype=np.int64)
+        work = table.workspace(1)
+        by_row = np.zeros(table.rows.size)
+        table.loss_grad(theta.take(table.rows), query, by_row, work)
         production = np.zeros_like(theta)
-        table.loss_grad(theta, query, production)
+        production.flat[table.rows] = by_row
 
         def production_loss():
-            return table.loss_grad(theta, query, np.zeros_like(theta))
+            return table.loss_grad(theta.take(table.rows), query,
+                                   np.zeros(table.rows.size), work)
 
         for (h, r) in sorted(adjoints):
             theta[h, r] += hstep

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -791,12 +792,23 @@ def shaped_records(rng, n, m, per_shape, heads=None):
     return records
 
 
+def kernel_loss_grad(table, theta, batch):
+    """table.loss_grad at a (|V|, |R|) theta: theta read by table row, the
+    row gradient scattered back into a (|V|, |R|) matrix."""
+    batch = np.asarray(batch)
+    by_row = np.zeros(table.rows.size)
+    loss = table.loss_grad(theta.take(table.rows), batch, by_row,
+                           table.workspace(batch.size))
+    grad = np.zeros_like(theta)
+    grad.flat[table.rows] = by_row
+    return loss, grad
+
+
 def kernel_batch(scorer, records, theta, eps, batch):
     answer_sets = [np.fromiter(sorted(rec.easy | rec.hard), dtype=np.int64)
                    for rec in records]
     table = calibrate_module._BranchTable(scorer, records, eps)
-    grad = np.zeros_like(theta)
-    loss = table.loss_grad(theta, np.asarray(batch), grad)
+    loss, grad = kernel_loss_grad(table, theta, batch)
     return loss, grad, answer_sets
 
 
@@ -969,7 +981,7 @@ class TestAdaptationKernel:
             return real(values, answers, *rest)
 
         monkeypatch.setattr(calibrate_module, "query_loss_adjoint", spy)
-        table.loss_grad(theta, np.arange(len(records)), np.zeros_like(theta))
+        kernel_loss_grad(table, theta, np.arange(len(records)))
         got = np.concatenate(seen)
         want = np.stack([evaluate(rec.ast, provider).values for rec in records])
         assert got.tobytes() == want.tobytes()
@@ -1083,7 +1095,7 @@ def reference_chunk(table, theta, queries, grad):
     q, n = queries.shape[0], table.n
     pair = table.pair[queries]
     live = pair >= 0
-    hr = np.divmod(table.rows[pair[live]], table.m)
+    hr = np.divmod(table.rows[pair[live]], theta.shape[1])
     base = np.zeros((q, 3, n))
     pos, lens = csr_take(table.base_offsets, pair[live])
     slots = np.flatnonzero(live)
@@ -1111,14 +1123,26 @@ def reference_chunk(table, theta, queries, grad):
     return float(losses.sum())
 
 
+def poisoned_workspace(table, queries):
+    """table.workspace(queries) with NaN buffers and an all-True answer mask,
+    so that a read of a stale entry shows."""
+    work = table.workspace(queries)
+    work[0].fill(np.nan)
+    work[1].fill(True)
+    return work
+
+
 class TestInPlaceChunk:
-    """The in-place _chunk against reference_chunk: bitwise."""
+    """The in-place _chunk, theta and gradient by table row, against
+    reference_chunk over the (|V|, |R|) matrix: bitwise."""
 
     @staticmethod
     def assert_bitwise(table, theta, batch, work):
-        grad = np.zeros_like(theta)
+        by_row = np.zeros(table.rows.size)
         ref_grad = np.zeros_like(theta)
-        loss = table._chunk(theta, batch, grad, work)
+        loss = table._chunk(theta.take(table.rows), batch, by_row, work)
+        grad = np.zeros_like(theta)
+        grad.flat[table.rows] = by_row
         ref_loss = reference_chunk(table, theta, batch, ref_grad)
         assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
         assert grad.tobytes() == ref_grad.tobytes()
@@ -1138,7 +1162,7 @@ class TestInPlaceChunk:
         firsts = [next(i for i, rec in enumerate(records) if rec.structure == tag)
                   for tag in ADAPTATION_STRUCTURES]
         batches = [order, order[:5], np.array(firsts + [len(records) - 1])]
-        work = np.full((3, len(records), 3, table.n), np.nan)
+        work = poisoned_workspace(table, len(records))
         floored = spy_on_the_floor(monkeypatch)
         assert (table.pair[order] < 0).any()                   # padded slots
         assert table.negated[len(records) - 1, 0]             # a complement first
@@ -1160,4 +1184,108 @@ class TestInPlaceChunk:
         theta = rng.normal(0.0, 1.0, size=(24, 3)) * theta_scale
         # drawn with repeats, so a query can sit in a batch twice
         batch = rng.integers(len(records), size=int(rng.integers(1, 2 * len(records) + 1)))
-        self.assert_bitwise(table, theta, batch, np.full((3, batch.size, 3, table.n), np.nan))
+        self.assert_bitwise(table, theta, batch, poisoned_workspace(table, batch.size))
+
+
+# adapt as it ran before it kept its state by table row: the kernel (here
+# reference_chunk, bitwise the in-place chunk) and out-of-place Adam over
+# the full (|V|, |R|) theta, with a fresh gradient matrix per minibatch.
+# Kept as the reference of the row-indexed state: theta and the losses must
+# be the same bit for bit.
+
+def reference_matrix_adapt(scorer, records, config):
+    """(theta, epoch losses, the table's rows)."""
+    usable = calibrate_module.adaptation_records(records)
+    table = calibrate_module._BranchTable(scorer, usable, config.eps)
+    theta = np.zeros((scorer.n_entities, scorer.n_relations))
+    adam_m = np.zeros_like(theta)
+    adam_v = np.zeros_like(theta)
+    beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
+    step = 0
+    size = tensor_module.block_rows(3 * scorer.n_entities)
+    rng = np.random.default_rng(config.seed)
+    history = []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(usable))
+        total = 0.0
+        for start in range(0, len(usable), config.batch_size):
+            batch = order[start:start + config.batch_size]
+            grad = np.zeros_like(theta)
+            loss = 0.0
+            for lo in range(0, batch.size, size):
+                loss += reference_chunk(table, theta, batch[lo:lo + size], grad)
+            total += loss
+            grad /= batch.size
+            step += 1
+            adam_m = beta1 * adam_m + (1 - beta1) * grad
+            adam_v = beta2 * adam_v + (1 - beta2) * grad * grad
+            m_hat = adam_m / (1 - beta1 ** step)
+            v_hat = adam_v / (1 - beta2 ** step)
+            theta -= config.lr * m_hat / (np.sqrt(v_hat) + adam_eps)
+        history.append(total / len(usable))
+    return theta, history, table.rows
+
+
+class TestRowIndexedState:
+    """adapt's theta, gradient and Adam moments, kept by table row, against
+    reference_matrix_adapt: bitwise, and +0.0 on every row no query
+    reaches."""
+
+    @staticmethod
+    def assert_bitwise(scorer, records, config):
+        matrix, history = adapt(scorer, records, config)
+        ref_theta, ref_history, rows = reference_matrix_adapt(scorer, records, config)
+        theta = matrix.theta
+        assert theta.dtype == np.float64 and theta.shape == ref_theta.shape
+        assert theta.tobytes() == ref_theta.tobytes()
+        assert np.array(history).tobytes() == np.array(ref_history).tobytes()
+        outside = np.ones(theta.size, dtype=bool)
+        outside[rows] = False
+        assert (theta.reshape(-1)[outside].view(np.uint64) == 0).all()     # +0.0
+        return theta, rows
+
+    @pytest.mark.parametrize("block_entries", [None, 3 * 24 * 5])
+    @pytest.mark.parametrize("flags", [{"lr": 0.05, "batch_size": 8}, {}],
+                             ids=["wide-flags", "defaults"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_the_matrix_loop(self, monkeypatch, seed, flags, block_entries):
+        kg, scorer, _ = study(seed)
+        # anchors on even entities only, so some rows are never reached
+        records = shaped_records(np.random.default_rng(seed), 24, 3, per_shape=8,
+                                 heads=np.arange(0, 24, 2))
+        if block_entries is not None:     # chunks of 5 queries
+            monkeypatch.setattr(tensor_module, "BLOCK_ENTRIES", block_entries)
+        theta, rows = self.assert_bitwise(scorer, records,
+                                          CalibrationConfig(seed=seed, **flags))
+        assert 0 < rows.size < theta.size
+        assert theta.take(rows).any()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(adaptation_records(), min_size=1, max_size=10),
+           st.integers(1, 12), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+    def test_hypothesis_runs(self, records, batch_size, epochs, seed):
+        # repeated queries, and a padded branch in every run
+        records = records + records[:1 + seed % len(records)]
+        records.append(QueryRecord(parse("P[#1](#2)"), frozenset(), frozenset({0, 5})))
+        config = CalibrationConfig(lr=0.05, epochs=epochs, batch_size=batch_size,
+                                   eps=0.01, seed=seed)
+        self.assert_bitwise(branch_scorer(), records, config)
+
+    def test_peak_below_two_matrices(self):
+        n, m = 2048, 512                        # |V| * |R| = 2^20
+        rng = np.random.default_rng(5)
+        kg = random_kg(rng, n, m, 4000)
+        model = EmbeddingModel.create("complex-bilinear", n, m, 8, rng)
+        model.E *= 10.0     # peaked rows, so that base rows keep entries
+        model.R *= 10.0
+        scorer = NormalizedScorer(model, kg)
+        records = shaped_records(rng, n, m, per_shape=40)
+        config = CalibrationConfig(lr=0.05, batch_size=8, seed=1)
+        tracemalloc.start()
+        try:
+            matrix, _ = adapt(scorer, records, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.theta.shape == (n, m) and matrix.theta.any()
+        assert peak < 2 * matrix.theta.nbytes

@@ -155,6 +155,22 @@ class TestAdjacency:
         assert keys.dtype == np.int64 and keys.tolist() == [1, 28]
         assert kg.edge_keys(("test",)).shape == (0,)
 
+    @pytest.mark.parametrize("n,m,fits", [
+        (2 ** 30, 7, True), (2 ** 30, 8, False),            # 7 * 2^60 and 2^63
+        (3037000499, 1, True), (3037000500, 1, False)])     # about sqrt(2^63)
+    def test_edge_keys_past_int64_raise(self, monkeypatch, n, m, fits):
+        # vocabulary sizes as large as the int64 keys allow, without the
+        # vocabularies: the sizes are patched on a four-entity graph
+        kg = make_kg(4, 1, {"train": [(3, 0, 2), (0, 0, 1)]})
+        monkeypatch.setattr(KnowledgeGraph, "n_entities", property(lambda self: n))
+        monkeypatch.setattr(KnowledgeGraph, "n_relations", property(lambda self: m))
+        if fits:
+            assert decode(kg, kg.edge_keys()) == [(0, 0, 1), (3, 0, 2)]
+        else:
+            with pytest.raises(ValueError, match=f"a graph of {n} entities and {m} "
+                                                 f"relations is too large"):
+                kg.edge_keys()
+
     def test_consistency_with_triplets(self, rng):
         # every stored triplet has a key and every key a stored triplet
         kg = random_kg(rng, 12, 3, 60)
